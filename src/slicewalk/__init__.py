@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .graphs import (BipartiteRegularGraph, RegularGraph, RejectionBudgetError,
-                     bipartite_complement, closed_neighborhood, common_neighbors,
-                     complement_regular, gen_bipartite_regular, gen_regular,
-                     induced_subgraph, load_graph, pruned_graph, save_graph)
+                     bipartite_complement, complement_regular, gen_bipartite_regular,
+                     gen_regular, load_graph, save_graph)
 from .slices import (LinkOperator, NeighborGraph, OneSidedSlice, RegularSlice,
                      SliceError, TwoSidedSlice, enumerate_facets, exact_distribution,
                      link, local_walk_exact, neighbor_graph, one_sided_link_walk_closed_form,

@@ -23,7 +23,8 @@ from .experiments import (ExperimentConfig, experiment_independent_set_size,
                           experiment_large_set_expansion,
                           experiment_neighborhood_concentration,
                           experiment_slow_mixing)
-from .graphs import gen_bipartite_regular, gen_regular, load_graph, save_graph
+from .graphs import (BipartiteRegularGraph, RegularGraph, gen_bipartite_regular, gen_regular,
+                     load_graph, save_graph)
 from .reports import emit, reproducibility_stanza, to_csv, to_json
 from .slices import OneSidedSlice, RegularSlice, TwoSidedSlice
 from .verify import (verify_one_sided_identities, verify_top_link_one_sided,
@@ -76,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="flat key=value file providing defaults")
         p.add_argument("--timing", action="store_true",
-                       help="include wall_time in the report (breaks "
-                            "byte-reproducibility)")
+                       help="include wall_time, the command's elapsed seconds, "
+                            "in the report (breaks byte-reproducibility)")
 
     p = sub.add_parser("gen-graph", help="generate a random regular (bipartite) graph")
     kind = p.add_mutually_exclusive_group(required=True)
@@ -174,13 +175,13 @@ def _effective_args(argv):
 
 
 def _public_config(args) -> dict:
-    skip = {"command", "config", "out", "format", "timing"}
+    skip = {"command", "config", "out", "format", "timing", "started"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _finish(args, report: dict, failed: bool = False, records=None) -> int:
     if args.timing:
-        report["wall_time"] = time.monotonic()
+        report["wall_time"] = time.monotonic() - args.started
     if args.format == "csv" and records is not None:
         emit(to_csv(records), args.out)
     elif args.format == "csv":
@@ -213,8 +214,6 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _require_kind(g, bipartite: bool) -> None:
-    from .graphs import BipartiteRegularGraph, RegularGraph
-
     if bipartite and not isinstance(g, BipartiteRegularGraph):
         raise UsageError("this operation needs a bipartite graph file")
     if not bipartite and not isinstance(g, RegularGraph):
@@ -345,11 +344,13 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
+    started = time.monotonic()
     try:
         args = _effective_args(sys.argv[1:] if argv is None else argv)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    args.started = started  # --timing reports the seconds since this point
     handlers = {"gen-graph": _cmd_gen_graph, "sample": _cmd_sample,
                 "estimate-z": _cmd_estimate_z, "verify-spectral": _cmd_verify_spectral,
                 "experiment": _cmd_experiment}

@@ -26,10 +26,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import BipartiteRegularGraph, RegularGraph, X
+from .graphs import BipartiteRegularGraph, X
 from .rng import UniformBuffer, rng_stream
-from .slices import (OneSidedSlice, RegularSlice, Slice, SliceError, TwoSidedSlice,
-                     link, one_sided_log_weight)
+from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
+                     exact_distribution, link, one_sided_log_weight)
 from .walks import InitialStateError, _step, greedy_initial_state
 
 LOG_ZERO = float("-inf")
@@ -170,15 +170,6 @@ def _z_quantile(delta: float) -> float:
 # -- exact oracles -----------------------------------------------------------------
 
 
-def _global_adjacency(g) -> list[list[int]]:
-    if isinstance(g, RegularGraph):
-        return [list(row) for row in g.adj]
-    n = g.n_side
-    out = [[n + j for j in row] for row in g.adj_x]
-    out.extend([list(row) for row in g.adj_y])
-    return out
-
-
 def exact_partition(g, fugacity: float, size_cap: int = 40) -> float:
     """Exact hardcore partition function by rational branch-and-bound.
 
@@ -187,7 +178,7 @@ def exact_partition(g, fugacity: float, size_cap: int = 40) -> float:
     surviving vertex bitmask.  Arithmetic is exact over the rationals (any
     float fugacity is dyadic), converted to float only at the end.
     """
-    adj = _global_adjacency(g)
+    adj = g.global_adj
     n = len(adj)
     if n > size_cap:
         raise ValueError(f"{n} vertices exceed the exact-partition cap {size_cap}")
@@ -294,10 +285,7 @@ def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
 
 
 def _burn_in(slc: Slice, epsilon: float, config: EstimatorConfig) -> int:
-    if isinstance(slc, RegularSlice):
-        verts = slc.graph.n
-    else:
-        verts = 2 * slc.graph.n_side
+    verts = len(slc.graph.global_adj)
     return int(config.chain_scale * max(1, slc.free_size) * verts
                * max(1.0, math.log(1.0 / epsilon)))
 
@@ -306,12 +294,10 @@ def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
                        path: tuple[int, ...], config: EstimatorConfig):
     """Pool thinned membership indicators from ``replicas`` independent chains.
 
-    Returns (counts_x, counts_y, n_collected); counts index free vertices by
-    side.  The replica split is the documented (seed, replica) stream split.
+    Returns (counts, n_collected); counts index free vertices by global id.
+    The replica split is the documented (seed, replica) stream split.
     """
-    n = slc.graph.n if isinstance(slc, RegularSlice) else slc.graph.n_side
-    counts_x = np.zeros(n, dtype=np.int64)
-    counts_y = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     replicas = max(1, config.replicas)
     per = (n_samples + replicas - 1) // replicas
     burn = _burn_in(slc, epsilon, config)
@@ -326,68 +312,34 @@ def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
         for _ in range(per):
             for _ in range(thin):
                 _step(slc, state, rand)
-            for v in state.free_x:
-                counts_x[v] += 1
-            for v in state.free_y:
-                counts_y[v] += 1
+            for v in state.free:
+                counts[v] += 1
             collected += 1
-    return counts_x, counts_y, collected
-
-
-def _pick_heavy(counts_x, counts_y, n_collected, slc: Slice):
-    """Argmax pilot rule; ties break lexicographically for determinism."""
-    best = None
-    best_count = -1
-    if isinstance(slc, TwoSidedSlice):
-        candidates = [((0, v), counts_x[v]) for v in range(len(counts_x))]
-        candidates += [((1, v), counts_y[v]) for v in range(len(counts_y))]
-    else:
-        candidates = [((0, v), counts_x[v]) for v in range(len(counts_x))]
-    for label, c in candidates:
-        if c > best_count:
-            best, best_count = label, int(c)
-    if best_count <= 0:
-        raise InsufficientSamplesError("pilot saw no facet members")
-    return best, best_count
-
-
-def _pin(slc: Slice, label) -> Slice:
-    side, v = label
-    if isinstance(slc, TwoSidedSlice):
-        face = ((v,), ()) if side == 0 else ((), (v,))
-        return link(slc, face, check_nonempty=False)
-    return link(slc, (v,), check_nonempty=False)
+    return counts, collected
 
 
 def _exact_marginal(slc: Slice, cap: int):
-    """(argmax label, exact marginal) from the enumerated conditional, or None."""
-    from .slices import EnumerationCapError, exact_distribution
-
+    """(argmax global id, exact marginal) from the enumerated conditional, or None."""
     try:
         facets, probs = exact_distribution(slc, cap)
     except EnumerationCapError:
         return None
-    n = slc.graph.n if isinstance(slc, RegularSlice) else slc.graph.n_side
-    marg_x = np.zeros(n)
-    marg_y = np.zeros(n)
-    if isinstance(slc, TwoSidedSlice):
-        for f, p in zip(facets, probs):
-            for v in f[0]:
-                if v not in slc.pinned_x:
-                    marg_x[v] += p
-            for v in f[1]:
-                if v not in slc.pinned_y:
-                    marg_y[v] += p
-    else:
-        pinned = slc.pinned
-        for f, p in zip(facets, probs):
-            for v in f:
-                if v not in pinned:
-                    marg_x[v] += p
-    label, _ = _pick_heavy((marg_x * 2 ** 40).astype(np.int64),
-                           (marg_y * 2 ** 40).astype(np.int64), 1, slc)
-    side, v = label
-    return label, float(marg_x[v] if side == 0 else marg_y[v])
+    marg = np.zeros(len(slc.graph.global_adj))
+    pinned = slc.pinned_ids
+    for f, p in zip(facets, probs):
+        for v in slc.to_ids(f):
+            if v not in pinned:
+                marg[v] += p
+    # Marginals that are equal in exact arithmetic can differ in their last
+    # bits; comparing them on a 2**-40 grid lets such ties go to the lowest id.
+    v = int(np.argmax(np.floor(marg * 2 ** 40)))
+    return v, float(marg[v])
+
+
+def _trace_label(slc: Slice, v: int, n: int):
+    """Traced name of global id ``v``: (side, index) with side 0 for X and 1
+    for Y on two-sided slices, the id itself otherwise."""
+    return divmod(v, n) if isinstance(slc, TwoSidedSlice) else v
 
 
 def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
@@ -397,37 +349,39 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
     log_value = 0.0
     trace: list[LevelTrace] = []
     total = 0
-    n = slc.graph.n if isinstance(slc, RegularSlice) else slc.graph.n_side
+    lo, hi, _ = slc.parts[0]
+    n = hi - lo  # the side size, or the vertex count of a regular graph
     for level in range(levels):
         exact = _exact_marginal(slc, config.exact_marginal_cap) \
             if config.exact_marginal_cap > 0 else None
         if exact is not None:
-            label, p_hat = exact
+            v, p_hat = exact
             got = 0
         else:
             pilot_n = max(config.pilot_floor, math.ceil(10 * n * math.log(max(2, n))))
-            cx, cy, got = _membership_counts(slc, pilot_n, epsilon, seed,
+            counts, got = _membership_counts(slc, pilot_n, epsilon, seed,
                                              (rep, level, 0), config)
-            label, count = _pick_heavy(cx, cy, got, slc)
-            p_pilot = min(1.0 - 1e-12, max(count / got, 1.0 / (4.0 * n)))
+            # argmax takes the first maximum, so ties go to the lowest id
+            v = int(np.argmax(counts))
+            if counts[v] <= 0:
+                raise InsufficientSamplesError("pilot saw no facet members")
+            p_pilot = min(1.0 - 1e-12, max(int(counts[v]) / got, 1.0 / (4.0 * n)))
             need = math.ceil(config.safety * per_level_z2 * levels
                              * (1.0 / p_pilot - 1.0) / (epsilon * epsilon))
             need = max(need, 64)
-            cx, cy, got = _membership_counts(slc, need, epsilon, seed,
+            counts, got = _membership_counts(slc, need, epsilon, seed,
                                              (rep, level, 1), config)
-            side, v = label
-            hits = int(cx[v]) if side == 0 else int(cy[v])
+            hits = int(counts[v])
             if hits <= 0:
                 raise InsufficientSamplesError(
-                    f"marginal estimate for vertex {label} came out zero")
+                    f"marginal estimate for vertex {_trace_label(slc, v, n)} came out zero")
             p_hat = hits / got
             total += got + pilot_n
             # second-order bias correction for E[1/p_hat] = (1/p)(1 + (1-p)/(pN))
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
-        trace.append(LevelTrace(label if isinstance(slc, TwoSidedSlice) else label[1],
-                                p_hat, got))
-        slc = _pin(slc, label)
+        trace.append(LevelTrace(_trace_label(slc, v, n), p_hat, got))
+        slc = link(slc, slc.from_ids((v,)), check_nonempty=False)
     return log_value, trace, total, slc
 
 
@@ -463,7 +417,7 @@ def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     Telescopes over links: pin the pilot-argmax vertex, estimate its marginal
     by pooled down-up chains, multiply the inverse marginals; the empty base
     face contributes one.  Meets the (epsilon, delta) contract via z-budgeted
-    per-level sampling (median over repetitions when delta < 0.05).
+    per-level sampling (median over repetitions when delta < 1e-3).
     """
     config = config or EstimatorConfig()
     slc = TwoSidedSlice(g, k_x, k_y)

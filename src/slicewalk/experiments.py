@@ -30,7 +30,7 @@ import numpy as np
 from .graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice
-from .walks import _step, exact_transition_matrix, spectral_gap
+from .walks import _make_state, _step, _weight_table, exact_transition_matrix, spectral_gap
 
 SAMPLED_TAU_NOTE = ("sampled-tau frequencies only; the for-all-tau statement "
                     "is not verified")
@@ -404,8 +404,6 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     smaller weights send every run to ``_escape_time``, whose stepper rescales
     them.
     """
-    from .walks import _make_state, _weight_table
-
     members = tuple(sorted(members))
     table = np.array(_weight_table(slc))
     if table[-1] < 1e-300:
@@ -413,21 +411,18 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
                 for run in range(runs)]
     state = _make_state(slc, members)
     n = slc.graph.n_side
-    adj = np.zeros((n, n))
-    for x, row in enumerate(slc.graph.adj_x):
-        for j in row:
-            adj[x, j] += 1.0
+    adj = slc.graph.biadjacency()
     adj_t = np.ascontiguousarray(adj.T)
-    kf = len(state.free_x)
+    kf = len(state.free)
     half = k / 2.0
 
     times: list[int | None] = [None] * runs
     active = np.arange(runs)
     gens = [rng_stream(seed, 1000 + run) for run in range(runs)]
-    free = np.tile(np.array(state.free_x, dtype=np.intp), (runs, 1))
-    notin = np.tile(np.array([0.0 if f else 1.0 for f in state.in_x]), (runs, 1))
-    cover = np.tile(np.array(state.cover_y, dtype=float), (runs, 1))
-    inside = np.full(runs, sum(1 for v in state.free_x if v < m))
+    free = np.tile(np.array(state.free, dtype=np.intp), (runs, 1))
+    notin = np.tile(np.array([0.0 if f else 1.0 for f in state.member[:n]]), (runs, 1))
+    cover = np.tile(np.array(state.cover[n:], dtype=float), (runs, 1))
+    inside = np.full(runs, sum(1 for v in state.free if v < m))
     done = 0
     while done < budget and len(active):
         rows = len(active)
@@ -471,14 +466,12 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
 
 def _escape_time(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
                  budget: int, seed: int, run: int) -> int | None:
-    from .walks import _make_state
-
     state = _make_state(slc, tuple(sorted(members)))
     rand = UniformBuffer(rng_stream(seed, 1000 + run)).next
     half = k / 2.0
     for t in range(1, budget + 1):
         _step(slc, state, rand)
-        inside = sum(1 for v in state.free_x if v < m)
+        inside = sum(1 for v in state.free if v < m)
         if inside <= half:
             return t
     return None

@@ -2,8 +2,12 @@
 
 Vertices are referenced as (side, index) with sides ``"x"`` and ``"y"`` for
 bipartite graphs, 0-based on each side; plain 0-based integers for ordinary
-regular graphs.  Graphs are immutable after construction and safe to share
-across threads; generators are pure functions of (parameters, seed).
+regular graphs.  Every graph also has one global vertex encoding, which the
+slices, walks, counting and spectra share: ``global_adj`` lists the
+neighbors of each global id, where a bipartite graph numbers X as
+0..n_side-1 and Y as n_side..2*n_side-1, and an ordinary graph keeps its
+own ids.  Graphs are immutable after construction and safe to share across
+threads; generators are pure functions of (parameters, seed).
 
 Random regular (bipartite) graphs come from the pairing model: a uniform
 perfect matching on degree-many half-edge copies of every vertex, with
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,22 +36,16 @@ class RejectionBudgetError(RuntimeError):
     """Pairing-model rejection failed to produce a simple graph in budget."""
 
 
-class HalfEdge(NamedTuple):
-    """Copy ``copy`` of vertex ``vertex`` in the pairing model."""
-
-    vertex: int
-    copy: int
-
-    def encode(self, degree: int) -> int:
-        return self.vertex * degree + self.copy
-
-    @staticmethod
-    def decode(code: int, degree: int) -> "HalfEdge":
-        return HalfEdge(code // degree, code % degree)
-
-
 def _as_sorted_tuples(adj: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(row)) for row in adj)
+
+
+def _indicator(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """0/1 matrix with a one at (i, j) for every j in rows[i]."""
+    m = np.zeros((len(rows), width), dtype=np.float64)
+    for i, row in enumerate(rows):
+        m[i, list(row)] = 1.0
+    return m
 
 
 @dataclass(eq=False)
@@ -97,12 +95,19 @@ class BipartiteRegularGraph:
             out.update(adj[i])
         return frozenset(out)
 
+    @cached_property
+    def global_adj(self) -> tuple[tuple[int, ...], ...]:
+        """X rows with Y ids offset by n_side, then the Y rows."""
+        n = self.n_side
+        return tuple(tuple(n + j for j in row) for row in self.adj_x) + self.adj_y
+
     def biadjacency(self) -> np.ndarray:
         """0/1 matrix B with B[i, j] = 1 iff x_i ~ y_j."""
-        b = np.zeros((self.n_side, self.n_side), dtype=np.float64)
-        for i, row in enumerate(self.adj_x):
-            b[i, list(row)] = 1.0
-        return b
+        return _indicator(self.adj_x, self.n_side)
+
+    def adjacency(self) -> np.ndarray:
+        """0/1 adjacency over global ids: the [[0, B], [B^T, 0]] layout."""
+        return _indicator(self.global_adj, 2 * self.n_side)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.adj_x) for j in row]
@@ -160,63 +165,15 @@ class RegularGraph:
     def masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << u for u in row) for row in self.adj)
 
+    @property
+    def global_adj(self) -> tuple[tuple[int, ...], ...]:
+        return self.adj
+
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for v, row in enumerate(self.adj):
-            a[v, list(row)] = 1.0
-        return a
+        return _indicator(self.adj, self.n)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v, row in enumerate(self.adj) for u in row if v < u]
-
-
-@dataclass(eq=False)
-class BipartiteSubgraph:
-    """Induced or pruned bipartite graph with its reindexing maps.
-
-    ``x_vertices[i]`` / ``y_vertices[j]`` are the original indices of local
-    vertex i / j; adjacency is in local indices and need not be regular.
-    """
-
-    x_vertices: tuple[int, ...]
-    y_vertices: tuple[int, ...]
-    adj_x: tuple[tuple[int, ...], ...]
-    adj_y: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_x(self) -> int:
-        return len(self.x_vertices)
-
-    @property
-    def n_y(self) -> int:
-        return len(self.y_vertices)
-
-    def biadjacency(self) -> np.ndarray:
-        b = np.zeros((self.n_x, self.n_y), dtype=np.float64)
-        for i, row in enumerate(self.adj_x):
-            b[i, list(row)] = 1.0
-        return b
-
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.adj_x)
-
-
-@dataclass(eq=False)
-class InducedGraph:
-    """Induced subgraph of a RegularGraph with its reindexing map."""
-
-    vertices: tuple[int, ...]
-    adj: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for v, row in enumerate(self.adj):
-            a[v, list(row)] = 1.0
-        return a
 
 
 # -- pairing-model generators --------------------------------------------------
@@ -300,39 +257,7 @@ def gen_regular(n: int, degree: int, seed: int,
         f"no simple regular graph in {max_retries} pairing attempts (n={n}, degree={degree})")
 
 
-# -- set operations ------------------------------------------------------------
-
-
-def closed_neighborhood(g, vertices: Iterable[int], side: str = X) -> frozenset:
-    """N[S] = S together with every neighbor of S.
-
-    For bipartite graphs the result is a frozenset of (side, index) labels,
-    since S and its neighbors live on opposite sides; for regular graphs it is
-    a frozenset of vertex indices.  Use ``neighbor_set`` for the open variant.
-    """
-    if isinstance(g, RegularGraph):
-        return g.neighbor_set(vertices, closed=True)
-    verts = list(vertices)
-    opposite = Y if side == X else X
-    return frozenset({(side, v) for v in verts}
-                     | {(opposite, u) for u in g.neighbor_set(side, verts)})
-
-
-def common_neighbors(g, side_or_u, u, v=None) -> frozenset[int]:
-    """N(u) ∩ N(v) for two distinct same-side vertices.
-
-    Call as ``common_neighbors(g, side, u, v)`` for bipartite graphs or
-    ``common_neighbors(g, u, v)`` for regular graphs.
-    """
-    if isinstance(g, RegularGraph):
-        u, v = side_or_u, u
-        if u == v:
-            raise ValueError("vertices must be distinct")
-        return frozenset(g.neighbors(u)) & frozenset(g.neighbors(v))
-    side = side_or_u
-    if u == v:
-        raise ValueError("vertices must be distinct")
-    return frozenset(g.neighbors(side, u)) & frozenset(g.neighbors(side, v))
+# -- complements ----------------------------------------------------------------
 
 
 def bipartite_complement(g: BipartiteRegularGraph) -> BipartiteRegularGraph:
@@ -350,39 +275,6 @@ def complement_regular(g: RegularGraph) -> RegularGraph:
     full = set(range(n))
     adj = tuple(tuple(sorted(full - set(row) - {v})) for v, row in enumerate(g.adj))
     return RegularGraph(n, n - 1 - g.degree, adj)
-
-
-def induced_subgraph(g, keep, keep_y=None):
-    """Subgraph induced on a vertex subset, with the reindexing map attached.
-
-    Bipartite graphs take ``keep`` (X indices) and ``keep_y``; regular graphs
-    take a single vertex set.
-    """
-    if isinstance(g, RegularGraph):
-        verts = tuple(sorted(set(keep)))
-        pos = {v: i for i, v in enumerate(verts)}
-        adj = tuple(tuple(pos[u] for u in g.adj[v] if u in pos) for v in verts)
-        return InducedGraph(verts, adj)
-    xs = tuple(sorted(set(keep)))
-    ys = tuple(sorted(set(keep_y if keep_y is not None else ())))
-    xpos = {v: i for i, v in enumerate(xs)}
-    ypos = {v: i for i, v in enumerate(ys)}
-    adj_x = tuple(tuple(ypos[j] for j in g.adj_x[i] if j in ypos) for i in xs)
-    adj_y = tuple(tuple(xpos[i] for i in g.adj_y[j] if i in xpos) for j in ys)
-    return BipartiteSubgraph(xs, ys, adj_x, adj_y)
-
-
-def pruned_graph(g: BipartiteRegularGraph, tau_x: Iterable[int]) -> BipartiteSubgraph:
-    """Same vertex set with every edge incident to tau or N[tau] deleted."""
-    tau = set(tau_x)
-    blocked_y = g.neighbor_set(X, tau)
-    adj_x = tuple(
-        tuple(j for j in row if j not in blocked_y) if i not in tau else ()
-        for i, row in enumerate(g.adj_x))
-    adj_y = tuple(
-        tuple(i for i in row if i not in tau) if j not in blocked_y else ()
-        for j, row in enumerate(g.adj_y))
-    return BipartiteSubgraph(tuple(range(g.n_side)), tuple(range(g.n_side)), adj_x, adj_y)
 
 
 # -- text format ----------------------------------------------------------------

@@ -15,6 +15,13 @@ of it and every operation conditions on it, which is how links are taken.
 Weights are handled in log space with the (1+fugacity) exponent kept as an
 integer, so nothing overflows at side sizes in the thousands.
 
+All three share one core over the graph's global vertex ids (X, then Y
+offset by the side size): a list of parts (lo, hi, quota), the pinned ids,
+and the conversion between ids and the family's public facet format.  The
+chains and estimators work on that core only; two-sided and regular slices
+are both independent sets with per-part quotas, and the one-sided slice is a
+single part with the coverage weight.
+
 Local walk operators on codimension-2 links are built two independent ways:
 by exhaustive enumeration (the oracle) and by closed forms (bipartite
 complement of the survivor graph for the uniform slices; an explicit
@@ -24,7 +31,8 @@ two constructions are required to agree entrywise to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -49,8 +57,46 @@ def _sorted_tuple(items: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(items))
 
 
+class _SliceCore:
+    """Global-id views shared by the slice families.
+
+    Vertex ids are those of ``graph.global_adj``.  ``parts`` lists each part
+    as (lo, hi, quota): a facet holds exactly ``quota`` ids in ``range(lo,
+    hi)``.  ``pinned_ids`` is the pinned face, and ``to_ids``/``from_ids``
+    convert between a facet (or face) in the family's public format and
+    global ids.  The defaults serve the single-set families, whose public
+    format already is a tuple of ids.
+    """
+
+    @cached_property
+    def parts(self) -> tuple[tuple[int, int, int], ...]:
+        return ((0, self._part_size, self.k),)
+
+    @cached_property
+    def pinned_ids(self) -> frozenset[int]:
+        return self.pinned
+
+    @property
+    def free_size(self) -> int:
+        return sum(quota for _, _, quota in self.parts) - len(self.pinned_ids)
+
+    def to_ids(self, facet) -> tuple[int, ...]:
+        return tuple(facet)
+
+    def from_ids(self, ids: Iterable[int]):
+        return _sorted_tuple(ids)
+
+    def label(self, v: int):
+        """Public name of global id ``v``, as used by link operators."""
+        return v
+
+    def with_face(self, face):
+        """Same slice with ``face``, in the public format, added to the pins."""
+        return replace(self, pinned=self.pinned | frozenset(face))
+
+
 @dataclass(eq=False)
-class TwoSidedSlice:
+class TwoSidedSlice(_SliceCore):
     graph: BipartiteRegularGraph
     k_x: int
     k_y: int
@@ -65,13 +111,37 @@ class TwoSidedSlice:
         if self.graph.neighbor_set(X, self.pinned_x) & self.pinned_y:
             raise SliceError("pinned face is not an independent set")
 
-    @property
-    def free_size(self) -> int:
-        return (self.k_x - len(self.pinned_x)) + (self.k_y - len(self.pinned_y))
+    @cached_property
+    def parts(self) -> tuple[tuple[int, int, int], ...]:
+        n = self.graph.n_side
+        return ((0, n, self.k_x), (n, 2 * n, self.k_y))
+
+    @cached_property
+    def pinned_ids(self) -> frozenset[int]:
+        return frozenset(self.to_ids((self.pinned_x, self.pinned_y)))
+
+    def to_ids(self, facet) -> tuple[int, ...]:
+        xs, ys = facet
+        n = self.graph.n_side
+        return tuple(xs) + tuple(n + j for j in ys)
+
+    def from_ids(self, ids: Iterable[int]) -> TwoSidedFacet:
+        n = self.graph.n_side
+        ordered = sorted(ids)
+        return (tuple(v for v in ordered if v < n), tuple(v - n for v in ordered if v >= n))
+
+    def label(self, v: int) -> tuple[str, int]:
+        n = self.graph.n_side
+        return (X, v) if v < n else (Y, v - n)
+
+    def with_face(self, face) -> "TwoSidedSlice":
+        fx, fy = face
+        return replace(self, pinned_x=self.pinned_x | frozenset(fx),
+                       pinned_y=self.pinned_y | frozenset(fy))
 
 
 @dataclass(eq=False)
-class OneSidedSlice:
+class OneSidedSlice(_SliceCore):
     graph: BipartiteRegularGraph
     k: int
     fugacity: float
@@ -86,12 +156,12 @@ class OneSidedSlice:
             raise SliceError("pinned face larger than k")
 
     @property
-    def free_size(self) -> int:
-        return self.k - len(self.pinned)
+    def _part_size(self) -> int:
+        return self.graph.n_side
 
 
 @dataclass(eq=False)
-class RegularSlice:
+class RegularSlice(_SliceCore):
     graph: RegularGraph
     k: int
     pinned: frozenset[int] = field(default_factory=frozenset)
@@ -107,8 +177,8 @@ class RegularSlice:
                 raise SliceError("pinned face is not an independent set")
 
     @property
-    def free_size(self) -> int:
-        return self.k - len(self.pinned)
+    def _part_size(self) -> int:
+        return self.graph.n
 
 
 Slice = TwoSidedSlice | OneSidedSlice | RegularSlice
@@ -212,13 +282,9 @@ def exact_distribution(slc: Slice, cap: int = ENUMERATION_CAP):
     facets = enumerate_facets(slc, cap)
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
-    if isinstance(slc, OneSidedSlice):
-        logw = np.array([one_sided_log_weight(slc, f) for f in facets])
-        logw -= logw.max()
-        probs = np.exp(logw)
-        probs /= probs.sum()
-    else:
-        probs = np.full(len(facets), 1.0 / len(facets))
+    logw = np.array([facet_log_weight(slc, f) for f in facets])
+    probs = np.exp(logw - logw.max())
+    probs /= probs.sum()
     return facets, probs
 
 
@@ -229,66 +295,55 @@ def link(slc: Slice, face, *, check_nonempty: bool = True) -> Slice:
     """Same slice family with the pinned face extended by ``face``.
 
     Facet weights of the result are the conditionals of the parent slice.
-    Raises SliceError when the extended face cannot reach any facet.
+    With ``check_nonempty``, a link that greedy search cannot complete is
+    enumerated: SliceError when it has no facet, EnumerationCapError when it
+    is too large to enumerate, so its emptiness is undecided.
     """
-    if isinstance(slc, TwoSidedSlice):
-        fx, fy = face
-        out = TwoSidedSlice(slc.graph, slc.k_x, slc.k_y,
-                            slc.pinned_x | frozenset(fx), slc.pinned_y | frozenset(fy))
-    elif isinstance(slc, OneSidedSlice):
-        out = OneSidedSlice(slc.graph, slc.k, slc.fugacity, slc.pinned | frozenset(face))
-    else:
-        out = RegularSlice(slc.graph, slc.k, slc.pinned | frozenset(face))
+    out = slc.with_face(face)
     if check_nonempty and greedy_facet(out, np.random.Generator(np.random.PCG64(0))) is None:
-        raise SliceError("face does not extend to any facet (empty link)")
+        try:
+            facets = enumerate_facets(out, ENUMERATION_CAP)
+        except EnumerationCapError:
+            raise EnumerationCapError(
+                "greedy search found no facet and the link exceeds the enumeration "
+                "cap, so whether it is empty is undecided") from None
+        if not facets:
+            raise SliceError("face does not extend to any facet (empty link)")
     return out
 
 
 def greedy_facet(slc: Slice, rng: np.random.Generator, restarts: int = 64):
     """Randomized greedy completion of the pinned face to a facet, or None.
 
-    One-sided slices always succeed in a single uniform draw; the constrained
-    families shuffle the vertices and insert while quotas are unmet, with
-    restarts.
+    One-sided slices always succeed in a single uniform draw; the independent
+    set families shuffle the free vertices and insert each one whose part
+    quota is unmet and which has no neighbor in the set, with restarts.
     """
+    pinned = slc.pinned_ids
     if isinstance(slc, OneSidedSlice):
-        free = sorted(set(range(slc.graph.n_side)) - slc.pinned)
+        free = [v for v in range(slc.graph.n_side) if v not in pinned]
         if len(free) < slc.free_size:
             return None
         pick = rng.choice(len(free), size=slc.free_size, replace=False) if slc.free_size else []
-        return _sorted_tuple(set(slc.pinned) | {free[int(i)] for i in pick})
-    if isinstance(slc, TwoSidedSlice):
-        g = slc.graph
-        verts = [(X, i) for i in range(g.n_side) if i not in slc.pinned_x] + \
-                [(Y, j) for j in range(g.n_side) if j not in slc.pinned_y]
-        for _ in range(restarts):
-            order = rng.permutation(len(verts))
-            xs, ys = set(slc.pinned_x), set(slc.pinned_y)
-            for t in order:
-                side, v = verts[int(t)]
-                if side == X and len(xs) < slc.k_x and not (set(g.adj_x[v]) & ys):
-                    xs.add(v)
-                elif side == Y and len(ys) < slc.k_y and not (set(g.adj_y[v]) & xs):
-                    ys.add(v)
-                if len(xs) == slc.k_x and len(ys) == slc.k_y:
-                    return (_sorted_tuple(xs), _sorted_tuple(ys))
-        return None
-    g = slc.graph
-    cands = [v for v in range(g.n) if v not in slc.pinned]
+        return _sorted_tuple(set(pinned) | {free[int(i)] for i in pick})
+    adj = slc.graph.global_adj
+    verts = [(v, p) for p, (lo, hi, _) in enumerate(slc.parts)
+             for v in range(lo, hi) if v not in pinned]
+    quota = [q - sum(1 for v in pinned if lo <= v < hi) for lo, hi, q in slc.parts]
+    size = len(pinned) + sum(quota)
     for _ in range(restarts):
-        order = rng.permutation(len(cands))
-        chosen = set(slc.pinned)
-        blocked = set(slc.pinned)
-        for v in slc.pinned:
-            blocked.update(g.adj[v])
+        order = rng.permutation(len(verts))
+        chosen = set(pinned)
+        need = list(quota)
         for t in order:
-            v = cands[int(t)]
-            if v not in blocked:
+            if len(chosen) == size:
+                break
+            v, p = verts[int(t)]
+            if need[p] and chosen.isdisjoint(adj[v]):
                 chosen.add(v)
-                blocked.add(v)
-                blocked.update(g.adj[v])
-                if len(chosen) == slc.k:
-                    return _sorted_tuple(chosen)
+                need[p] -= 1
+        if len(chosen) == size:
+            return slc.from_ids(chosen)
     return None
 
 
@@ -339,7 +394,7 @@ def local_walk_exact(slc: Slice, face=None, cap: int = ENUMERATION_CAP) -> LinkO
     facets = enumerate_facets(slc2, cap)
     if not facets:
         raise SliceError("empty link")
-    pairs: dict[tuple, dict[tuple, float]] = {}
+    pairs: dict[int, dict[int, float]] = {}
     logw = [facet_log_weight(slc2, f) for f in facets]
     shift = max(logw)
     for f, lw in zip(facets, logw):
@@ -347,29 +402,23 @@ def local_walk_exact(slc: Slice, face=None, cap: int = ENUMERATION_CAP) -> LinkO
         w = math.exp(lw - shift)
         pairs.setdefault(u, {})[v] = w
         pairs.setdefault(v, {})[u] = w
-    ground = tuple(sorted(pairs))
-    if len(ground) < 2:
+    ids = sorted(pairs)
+    if len(ids) < 2:
         raise SliceError("singleton link")
-    index = {u: i for i, u in enumerate(ground)}
-    mat = np.zeros((len(ground), len(ground)))
+    index = {u: i for i, u in enumerate(ids)}
+    mat = np.zeros((len(ids), len(ids)))
     for u, row in pairs.items():
         for v, w in row.items():
             mat[index[u], index[v]] = w
     pi = mat.sum(axis=1)
     pi /= pi.sum()
     p = mat / mat.sum(axis=1, keepdims=True)
-    return LinkOperator(ground, p, pi)
+    return LinkOperator(tuple(slc2.label(u) for u in ids), p, pi)
 
 
-def _free_pair(slc: Slice, facet):
-    if isinstance(slc, TwoSidedSlice):
-        xs = [(X, i) for i in facet[0] if i not in slc.pinned_x]
-        ys = [(Y, j) for j in facet[1] if j not in slc.pinned_y]
-        free = xs + ys
-    elif isinstance(slc, OneSidedSlice):
-        free = [v for v in facet if v not in slc.pinned]
-    else:
-        free = [v for v in facet if v not in slc.pinned]
+def _free_pair(slc: Slice, facet) -> tuple[int, int]:
+    """Global ids of the two non-pinned members of a codimension-2 facet."""
+    free = [v for v in slc.to_ids(facet) if v not in slc.pinned_ids]
     if len(free) != 2:
         raise SliceError("facet does not have exactly two free elements")
     return free[0], free[1]

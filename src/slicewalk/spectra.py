@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BipartiteRegularGraph, RegularGraph
+from .graphs import BipartiteRegularGraph, bipartite_complement, complement_regular
 
 DENSE_CAP = 4096
 SYMMETRY_TOL = 1e-12
@@ -54,21 +54,12 @@ def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
 
 
 def adjacency_matrix(g, dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense 0/1 adjacency; bipartite graphs get the [[0, B], [B^T, 0]] layout."""
-    if isinstance(g, BipartiteRegularGraph):
-        if 2 * g.n_side > dense_cap:
-            raise DenseCapError(f"{2 * g.n_side} vertices exceed dense cap {dense_cap}")
-        b = g.biadjacency()
-        n = g.n_side
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, n:] = b
-        a[n:, :n] = b.T
-        return a
-    if isinstance(g, RegularGraph):
-        if g.n > dense_cap:
-            raise DenseCapError(f"{g.n} vertices exceed dense cap {dense_cap}")
-        return g.adjacency()
-    raise TypeError(f"unsupported graph type {type(g).__name__}")
+    """Dense 0/1 adjacency over global ids; bipartite graphs get the
+    [[0, B], [B^T, 0]] layout."""
+    n = len(g.global_adj)
+    if n > dense_cap:
+        raise DenseCapError(f"{n} vertices exceed dense cap {dense_cap}")
+    return g.adjacency()
 
 
 def eigen_summary(m: np.ndarray) -> SpectrumSummary:
@@ -88,17 +79,9 @@ def eigen_summary(m: np.ndarray) -> SpectrumSummary:
 
 
 def neighbor_index_matrix(g) -> np.ndarray:
-    """(N, degree) neighbor-index array such that (A v)_i = sum(v[idx[i]]).
-
-    For bipartite graphs the rows for the Y side follow the X side and Y
-    indices are offset by n_side, giving the full 2n-vertex adjacency.
-    """
-    if isinstance(g, RegularGraph):
-        return np.asarray(g.adj, dtype=np.int64)
-    n = g.n_side
-    top = np.asarray(g.adj_x, dtype=np.int64) + n
-    bottom = np.asarray(g.adj_y, dtype=np.int64)
-    return np.vstack([top, bottom])
+    """(N, degree) neighbor-index array of the global adjacency, such that
+    (A v)_i = sum(v[idx[i]])."""
+    return np.asarray(g.global_adj, dtype=np.int64)
 
 
 def pairing_index_matrix(rows_x: np.ndarray) -> np.ndarray:
@@ -193,9 +176,8 @@ def iterative_lambda2(g_or_idx, degree: int | None = None, *, seed: int = 0,
 
 def spectrum(g, method: str = "auto", dense_cap: int = DENSE_CAP, seed: int = 0) -> SpectrumSummary:
     """Adjacency spectrum summary with automatic dense/iterative routing."""
-    n_vertices = 2 * g.n_side if isinstance(g, BipartiteRegularGraph) else g.n
     if method == "auto":
-        method = "dense" if n_vertices <= 512 else "iterative"
+        method = "dense" if len(g.global_adj) <= 512 else "iterative"
     if method == "dense":
         return eigen_summary(adjacency_matrix(g, dense_cap))
     if method == "iterative":
@@ -228,8 +210,6 @@ def complement_interlacing_check(g, tol: float = 1e-9) -> bool:
     deterministically for degree-biregular graphs.  Regular graphs:
     λ2(complement) <= −λ_min(A) − 1 + tol, which holds for every graph.
     """
-    from .graphs import bipartite_complement, complement_regular
-
     if isinstance(g, BipartiteRegularGraph):
         lam2 = eigen_summary(adjacency_matrix(g)).lambda2
         comp = eigen_summary(adjacency_matrix(bipartite_complement(g))).lambda2

@@ -127,6 +127,13 @@ def _sampled_truncations(slc, count: int, seed: int, splitter):
     return faces
 
 
+def _drop_two(facet, rng):
+    """Single-set facet with two uniformly chosen members deleted."""
+    pick = rng.choice(len(facet), size=2, replace=False)
+    drop = {facet[int(pick[0])], facet[int(pick[1])]}
+    return tuple(v for v in facet if v not in drop)
+
+
 # -- two-sided -----------------------------------------------------------------------
 
 
@@ -273,12 +280,7 @@ def verify_top_link_one_sided(g: BipartiteRegularGraph, k: int, fugacity: float,
     if math.comb(n, k - 2) <= face_cap:
         faces = list(combinations(range(n), k - 2))
     else:
-        def split(facet, rng):
-            pick = rng.choice(len(facet), size=2, replace=False)
-            drop = {facet[int(pick[0])], facet[int(pick[1])]}
-            return tuple(v for v in facet if v not in drop)
-
-        faces = _sampled_truncations(slc, sample_count, seed, split)
+        faces = _sampled_truncations(slc, sample_count, seed, _drop_two)
     for tau in faces:
         nbr = neighbor_graph(slc, tau)
         if not one_sided_hypotheses_met(nbr):
@@ -333,12 +335,7 @@ def verify_top_link_regular(g: RegularGraph, k: int,
     if math.comb(g.n, k - 2) <= face_cap:
         faces = [t for t in combinations(range(g.n), k - 2) if independent(t)]
     else:
-        def split(facet, rng):
-            pick = rng.choice(len(facet), size=2, replace=False)
-            drop = {facet[int(pick[0])], facet[int(pick[1])]}
-            return tuple(v for v in facet if v not in drop)
-
-        faces = _sampled_truncations(slc, sample_count, seed, split)
+        faces = _sampled_truncations(slc, sample_count, seed, _drop_two)
     for tau in faces:
         try:
             op = regular_link_walk_closed_form(slc, tau)

@@ -4,8 +4,11 @@ One step of the down-up walk removes a uniformly random free element of the
 current facet and resamples its replacement from the conditional distribution
 of the slice given the remainder; the removed element always remains a
 candidate, so a step may be a self-loop.  States carry incremental coverage
-counters so a step costs O(side * degree) at worst, and chains are a pure
-function of (slice, config seed).
+counters over the graph's global vertex ids, so a step costs
+O(side * degree) at worst, and chains are a pure function of (slice, config
+seed).  There is one kernel per kind of constraint: a uniform draw within the
+removed vertex's part for the independent-set slices (two-sided, regular),
+and the coverage-weighted draw of the one-sided slice.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -19,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rng import UniformBuffer, rng_stream
-from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, RegularSlice,
-                     Slice, SliceError, TwoSidedSlice, exact_distribution,
-                     facet_log_weight, greedy_facet)
+from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
+                     SliceError, TwoSidedSlice, exact_distribution, facet_log_weight,
+                     greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -34,86 +37,41 @@ class InitialStateError(RuntimeError):
 class ChainState:
     """Current facet plus the incremental bookkeeping the steppers need.
 
-    ``free_x``/``free_y`` hold the non-pinned facet members (only ``free_x``
-    for the single-set families).  ``cover_x[i]`` counts facet members
-    adjacent to x_i (for the two-sided family these count opposite-side
-    members; for the others, members of the single set).  ``in_x``/``in_y``
-    are membership flags including pinned vertices.
+    Vertices are the slice graph's global ids.  ``free`` holds the non-pinned
+    facet members in stepping order: a step replaces one entry in place with
+    a vertex of the same part.  ``member`` flags facet members, pinned ones
+    included, and ``cover[u]`` counts facet members adjacent to u.
     """
 
     slc: Slice
-    free_x: list[int]
-    free_y: list[int]
-    in_x: list[bool]
-    in_y: list[bool]
-    cover_x: list[int]
-    cover_y: list[int]
+    free: list[int]
+    member: list[bool]
+    cover: list[int]
     steps: int = 0
 
     def facet(self):
-        if isinstance(self.slc, TwoSidedSlice):
-            xs = tuple(sorted(set(self.free_x) | self.slc.pinned_x))
-            ys = tuple(sorted(set(self.free_y) | self.slc.pinned_y))
-            return (xs, ys)
-        pinned = self.slc.pinned
-        return tuple(sorted(set(self.free_x) | pinned))
+        return self.slc.from_ids(set(self.free) | self.slc.pinned_ids)
 
     def recount_ok(self) -> bool:
         """Recompute every counter from scratch and compare with the running ones."""
         fresh = _make_state(self.slc, self.facet())
-        return (fresh.cover_x == self.cover_x and fresh.cover_y == self.cover_y
-                and fresh.in_x == self.in_x and fresh.in_y == self.in_y
-                and sorted(fresh.free_x) == sorted(self.free_x)
-                and sorted(fresh.free_y) == sorted(self.free_y))
+        return (fresh.cover == self.cover and fresh.member == self.member
+                and sorted(fresh.free) == sorted(self.free))
 
 
 def _make_state(slc: Slice, facet) -> ChainState:
-    if isinstance(slc, TwoSidedSlice):
-        xs, ys = facet
-        g = slc.graph
-        n = g.n_side
-        in_x = [False] * n
-        in_y = [False] * n
-        for i in xs:
-            in_x[i] = True
-        for j in ys:
-            in_y[j] = True
-        cover_x = [0] * n
-        cover_y = [0] * n
-        for j in ys:
-            for i in g.adj_y[j]:
-                cover_x[i] += 1
-        for i in xs:
-            for j in g.adj_x[i]:
-                cover_y[j] += 1
-        if any(cover_x[i] for i in xs) or any(cover_y[j] for j in ys):
-            raise SliceError("facet is not an independent set")
-        return ChainState(slc, [i for i in xs if i not in slc.pinned_x],
-                          [j for j in ys if j not in slc.pinned_y],
-                          in_x, in_y, cover_x, cover_y)
-    if isinstance(slc, OneSidedSlice):
-        g = slc.graph
-        n = g.n_side
-        in_x = [False] * n
-        for i in facet:
-            in_x[i] = True
-        cover_y = [0] * n
-        for i in facet:
-            for j in g.adj_x[i]:
-                cover_y[j] += 1
-        return ChainState(slc, [i for i in facet if i not in slc.pinned], [],
-                          in_x, [], [], cover_y)
-    g = slc.graph
-    in_v = [False] * g.n
-    cover = [0] * g.n
-    for v in facet:
-        in_v[v] = True
-        for u in g.adj[v]:
+    ids = slc.to_ids(facet)
+    adj = slc.graph.global_adj
+    member = [False] * len(adj)
+    cover = [0] * len(adj)
+    for v in ids:
+        member[v] = True
+        for u in adj[v]:
             cover[u] += 1
-    if any(cover[v] for v in facet):
+    if any(cover[v] for v in ids):
         raise SliceError("facet is not an independent set")
-    return ChainState(slc, [v for v in facet if v not in slc.pinned], [],
-                      in_v, [], cover, [])
+    pinned = slc.pinned_ids
+    return ChainState(slc, [v for v in ids if v not in pinned], member, cover)
 
 
 def greedy_initial_state(slc: Slice, rng: np.random.Generator,
@@ -142,24 +100,23 @@ def down_up_step(slc: Slice, state: ChainState, rng: np.random.Generator) -> Cha
 
 
 def _step(slc: Slice, state: ChainState, rand: Rand) -> None:
-    if isinstance(slc, OneSidedSlice):
-        _step_one_sided(slc, state, rand)
-    elif isinstance(slc, TwoSidedSlice):
-        _step_two_sided(slc, state, rand)
-    else:
-        _step_regular(slc, state, rand)
+    # with no free element the pinned face is the only facet, so the step stays
+    if state.free:
+        if isinstance(slc, OneSidedSlice):
+            _step_one_sided(slc, state, rand)
+        else:
+            _step_uniform(slc, state, rand)
     state.steps += 1
 
 
 def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
-    g = slc.graph
-    adj = g.adj_x
-    free = state.free_x
-    in_x = state.in_x
-    cover = state.cover_y
+    adj = slc.graph.global_adj
+    free = state.free
+    member = state.member
+    cover = state.cover
     pos = int(rand() * len(free))
     x_out = free[pos]
-    in_x[x_out] = False
+    member[x_out] = False
     for j in adj[x_out]:
         cover[j] -= 1
     # Replacement weight of x' is (1+fugacity)^(-#uncovered neighbors of x').
@@ -167,8 +124,8 @@ def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
     cands: list[int] = []
     weights: list[float] = []
     total = 0.0
-    for x in range(g.n_side):
-        if in_x[x]:
+    for x in range(slc.graph.n_side):
+        if member[x]:
             continue
         e = 0
         for j in adj[x]:
@@ -198,7 +155,7 @@ def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
         if r < acc:
             x_new = x
             break
-    in_x[x_new] = True
+    member[x_new] = True
     for j in adj[x_new]:
         cover[j] += 1
     free[pos] = x_new
@@ -217,45 +174,25 @@ def _weight_table(slc: OneSidedSlice) -> tuple[float, ...]:
     return table
 
 
-def _step_two_sided(slc: TwoSidedSlice, state: ChainState, rand: Rand) -> None:
-    g = slc.graph
-    nx = len(state.free_x)
-    t = int(rand() * (nx + len(state.free_y)))
-    if t < nx:
-        free, in_side, cover_same, cover_opp, adj = (
-            state.free_x, state.in_x, state.cover_x, state.cover_y, g.adj_x)
-    else:
-        t -= nx
-        free, in_side, cover_same, cover_opp, adj = (
-            state.free_y, state.in_y, state.cover_y, state.cover_x, g.adj_y)
-    v_out = free[t]
-    in_side[v_out] = False
-    # Removing v does not change cover_same (it counts opposite-side members).
-    cands = [v for v in range(g.n_side) if not in_side[v] and cover_same[v] == 0]
-    v_new = cands[int(rand() * len(cands))]
-    in_side[v_new] = True
-    free[t] = v_new
-    if v_new != v_out:
-        for u in adj[v_out]:
-            cover_opp[u] -= 1
-        for u in adj[v_new]:
-            cover_opp[u] += 1
-
-
-def _step_regular(slc: RegularSlice, state: ChainState, rand: Rand) -> None:
-    g = slc.graph
-    free = state.free_x
-    in_v = state.in_x
-    cover = state.cover_x
+def _step_uniform(slc: Slice, state: ChainState, rand: Rand) -> None:
+    """Uniform replacement among the uncovered non-members of the removed
+    vertex's part: the kernel of every independent-set slice with part quotas."""
+    adj = slc.graph.global_adj
+    free = state.free
+    member = state.member
+    cover = state.cover
     pos = int(rand() * len(free))
     v_out = free[pos]
-    in_v[v_out] = False
-    for u in g.adj[v_out]:
+    member[v_out] = False
+    for u in adj[v_out]:
         cover[u] -= 1
-    cands = [v for v in range(g.n) if not in_v[v] and cover[v] == 0]
+    for lo, hi, _ in slc.parts:
+        if v_out < hi:
+            break
+    cands = [v for v in range(lo, hi) if not member[v] and cover[v] == 0]
     v_new = cands[int(rand() * len(cands))]
-    in_v[v_new] = True
-    for u in g.adj[v_new]:
+    member[v_new] = True
+    for u in adj[v_new]:
         cover[u] += 1
     free[pos] = v_new
 
@@ -308,7 +245,8 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     rand = buf.next
     lazy = config.lazy
     samples = []
-    ref = _member_set(state)
+    member = state.member
+    ref = [v for v, inside in enumerate(member) if inside]
     series: list[int] = []
     for t in range(1, config.steps + 1):
         if not lazy or rand() >= 0.5:
@@ -316,25 +254,14 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
         else:
             state.steps += 1
         if t > burn_in and (t - burn_in) % thinning == 0:
-            f = state.facet()
-            samples.append(f)
-            series.append(len(ref & _facet_set(slc, f)))
+            samples.append(state.facet())
+            series.append(sum(member[v] for v in ref))
     if not samples:
         samples = [state.facet()]
     tv = _oracle_tv(slc, samples, config.oracle_cap)
     gap = _oracle_gap(slc, config)
     auto = _lag1_autocorr(series)
     return samples, MixingReport(tv, gap, auto, len(samples), config.steps)
-
-
-def _member_set(state: ChainState) -> frozenset:
-    return _facet_set(state.slc, state.facet())
-
-
-def _facet_set(slc: Slice, facet) -> frozenset:
-    if isinstance(slc, TwoSidedSlice):
-        return frozenset((0, i) for i in facet[0]) | frozenset((1, j) for j in facet[1])
-    return frozenset(facet)
 
 
 def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
@@ -387,11 +314,8 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
     k_free = slc.free_size
     if k_free == 0:
         return facets, np.ones((1, 1)), probs
-    if isinstance(slc, OneSidedSlice):
-        logw = np.array([facet_log_weight(slc, f) for f in facets])
-        weights = np.exp(logw - logw.max())
-    else:
-        weights = np.ones(len(facets))
+    logw = np.array([facet_log_weight(slc, f) for f in facets])
+    weights = np.exp(logw - logw.max())
     groups: dict = {}
     for i, f in enumerate(facets):
         for sub in _codim1_faces(slc, f):
@@ -406,19 +330,12 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
 
 
 def _codim1_faces(slc: Slice, facet):
-    if isinstance(slc, TwoSidedSlice):
-        xs, ys = facet
-        for i in xs:
-            if i not in slc.pinned_x:
-                yield (tuple(v for v in xs if v != i), ys, 0)
-        for j in ys:
-            if j not in slc.pinned_y:
-                yield (xs, tuple(v for v in ys if v != j), 1)
-    else:
-        pinned = slc.pinned
-        for v in facet:
-            if v not in pinned:
-                yield tuple(u for u in facet if u != v)
+    """Each face left by deleting one free element, as a tuple of global ids."""
+    ids = slc.to_ids(facet)
+    pinned = slc.pinned_ids
+    for v in ids:
+        if v not in pinned:
+            yield tuple(u for u in ids if u != v)
 
 
 def spectral_gap(p: np.ndarray, pi: np.ndarray, reversibility_tol: float = 1e-10):

@@ -1,0 +1,61 @@
+"""Golden outputs pinned across commits.
+
+Criterion 9 checks that a seeded run repeats itself within one checkout; it
+cannot see a change that moves every run the same way.  These literals were
+computed before the slice core moved to global vertex ids, and the refactor
+had to reproduce them exactly: the SHA-256 of the formatted ``run_chain``
+sample stream for one small seeded slice per family, and ``log_value.hex()``
+of one estimate of each kind on an n=8 graph.
+
+A change that alters a random stream on purpose (a new step kernel, say)
+updates the digests here and says so in CHANGES.md.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from slicewalk.counting import estimate_one_sided_partition, estimate_two_sided_count
+from slicewalk.graphs import gen_bipartite_regular, gen_regular
+from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice
+from slicewalk.walks import ChainConfig, format_facet, run_chain
+
+CHAIN_DIGESTS = {
+    "two-sided": "e99a8db39439331154f781b76a2b30cca63caea3d59a709c4f3002734a2e5a19",
+    "one-sided": "a9e02af84d8010f497e63960ea8f8f0d2f9771c0a32cb9a37cf69ca9d38941b5",
+    "regular": "6fe57e038043baacdc4ba185270621fd57e594b89c475c005dd8ea77f2bae50d",
+}
+
+
+def _slice(family: str):
+    g = gen_bipartite_regular(8, 3, seed=1)
+    if family == "two-sided":
+        return TwoSidedSlice(g, 2, 2)
+    if family == "one-sided":
+        return OneSidedSlice(g, 3, 0.3)
+    return RegularSlice(gen_regular(10, 3, seed=1), 3)
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_DIGESTS))
+def test_chain_stream_digest(family):
+    slc = _slice(family)
+    samples, _ = run_chain(slc, ChainConfig(steps=5000, seed=11))
+    text = "\n".join(format_facet(slc, f) for f in samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_DIGESTS[family]
+
+
+def test_two_sided_estimate_bits():
+    est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2,
+                                   0.3, 0.1, seed=5)
+    assert est.log_value.hex() == "0x1.297fb74fd1ec9p+2"
+    assert [t.pinned for t in est.trace] == [(1, 2), (0, 0), (0, 1), (1, 1)]
+    assert est.samples == 920
+
+
+def test_one_sided_estimate_bits():
+    est = estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 3, 0.3,
+                                       0.3, 0.1, seed=5)
+    assert est.log_value.hex() == "0x1.988435ceed3b0p-1"
+    assert [t.pinned for t in est.trace] == [1, 0, 6]
+    assert est.samples == 552

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from slicewalk.graphs import (RejectionBudgetError, X, Y, bipartite_complement,
-                              closed_neighborhood, common_neighbors,
                               complement_regular, gen_bipartite_regular, gen_regular,
-                              induced_subgraph, load_graph, pairing_bipartite_rows,
-                              pruned_graph, rows_are_simple, save_graph)
+                              load_graph, pairing_bipartite_rows, rows_are_simple,
+                              save_graph)
 from slicewalk.rng import rng_stream
 
 
@@ -66,30 +65,23 @@ def test_rejection_budget_error():
 def test_neighborhoods(bipartite_c6):
     assert bipartite_c6.neighbor_set(X, ()) == frozenset()
     assert bipartite_c6.neighbor_set(X, (0,)) == {0, 1}
-    closed = closed_neighborhood(bipartite_c6, (0,), X)
-    assert closed == {(X, 0), (Y, 0), (Y, 1)}
+    assert bipartite_c6.neighbor_set(Y, (0, 1)) == {0, 1, 2}
     with pytest.raises(IndexError):
         bipartite_c6.neighbor_set(X, (99,))
 
 
 def test_closed_neighborhood_regular(six_cycle):
-    assert closed_neighborhood(six_cycle, (0,)) == {5, 0, 1}
+    assert six_cycle.neighbor_set((0,), closed=True) == {5, 0, 1}
     assert six_cycle.neighbor_set((0,), closed=False) == {5, 1}
 
 
-def test_common_neighbors(bipartite_c6, complete_bipartite_33):
-    assert common_neighbors(bipartite_c6, X, 0, 1) == {1}
-    assert common_neighbors(complete_bipartite_33, X, 0, 2) == {0, 1, 2}
-    with pytest.raises(ValueError):
-        common_neighbors(bipartite_c6, X, 1, 1)
-
-
-def test_common_neighbors_brute_force_agreement():
-    g = gen_bipartite_regular(12, 3, seed=5)
-    for u in range(12):
-        for v in range(u + 1, 12):
-            expected = set(g.adj_x[u]) & set(g.adj_x[v])
-            assert common_neighbors(g, X, u, v) == expected
+def test_global_adjacency(bipartite_c6, six_cycle):
+    # X keeps ids 0..2 and Y becomes 3..5
+    assert bipartite_c6.global_adj == ((3, 4), (4, 5), (3, 5), (0, 2), (0, 1), (1, 2))
+    assert six_cycle.global_adj == six_cycle.adj
+    a = bipartite_c6.adjacency()
+    assert np.array_equal(a[:3, 3:], bipartite_c6.biadjacency())
+    assert np.array_equal(a, a.T) and not a[:3, :3].any() and not a[3:, 3:].any()
 
 
 def test_bipartite_complement(bipartite_c6, complete_bipartite_33):
@@ -108,39 +100,6 @@ def test_complement_is_involution():
     assert bipartite_complement(bipartite_complement(g)).adj_x == g.adj_x
     r = gen_regular(10, 3, seed=2)
     assert complement_regular(complement_regular(r)).adj == r.adj
-
-
-def test_induced_subgraph(bipartite_c6, six_cycle):
-    whole = induced_subgraph(bipartite_c6, range(3), range(3))
-    assert whole.adj_x == bipartite_c6.adj_x
-    empty = induced_subgraph(bipartite_c6, (), ())
-    assert empty.n_x == 0 and empty.n_y == 0
-    # x0 is adjacent to y0, y1 only, so {x0, y2} induces no edge
-    pair = induced_subgraph(bipartite_c6, (0,), (2,))
-    assert pair.edge_count() == 0
-    sub = induced_subgraph(six_cycle, (0, 1, 3))
-    assert sub.vertices == (0, 1, 3)
-    assert sub.adj == ((1,), (0,), ())
-
-
-def test_pruned_graph(bipartite_c6):
-    same = pruned_graph(bipartite_c6, ())
-    assert same.adj_x == bipartite_c6.adj_x
-    none = pruned_graph(bipartite_c6, range(3))
-    assert none.edge_count() == 0
-    # removing x0 blocks y0 and y1; the surviving edges are x1~y2 and x2~y2
-    pruned = pruned_graph(bipartite_c6, (0,))
-    edges = {(i, j) for i, row in enumerate(pruned.adj_x) for j in row}
-    assert edges == {(1, 2), (2, 2)}
-
-
-def test_half_edge_encoding_roundtrip():
-    from slicewalk.graphs import HalfEdge
-    for degree in (2, 3, 7):
-        for code in range(4 * degree):
-            he = HalfEdge.decode(code, degree)
-            assert 0 <= he.copy < degree
-            assert he.encode(degree) == code
 
 
 def test_pairing_rows_shape_and_simplicity_flag():

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from slicewalk import slices
 from slicewalk.graphs import RegularGraph, gen_bipartite_regular, gen_regular
 from slicewalk.slices import (EnumerationCapError, OneSidedSlice, RegularSlice,
                               SliceError, TwoSidedSlice, enumerate_facets,
@@ -129,6 +130,16 @@ class TestLink:
         with pytest.raises(SliceError):
             link(slc, ((), ()), check_nonempty=True) and link(
                 TwoSidedSlice(complete_bipartite_33, 1, 1), ((0,), ()))
+
+    def test_greedy_failure_decided_by_enumeration(self, monkeypatch):
+        # this slice has exactly one facet, which 64 greedy restarts miss
+        slc = TwoSidedSlice(gen_bipartite_regular(10, 3, seed=4), 4, 4)
+        assert len(enumerate_facets(slc)) == 1
+        out = link(slc, ((), ()))
+        assert enumerate_facets(out) == enumerate_facets(slc)
+        monkeypatch.setattr(slices, "ENUMERATION_CAP", 0)
+        with pytest.raises(EnumerationCapError, match="undecided"):
+            link(slc, ((), ()))
 
     def test_weights_compose(self):
         # conditional of the parent law on facets containing u equals the law

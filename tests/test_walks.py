@@ -174,6 +174,14 @@ class TestRunChain:
         assert len(samples) == 1
         assert report.steps == 0
 
+    def test_fully_pinned_slices_stay_put(self, bipartite_c6, six_cycle):
+        # with no free element the pinned face is the only facet
+        for slc, facet in ((TwoSidedSlice(bipartite_c6, 0, 0), ((), ())),
+                           (RegularSlice(six_cycle, 0), ()),
+                           (OneSidedSlice(bipartite_c6, 1, 0.5, frozenset({2})), (2,))):
+            samples, report = run_chain(slc, ChainConfig(steps=20, seed=3))
+            assert set(samples) == {facet} and report.steps == 20
+
     def test_seed_determinism(self):
         g = gen_bipartite_regular(8, 3, seed=9)
         slc = OneSidedSlice(g, 3, 0.4)
