@@ -11,7 +11,7 @@ from .slices import (LinkOperator, NeighborGraph, OneSidedSlice, RegularSlice,
                      one_sided_log_weight, one_sided_weight, regular_link_walk_closed_form,
                      two_sided_link_walk_closed_form)
 from .spectra import (SpectrumSummary, adjacency_matrix, complement_interlacing_check,
-                      eigen_summary, iterative_summary, psd_dominance, spectrum)
+                      eigen_summary, psd_dominance)
 from .walks import (ChainConfig, ChainState, MixingReport, down_up_step,
                     exact_transition_matrix, greedy_initial_state, run_chain,
                     spectral_gap, tv_distance)

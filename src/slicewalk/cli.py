@@ -17,8 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .counting import (EstimatorConfig, ThresholdParams, estimate_partition_hat,
-                       thresholds)
+from .counting import ThresholdParams, estimate_partition_hat, thresholds
 from .experiments import (ExperimentConfig, experiment_independent_set_size,
                           experiment_large_set_expansion,
                           experiment_neighborhood_concentration,
@@ -261,8 +260,7 @@ def _cmd_estimate_z(args) -> int:
                               args.gamma, args.ell, args.lam, g.degree)
     else:
         thr = thresholds(g.degree, args.lam, args.gamma, args.ell)
-    est = estimate_partition_hat(g, args.lam, args.eps, args.delta, seed=args.seed,
-                                 thr=thr, config=EstimatorConfig())
+    est = estimate_partition_hat(g, args.lam, args.eps, args.delta, seed=args.seed, thr=thr)
     report = {
         "reproducibility": reproducibility_stanza("estimate-z",
                                                   _public_config(args), args.seed),

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
 
@@ -115,56 +116,24 @@ class CountEstimate:
         return math.exp(self.log_value)
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Budget knobs for the telescoping estimators.
-
-    ``chain_scale`` multiplies the burn-in rule (free size) * (vertex count) *
-    log(1/epsilon).  ``replicas`` independent chains are pooled per level so
-    the pilot sees more than one greedy basin.  ``repetitions`` None selects a
-    single z-budgeted pipeline down to delta = 1e-3 and a median of
-    ceil(12 ln(1/delta)) constant-confidence pipelines below that.  Levels
-    whose pinned slice enumerates within ``exact_marginal_cap`` facets use the
-    exact conditional marginal instead of chain samples; this keeps tiny and
-    possibly disconnected late links exact while leaving real state spaces to
-    the sampler.
-    """
-
-    chain_scale: float = 20.0
-    replicas: int = 4
-    pilot_floor: int = 200
-    safety: float = 3.0
-    thin_scale: int = 2
-    repetitions: int | None = None
-    greedy_restarts: int = 256
-    exact_marginal_cap: int = 32
+# Telescoping budget.  The burn-in is CHAIN_SCALE * (free size) * (vertex
+# count) * log(1/epsilon) steps.
+CHAIN_SCALE = 20.0
+# Independent chains pooled per level, so the pilot sees more than one
+# greedy basin.
+REPLICAS = 4
+PILOT_FLOOR = 200
+SAFETY = 3.0
+THIN_SCALE = 2
+# Levels whose pinned slice enumerates within this many facets use the exact
+# conditional marginal instead of chain samples: this keeps tiny and possibly
+# disconnected late links exact while leaving real state spaces to the sampler.
+EXACT_MARGINAL_CAP = 32
 
 
 def _z_quantile(delta: float) -> float:
-    """Two-sided normal quantile via the rational approximation of Acklam."""
-    p = 1.0 - delta / 2.0
-    # Acklam's inverse normal CDF approximation, |relative error| < 1.2e-9
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2 * math.log(p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p <= phigh:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    q = math.sqrt(-2 * math.log(1 - p))
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
+    """Two-sided standard normal quantile."""
+    return NormalDist().inv_cdf(1.0 - delta / 2.0)
 
 
 # -- exact oracles -----------------------------------------------------------------
@@ -284,28 +253,26 @@ def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
 # -- chain-based marginal estimation --------------------------------------------------
 
 
-def _burn_in(slc: Slice, epsilon: float, config: EstimatorConfig) -> int:
+def _burn_in(slc: Slice, epsilon: float) -> int:
     verts = len(slc.graph.global_adj)
-    return int(config.chain_scale * max(1, slc.free_size) * verts
+    return int(CHAIN_SCALE * max(1, slc.free_size) * verts
                * max(1.0, math.log(1.0 / epsilon)))
 
 
 def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
-                       path: tuple[int, ...], config: EstimatorConfig):
-    """Pool thinned membership indicators from ``replicas`` independent chains.
+                       path: tuple[int, ...]):
+    """Pool thinned membership indicators from REPLICAS independent chains.
 
     Returns (counts, n_collected); counts index free vertices by global id.
     The replica split is the documented (seed, replica) stream split.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
-    replicas = max(1, config.replicas)
-    per = (n_samples + replicas - 1) // replicas
-    burn = _burn_in(slc, epsilon, config)
-    thin = max(1, config.thin_scale * slc.free_size)
+    per = (n_samples + REPLICAS - 1) // REPLICAS
+    burn = _burn_in(slc, epsilon)
+    thin = max(1, THIN_SCALE * slc.free_size)
     collected = 0
-    for rep in range(replicas):
-        init_rng = rng_stream(seed, *path, rep, 0)
-        state = greedy_initial_state(slc, init_rng, restarts=config.greedy_restarts)
+    for rep in range(REPLICAS):
+        state = greedy_initial_state(slc, rng_stream(seed, *path, rep, 0))
         rand = UniformBuffer(rng_stream(seed, *path, rep, 1)).next
         for _ in range(burn):
             _step(slc, state, rand)
@@ -318,10 +285,10 @@ def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
     return counts, collected
 
 
-def _exact_marginal(slc: Slice, cap: int):
+def _exact_marginal(slc: Slice):
     """(argmax global id, exact marginal) from the enumerated conditional, or None."""
     try:
-        facets, probs = exact_distribution(slc, cap)
+        facets, probs = exact_distribution(slc, EXACT_MARGINAL_CAP)
     except EnumerationCapError:
         return None
     marg = np.zeros(len(slc.graph.global_adj))
@@ -343,7 +310,7 @@ def _trace_label(slc: Slice, v: int, n: int):
 
 
 def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
-                   rep: int, config: EstimatorConfig):
+                   rep: int):
     """One telescoping pipeline: returns (log of prod 1/p_hat, trace, samples, final slice)."""
     levels = slc.free_size
     log_value = 0.0
@@ -352,31 +319,29 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
     lo, hi, _ = slc.parts[0]
     n = hi - lo  # the side size, or the vertex count of a regular graph
     for level in range(levels):
-        exact = _exact_marginal(slc, config.exact_marginal_cap) \
-            if config.exact_marginal_cap > 0 else None
+        exact = _exact_marginal(slc)
         if exact is not None:
             v, p_hat = exact
             got = 0
         else:
-            pilot_n = max(config.pilot_floor, math.ceil(10 * n * math.log(max(2, n))))
-            counts, got = _membership_counts(slc, pilot_n, epsilon, seed,
-                                             (rep, level, 0), config)
+            pilot_n = max(PILOT_FLOOR, math.ceil(10 * n * math.log(max(2, n))))
+            counts, pilot_got = _membership_counts(slc, pilot_n, epsilon, seed,
+                                                   (rep, level, 0))
             # argmax takes the first maximum, so ties go to the lowest id
             v = int(np.argmax(counts))
             if counts[v] <= 0:
                 raise InsufficientSamplesError("pilot saw no facet members")
-            p_pilot = min(1.0 - 1e-12, max(int(counts[v]) / got, 1.0 / (4.0 * n)))
-            need = math.ceil(config.safety * per_level_z2 * levels
+            p_pilot = min(1.0 - 1e-12, max(int(counts[v]) / pilot_got, 1.0 / (4.0 * n)))
+            need = math.ceil(SAFETY * per_level_z2 * levels
                              * (1.0 / p_pilot - 1.0) / (epsilon * epsilon))
             need = max(need, 64)
-            counts, got = _membership_counts(slc, need, epsilon, seed,
-                                             (rep, level, 1), config)
+            counts, got = _membership_counts(slc, need, epsilon, seed, (rep, level, 1))
             hits = int(counts[v])
             if hits <= 0:
                 raise InsufficientSamplesError(
                     f"marginal estimate for vertex {_trace_label(slc, v, n)} came out zero")
             p_hat = hits / got
-            total += got + pilot_n
+            total += got + pilot_got
             # second-order bias correction for E[1/p_hat] = (1/p)(1 + (1-p)/(pN))
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
@@ -385,23 +350,20 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
     return log_value, trace, total, slc
 
 
-def _repetitions(delta: float, config: EstimatorConfig) -> int:
+def _repetitions(delta: float) -> int:
     # z-budgeted single pipelines already scale like log(1/delta) through
     # z(delta)^2; the median-of-means fallback is for extreme confidence only
-    if config.repetitions is not None:
-        return max(1, config.repetitions)
     if delta >= 1e-3:
         return 1
     return math.ceil(12.0 * math.log(1.0 / delta))
 
 
-def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int,
-                   config: EstimatorConfig, base_log):
-    reps = _repetitions(delta, config)
+def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int, base_log):
+    reps = _repetitions(delta)
     z2 = _z_quantile(delta) ** 2 if reps == 1 else _z_quantile(0.25) ** 2
     runs = []
     for rep in range(reps):
-        log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep, config)
+        log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep)
         runs.append((log_v + base_log(final), trace, total))
     runs.sort(key=lambda r: r[0])
     mid = runs[len(runs) // 2]
@@ -410,8 +372,7 @@ def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int,
 
 
 def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
-                             epsilon: float, delta: float, seed: int,
-                             config: EstimatorConfig | None = None) -> CountEstimate:
+                             epsilon: float, delta: float, seed: int) -> CountEstimate:
     """Estimate the number of independent sets with the given side sizes.
 
     Telescopes over links: pin the pilot-argmax vertex, estimate its marginal
@@ -419,24 +380,20 @@ def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     face contributes one.  Meets the (epsilon, delta) contract via z-budgeted
     per-level sampling (median over repetitions when delta < 1e-3).
     """
-    config = config or EstimatorConfig()
     slc = TwoSidedSlice(g, k_x, k_y)
     if k_x == 0 and k_y == 0:
         return CountEstimate(0.0, epsilon, delta, 0, seed=seed)
-    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed, config,
-                                           base_log=lambda s: 0.0)
+    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed, base_log=lambda s: 0.0)
     return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
 
 
 def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float,
-                                 epsilon: float, delta: float, seed: int,
-                                 config: EstimatorConfig | None = None) -> CountEstimate:
+                                 epsilon: float, delta: float, seed: int) -> CountEstimate:
     """Estimate Z_k = sum over k-subsets S of X of fugacity^k (1+fugacity)^{|Y\\N[S]|}.
 
     Same telescoping as the two-sided count; the fully pinned base case is
     evaluated exactly by the closed-form weight.
     """
-    config = config or EstimatorConfig()
     slc = OneSidedSlice(g, k, fugacity)
 
     def base_log(final: Slice) -> float:
@@ -447,7 +404,7 @@ def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: flo
     if k == g.n_side:
         return CountEstimate(one_sided_log_weight(slc, range(g.n_side)),
                              epsilon, delta, 0, seed=seed)
-    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed, config, base_log)
+    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed, base_log)
     return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
 
 
@@ -465,8 +422,7 @@ def _logsumexp(values) -> float:
 
 def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
                            epsilon: float, delta: float, seed: int,
-                           thr: ThresholdParams | None = None,
-                           config: EstimatorConfig | None = None) -> CountEstimate:
+                           thr: ThresholdParams | None = None) -> CountEstimate:
     """Banded approximation to the partition function, estimated band by band.
 
     Three terms: the two-sided grid k_x, k_y <= floor(alpha n); the X-side
@@ -479,7 +435,6 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
     relative error) with the confidence budget split evenly across terms.
     An infeasible inner slice contributes zero.
     """
-    config = config or EstimatorConfig()
     thr = thr or thresholds(g.degree, fugacity)
     n = g.n_side
     a_cap = min(math.floor(thr.alpha * n), n)
@@ -496,7 +451,7 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
     for t, (kx, ky) in enumerate(grid):
         try:
             est = estimate_two_sided_count(g, kx, ky, epsilon, delta_inner,
-                                           seed=seed + 1000003 * (t + 1), config=config)
+                                           seed=seed + 1000003 * (t + 1))
             two_logs.append(est.log_value + (kx + ky) * log_lam)
             total_samples += est.samples
         except (InitialStateError, SliceError):
@@ -510,8 +465,7 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
         for t, k in enumerate(band):
             est = estimate_one_sided_partition(graph, k, fugacity, epsilon, delta_inner,
                                                seed=seed + 2000003 * (t + 1)
-                                               + (0 if kind.endswith("x") else 1),
-                                               config=config)
+                                               + (0 if kind.endswith("x") else 1))
             logs.append(est.log_value)
             used += est.samples
         value = _logsumexp(logs) if logs else LOG_ZERO

@@ -57,6 +57,12 @@ def _sorted_tuple(items: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(items))
 
 
+def _check_pins(pins: frozenset[int], size: int) -> None:
+    """Reject pinned ids outside ``range(size)`` before anything indexes by them."""
+    if not all(0 <= v < size for v in pins):
+        raise SliceError(f"pinned ids must lie in range({size})")
+
+
 class _SliceCore:
     """Global-id views shared by the slice families.
 
@@ -108,6 +114,7 @@ class TwoSidedSlice(_SliceCore):
             raise SliceError("side sizes out of range")
         if len(self.pinned_x) > self.k_x or len(self.pinned_y) > self.k_y:
             raise SliceError("pinned face larger than the slice sizes")
+        _check_pins(self.pinned_x | self.pinned_y, self.graph.n_side)
         if self.graph.neighbor_set(X, self.pinned_x) & self.pinned_y:
             raise SliceError("pinned face is not an independent set")
 
@@ -154,6 +161,7 @@ class OneSidedSlice(_SliceCore):
             raise SliceError("fugacity must be positive")
         if len(self.pinned) > self.k:
             raise SliceError("pinned face larger than k")
+        _check_pins(self.pinned, self.graph.n_side)
 
     @property
     def _part_size(self) -> int:
@@ -171,6 +179,7 @@ class RegularSlice(_SliceCore):
             raise SliceError("k out of range")
         if len(self.pinned) > self.k:
             raise SliceError("pinned face larger than k")
+        _check_pins(self.pinned, self.graph.n)
         pins = sorted(self.pinned)
         for a, b in combinations(pins, 2):
             if b in self.graph.adj[a]:

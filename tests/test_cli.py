@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicewalk
 from slicewalk.cli import load_config_file, main
 from slicewalk.reports import to_csv, to_json
 
@@ -193,3 +198,14 @@ class TestReportHelpers:
         lines = text.splitlines()
         assert lines[0] == "a.b,c"
         assert lines[1] == "1,1;2"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse.linalg would add about 0.14 s and 32 MB to every CLI start;
+    # only the sparse spectra route imports it, inside the call
+    src = str(Path(slicewalk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, slicewalk.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

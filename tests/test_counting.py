@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from slicewalk.counting import (DegenerateBandError, ThresholdParams,
+from slicewalk import counting
+from slicewalk.counting import (DegenerateBandError, ThresholdParams, _z_quantile,
                                 estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
                                 exact_partition, exact_partition_hat, exact_slice_count,
@@ -132,6 +133,24 @@ class TestEstimators:
         assert a.log_value == b.log_value and a.trace == b.trace
         assert len(a.trace) == 4
         assert all(0 < t.marginal <= 1 for t in a.trace)
+
+    def test_samples_count_what_the_chains_collected(self, monkeypatch):
+        # at side 12 the pilot asks for 299 samples and its 4 replicas collect 300
+        collected = []
+        membership_counts = counting._membership_counts
+
+        def spy(*args):
+            counts, got = membership_counts(*args)
+            collected.append(got)
+            return counts, got
+
+        monkeypatch.setattr(counting, "_membership_counts", spy)
+        est = estimate_two_sided_count(gen_bipartite_regular(12, 3, seed=1), 2, 2,
+                                       0.3, 0.1, seed=0)
+        assert collected and est.samples == sum(collected)
+
+    def test_z_quantile_upper_tail(self):
+        assert _z_quantile(0.01) == pytest.approx(2.5758293035489, rel=1e-12)
 
     def test_trace_marginals_exceed_half_side_floor(self):
         # the argmax pilot rule keeps every pinned marginal above 1/(2 * side)

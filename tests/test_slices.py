@@ -30,6 +30,18 @@ def brute_one_sided_weight(g, s, lam):
     return total
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TwoSidedSlice(gen_bipartite_regular(12, 3, seed=1), 1, 1,
+                          pinned_y=frozenset({99})),
+    lambda: OneSidedSlice(gen_bipartite_regular(12, 3, seed=1), 3, 0.5,
+                          pinned=frozenset({-1})),
+    lambda: RegularSlice(gen_regular(12, 3, seed=1), 3, pinned=frozenset({-1})),
+], ids=["two_sided", "one_sided", "regular"])
+def test_pinned_ids_out_of_range_rejected(make):
+    with pytest.raises(SliceError, match="range"):
+        make()
+
+
 class TestOneSidedWeight:
     def test_empty_set(self, bipartite_c6):
         slc = OneSidedSlice(bipartite_c6, 0, 0.7)
