@@ -4,7 +4,8 @@ Subcommands: gen-graph, sample, estimate-z, verify-spectral, experiment.
 Every run prints a machine-readable report that starts with a reproducibility
 stanza (full effective config, seed, version); with identical config and seed
 the output is byte-identical.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 3 runtime failure (an infeasible slice, an exhausted rejection
+budget, too few samples, an enumeration above its cap).
 
 A flat key=value config file can seed any option (--config); explicit
 command-line flags take precedence over the file.
@@ -354,12 +355,12 @@ def main(argv=None) -> int:
                 "experiment": _cmd_experiment}
     try:
         return handlers[args.command](args)
-    except UsageError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except RuntimeError as e:
+        print(f"error: runtime failure: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 from .graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice
-from .walks import _make_state, _step, _weight_table, exact_transition_matrix, spectral_gap
+from .walks import _make_state, exact_transition_matrix, spectral_gap
 
 SAMPLED_TAU_NOTE = ("sampled-tau frequencies only; the for-all-tau statement "
                     "is not verified")
@@ -325,7 +325,8 @@ def experiment_slow_mixing(config: ExperimentConfig,
 
     Exact mode (state space within ``exact_cap``): conductance of the
     majority-in-first-component set S from the exact chain, compared with each
-    component's spectral lower bound gap/2 <= conductance.  Empirical mode:
+    component's spectral lower bound gap/2 <= conductance, and the exact
+    probability that one run stays in S for the step budget.  Empirical mode:
     chains started with all members in the first component, reporting the
     fraction that never leave S within the step budget and escape-time stats.
     With ``control=True`` the same diagnostics run on a single connected-ish
@@ -358,10 +359,15 @@ def experiment_slow_mixing(config: ExperimentConfig,
         facets, p, pi = exact_transition_matrix(slc)
         mask = _bottleneck_mask(facets, m, k)
         phi = exact_conductance(p, pi, mask)
+        # chance that one non-lazy run from the start face stays in S throughout
+        face = tuple(range(k))
+        start = np.array([f == face for f in facets], dtype=float)[mask]
+        p_s = np.linalg.matrix_power(p[np.ix_(mask, mask)], config.steps)
         report["exact"] = {
             "facets": len(facets),
             "phi_bottleneck": phi,
             "bottleneck_mass": float(pi[mask].sum()),
+            "stay_probability": float((start @ p_s).sum()),
         }
         if not control:
             within = []
@@ -374,7 +380,7 @@ def experiment_slow_mixing(config: ExperimentConfig,
             report["exact"]["separation_factor"] = (
                 min(within) / phi if phi > 0 else float("inf"))
 
-    # every run starts with all members in the first component
+    # every run starts at the face range(k): all members in the first component
     times = _escape_times(slc, range(k), m, k, config.steps, config.seed, config.runs)
     escapes = [t for t in times if t is not None]
     never = len(times) - len(escapes)
@@ -390,65 +396,85 @@ def experiment_slow_mixing(config: ExperimentConfig,
 def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
                   budget: int, seed: int, runs: int,
                   block: int = 4096) -> list[int | None]:
-    """Escape times of runs 0..runs-1, equal to ``_escape_time`` run by run.
+    """First step at which each run 0..runs-1 holds at most k/2 vertices
+    below m, or None within ``budget`` steps.
 
-    The chains step in lockstep, one array row per chain, so a step costs a
-    few NumPy calls for all of them instead of a Python loop per chain.  Each
-    row replays its run exactly: the same stream ``rng_stream(seed, 1000 +
-    run)`` drawn two uniforms a step, the same removal position, and the same
-    inverse-CDF replacement over the candidates in index order with a
-    sequential cumulative sum, so every float comparison is bit-identical.
-    Rows that escape inside a block of ``block`` steps are dropped after it.
-    With every replacement weight at least 1e-300 the total is a normal float,
-    so ``rand() * total < total`` and the comparison always picks a candidate;
-    smaller weights send every run to ``_escape_time``, whose stepper rescales
-    them.
+    Run ``run`` is the scalar chain started at ``members`` and stepped by
+    ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  The chains
+    step in lockstep, one array row per chain, so a step costs a few NumPy
+    calls for all of them instead of a Python loop per chain.  Each row
+    replays its run exactly: three uniforms a step (removal slot, weight
+    class, index within the class), class sizes counted over the non-members
+    by uncovered neighbours, the class weights' sequential cumulative sum from
+    the smallest occupied class, and the chosen class's non-members in index
+    order, so every float comparison is bit-identical.  Rows that escape
+    inside a block of ``block`` steps are dropped after it.
     """
-    members = tuple(sorted(members))
-    table = np.array(_weight_table(slc))
-    if table[-1] < 1e-300:
-        return [_escape_time(slc, members, m, k, budget, seed, run)
-                for run in range(runs)]
-    state = _make_state(slc, members)
-    n = slc.graph.n_side
-    adj = slc.graph.biadjacency()
-    adj_t = np.ascontiguousarray(adj.T)
+    state = _make_state(slc, tuple(sorted(members)))
+    n, d = slc.graph.n_side, slc.graph.degree
     kf = len(state.free)
     half = k / 2.0
+    # weights[e, e_min]: weight of class e when e_min is the smallest occupied
+    # class; zero below it, where every class is empty
+    lag = np.arange(d + 1)[:, None] - np.arange(d + 1)
+    weights = np.where(lag >= 0, np.array(slc.class_weights).take(lag, mode="clip"), 0.0)
+    # running counts along x and totals, by exact integer matrix products
+    running, ones = np.tril(np.ones((n, n))), np.ones(n)
+    # A row's counters: the cover of each Y vertex, then 1 for each X member.
+    # Adding or removing x changes both by one row of ``incidence``.
+    incidence = np.hstack([slc.graph.biadjacency(), np.eye(n)])
 
     times: list[int | None] = [None] * runs
     active = np.arange(runs)
     gens = [rng_stream(seed, 1000 + run) for run in range(runs)]
     free = np.tile(np.array(state.free, dtype=np.intp), (runs, 1))
-    notin = np.tile(np.array([0.0 if f else 1.0 for f in state.member[:n]]), (runs, 1))
-    cover = np.tile(np.array(state.cover[n:], dtype=float), (runs, 1))
+    counters = np.tile(np.array(state.cover[n:] + state.member[:n], dtype=float), (runs, 1))
     inside = np.full(runs, sum(1 for v in state.free if v < m))
     done = 0
     while done < budget and len(active):
         rows = len(active)
         steps = min(block, budget - done)
-        u = np.stack([gens[run].random(2 * block) for run in active])
-        # flat index of the removed slot in free, and the uniform that picks x_in
-        slot = (u[:, 0:2 * steps:2] * kf).astype(np.intp) + (np.arange(rows) * kf)[:, None]
+        u = np.stack([gens[run].random(3 * block) for run in active])
+        # flat index of the removed slot in free, and the class and index uniforms
+        slot = (u[:, 0:3 * steps:3] * kf).astype(np.intp) + (np.arange(rows) * kf)[:, None]
         slot = np.ascontiguousarray(slot.T)
-        frac = np.ascontiguousarray(u[:, 1:2 * steps:2].T)[:, :, None]
-        offset = np.arange(rows) * n
-        free_flat, notin_flat = free.reshape(-1), notin.reshape(-1)
+        u_class = np.ascontiguousarray(u[:, 1:3 * steps:3].T)
+        u_index = np.ascontiguousarray(u[:, 2:3 * steps:3].T)
+        # Keys, one column per row: rows * class + row for a non-member x and
+        # rows * (d + 1) more for a member, so one bincount gives every row's
+        # class sizes and the smallest key its smallest occupied class.
+        row_ix = np.arange(rows)
+        to_keys = rows * np.hstack([incidence[:, :n], -(d + 1.0) * np.eye(n)])
+        key_base = rows * (d + 1.0) + row_ix
+        # column rows * e_min + row of class_weights is weights[:, e_min]
+        class_weights = np.repeat(weights, rows, axis=1)
+        # below[e]: class e lies below the drawn class; the row's key offset
+        # is appended, so one product gives the drawn class's key
+        below = np.empty((d + 2, rows))
+        below[-1] = row_ix
+        to_target = np.append(np.full(d + 1, float(rows)), 1.0)
+        free_flat = free.reshape(-1)
         x_outs = np.empty((steps, rows), np.intp)
         x_ins = np.empty((steps, rows), np.intp)
-        uncovered, exposure, weights = (np.empty((rows, n)) for _ in range(3))
+        zero = np.empty((rows, 2 * n))
+        raw, in_class, rank, upto = (np.empty((n, rows)) for _ in range(4))
+        key = np.empty((n, rows), np.intp)
         for s in range(steps):
             x_out = free_flat.take(slot[s])
-            notin_flat.put(offset + x_out, 1.0)
-            cover -= adj.take(x_out, 0)
-            np.equal(cover, 0.0, out=uncovered)
-            np.dot(uncovered, adj_t, out=exposure)
-            table.take(exposure.astype(np.intp), out=weights)
-            weights *= notin
-            acc = weights.cumsum(1)
-            x_in = (acc > frac[s] * acc[:, -1:]).argmax(1)
-            notin_flat.put(offset + x_in, 0.0)
-            cover += adj.take(x_in, 0)
+            counters -= incidence.take(x_out, 0)
+            np.equal(counters, 0.0, out=zero)
+            np.dot(to_keys, zero.T, out=raw)
+            np.add(raw, key_base, out=key, casting="unsafe")
+            sizes = np.bincount(key.reshape(-1), minlength=rows * (2 * d + 2))
+            sizes = sizes[:rows * (d + 1)].reshape(d + 1, rows)
+            acc = (sizes * class_weights.take(key.min(0), 1)).cumsum(0)
+            np.less_equal(acc, u_class[s] * acc[-1], out=below[:-1])
+            np.equal(key, np.dot(to_target, below), out=in_class)
+            # rank[x]: members of the drawn class up to x; the last is its size
+            np.dot(running, in_class, out=rank)
+            np.less_equal(rank, u_index[s] * rank[-1], out=upto)
+            x_in = np.dot(ones, upto).astype(np.intp)
+            counters += incidence.take(x_in, 0)
             free_flat.put(slot[s], x_in)
             x_outs[s] = x_out
             x_ins[s] = x_in
@@ -459,19 +485,6 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
             times[int(active[i])] = done + int(first) + 1
         keep = ~escaped
         inside = path[-1][keep]
-        active, free, notin, cover = active[keep], free[keep], notin[keep], cover[keep]
+        active, free, counters = active[keep], free[keep], counters[keep]
         done += steps
     return times
-
-
-def _escape_time(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
-                 budget: int, seed: int, run: int) -> int | None:
-    state = _make_state(slc, tuple(sorted(members)))
-    rand = UniformBuffer(rng_stream(seed, 1000 + run)).next
-    half = k / 2.0
-    for t in range(1, budget + 1):
-        _step(slc, state, rand)
-        inside = sum(1 for v in state.free if v < m)
-        if inside <= half:
-            return t
-    return None

@@ -82,6 +82,11 @@ class _SliceCore:
     def pinned_ids(self) -> frozenset[int]:
         return self.pinned
 
+    @cached_property
+    def part_of(self) -> tuple[int, ...]:
+        """Index in ``parts`` of each global id that lies in a part."""
+        return tuple(i for i, (lo, hi, _) in enumerate(self.parts) for _ in range(lo, hi))
+
     @property
     def free_size(self) -> int:
         return sum(quota for _, _, quota in self.parts) - len(self.pinned_ids)
@@ -166,6 +171,13 @@ class OneSidedSlice(_SliceCore):
     @property
     def _part_size(self) -> int:
         return self.graph.n_side
+
+    @cached_property
+    def class_weights(self) -> tuple[float, ...]:
+        """(1+fugacity)^-e for e = 0..degree: the replacement weight of a
+        vertex with e uncovered neighbours, relative to one with none."""
+        base = 1.0 + self.fugacity
+        return tuple(base ** (-e) for e in range(self.graph.degree + 1))
 
 
 @dataclass(eq=False)

@@ -4,11 +4,14 @@ One step of the down-up walk removes a uniformly random free element of the
 current facet and resamples its replacement from the conditional distribution
 of the slice given the remainder; the removed element always remains a
 candidate, so a step may be a self-loop.  States carry incremental coverage
-counters over the graph's global vertex ids, so a step costs
-O(side * degree) at worst, and chains are a pure function of (slice, config
+counters over the graph's global vertex ids and sorted pools of replacement
+candidates, updated only where a step changes coverage: a step does
+O(degree^2) Python work plus the C-level shifts of inserting into and
+deleting from sorted lists, and chains are a pure function of (slice, config
 seed).  There is one kernel per kind of constraint: a uniform draw within the
 removed vertex's part for the independent-set slices (two-sided, regular),
-and the coverage-weighted draw of the one-sided slice.
+and the coverage-weighted draw of the one-sided slice, which picks a weight
+class and then a uniform member of it.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -16,6 +19,7 @@ stepping code, so the two implementations check each other.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,22 +45,34 @@ class ChainState:
     facet members in stepping order: a step replaces one entry in place with
     a vertex of the same part.  ``member`` flags facet members, pinned ones
     included, and ``cover[u]`` counts facet members adjacent to u.
+
+    ``pools`` are sorted lists of the replacement candidates, updated only
+    where a step changes coverage.  For the uniform kernel there is one per
+    part: its non-members with zero cover.  For the one-sided kernel
+    ``unc[x]`` counts the uncovered neighbours of each X vertex, and
+    ``pools[e]`` lists the non-members with ``unc = e``.  ``kernel`` is the
+    step function that keeps them.
     """
 
     slc: Slice
     free: list[int]
     member: list[bool]
     cover: list[int]
+    pools: list[list[int]]
+    unc: list[int]
+    kernel: Callable[[Slice, "ChainState", Rand], None]
     steps: int = 0
 
     def facet(self):
         return self.slc.from_ids(set(self.free) | self.slc.pinned_ids)
 
     def recount_ok(self) -> bool:
-        """Recompute every counter from scratch and compare with the running ones."""
+        """Recompute every counter and pool from scratch and compare with the
+        running ones."""
         fresh = _make_state(self.slc, self.facet())
         return (fresh.cover == self.cover and fresh.member == self.member
-                and sorted(fresh.free) == sorted(self.free))
+                and sorted(fresh.free) == sorted(self.free)
+                and fresh.pools == self.pools and fresh.unc == self.unc)
 
 
 def _make_state(slc: Slice, facet) -> ChainState:
@@ -71,7 +87,18 @@ def _make_state(slc: Slice, facet) -> ChainState:
     if any(cover[v] for v in ids):
         raise SliceError("facet is not an independent set")
     pinned = slc.pinned_ids
-    return ChainState(slc, [v for v in ids if v not in pinned], member, cover)
+    free = [v for v in ids if v not in pinned]
+    if isinstance(slc, OneSidedSlice):
+        n = slc.graph.n_side
+        unc = [sum(1 for j in adj[x] if cover[j] == 0) for x in range(n)]
+        pools: list[list[int]] = [[] for _ in range(slc.graph.degree + 1)]
+        for x in range(n):
+            if not member[x]:
+                pools[unc[x]].append(x)
+        return ChainState(slc, free, member, cover, pools, unc, _step_one_sided)
+    pools = [[v for v in range(lo, hi) if not member[v] and cover[v] == 0]
+             for lo, hi, _ in slc.parts]
+    return ChainState(slc, free, member, cover, pools, [], _step_uniform)
 
 
 def greedy_initial_state(slc: Slice, rng: np.random.Generator,
@@ -102,98 +129,94 @@ def down_up_step(slc: Slice, state: ChainState, rng: np.random.Generator) -> Cha
 def _step(slc: Slice, state: ChainState, rand: Rand) -> None:
     # with no free element the pinned face is the only facet, so the step stays
     if state.free:
-        if isinstance(slc, OneSidedSlice):
-            _step_one_sided(slc, state, rand)
-        else:
-            _step_uniform(slc, state, rand)
+        state.kernel(slc, state, rand)
     state.steps += 1
 
 
 def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
+    """Coverage-weighted replacement: x' has weight (1+fugacity)^-unc[x'].
+
+    Three uniforms: the removal slot, the weight class e (class weight
+    |pools[e]| * (1+fugacity)^-(e - e_min), summed in class order from the
+    smallest occupied class, whose weight 1 keeps the total at least 1), and
+    the index within the class.  Only the X vertices next to a Y vertex whose
+    cover crosses 0 change class, at most degree^2 per step.
+    """
     adj = slc.graph.global_adj
     free = state.free
     member = state.member
     cover = state.cover
+    pools = state.pools
+    unc = state.unc
     pos = int(rand() * len(free))
     x_out = free[pos]
-    member[x_out] = False
+    # x_out still counts as a member here, so it is not moved between classes
     for j in adj[x_out]:
         cover[j] -= 1
-    # Replacement weight of x' is (1+fugacity)^(-#uncovered neighbors of x').
-    table = _weight_table(slc)
-    cands: list[int] = []
-    weights: list[float] = []
+        if cover[j] == 0:
+            for x in adj[j]:
+                e = unc[x]
+                unc[x] = e + 1
+                if not member[x]:
+                    pool = pools[e]
+                    del pool[bisect_left(pool, x)]
+                    insort(pools[e + 1], x)
+    member[x_out] = False
+    insort(pools[unc[x_out]], x_out)
+    emin = 0
+    while not pools[emin]:
+        emin += 1
+    acc = []
     total = 0.0
-    for x in range(slc.graph.n_side):
-        if member[x]:
-            continue
-        e = 0
-        for j in adj[x]:
-            if cover[j] == 0:
-                e += 1
-        w = table[e]
-        cands.append(x)
-        weights.append(w)
-        total += w
-    if total <= 0.0:  # all weights underflowed; redo with the exponent shift
-        exps = []
-        for x in cands:
-            e = 0
-            for j in adj[x]:
-                if cover[j] == 0:
-                    e += 1
-            exps.append(e)
-        emin = min(exps)
-        base = 1.0 + slc.fugacity
-        weights = [base ** (emin - e) for e in exps]
-        total = sum(weights)
-    r = rand() * total
-    acc = 0.0
-    x_new = cands[-1]
-    for x, w in zip(cands, weights):
-        acc += w
-        if r < acc:
-            x_new = x
-            break
+    for pool, w in zip(pools[emin:], slc.class_weights):
+        total += len(pool) * w
+        acc.append(total)
+    pool = pools[emin + bisect_right(acc, rand() * total)]
+    at = int(rand() * len(pool))
+    x_new = pool[at]
+    del pool[at]
     member[x_new] = True
     for j in adj[x_new]:
         cover[j] += 1
+        if cover[j] == 1:
+            for x in adj[j]:
+                e = unc[x]
+                unc[x] = e - 1
+                if not member[x]:
+                    pool = pools[e]
+                    del pool[bisect_left(pool, x)]
+                    insort(pools[e - 1], x)
     free[pos] = x_new
-
-
-_WEIGHT_TABLES: dict[tuple[int, float], tuple[float, ...]] = {}
-
-
-def _weight_table(slc: OneSidedSlice) -> tuple[float, ...]:
-    key = (slc.graph.degree, slc.fugacity)
-    table = _WEIGHT_TABLES.get(key)
-    if table is None:
-        base = 1.0 + slc.fugacity
-        table = tuple(base ** (-e) for e in range(slc.graph.degree + 1))
-        _WEIGHT_TABLES[key] = table
-    return table
 
 
 def _step_uniform(slc: Slice, state: ChainState, rand: Rand) -> None:
     """Uniform replacement among the uncovered non-members of the removed
-    vertex's part: the kernel of every independent-set slice with part quotas."""
+    vertex's part: the kernel of every independent-set slice with part quotas.
+    The part's pool lists them in index order."""
     adj = slc.graph.global_adj
     free = state.free
     member = state.member
     cover = state.cover
+    pools = state.pools
+    part_of = slc.part_of
     pos = int(rand() * len(free))
     v_out = free[pos]
     member[v_out] = False
     for u in adj[v_out]:
         cover[u] -= 1
-    for lo, hi, _ in slc.parts:
-        if v_out < hi:
-            break
-    cands = [v for v in range(lo, hi) if not member[v] and cover[v] == 0]
-    v_new = cands[int(rand() * len(cands))]
+        if cover[u] == 0:
+            insort(pools[part_of[u]], u)
+    pool = pools[part_of[v_out]]
+    insort(pool, v_out)
+    at = int(rand() * len(pool))
+    v_new = pool[at]
+    del pool[at]
     member[v_new] = True
     for u in adj[v_new]:
         cover[u] += 1
+        if cover[u] == 1:
+            pool = pools[part_of[u]]
+            del pool[bisect_left(pool, u)]
     free[pos] = v_new
 
 

@@ -13,7 +13,7 @@ model standing in for rejection sampling where rejection is computationally
 impossible (degree 8 and up).  Criterion 8 keeps its stated budget (100
 chains of 1e6 steps, seed 88, k = 4, side 8) on two complete bipartite
 components, where the two-component bottleneck exists; it is marked slow
-(about 50 seconds: the 100 chains step together in arrays).
+(about 90 seconds: the 100 chains step together in arrays).
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from slicewalk.counting import (ThresholdParams,
                                 estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
                                 exact_partition, exact_partition_hat, exact_slice_count)
-from slicewalk.experiments import (ExperimentConfig, disjoint_union,
+from slicewalk.experiments import (ExperimentConfig,
                                    experiment_neighborhood_concentration,
                                    experiment_slow_mixing)
 from slicewalk.graphs import (BipartiteRegularGraph, gen_bipartite_regular,
@@ -329,25 +329,20 @@ def test_criterion_8_slow_mixing_echo():
     the components are complete bipartite; random components of degree 2
     admit none (phi(S) = 0.31 against a bound of 0.16, see
     test_experiments).  The exact chance that one chain started at
-    {0, 1, 2, 3} stays in S for the whole budget, from the transition matrix
-    restricted to S, is checked first: the 99/100 threshold then fails a
-    correct program with probability about 4e-9.  Slow: the 1e8 steps take
-    about 50 s with the chains stepped in lockstep.
+    {0, 1, 2, 3} stays in S for the whole budget, which the experiment
+    computes from its transition matrix restricted to S, is checked first:
+    the 99/100 threshold then fails a correct program with probability about
+    4e-9.  Slow: the 1e8 steps take about 90 s with the chains stepped in
+    lockstep.
     """
     m, steps = 8, 1_000_000
     row = tuple(range(m))
     k88 = BipartiteRegularGraph(m, m, (row,) * m, (row,) * m)
     cfg = ExperimentConfig("slow-mixing", n_side=m, degree=m, seed=88, k=4,
                            fugacity=31.0, runs=100, steps=steps)
-    facets, p, _ = exact_transition_matrix(
-        OneSidedSlice(disjoint_union(k88, k88), cfg.k, cfg.fugacity))
-    in_s = [i for i, f in enumerate(facets) if sum(v < m for v in f) > cfg.k / 2]
-    p_s = p[np.ix_(in_s, in_s)]
-    start = np.array([float(tuple(facets[i]) == (0, 1, 2, 3)) for i in in_s])
-    stay_exact = float((start @ np.linalg.matrix_power(p_s, steps)).sum())
-    assert stay_exact >= 0.9999, stay_exact
-
     rep = experiment_slow_mixing(cfg, components=(k88, k88))
+    stay_exact = rep["exact"]["stay_probability"]
+    assert stay_exact >= 0.9999, stay_exact
     phi = rep["exact"]["phi_bottleneck"]
     within = rep["exact"]["within_component_conductance_lower"]
     stayed = rep["empirical"]["never_escaped_fraction"]

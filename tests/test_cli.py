@@ -44,12 +44,13 @@ class TestGenGraph:
             main(["gen-graph", "--n", "10", "--delta", "3"])  # missing kind
         assert exc.value.code == 2
 
-    def test_infeasible_parameters_exit_2(self, tmp_path, capsys):
+    def test_infeasible_parameters_exit_3(self, tmp_path, capsys):
+        # an exhausted rejection budget is a runtime failure, not a usage error
         code, _, err = run_cli(capsys, "gen-graph", "--bipartite", "--n", "8",
                                "--delta", "7", "--seed", "0",
                                "--max-retries", "2", "--out", str(tmp_path / "x"))
-        assert code == 2
-        assert "pairing" in err
+        assert code == 3
+        assert err.startswith("error: runtime failure:") and "pairing" in err
 
 
 @pytest.fixture
@@ -87,6 +88,18 @@ class TestSample:
         left, right = line.split(" | ")
         assert all(t.startswith("x") for t in left.split())
         assert all(t.startswith("y") for t in right.split())
+
+    def test_infeasible_slice_exit_3(self, tmp_path, capsys):
+        # greedy restarts find no facet of a (6, 6) slice at side 12, degree 3
+        path = tmp_path / "g12.txt"
+        assert main(["gen-graph", "--bipartite", "--n", "12", "--delta", "3",
+                     "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "sample", "--in", str(path), "--family",
+                                 "two-sided", "--kx", "6", "--ky", "6",
+                                 "--steps", "10", "--seed", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: runtime failure: no facet found")
 
 
 class TestEstimateZ:

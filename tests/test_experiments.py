@@ -12,16 +12,27 @@ from slicewalk.experiments import (ExperimentConfig, MarginalHardcoreSampler,
                                    experiment_large_set_expansion,
                                    experiment_neighborhood_concentration,
                                    experiment_slow_mixing, pairing_support_adjacency)
-from slicewalk.experiments import _escape_time, _escape_times
+from slicewalk.experiments import _escape_times
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
-from slicewalk.rng import rng_stream
+from slicewalk.rng import UniformBuffer, rng_stream
 from slicewalk.slices import OneSidedSlice
-from slicewalk.walks import tv_distance
+from slicewalk.walks import _make_state, _step, tv_distance
 
 
 def complete_bipartite(m: int) -> BipartiteRegularGraph:
     row = tuple(range(m))
     return BipartiteRegularGraph(m, m, (row,) * m, (row,) * m)
+
+
+def _escape_time(slc, members, m, k, budget, seed, run):
+    """Scalar reference for ``_escape_times``: one chain stepped by ``_step``."""
+    state = _make_state(slc, tuple(sorted(members)))
+    rand = UniformBuffer(rng_stream(seed, 1000 + run)).next
+    for t in range(1, budget + 1):
+        _step(slc, state, rand)
+        if sum(1 for v in state.free if v < m) <= k / 2.0:
+            return t
+    return None
 
 
 class TestConfig:
@@ -184,8 +195,8 @@ class TestSlowMixing:
     def test_lockstep_escape_times_match_single_chains(self):
         # the array engine replays each run's own stream step for step: fast
         # escapes, blocks of 3, 7 and 64 steps, a pinned vertex, runs that
-        # escape next to runs that never do, and weights so small that every
-        # run goes to the single-chain stepper
+        # escape next to runs that never do, and class weights that underflow
+        # to zero
         g = disjoint_union(gen_bipartite_regular(8, 2, seed=88),
                            gen_bipartite_regular(8, 2, seed=89))
         k88 = disjoint_union(complete_bipartite(8), complete_bipartite(8))

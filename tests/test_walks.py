@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
-from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice
-from slicewalk.walks import (ChainConfig, InitialStateError, down_up_step,
+from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice, greedy_facet
+from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, down_up_step,
                              exact_transition_matrix, format_facet,
                              greedy_initial_state, run_chain, spectral_gap,
                              tv_distance)
@@ -99,6 +101,38 @@ class TestDownUpStep:
             if t % 50 == 0:
                 assert state.recount_ok()
         assert state.recount_ok()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(["two", "one", "reg"]), n=st.integers(2, 9),
+           degree=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           sizes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           fugacity=st.sampled_from([0.3, 2.0, 1e300]),
+           pin_mask=st.integers(0, 2 ** 8 - 1), steps=st.integers(1, 40))
+    def test_pools_match_a_rebuild_along_walks(self, family, n, degree, seed, sizes,
+                                               fugacity, pin_mask, steps):
+        # small random slices of every family, with pinned faces drawn from
+        # the starting facet: after each step the running counters and pools
+        # equal a fresh rebuild and each pool is exactly its candidate set
+        degree = min(degree, n - (family == "reg"))
+        assume(degree >= 1)
+        if family == "reg":
+            n += (n * degree) % 2
+            slc = RegularSlice(gen_regular(n, degree, seed=seed), min(sizes[0], n))
+        else:
+            g = gen_bipartite_regular(n, degree, seed=seed)
+            slc = (TwoSidedSlice(g, min(sizes[0], n), min(sizes[1], n)) if family == "two"
+                   else OneSidedSlice(g, min(sizes[0], n), fugacity))
+        facet = greedy_facet(slc, rng_stream(seed), restarts=16)
+        assume(facet is not None)
+        ids = slc.to_ids(facet)
+        slc = slc.with_face(slc.from_ids(v for i, v in enumerate(ids) if pin_mask >> i & 1))
+        state = _make_state(slc, facet)
+        rng = rng_stream(seed, 1)
+        for _ in range(steps):
+            down_up_step(slc, state, rng)
+            assert state.recount_ok()
+            _assert_pools_are_candidate_sets(slc, state)
+        assert slc.pinned_ids <= set(slc.to_ids(state.facet()))
 
     def test_pinned_vertices_never_removed(self):
         g = gen_bipartite_regular(8, 3, seed=5)
@@ -208,37 +242,63 @@ class TestRunChain:
 
     def test_empirical_transitions_match_exact_rows(self):
         g = gen_bipartite_regular(7, 2, seed=2)
-        slc = OneSidedSlice(g, 3, 0.5)
-        facets, p, pi = exact_transition_matrix(slc)
-        index = {f: i for i, f in enumerate(facets)}
-        from slicewalk.walks import greedy_initial_state as gis
-        state = gis(slc, rng_stream(0))
-        rng = rng_stream(1)
-        steps = 1_000_000
-        counts = np.zeros_like(p)
-        prev = index[state.facet()]
-        for _ in range(steps):
-            down_up_step(slc, state, rng)
-            cur = index[state.facet()]
-            counts[prev, cur] += 1
-            prev = cur
-        visits = counts.sum(axis=1)
-        bad = 0
-        checked = 0
-        for i in range(len(facets)):
-            if visits[i] < 200:
+        _check_transition_rows(OneSidedSlice(g, 3, 0.5), steps=1_000_000, seed=1)
+
+    @pytest.mark.parametrize("slc", [
+        TwoSidedSlice(gen_bipartite_regular(6, 2, seed=1), 2, 1),
+        RegularSlice(gen_regular(10, 3, seed=2), 3)], ids=["two-sided", "regular"])
+    def test_uniform_kernel_transitions_match_exact_rows(self, slc):
+        _check_transition_rows(slc, steps=400_000, seed=3)
+
+
+def _assert_pools_are_candidate_sets(slc, state) -> None:
+    adj = slc.graph.global_adj
+    member, cover = state.member, state.cover
+    for pool in state.pools:
+        assert pool == sorted(set(pool))
+    if isinstance(slc, OneSidedSlice):
+        n = slc.graph.n_side
+        unc = [sum(1 for j in adj[x] if cover[j] == 0) for x in range(n)]
+        assert state.unc == unc
+        assert state.pools == [[x for x in range(n) if not member[x] and unc[x] == e]
+                               for e in range(slc.graph.degree + 1)]
+    else:
+        assert state.pools == [[v for v in range(lo, hi) if not member[v] and cover[v] == 0]
+                               for lo, hi, _ in slc.parts]
+
+
+def _check_transition_rows(slc, steps: int, seed: int) -> None:
+    """One-step empirical transition frequencies of the non-lazy chain
+    against the rows of ``exact_transition_matrix``: every entry within
+    6 sigma, and three-sigma violations no more frequent than chance."""
+    facets, p, pi = exact_transition_matrix(slc)
+    index = {f: i for i, f in enumerate(facets)}
+    state = greedy_initial_state(slc, rng_stream(0))
+    rng = rng_stream(seed)
+    counts = np.zeros_like(p)
+    prev = index[state.facet()]
+    for _ in range(steps):
+        down_up_step(slc, state, rng)
+        cur = index[state.facet()]
+        counts[prev, cur] += 1
+        prev = cur
+    visits = counts.sum(axis=1)
+    bad = 0
+    checked = 0
+    for i in range(len(facets)):
+        if visits[i] < 200:
+            continue
+        for j in range(len(facets)):
+            if p[i, j] == 0.0:
+                assert counts[i, j] == 0
                 continue
-            for j in range(len(facets)):
-                if p[i, j] == 0.0:
-                    assert counts[i, j] == 0
-                    continue
-                checked += 1
-                se = np.sqrt(p[i, j] * (1 - p[i, j]) / visits[i])
-                if abs(counts[i, j] / visits[i] - p[i, j]) > 3 * se:
-                    bad += 1
-                    assert abs(counts[i, j] / visits[i] - p[i, j]) <= 6 * se
-        # per-entry three-sigma violations occur at the expected rare rate
-        assert bad <= max(5, 0.01 * checked)
+            checked += 1
+            se = np.sqrt(p[i, j] * (1 - p[i, j]) / visits[i])
+            if abs(counts[i, j] / visits[i] - p[i, j]) > 3 * se:
+                bad += 1
+                assert abs(counts[i, j] / visits[i] - p[i, j]) <= 6 * se
+    # per-entry three-sigma violations occur at the expected rare rate
+    assert checked > 0 and bad <= max(5, 0.01 * checked)
 
 
 def test_format_facet(bipartite_c6, six_cycle):
