@@ -270,7 +270,8 @@ def _cmd_estimate_z(args) -> int:
                    "value_log": b.value_log, "samples": b.samples}
                   for b in est.bands],
         "trace": [{"pinned": list(t.pinned) if isinstance(t.pinned, tuple) else t.pinned,
-                   "marginal": t.marginal, "samples": t.samples} for t in est.trace],
+                   "marginal": t.marginal, "samples": t.samples, "method": t.method}
+                  for t in est.trace],
         "seed": est.seed,
         "thresholds": {"alpha": thr.alpha, "beta": thr.beta, "gamma": thr.gamma,
                        "ell": thr.ell},

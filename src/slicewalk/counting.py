@@ -6,7 +6,10 @@ vertex, the vertex is pinned (passing to its link), and the telescoping
 product of inverse marginals gives the count.  The heavy vertex is the argmax
 of pilot-estimated marginals; an averaging argument guarantees the true max
 marginal is at least (level size)/(side size), so the pilot only needs
-constant-factor accuracy.
+constant-factor accuracy.  Levels small enough for a facet table step their
+chains through it, and a level whose table splits into several
+communicating classes takes the exact marginal instead: replicas started in
+different classes would never mix.  Larger levels are sampled unchecked.
 
 Exact oracles are kept deliberately independent of the estimators: the
 partition function uses exact rational branch-and-bound, slice counts use
@@ -31,7 +34,8 @@ from .graphs import BipartiteRegularGraph, X
 from .rng import UniformBuffer, rng_stream
 from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
                      exact_distribution, link, one_sided_log_weight)
-from .walks import InitialStateError, _step, greedy_initial_state
+from .walks import (TABLE_ROW_CAP, FacetTable, InitialStateError, _step, facet_table,
+                    greedy_initial_state)
 
 LOG_ZERO = float("-inf")
 
@@ -79,9 +83,16 @@ def thresholds(degree: int, fugacity: float, gamma: float = 0.1,
 
 @dataclass(frozen=True)
 class LevelTrace:
+    """One telescoping level: the pinned vertex, its marginal, the chain
+    samples behind it, and how it was decided: ``exact`` (the slice
+    enumerates within EXACT_MARGINAL_CAP), ``reducible`` (its chain has more
+    than one communicating class, so the marginal is enumerated instead of
+    sampled) or ``sampled``."""
+
     pinned: tuple | int
     marginal: float
     samples: int
+    method: str
 
 
 @dataclass(frozen=True)
@@ -260,35 +271,46 @@ def _burn_in(slc: Slice, epsilon: float) -> int:
 
 
 def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
-                       path: tuple[int, ...]):
+                       path: tuple[int, ...], table: FacetTable | None):
     """Pool thinned membership indicators from REPLICAS independent chains.
 
     Returns (counts, n_collected); counts index free vertices by global id.
-    The replica split is the documented (seed, replica) stream split.
+    The replica split is the documented (seed, replica) stream split.  With
+    the slice's facet ``table`` the chains step through it, which replays
+    ``_step`` on the same uniforms, and the samples are counted as a
+    histogram over facets.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     per = (n_samples + REPLICAS - 1) // REPLICAS
     burn = _burn_in(slc, epsilon)
     thin = max(1, THIN_SCALE * slc.free_size)
-    collected = 0
+    hist = [0] * len(table.rows) if table is not None else []  # indexed by row base
     for rep in range(REPLICAS):
         state = greedy_initial_state(slc, rng_stream(seed, *path, rep, 0))
         rand = UniformBuffer(rng_stream(seed, *path, rep, 1)).next
-        for _ in range(burn):
-            _step(slc, state, rand)
-        for _ in range(per):
-            for _ in range(thin):
+        if table is None:
+            for _ in range(burn):
                 _step(slc, state, rand)
-            for v in state.free:
-                counts[v] += 1
-            collected += 1
-    return counts, collected
+            for _ in range(per):
+                for _ in range(thin):
+                    _step(slc, state, rand)
+                for v in state.free:
+                    counts[v] += 1
+        else:
+            free = state.free
+            base = table.run(table.start(free), free, rand, burn)
+            for _ in range(per):
+                base = table.run(base, free, rand, thin)
+                hist[base] += 1
+    if table is not None:
+        counts = np.array(hist[::table.width], dtype=np.int64) @ table.incidence()
+    return counts, per * REPLICAS
 
 
-def _exact_marginal(slc: Slice):
+def _exact_marginal(slc: Slice, cap: int = EXACT_MARGINAL_CAP):
     """(argmax global id, exact marginal) from the enumerated conditional, or None."""
     try:
-        facets, probs = exact_distribution(slc, EXACT_MARGINAL_CAP)
+        facets, probs = exact_distribution(slc, cap)
     except EnumerationCapError:
         return None
     marg = np.zeros(len(slc.graph.global_adj))
@@ -319,14 +341,22 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
     lo, hi, _ = slc.parts[0]
     n = hi - lo  # the side size, or the vertex count of a regular graph
     for level in range(levels):
+        method, table = "exact", None
         exact = _exact_marginal(slc)
+        if exact is None:
+            table = facet_table(slc)
+            if table is not None and table.classes() > 1:
+                # chains started in different classes never meet, so samples
+                # would weigh each class by where its replicas started
+                method, exact = "reducible", _exact_marginal(slc, TABLE_ROW_CAP)
         if exact is not None:
             v, p_hat = exact
             got = 0
         else:
+            method = "sampled"
             pilot_n = max(PILOT_FLOOR, math.ceil(10 * n * math.log(max(2, n))))
             counts, pilot_got = _membership_counts(slc, pilot_n, epsilon, seed,
-                                                   (rep, level, 0))
+                                                   (rep, level, 0), table)
             # argmax takes the first maximum, so ties go to the lowest id
             v = int(np.argmax(counts))
             if counts[v] <= 0:
@@ -335,7 +365,8 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             need = math.ceil(SAFETY * per_level_z2 * levels
                              * (1.0 / p_pilot - 1.0) / (epsilon * epsilon))
             need = max(need, 64)
-            counts, got = _membership_counts(slc, need, epsilon, seed, (rep, level, 1))
+            counts, got = _membership_counts(slc, need, epsilon, seed, (rep, level, 1),
+                                             table)
             hits = int(counts[v])
             if hits <= 0:
                 raise InsufficientSamplesError(
@@ -345,7 +376,7 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             # second-order bias correction for E[1/p_hat] = (1/p)(1 + (1-p)/(pN))
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
-        trace.append(LevelTrace(_trace_label(slc, v, n), p_hat, got))
+        trace.append(LevelTrace(_trace_label(slc, v, n), p_hat, got, method))
         slc = link(slc, slc.from_ids((v,)), check_nonempty=False)
     return log_value, trace, total, slc
 

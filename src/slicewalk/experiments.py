@@ -30,7 +30,7 @@ import numpy as np
 from .graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice
-from .walks import _make_state, exact_transition_matrix, spectral_gap
+from .walks import _make_state, _step, exact_transition_matrix, facet_table, spectral_gap
 
 SAMPLED_TAU_NOTE = ("sampled-tau frequencies only; the for-all-tau statement "
                     "is not verified")
@@ -400,36 +400,53 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     below m, or None within ``budget`` steps.
 
     Run ``run`` is the scalar chain started at ``members`` and stepped by
-    ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  The chains
-    step in lockstep, one array row per chain, so a step costs a few NumPy
-    calls for all of them instead of a Python loop per chain.  Each row
-    replays its run exactly: three uniforms a step (removal slot, weight
-    class, index within the class), class sizes counted over the non-members
-    by uncovered neighbours, the class weights' sequential cumulative sum from
-    the smallest occupied class, and the chosen class's non-members in index
-    order, so every float comparison is bit-identical.  Rows that escape
-    inside a block of ``block`` steps are dropped after it.
+    ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  When the slice
+    compiles into a facet table, the chains step in lockstep, one array row
+    per chain, gathering each step from the table's rows flattened into
+    arrays, so a step costs a few NumPy calls for all of them.  Each row
+    replays its run exactly: three uniforms a step, the weight class as the
+    number of class sums at most u * total (``bisect_right``), and the index
+    within the class, so every float comparison is bit-identical.  Rows that
+    escape inside a block of ``block`` steps are dropped after it.  Above the
+    table's cap each run steps alone through the pool kernel.
     """
-    state = _make_state(slc, tuple(sorted(members)))
-    n, d = slc.graph.n_side, slc.graph.degree
-    kf = len(state.free)
+    facet = tuple(sorted(members))
     half = k / 2.0
-    # weights[e, e_min]: weight of class e when e_min is the smallest occupied
-    # class; zero below it, where every class is empty
-    lag = np.arange(d + 1)[:, None] - np.arange(d + 1)
-    weights = np.where(lag >= 0, np.array(slc.class_weights).take(lag, mode="clip"), 0.0)
-    # running counts along x and totals, by exact integer matrix products
-    running, ones = np.tril(np.ones((n, n))), np.ones(n)
-    # A row's counters: the cover of each Y vertex, then 1 for each X member.
-    # Adding or removing x changes both by one row of ``incidence``.
-    incidence = np.hstack([slc.graph.biadjacency(), np.eye(n)])
+    table = facet_table(slc)
+    if table is None:
+        return [_escape_time(slc, facet, m, half, budget, rng_stream(seed, 1000 + run))
+                for run in range(runs)]
+    classes = slc.graph.degree + 1
+    # row_at[base + v]: offset of the row of (facet, v) in the class arrays
+    row_at = np.zeros(len(table.rows), np.intp)
+    acc, total, first, size, cands, succ = [], [], [], [], [], []
+    for i, row in enumerate(table.rows):
+        if row is None:
+            continue
+        row_at[i] = len(acc)
+        row_acc, row_total, row_classes = row
+        # pad to every class; an infinite sum is never at most u * total
+        pad = classes - len(row_acc)
+        acc += row_acc + [math.inf] * pad
+        total += [row_total] * classes
+        for members_c, succ_c in row_classes + [((), ())] * pad:
+            first.append(len(cands))
+            size.append(len(members_c))
+            cands += members_c
+            succ += succ_c
+    acc, total = np.array(acc), np.array(total)
+    first, size = np.array(first, np.intp), np.array(size, np.intp)
+    cands, succ = np.array(cands, np.intp), np.array(succ, np.intp)
+    inside = table.incidence()[:, :m].sum(1)
+    class_ix = np.arange(classes)
 
     times: list[int | None] = [None] * runs
     active = np.arange(runs)
     gens = [rng_stream(seed, 1000 + run) for run in range(runs)]
-    free = np.tile(np.array(state.free, dtype=np.intp), (runs, 1))
-    counters = np.tile(np.array(state.cover[n:] + state.member[:n], dtype=float), (runs, 1))
-    inside = np.full(runs, sum(1 for v in state.free if v < m))
+    start = _make_state(slc, facet).free
+    free = np.tile(np.array(start, dtype=np.intp), (runs, 1))
+    kf = free.shape[1]
+    base = np.full(runs, table.start(start), np.intp)
     done = 0
     while done < budget and len(active):
         rows = len(active)
@@ -440,51 +457,32 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
         slot = np.ascontiguousarray(slot.T)
         u_class = np.ascontiguousarray(u[:, 1:3 * steps:3].T)
         u_index = np.ascontiguousarray(u[:, 2:3 * steps:3].T)
-        # Keys, one column per row: rows * class + row for a non-member x and
-        # rows * (d + 1) more for a member, so one bincount gives every row's
-        # class sizes and the smallest key its smallest occupied class.
-        row_ix = np.arange(rows)
-        to_keys = rows * np.hstack([incidence[:, :n], -(d + 1.0) * np.eye(n)])
-        key_base = rows * (d + 1.0) + row_ix
-        # column rows * e_min + row of class_weights is weights[:, e_min]
-        class_weights = np.repeat(weights, rows, axis=1)
-        # below[e]: class e lies below the drawn class; the row's key offset
-        # is appended, so one product gives the drawn class's key
-        below = np.empty((d + 2, rows))
-        below[-1] = row_ix
-        to_target = np.append(np.full(d + 1, float(rows)), 1.0)
         free_flat = free.reshape(-1)
-        x_outs = np.empty((steps, rows), np.intp)
-        x_ins = np.empty((steps, rows), np.intp)
-        zero = np.empty((rows, 2 * n))
-        raw, in_class, rank, upto = (np.empty((n, rows)) for _ in range(4))
-        key = np.empty((n, rows), np.intp)
+        bases = np.empty((steps, rows), np.intp)
         for s in range(steps):
-            x_out = free_flat.take(slot[s])
-            counters -= incidence.take(x_out, 0)
-            np.equal(counters, 0.0, out=zero)
-            np.dot(to_keys, zero.T, out=raw)
-            np.add(raw, key_base, out=key, casting="unsafe")
-            sizes = np.bincount(key.reshape(-1), minlength=rows * (2 * d + 2))
-            sizes = sizes[:rows * (d + 1)].reshape(d + 1, rows)
-            acc = (sizes * class_weights.take(key.min(0), 1)).cumsum(0)
-            np.less_equal(acc, u_class[s] * acc[-1], out=below[:-1])
-            np.equal(key, np.dot(to_target, below), out=in_class)
-            # rank[x]: members of the drawn class up to x; the last is its size
-            np.dot(running, in_class, out=rank)
-            np.less_equal(rank, u_index[s] * rank[-1], out=upto)
-            x_in = np.dot(ones, upto).astype(np.intp)
-            counters += incidence.take(x_in, 0)
-            free_flat.put(slot[s], x_in)
-            x_outs[s] = x_out
-            x_ins[s] = x_in
-        path = inside + np.cumsum((x_ins < m).astype(np.intp) - (x_outs < m), axis=0)
-        hit = path <= half
+            at = row_at.take(base + free_flat.take(slot[s]))
+            below = acc.take(at[:, None] + class_ix) <= (u_class[s] * total.take(at))[:, None]
+            at += below.sum(1)
+            pick = first.take(at) + (u_index[s] * size.take(at)).astype(np.intp)
+            free_flat.put(slot[s], cands.take(pick))
+            base = bases[s] = succ.take(pick)
+        hit = inside.take(bases // table.width) <= half
         escaped = hit.any(0)
-        for i, first in zip(np.flatnonzero(escaped), hit.argmax(0)[escaped]):
-            times[int(active[i])] = done + int(first) + 1
+        for i, first_hit in zip(np.flatnonzero(escaped), hit.argmax(0)[escaped]):
+            times[int(active[i])] = done + int(first_hit) + 1
         keep = ~escaped
-        inside = path[-1][keep]
-        active, free, counters = active[keep], free[keep], counters[keep]
+        active, free, base = active[keep], free[keep], base[keep]
         done += steps
     return times
+
+
+def _escape_time(slc: OneSidedSlice, facet: tuple[int, ...], m: int, half: float,
+                 budget: int, rng: np.random.Generator) -> int | None:
+    """One run of ``_escape_times`` stepped alone by ``_step``."""
+    state = _make_state(slc, facet)
+    rand = UniformBuffer(rng).next
+    for t in range(1, budget + 1):
+        _step(slc, state, rand)
+        if sum(1 for v in state.free if v < m) <= half:
+            return t
+    return None

@@ -30,7 +30,9 @@ class UniformBuffer:
 
     Chain inner loops call ``next()`` millions of times; drawing blocks of
     uniforms amortizes the Generator call overhead while keeping the consumed
-    stream identical for identical seeds.
+    stream identical for identical seeds.  Blocks are served as Python
+    floats, bit-equal to the NumPy scalars, because arithmetic on them is
+    cheaper in those loops.
     """
 
     __slots__ = ("_rng", "_block", "_buf", "_pos")
@@ -38,13 +40,13 @@ class UniformBuffer:
     def __init__(self, rng: np.random.Generator, block: int = 8192):
         self._rng = rng
         self._block = block
-        self._buf = rng.random(block)
+        self._buf = rng.random(block).tolist()
         self._pos = 0
 
     def next(self) -> float:
         pos = self._pos
         if pos == self._block:
-            self._buf = self._rng.random(self._block)
+            self._buf = self._rng.random(self._block).tolist()
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]

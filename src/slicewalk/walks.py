@@ -11,7 +11,18 @@ deleting from sorted lists, and chains are a pure function of (slice, config
 seed).  There is one kernel per kind of constraint: a uniform draw within the
 removed vertex's part for the independent-set slices (two-sided, regular),
 and the coverage-weighted draw of the one-sided slice, which picks a weight
-class and then a uniform member of it.
+class and then a uniform member of it.  Each kernel is a removal half, which
+takes the chosen element out and leaves the candidate pools to draw from,
+and an insertion half.
+
+Slices whose facet count times free size stays within ``TABLE_ROW_CAP`` rows
+(checked first against a binomial bound, so large slices never enumerate)
+can be compiled into a ``FacetTable``: for every facet and free element, the
+kernel's own removal half is run once and its pools, class sums and the
+successor facet of each candidate are stored.  A table step is then a row
+lookup and the same uniform draws, replaying ``_step`` bit for bit.  The
+estimator and the lockstep escape-time experiment step through tables;
+``run_chain`` and ``down_up_step`` keep the pool kernels.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -19,16 +30,17 @@ stepping code, so the two implementations check each other.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
-                     SliceError, TwoSidedSlice, exact_distribution, facet_log_weight,
-                     greedy_facet)
+                     SliceError, TwoSidedSlice, enumerate_facets, exact_distribution,
+                     facet_log_weight, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -51,7 +63,7 @@ class ChainState:
     part: its non-members with zero cover.  For the one-sided kernel
     ``unc[x]`` counts the uncovered neighbours of each X vertex, and
     ``pools[e]`` lists the non-members with ``unc = e``.  ``kernel`` is the
-    step function that keeps them.
+    step function that keeps them, a no-op when no element is free.
     """
 
     slc: Slice
@@ -95,10 +107,12 @@ def _make_state(slc: Slice, facet) -> ChainState:
         for x in range(n):
             if not member[x]:
                 pools[unc[x]].append(x)
-        return ChainState(slc, free, member, cover, pools, unc, _step_one_sided)
-    pools = [[v for v in range(lo, hi) if not member[v] and cover[v] == 0]
-             for lo, hi, _ in slc.parts]
-    return ChainState(slc, free, member, cover, pools, [], _step_uniform)
+        kernel = _step_one_sided
+    else:
+        pools = [[v for v in range(lo, hi) if not member[v] and cover[v] == 0]
+                 for lo, hi, _ in slc.parts]
+        unc, kernel = [], _step_uniform
+    return ChainState(slc, free, member, cover, pools, unc, kernel if free else _stay)
 
 
 def greedy_initial_state(slc: Slice, rng: np.random.Generator,
@@ -127,33 +141,47 @@ def down_up_step(slc: Slice, state: ChainState, rng: np.random.Generator) -> Cha
 
 
 def _step(slc: Slice, state: ChainState, rand: Rand) -> None:
-    # with no free element the pinned face is the only facet, so the step stays
-    if state.free:
-        state.kernel(slc, state, rand)
+    state.kernel(slc, state, rand)
     state.steps += 1
+
+
+def _stay(slc: Slice, state: ChainState, rand: Rand) -> None:
+    """Kernel of a state with no free element: the pinned face is the only
+    facet, so the step stays and draws nothing."""
 
 
 def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
     """Coverage-weighted replacement: x' has weight (1+fugacity)^-unc[x'].
 
-    Three uniforms: the removal slot, the weight class e (class weight
-    |pools[e]| * (1+fugacity)^-(e - e_min), summed in class order from the
-    smallest occupied class, whose weight 1 keeps the total at least 1), and
-    the index within the class.  Only the X vertices next to a Y vertex whose
-    cover crosses 0 change class, at most degree^2 per step.
+    Three uniforms: the removal slot, the weight class (see
+    ``_remove_one_sided``), and the index within the class.
+    """
+    free = state.free
+    pos = int(rand() * len(free))
+    classes, acc, total = _remove_one_sided(slc, state, free[pos])
+    pool = classes[bisect_right(acc, rand() * total)]
+    _insert_one_sided(slc, state, pos, pool, int(rand() * len(pool)))
+
+
+def _remove_one_sided(slc: OneSidedSlice, state: ChainState, x_out: int):
+    """Removal half of the one-sided step: take ``x_out`` out of the facet.
+
+    Returns (classes, acc, total): the pools from the smallest occupied class
+    e_min up, and the sequential cumulative sums of the class weights
+    |pools[e]| * (1+fugacity)^-(e - e_min); the weight 1 of class e_min keeps
+    the total at least 1.  Only the X vertices next to a Y vertex whose cover
+    falls to 0 change class, at most degree^2 of them.
     """
     adj = slc.graph.global_adj
-    free = state.free
     member = state.member
     cover = state.cover
     pools = state.pools
     unc = state.unc
-    pos = int(rand() * len(free))
-    x_out = free[pos]
     # x_out still counts as a member here, so it is not moved between classes
     for j in adj[x_out]:
-        cover[j] -= 1
-        if cover[j] == 0:
+        c = cover[j] - 1
+        cover[j] = c
+        if not c:
             for x in adj[j]:
                 e = unc[x]
                 unc[x] = e + 1
@@ -171,14 +199,24 @@ def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
     for pool, w in zip(pools[emin:], slc.class_weights):
         total += len(pool) * w
         acc.append(total)
-    pool = pools[emin + bisect_right(acc, rand() * total)]
-    at = int(rand() * len(pool))
+    return pools[emin:], acc, total
+
+
+def _insert_one_sided(slc: OneSidedSlice, state: ChainState, pos: int,
+                      pool: list[int], at: int) -> None:
+    """Insertion half: ``pool[at]`` joins the facet in slot ``pos``."""
+    adj = slc.graph.global_adj
+    member = state.member
+    cover = state.cover
+    pools = state.pools
+    unc = state.unc
     x_new = pool[at]
     del pool[at]
     member[x_new] = True
     for j in adj[x_new]:
-        cover[j] += 1
-        if cover[j] == 1:
+        c = cover[j] + 1
+        cover[j] = c
+        if c == 1:
             for x in adj[j]:
                 e = unc[x]
                 unc[x] = e - 1
@@ -186,38 +224,207 @@ def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
                     pool = pools[e]
                     del pool[bisect_left(pool, x)]
                     insort(pools[e - 1], x)
-    free[pos] = x_new
+    state.free[pos] = x_new
 
 
 def _step_uniform(slc: Slice, state: ChainState, rand: Rand) -> None:
     """Uniform replacement among the uncovered non-members of the removed
-    vertex's part: the kernel of every independent-set slice with part quotas.
-    The part's pool lists them in index order."""
-    adj = slc.graph.global_adj
+    vertex's part: the kernel of every independent-set slice with part quotas."""
     free = state.free
-    member = state.member
+    pos = int(rand() * len(free))
+    pool = _remove_uniform(slc, state, free[pos])
+    _insert_uniform(slc, state, pos, pool, int(rand() * len(pool)))
+
+
+def _remove_uniform(slc: Slice, state: ChainState, v_out: int) -> list[int]:
+    """Removal half of the uniform step: take ``v_out`` out of the facet and
+    return its part's pool, which lists the candidates in index order."""
+    adj = slc.graph.global_adj
     cover = state.cover
     pools = state.pools
     part_of = slc.part_of
-    pos = int(rand() * len(free))
-    v_out = free[pos]
-    member[v_out] = False
+    state.member[v_out] = False
     for u in adj[v_out]:
-        cover[u] -= 1
-        if cover[u] == 0:
+        c = cover[u] - 1
+        cover[u] = c
+        if not c:
             insort(pools[part_of[u]], u)
     pool = pools[part_of[v_out]]
     insort(pool, v_out)
-    at = int(rand() * len(pool))
+    return pool
+
+
+def _insert_uniform(slc: Slice, state: ChainState, pos: int, pool: list[int],
+                    at: int) -> None:
+    """Insertion half: ``pool[at]`` joins the facet in slot ``pos``."""
+    adj = slc.graph.global_adj
+    cover = state.cover
+    pools = state.pools
+    part_of = slc.part_of
     v_new = pool[at]
     del pool[at]
-    member[v_new] = True
+    state.member[v_new] = True
     for u in adj[v_new]:
-        cover[u] += 1
-        if cover[u] == 1:
+        c = cover[u] + 1
+        cover[u] = c
+        if c == 1:
             pool = pools[part_of[u]]
             del pool[bisect_left(pool, u)]
-    free[pos] = v_new
+    state.free[pos] = v_new
+
+
+# -- facet tables -------------------------------------------------------------------
+
+# Slices whose facets times free elements may exceed this many rows step
+# through the pool kernels instead of a compiled table.
+TABLE_ROW_CAP = 20_000
+
+
+@dataclass(eq=False)
+class FacetTable:
+    """The down-up chain of an enumerated slice, compiled by its own kernel.
+
+    ``free_ids[f]`` lists facet f's free ids in increasing order and
+    ``index`` maps the bitmask of a facet's free ids to f.  Facet f's rows
+    start at base ``f * width`` in ``rows``; free id v has row ``f * width +
+    v``, holding what the kernel's removal half leaves for the draw after v
+    is removed.  A uniform row is (cands, succ): the candidates in pool order
+    and the base of the facet each one leads to.  A ``weighted`` (one-sided)
+    row is (acc, total, classes) with the kernel's class sums and one
+    (cands, succ) pair per weight class from the smallest occupied one.
+    """
+
+    width: int
+    free_ids: list[tuple[int, ...]]
+    index: dict[int, int]
+    rows: list
+    weighted: bool
+
+    def start(self, free: Sequence[int]) -> int:
+        """Row base of the facet whose free ids are ``free``."""
+        return self.index[_id_mask(free)] * self.width
+
+    def run(self, base: int, free: list[int], rand: Rand, steps: int) -> int:
+        """``steps`` non-lazy steps from the facet at row ``base``; returns the
+        final base.  ``free`` is a chain state's stepping order, updated in
+        place: the same uniforms give the same ``free`` sequence as ``_step``.
+        """
+        rows = self.rows
+        k = len(free)
+        if not k:
+            return base
+        if self.weighted:
+            for _ in range(steps):
+                pos = int(rand() * k)
+                acc, total, classes = rows[base + free[pos]]
+                cands, succ = classes[bisect_right(acc, rand() * total)]
+                at = int(rand() * len(cands))
+                free[pos] = cands[at]
+                base = succ[at]
+        else:
+            for _ in range(steps):
+                pos = int(rand() * k)
+                cands, succ = rows[base + free[pos]]
+                at = int(rand() * len(cands))
+                free[pos] = cands[at]
+                base = succ[at]
+        return base
+
+    def incidence(self) -> np.ndarray:
+        """(facets, width) 0/1 integer matrix of free membership."""
+        out = np.zeros((len(self.free_ids), self.width), dtype=np.int64)
+        for f, ids in enumerate(self.free_ids):
+            out[f, list(ids)] = 1
+        return out
+
+    def classes(self) -> int:
+        """Number of communicating classes.  The chain is reversible, so
+        they are the connected components of the successor lists."""
+        width = self.width
+        seen = [False] * len(self.free_ids)
+        count = 0
+        for root in range(len(seen)):
+            if seen[root]:
+                continue
+            count += 1
+            seen[root] = True
+            stack = [root]
+            while stack:
+                f = stack.pop()
+                for v in self.free_ids[f]:
+                    row = self.rows[f * width + v]
+                    for _, succ in (row[2] if self.weighted else (row,)):
+                        for g in {b // width for b in succ}:
+                            if not seen[g]:
+                                seen[g] = True
+                                stack.append(g)
+        return count
+
+
+def _id_mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+def _draw(cands: list[int], base_of: dict[int, int], rest: int):
+    """(cands, succ) for a row: the candidates, and the row base of the facet
+    each completes when added to the free ids in the bitmask ``rest``."""
+    return tuple(cands), tuple(base_of[rest | 1 << c] for c in cands)
+
+
+def _facet_bound(slc: Slice) -> int:
+    """Upper bound on the facet count: per part, the ways to fill its quota
+    from the ids that are neither pinned nor next to a pinned id."""
+    adj = slc.graph.global_adj
+    pinned = slc.pinned_ids
+    blocked = set(pinned).union(*(adj[v] for v in pinned))
+    bound = 1
+    for lo, hi, quota in slc.parts:
+        left = sum(1 for v in range(lo, hi) if v not in blocked)
+        bound *= math.comb(left, quota - sum(1 for v in pinned if lo <= v < hi))
+    return bound
+
+
+def facet_table(slc: Slice) -> FacetTable | None:
+    """Compile the chain of ``slc``, or None when the facet bound times the
+    free size exceeds ``TABLE_ROW_CAP`` rows or the slice has no facet.
+
+    Each facet gets a fresh pool state; every free id is taken out by the
+    kernel's removal half, the pools it leaves are copied into the row, and
+    the insertion half puts the id back in its slot.
+    """
+    if _facet_bound(slc) * max(1, slc.free_size) > TABLE_ROW_CAP:
+        return None
+    facets = enumerate_facets(slc, TABLE_ROW_CAP)
+    if not facets:
+        return None
+    width = len(slc.graph.global_adj)
+    pinned = slc.pinned_ids
+    free_ids = [tuple(v for v in slc.to_ids(f) if v not in pinned) for f in facets]
+    index = {_id_mask(ids): f for f, ids in enumerate(free_ids)}
+    # one int object per base, shared by every successor list
+    base_of = {mask: f * width for mask, f in index.items()}
+    rows: list = [None] * (len(facets) * width)
+    weighted = False
+    for f, facet in enumerate(facets):
+        state = _make_state(slc, facet)
+        weighted = state.kernel is _step_one_sided
+        mask = _id_mask(state.free)
+        for pos, v in enumerate(state.free):
+            rest = mask ^ (1 << v)
+            if weighted:
+                classes, acc, total = _remove_one_sided(slc, state, v)
+                row = (acc, total, [_draw(c, base_of, rest) for c in classes])
+                pool = state.pools[state.unc[v]]
+                _insert_one_sided(slc, state, pos, pool, bisect_left(pool, v))
+            else:
+                pool = _remove_uniform(slc, state, v)
+                row = _draw(pool, base_of, rest)
+                _insert_uniform(slc, state, pos, pool, bisect_left(pool, v))
+            rows[f * width + v] = row
+    return FacetTable(width, free_ids, index, rows, weighted)
 
 
 # -- chains -----------------------------------------------------------------------
@@ -271,14 +478,14 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     member = state.member
     ref = [v for v, inside in enumerate(member) if inside]
     series: list[int] = []
+    kernel = state.kernel
     for t in range(1, config.steps + 1):
         if not lazy or rand() >= 0.5:
-            _step(slc, state, rand)
-        else:
-            state.steps += 1
+            kernel(slc, state, rand)
         if t > burn_in and (t - burn_in) % thinning == 0:
             samples.append(state.facet())
             series.append(sum(member[v] for v in ref))
+    state.steps += config.steps
     if not samples:
         samples = [state.facet()]
     tv = _oracle_tv(slc, samples, config.oracle_cap)

@@ -134,6 +134,36 @@ class TestEstimators:
         assert len(a.trace) == 4
         assert all(0 < t.marginal <= 1 for t in a.trace)
 
+    def test_levels_record_how_they_were_decided(self):
+        # the golden estimate's path: an 82-facet top slice with one
+        # communicating class is sampled, the smaller links are enumerated
+        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2,
+                                       0.3, 0.1, seed=5)
+        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
+        assert [t.samples > 0 for t in est.trace] == [True, False, False, False]
+
+    def test_reducible_level_takes_the_exact_marginal(self):
+        # At (2, 2) on this graph the down-up chain has more than one
+        # communicating class (one facet is frozen: every move from it is a
+        # self-loop), so pooled replicas weigh each class by where they
+        # started; from chain samples this estimate came out at 0.566 x exact.
+        g = gen_bipartite_regular(8, 3, seed=500)
+        exact = exact_slice_count(g, 2, 2)
+        est = estimate_two_sided_count(g, 2, 2, 0.1, 0.1, seed=9000)
+        assert est.value == pytest.approx(exact, rel=0.1)
+        assert est.trace[0].method == "reducible" and est.trace[0].samples == 0
+
+    def test_pool_kernels_give_the_facet_table_estimates(self, monkeypatch):
+        # slices above the table cap step through the pool kernels, which
+        # draw the same uniforms the same way
+        g = gen_bipartite_regular(8, 3, seed=1)
+        runs = [lambda: estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5),
+                lambda: estimate_one_sided_partition(g, 3, 0.3, 0.3, 0.1, seed=5)]
+        tabled = [run() for run in runs]
+        monkeypatch.setattr(counting, "facet_table", lambda slc: None)
+        for est, run in zip(tabled, runs):
+            assert run() == est
+
     def test_samples_count_what_the_chains_collected(self, monkeypatch):
         # at side 12 the pilot asks for 299 samples and its 4 replicas collect 300
         collected = []

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
 from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice, greedy_facet
-from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, down_up_step,
-                             exact_transition_matrix, format_facet,
-                             greedy_initial_state, run_chain, spectral_gap,
-                             tv_distance)
+from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _remove_one_sided,
+                             _remove_uniform, _step, down_up_step, exact_transition_matrix,
+                             facet_table, format_facet, greedy_initial_state, run_chain,
+                             spectral_gap, tv_distance)
 
 
 class TestTvDistance:
@@ -113,19 +114,9 @@ class TestDownUpStep:
         # small random slices of every family, with pinned faces drawn from
         # the starting facet: after each step the running counters and pools
         # equal a fresh rebuild and each pool is exactly its candidate set
-        degree = min(degree, n - (family == "reg"))
-        assume(degree >= 1)
-        if family == "reg":
-            n += (n * degree) % 2
-            slc = RegularSlice(gen_regular(n, degree, seed=seed), min(sizes[0], n))
-        else:
-            g = gen_bipartite_regular(n, degree, seed=seed)
-            slc = (TwoSidedSlice(g, min(sizes[0], n), min(sizes[1], n)) if family == "two"
-                   else OneSidedSlice(g, min(sizes[0], n), fugacity))
-        facet = greedy_facet(slc, rng_stream(seed), restarts=16)
-        assume(facet is not None)
-        ids = slc.to_ids(facet)
-        slc = slc.with_face(slc.from_ids(v for i, v in enumerate(ids) if pin_mask >> i & 1))
+        made = _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask)
+        assume(made is not None)
+        slc, facet = made
         state = _make_state(slc, facet)
         rng = rng_stream(seed, 1)
         for _ in range(steps):
@@ -142,6 +133,90 @@ class TestDownUpStep:
         for _ in range(200):
             down_up_step(slc, state, rng)
             assert 2 in state.facet()
+
+
+def _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask):
+    """A small random slice of ``family`` pinned at part of a greedy facet,
+    with that facet, or None when greedy search finds none."""
+    degree = min(degree, n - (family == "reg"))
+    if degree < 1:
+        return None
+    if family == "reg":
+        n += (n * degree) % 2
+        slc = RegularSlice(gen_regular(n, degree, seed=seed), min(sizes[0], n))
+    else:
+        g = gen_bipartite_regular(n, degree, seed=seed)
+        slc = (TwoSidedSlice(g, min(sizes[0], n), min(sizes[1], n)) if family == "two"
+               else OneSidedSlice(g, min(sizes[0], n), fugacity))
+    facet = greedy_facet(slc, rng_stream(seed), restarts=16)
+    if facet is None:
+        return None
+    ids = slc.to_ids(facet)
+    return slc.with_face(slc.from_ids(v for i, v in enumerate(ids) if pin_mask >> i & 1)), facet
+
+
+class TestFacetTable:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(["two", "one", "reg"]), n=st.integers(2, 8),
+           degree=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           sizes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           fugacity=st.sampled_from([0.3, 2.0, 1e300]),
+           pin_mask=st.integers(0, 2 ** 8 - 1), steps=st.integers(1, 60))
+    def test_table_replays_the_kernel(self, family, n, degree, seed, sizes, fugacity,
+                                      pin_mask, steps):
+        made = _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask)
+        assume(made is not None)
+        slc, facet = made
+        table = facet_table(slc)
+        assert table is not None
+        # the same uniforms give the same free order and facet sequence
+        state = _make_state(slc, facet)
+        free = list(state.free)
+        base = table.start(free)
+        uniforms = rng_stream(seed, 1).random(3 * steps + 1).tolist()
+        kernel_rand, table_rand = iter(uniforms).__next__, iter(uniforms).__next__
+        for _ in range(steps):
+            _step(slc, state, kernel_rand)
+            base = table.run(base, free, table_rand, 1)
+            assert free == state.free
+            assert base == table.start(state.free)
+        assert kernel_rand() == table_rand()  # both drew as many uniforms
+        # every row is what the kernel's removal half leaves
+        pinned = slc.pinned_ids
+        width = table.width
+        for f, ids in enumerate(table.free_ids):
+            for v in ids:
+                probe = _make_state(slc, slc.from_ids(set(ids) | pinned))
+                row = table.rows[f * width + v]
+                if table.weighted:
+                    classes, acc, total = _remove_one_sided(slc, probe, v)
+                    assert (row[0], row[1]) == (acc, total)
+                    drawn = list(zip(classes, row[2]))
+                else:
+                    drawn = [(_remove_uniform(slc, probe, v), row)]
+                for pool, (cands, succ) in drawn:
+                    assert list(cands) == pool
+                    assert [table.free_ids[b // width] for b in succ] == [
+                        tuple(sorted(set(ids) - {v} | {c})) for c in cands]
+        # communicating classes against the exact chain's support
+        facets, p, _ = exact_transition_matrix(slc)
+        assert len(facets) == len(table.free_ids)
+        if not table.weighted:
+            assert table.classes() == connected_components(p > 0)[0]
+        else:
+            assert table.classes() == 1  # every k-subset has positive weight
+
+    def test_slices_above_the_cap_get_no_table(self):
+        # decided by the binomial bound before any enumeration
+        g = gen_bipartite_regular(100, 3, seed=1)
+        assert facet_table(TwoSidedSlice(g, 2, 2)) is None
+        assert facet_table(OneSidedSlice(g, 3, 0.4)) is None
+        assert facet_table(RegularSlice(gen_regular(100, 3, seed=1), 3)) is None
+
+    def test_reducible_slice_has_several_classes(self):
+        # criterion 4's graph seed 500 at (2, 2) holds a frozen facet
+        table = facet_table(TwoSidedSlice(gen_bipartite_regular(8, 3, seed=500), 2, 2))
+        assert table.classes() > 1
 
 
 class TestExactTransitionMatrix:
