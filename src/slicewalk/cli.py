@@ -297,6 +297,7 @@ def _cmd_verify_spectral(args) -> int:
                                                  seed=args.seed))
         reports.append(verify_one_sided_identities(g, args.k, args.lam,
                                                    face_cap=args.face_cap,
+                                                   sample_count=args.sample_count,
                                                    seed=args.seed))
     else:
         reports.append(verify_top_link_regular(g, args.k, face_cap=args.face_cap,

@@ -32,6 +32,8 @@ from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice
 from .walks import _make_state, _step, exact_transition_matrix, facet_table, spectral_gap
 
+# The slow-mixing experiment takes the exact chain up to this many facets.
+SLOW_MIXING_EXACT_CAP = 20_000
 SAMPLED_TAU_NOTE = ("sampled-tau frequencies only; the for-all-tau statement "
                     "is not verified")
 
@@ -317,14 +319,13 @@ def exact_conductance(p: np.ndarray, pi: np.ndarray, mask: np.ndarray) -> float:
 
 
 def experiment_slow_mixing(config: ExperimentConfig,
-                           exact_cap: int = 20_000,
                            control: bool = False,
                            components: tuple[BipartiteRegularGraph,
                                              BipartiteRegularGraph] | None = None) -> dict:
     """Bottleneck diagnostics for the one-sided chain on a two-component graph.
 
-    Exact mode (state space within ``exact_cap``): conductance of the
-    majority-in-first-component set S from the exact chain, compared with each
+    Exact mode (state space within ``SLOW_MIXING_EXACT_CAP``): conductance of
+    the majority-in-first-component set S from the exact chain, compared with each
     component's spectral lower bound gap/2 <= conductance, and the exact
     probability that one run stays in S for the step budget.  Empirical mode:
     chains started with all members in the first component, reporting the
@@ -355,7 +356,7 @@ def experiment_slow_mixing(config: ExperimentConfig,
         "suggested_k": 2 * m / d ** config.c,
     }
 
-    if math.comb(2 * m, k) <= exact_cap:
+    if math.comb(2 * m, k) <= SLOW_MIXING_EXACT_CAP:
         facets, p, pi = exact_transition_matrix(slc)
         mask = _bottleneck_mask(facets, m, k)
         phi = exact_conductance(p, pi, mask)

@@ -101,10 +101,6 @@ class BipartiteRegularGraph:
         n = self.n_side
         return tuple(tuple(n + j for j in row) for row in self.adj_x) + self.adj_y
 
-    def biadjacency(self) -> np.ndarray:
-        """0/1 matrix B with B[i, j] = 1 iff x_i ~ y_j."""
-        return _indicator(self.adj_x, self.n_side)
-
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency over global ids: the [[0, B], [B^T, 0]] layout."""
         return _indicator(self.global_adj, 2 * self.n_side)
@@ -160,10 +156,6 @@ class RegularGraph:
         else:
             out.difference_update(verts)
         return frozenset(out)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << u for u in row) for row in self.adj)
 
     @property
     def global_adj(self) -> tuple[tuple[int, ...], ...]:

@@ -23,14 +23,19 @@ are both independent sets with per-part quotas, and the one-sided slice is a
 single part with the coverage weight.
 
 Local walk operators on codimension-2 links are built two independent ways:
-by exhaustive enumeration (the oracle) and by closed forms (bipartite
-complement of the survivor graph for the uniform slices; an explicit
-entrywise formula with per-vertex normalizers for the one-sided slice).  The
-two constructions are required to agree entrywise to 1e-12.
+by exhaustive enumeration (the oracle) and by closed forms.  One
+survivor-complement construction on the global-id core serves both uniform
+slices and every face kind (two-sided cross and same-side faces, regular
+faces): the ids left in parts with quota left, minus the face and its
+neighbors, joined wherever they are non-adjacent and fit the remaining
+quotas.  The one-sided slice has an explicit entrywise formula with
+per-vertex normalizers, read off the face's common-neighbor graph.  The two
+constructions are required to agree entrywise to 1e-12.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -87,6 +92,11 @@ class _SliceCore:
         """Index in ``parts`` of each global id that lies in a part."""
         return tuple(i for i, (lo, hi, _) in enumerate(self.parts) for _ in range(lo, hi))
 
+    @cached_property
+    def neighbor_ids(self) -> np.ndarray:
+        """``graph.global_adj`` as an (ids, degree) array."""
+        return np.array(self.graph.global_adj, dtype=int)
+
     @property
     def free_size(self) -> int:
         return sum(quota for _, _, quota in self.parts) - len(self.pinned_ids)
@@ -140,7 +150,8 @@ class TwoSidedSlice(_SliceCore):
     def from_ids(self, ids: Iterable[int]) -> TwoSidedFacet:
         n = self.graph.n_side
         ordered = sorted(ids)
-        return (tuple(v for v in ordered if v < n), tuple(v - n for v in ordered if v >= n))
+        cut = bisect_left(ordered, n)
+        return tuple(ordered[:cut]), tuple(v - n for v in ordered[cut:])
 
     def label(self, v: int) -> tuple[str, int]:
         n = self.graph.n_side
@@ -243,58 +254,43 @@ def enumerate_facets(slc: Slice, cap: int = ENUMERATION_CAP) -> list:
             raise EnumerationCapError("one-sided slice exceeds the enumeration cap")
         base = _sorted_tuple(slc.pinned)
         return [_sorted_tuple(base + extra) for extra in combinations(free, need)]
-    if isinstance(slc, TwoSidedSlice):
-        return _two_sided_facets(slc, cap)
-    return _regular_facets(slc, cap)
+    pins = slc.pinned_ids
+    parts = [(lo, hi, quota - sum(1 for v in pins if lo <= v < hi))
+             for lo, hi, quota in slc.parts]
+    return [slc.from_ids(pins.union(ids))
+            for ids in independent_sets(slc.graph.global_adj, parts, pins, cap)]
 
 
-def _two_sided_facets(slc: TwoSidedSlice, cap: int) -> list[TwoSidedFacet]:
-    g = slc.graph
-    n = g.n_side
-    need_x = slc.k_x - len(slc.pinned_x)
-    need_y = slc.k_y - len(slc.pinned_y)
-    blocked_x = g.neighbor_set(Y, slc.pinned_y)
-    x_cands = [i for i in range(n) if i not in slc.pinned_x and i not in blocked_x]
-    base_x = _sorted_tuple(slc.pinned_x)
-    base_y = _sorted_tuple(slc.pinned_y)
-    out: list[TwoSidedFacet] = []
-    for extra_x in combinations(x_cands, need_x):
-        xs = _sorted_tuple(base_x + extra_x)
-        blocked_y = g.neighbor_set(X, xs)
-        if blocked_y & slc.pinned_y:
-            continue
-        y_cands = [j for j in range(n) if j not in slc.pinned_y and j not in blocked_y]
-        for extra_y in combinations(y_cands, need_y):
-            out.append((xs, _sorted_tuple(base_y + extra_y)))
-            if len(out) > cap:
-                raise EnumerationCapError("two-sided slice exceeds the enumeration cap")
-    return out
+def independent_sets(adj: Sequence[Sequence[int]], parts: Sequence[tuple[int, int, int]],
+                     pins: Iterable[int], cap: int) -> list[tuple[int, ...]]:
+    """Id sets, independent together with ``pins``, taking ``need`` ids from
+    each part ``(lo, hi, need)`` of ``range(lo, hi)``.
 
-
-def _regular_facets(slc: RegularSlice, cap: int) -> list[tuple[int, ...]]:
-    g = slc.graph
-    masks = g.masks
-    pin_mask = 0
-    for v in slc.pinned:
-        pin_mask |= 1 << v
-    blocked = pin_mask
-    for v in slc.pinned:
-        blocked |= masks[v]
+    Parts are filled in the order given, each in lexicographic order;
+    EnumerationCapError is raised past ``cap`` sets.
+    """
     out: list[tuple[int, ...]] = []
-    base = _sorted_tuple(slc.pinned)
-    need = slc.free_size
+    closed: dict[int, int] = {}  # bitmask of each visited id and its neighbors
 
-    def grow(start: int, chosen: tuple[int, ...], taboo: int) -> None:
-        if len(chosen) == need:
-            out.append(_sorted_tuple(base + chosen))
+    def grow(i: int, start: int, need: int, chosen: tuple[int, ...], taboo: int) -> None:
+        if need == 0:
+            if i + 1 < len(parts):
+                grow(i + 1, parts[i + 1][0], parts[i + 1][2], chosen, taboo)
+                return
+            out.append(chosen)
             if len(out) > cap:
-                raise EnumerationCapError("regular slice exceeds the enumeration cap")
+                raise EnumerationCapError("slice exceeds the enumeration cap")
             return
-        for v in range(start, g.n):
+        for v in range(start, parts[i][1]):
             if not (taboo >> v) & 1:
-                grow(v + 1, chosen + (v,), taboo | (1 << v) | masks[v])
+                if v not in closed:
+                    closed[v] = sum(1 << u for u in adj[v]) | 1 << v
+                grow(i, v + 1, need - 1, chosen + (v,), taboo | closed[v])
 
-    grow(0, (), blocked)
+    taboo = 0
+    for v in pins:
+        taboo |= sum(1 << u for u in adj[v]) | 1 << v
+    grow(0, parts[0][0], parts[0][2], (), taboo)
     return out
 
 
@@ -448,43 +444,60 @@ def _free_pair(slc: Slice, facet) -> tuple[int, int]:
 def _degree_walk(labels: Sequence, adjacency: np.ndarray) -> LinkOperator:
     """Simple random walk P = D^{-1} A on the non-isolated part of a graph."""
     deg = adjacency.sum(axis=1)
-    keep = deg > 0
-    dropped = tuple(lab for lab, k in zip(labels, keep) if not k)
-    if int(keep.sum()) < 2:
+    keep = (deg > 0).tolist()
+    if sum(keep) < 2:
         raise SliceError("empty link: all candidate vertices eliminated")
-    sub = adjacency[np.ix_(keep, keep)]
-    deg = sub.sum(axis=1)
-    p = sub / deg[:, None]
-    pi = deg / deg.sum()
+    if not all(keep):
+        adjacency = adjacency[np.ix_(keep, keep)]
+        deg = adjacency.sum(axis=1)
     ground = tuple(lab for lab, k in zip(labels, keep) if k)
-    return LinkOperator(ground, p, pi, dropped=dropped)
+    dropped = tuple(lab for lab, k in zip(labels, keep) if not k)
+    return LinkOperator(ground, adjacency / deg[:, None], deg / deg.sum(), dropped=dropped)
+
+
+def _uniform_link_walk(slc: TwoSidedSlice | RegularSlice, face: Iterable[int]) -> LinkOperator:
+    """Survivor-complement walk on the link of a codimension-2 face (global ids).
+
+    The survivors are the ids of parts with quota left that are neither in
+    the face nor next to it.  The skeleton joins two non-adjacent survivors
+    that fit the remaining quotas (two different parts, or one part that
+    still needs two); isolated survivors are dropped and reported.
+    """
+    adj = slc.graph.global_adj
+    face = frozenset(face)
+    _check_pins(face, len(adj))
+    blocked = face.union(*(adj[v] for v in face))
+    if any(u in face for v in face for u in adj[v]):
+        raise SliceError("face is not an independent set")
+    lefts = [quota - sum(1 for v in face if lo <= v < hi) for lo, hi, quota in slc.parts]
+    if min(lefts) < 0 or sum(lefts) != 2:
+        raise SliceError("face must leave exactly two elements free")
+    survivors = [v for (lo, hi, _), left in zip(slc.parts, lefts) if left
+                 for v in range(lo, hi) if v not in blocked]
+    skeleton = np.ones((len(survivors), len(survivors)))
+    part = np.array([slc.part_of[v] for v in survivors], dtype=int)
+    same = part[:, None] == part[None, :]
+    skeleton[same & (np.array(lefts)[part] < 2)[:, None]] = 0.0
+    np.fill_diagonal(skeleton, 0.0)
+    position = np.full(len(adj), -1)
+    position[survivors] = np.arange(len(survivors))
+    cols = position[slc.neighbor_ids[survivors]]
+    edge = cols >= 0
+    skeleton[np.nonzero(edge)[0], cols[edge]] = 0.0
+    return _degree_walk([slc.label(v) for v in survivors], skeleton)
 
 
 def two_sided_link_walk_closed_form(slc: TwoSidedSlice, tau_x: Iterable[int],
                                     tau_y: Iterable[int]) -> LinkOperator:
-    """Cross-side codimension-2 walk from the survivor-complement construction.
+    """Codimension-2 walk of the two-sided slice, for a cross or same-side face.
 
-    After deleting the face and its neighborhoods, the link skeleton is the
-    bipartite complement of what is left of the graph, so the walk is the
-    degree-normalized adjacency of that complement, up to empty rows and
-    columns (isolated survivors are dropped and reported).
+    A cross face (one element missing per side) has the bipartite complement
+    of the surviving graph as its skeleton; a same-side face (two missing on
+    one side) has the complete graph on that side's survivors.
     """
-    g = slc.graph
     tx, ty = frozenset(tau_x), frozenset(tau_y)
-    if len(tx) != slc.k_x - 1 or len(ty) != slc.k_y - 1:
-        raise SliceError("face must have k_x - 1 and k_y - 1 vertices per side")
-    if g.neighbor_set(X, tx) & ty:
-        raise SliceError("face is not an independent set")
-    surv_x = sorted(set(range(g.n_side)) - tx - g.neighbor_set(Y, ty))
-    surv_y = sorted(set(range(g.n_side)) - ty - g.neighbor_set(X, tx))
-    labels = [(X, i) for i in surv_x] + [(Y, j) for j in surv_y]
-    nx = len(surv_x)
-    b = g.biadjacency()[np.ix_(surv_x, surv_y)]
-    comp = 1.0 - b
-    adjacency = np.zeros((len(labels), len(labels)))
-    adjacency[:nx, nx:] = comp
-    adjacency[nx:, :nx] = comp.T
-    return _degree_walk(labels, adjacency)
+    _check_pins(tx | ty, slc.graph.n_side)
+    return _uniform_link_walk(slc, slc.to_ids((tx, ty)))
 
 
 def regular_link_walk_closed_form(slc: RegularSlice, tau: Iterable[int]) -> LinkOperator:
@@ -493,18 +506,7 @@ def regular_link_walk_closed_form(slc: RegularSlice, tau: Iterable[int]) -> Link
     The skeleton is the complement of the graph induced on the survivors
     V \\ (tau ∪ N[tau]), again up to empty rows and columns.
     """
-    g = slc.graph
-    t = frozenset(tau)
-    if len(t) != slc.k - 2:
-        raise SliceError("face must have k - 2 vertices")
-    for a in t:
-        if set(g.adj[a]) & t:
-            raise SliceError("face is not an independent set")
-    survivors = sorted(set(range(g.n)) - g.neighbor_set(t, closed=True))
-    m = len(survivors)
-    a_ind = g.adjacency()[np.ix_(survivors, survivors)]
-    comp = np.ones((m, m)) - np.eye(m) - a_ind
-    return _degree_walk(survivors, comp)
+    return _uniform_link_walk(slc, tau)
 
 
 @dataclass(eq=False)
@@ -526,12 +528,19 @@ class NeighborGraph:
         return e
 
 
+def _y_rows(slc: OneSidedSlice, xs: Sequence[int]) -> np.ndarray:
+    """0/1 matrix with a row per X vertex in ``xs`` and a column per Y vertex."""
+    rows = np.zeros((len(xs), slc.graph.n_side))
+    np.put_along_axis(rows, slc.neighbor_ids[list(xs)] - slc.graph.n_side, 1.0, axis=1)
+    return rows
+
+
 def neighbor_graph(slc: OneSidedSlice, tau: Iterable[int]) -> NeighborGraph:
     g = slc.graph
     t = frozenset(tau)
-    ground = tuple(sorted(set(range(g.n_side)) - t))
-    free_y = sorted(set(range(g.n_side)) - g.neighbor_set(X, t))
-    b = g.biadjacency()[np.ix_(ground, free_y)]
+    ground = tuple(v for v in range(g.n_side) if v not in t)
+    b = _y_rows(slc, ground)
+    b[:, list(g.neighbor_set(X, t))] = 0.0
     counts = (b @ b.T).astype(np.int64)
     degs = np.diag(counts).copy()
     np.fill_diagonal(counts, 0)
@@ -552,11 +561,15 @@ def one_sided_link_walk_closed_form(slc: OneSidedSlice, tau: Iterable[int]) -> L
     t = frozenset(tau)
     if slc.k < 2 or len(t) != slc.k - 2:
         raise SliceError("face must have k - 2 vertices and k must be at least 2")
-    nbr = neighbor_graph(slc, t)
+    return _one_sided_walk(neighbor_graph(slc, t), slc.fugacity)
+
+
+def _one_sided_walk(nbr: NeighborGraph, fugacity: float) -> LinkOperator:
+    """The one-sided closed form, read off the link's neighbor graph."""
     m = len(nbr.ground)
     if m < 2:
         raise SliceError("link has fewer than two vertices")
-    c = 1.0 + slc.fugacity
+    c = 1.0 + fugacity
     # Row u holds c^(-n_v + common(u, v)); exponents are bounded by the degree.
     expo = nbr.counts - nbr.survivor_degrees[None, :]
     w = np.power(c, expo.astype(float))

@@ -1,11 +1,17 @@
 """Spectral verification sweeps over codimension-2 links.
 
-Each verifier enumerates (or samples) the codimension-2 faces of a slice,
-builds the closed-form walk operator of every link, computes its second
-eigenvalue, and compares it against the matching deterministic bound:
+Every sweep is the same loop over three family-specific parts: a face
+source, the closed-form walk operator of each link, and a bound rule.  One
+face source serves every face kind (two-sided cross, same-side X, same-side
+Y, one-sided, regular, and the one-sided identities): it enumerates the
+faces of a kind when their count bound is at most ``face_cap``, and
+otherwise samples ``sample_count`` faces by truncating the facets of one
+seeded down-up chain.  The loop computes each link's second eigenvalue and
+compares it against the matching deterministic bound:
 
 * two-sided cross links: lambda2(P) <= lambda2(A_G) / (min survivor side - d);
-  same-side links are complete graphs and are verified as lambda2 <= 0;
+  same-side links are complete graphs, built by the same survivor-complement
+  construction as the cross links, and are verified as lambda2 <= 0;
 * one-sided links (under the common-neighbor hypotheses):
   lambda2(P) <= (lam * lambda2(A_G)^2 + lam^2 - 1) * c^D / (|X| - |tau| - c^D)
   with c = 1 + lam and D the average survivor degree over the link;
@@ -30,16 +36,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .graphs import BipartiteRegularGraph, RegularGraph, X, Y
 from .rng import rng_stream
-from .slices import (NeighborGraph, OneSidedSlice, RegularSlice, SliceError,
-                     TwoSidedSlice, neighbor_graph, one_sided_link_walk_closed_form,
-                     regular_link_walk_closed_form, two_sided_link_walk_closed_form)
+from .slices import (NeighborGraph, OneSidedSlice, RegularSlice, Slice, SliceError,
+                     TwoSidedSlice, _one_sided_walk, _y_rows, independent_sets,
+                     neighbor_graph, regular_link_walk_closed_form,
+                     two_sided_link_walk_closed_form)
 from .spectra import adjacency_matrix, eigen_summary, psd_dominance
 from .walks import ChainConfig, run_chain, spectral_gap
 
@@ -99,39 +105,92 @@ class VerificationReport:
                 "worst_margin": self.worst_margin}
 
 
-def _lambda2_of_walk(op) -> float:
-    lam2, _, _ = spectral_gap(op.matrix, op.pi)
-    return lam2
+class _Bound(NamedTuple):
+    """A family's bound on one link, as its bound rule states it."""
+
+    value: float | None  # None: nonpositive denominator, recorded vacuous
+    detail: str = ""  # detail of the pass and fail records
+    sign_only: bool = False  # nonpositive numerator: only lambda2 <= 0 is provable
 
 
-def _sampled_truncations(slc, count: int, seed: int, splitter):
-    """Faces from down-up samples with two free elements deleted.
+def _sweep(report: VerificationReport, faces, link) -> VerificationReport:
+    """The one sweep loop: each face becomes one record.
 
-    ``splitter(facet, rng)`` performs the deletion and returns a hashable face
-    or None when the facet cannot be truncated in the requested pattern.
+    ``link(face)`` returns the link's walk operator with the family's bound,
+    or None when the face fails the hypotheses of the bound; a SliceError
+    records the link as empty.
     """
-    cfg = ChainConfig(steps=max(4000, 12 * count), seed=seed, lazy=False,
-                      burn_in=2000, thinning=3, oracle_cap=0, gap_cap=0)
-    samples, _ = run_chain(slc, cfg)
-    rng = rng_stream(seed, 99)
-    faces = []
-    seen = set()
-    for f in samples:
-        face = splitter(f, rng)
-        if face is None or face in seen:
+    for face in faces:
+        try:
+            built = link(face)
+        except SliceError as e:
+            report.add(face, None, None, "empty", str(e))
             continue
-        seen.add(face)
-        faces.append(face)
-        if len(faces) >= count:
-            break
-    return faces
+        if built is None:
+            report.add(face, None, None, "hypothesis_not_met")
+            continue
+        op, bound = built
+        lam2, _, _ = spectral_gap(op.matrix, op.pi)
+        if bound.value is None:
+            report.add(face, lam2, None, "vacuous", "nonpositive denominator")
+        elif lam2 <= bound.value + BOUND_TOL:
+            report.add(face, lam2, bound.value, "pass", bound.detail)
+        elif bound.sign_only:
+            status = "fail" if lam2 > BOUND_TOL else "vacuous"
+            report.add(face, lam2, bound.value, status, "nonpositive numerator")
+        else:
+            report.add(face, lam2, bound.value, "fail", bound.detail)
+    return report
 
 
-def _drop_two(facet, rng):
-    """Single-set facet with two uniformly chosen members deleted."""
-    pick = rng.choice(len(facet), size=2, replace=False)
-    drop = {facet[int(pick[0])], facet[int(pick[1])]}
-    return tuple(v for v in facet if v not in drop)
+class _FaceSource:
+    """Codimension-2 faces of an unpinned slice, one face kind at a time.
+
+    A face kind says how many elements each part misses, two in all.  A kind
+    whose count bound (the product over parts of the ways to choose its face
+    elements) is at most ``face_cap`` is enumerated, lexicographically with
+    the part that misses most taken first.  Otherwise ``sample_count``
+    distinct faces are cut from the facets of one down-up chain seeded by
+    ``seed``, which every sampled kind of the source shares, as it shares the
+    stream that picks the deleted elements.
+    """
+
+    def __init__(self, slc: Slice, face_cap: int, sample_count: int, seed: int) -> None:
+        self.slc, self.face_cap = slc, face_cap
+        self.sample_count, self.seed = sample_count, seed
+        self._facets = self._rng = None
+
+    def faces(self, missing: tuple[int, ...]) -> list:
+        parts = self.slc.parts
+        sizes = [quota - c for (_, _, quota), c in zip(parts, missing)]
+        if min(sizes) < 0:
+            return []
+        bound = math.prod(math.comb(hi - lo, s) for (lo, hi, _), s in zip(parts, sizes))
+        if bound <= self.face_cap:
+            order = sorted(range(len(parts)), key=lambda p: -missing[p])
+            sets = independent_sets(self.slc.graph.global_adj,
+                                    [(*parts[p][:2], sizes[p]) for p in order], (), bound)
+            return [self.slc.from_ids(ids) for ids in sets]
+        return self._sampled(missing)
+
+    def _sampled(self, missing: tuple[int, ...]) -> list:
+        if self._facets is None:
+            cfg = ChainConfig(steps=max(4000, 12 * self.sample_count), seed=self.seed,
+                              lazy=False, burn_in=2000, thinning=3, oracle_cap=0, gap_cap=0)
+            self._facets, _ = run_chain(self.slc, cfg)
+            self._rng = rng_stream(self.seed, 99)
+        faces: dict = {}  # distinct faces in the order first seen
+        for facet in self._facets:
+            ids = self.slc.to_ids(facet)
+            kept: list[int] = []
+            for (lo, hi, _), c in zip(self.slc.parts, missing):
+                members = [v for v in ids if lo <= v < hi]
+                drop = self._rng.choice(len(members), size=c, replace=False).tolist() if c else []
+                kept += [v for i, v in enumerate(members) if i not in drop]
+            faces[self.slc.from_ids(kept)] = None
+            if len(faces) >= self.sample_count:
+                break
+        return list(faces)
 
 
 # -- two-sided -----------------------------------------------------------------------
@@ -149,15 +208,6 @@ def two_sided_cross_bound(g: BipartiteRegularGraph, lam2_adj: float,
     return lam2_adj / denom
 
 
-def _cross_faces_exhaustive(g: BipartiteRegularGraph, k_x: int, k_y: int):
-    n = g.n_side
-    for tx in combinations(range(n), k_x - 1):
-        blocked = g.neighbor_set(X, tx)
-        pool = [j for j in range(n) if j not in blocked]
-        for ty in combinations(pool, k_y - 1):
-            yield tx, ty
-
-
 def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
                               face_cap: int = EXHAUSTIVE_FACE_CAP,
                               sample_count: int = SAMPLED_FACES,
@@ -166,64 +216,24 @@ def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
 
     Cross faces get the eigenvalue bound; same-side faces (two missing
     elements on one side) have complete-graph links and must satisfy
-    lambda2 <= 0.  Exhaustive when the face count fits ``face_cap``, otherwise
-    faces are sampled by truncating down-up facets.
+    lambda2 <= 0.  Each kind is exhaustive when its face count fits
+    ``face_cap``, otherwise its faces are sampled by truncating down-up
+    facets.
     """
     report = VerificationReport(f"two-sided k_x={k_x} k_y={k_y}")
     lam2_adj = eigen_summary(adjacency_matrix(g)).lambda2
-    n = g.n_side
+    slc = TwoSidedSlice(g, k_x, k_y)
+    source = _FaceSource(slc, face_cap, sample_count, seed)
 
-    if k_x >= 1 and k_y >= 1:
-        approx = math.comb(n, k_x - 1) * math.comb(n, k_y - 1)
-        if approx <= face_cap:
-            cross = list(_cross_faces_exhaustive(g, k_x, k_y))
-        else:
-            slc = TwoSidedSlice(g, k_x, k_y)
+    def cross(face):
+        bound = two_sided_cross_bound(g, lam2_adj, *face)
+        return two_sided_link_walk_closed_form(slc, *face), _Bound(bound)
 
-            def split(facet, rng):
-                xs, ys = facet
-                i = int(rng.integers(len(xs)))
-                j = int(rng.integers(len(ys)))
-                return (tuple(v for v in xs if v != xs[i]),
-                        tuple(v for v in ys if v != ys[j]))
-
-            cross = _sampled_truncations(slc, sample_count, seed, split)
-        slc = TwoSidedSlice(g, k_x, k_y)
-        for tx, ty in cross:
-            try:
-                op = two_sided_link_walk_closed_form(slc, tx, ty)
-            except SliceError as e:
-                report.add((tx, ty), None, None, "empty", str(e))
-                continue
-            lam2 = _lambda2_of_walk(op)
-            bound = two_sided_cross_bound(g, lam2_adj, tx, ty)
-            if bound is None:
-                report.add((tx, ty), lam2, None, "vacuous", "nonpositive denominator")
-            else:
-                status = "pass" if lam2 <= bound + BOUND_TOL else "fail"
-                report.add((tx, ty), lam2, bound, status)
-
-    for same_is_x in (True, False):
-        k_same, k_other = (k_x, k_y) if same_is_x else (k_y, k_x)
-        if k_same < 2:
-            continue
-        same_side, other_side = (X, Y) if same_is_x else (Y, X)
-        for t_same in combinations(range(n), k_same - 2):
-            blocked_other = g.neighbor_set(same_side, t_same)
-            pool = [j for j in range(n) if j not in blocked_other]
-            for t_other in combinations(pool, k_other):
-                blocked_same = g.neighbor_set(other_side, t_other)
-                cands = [v for v in range(n)
-                         if v not in t_same and v not in blocked_same]
-                face = (t_same, t_other) if same_is_x else (t_other, t_same)
-                m = len(cands)
-                if m < 2:
-                    report.add(face, None, None, "empty", "same-side link too small")
-                    continue
-                walk = (np.ones((m, m)) - np.eye(m)) / (m - 1)
-                lam2, _, _ = spectral_gap(walk, np.full(m, 1.0 / m))
-                status = "pass" if lam2 <= BOUND_TOL else "fail"
-                report.add(face, lam2, 0.0, status, f"same-side {same_side}")
+    _sweep(report, source.faces((1, 1)), cross)
+    for missing, side in (((2, 0), X), ((0, 2), Y)):
+        same = _Bound(0.0, f"same-side {side}")
+        _sweep(report, source.faces(missing),
+               lambda face: (two_sided_link_walk_closed_form(slc, *face), same))
     return report
 
 
@@ -272,40 +282,19 @@ def verify_top_link_one_sided(g: BipartiteRegularGraph, k: int, fugacity: float,
     recorded separately and not counted as failures.
     """
     report = VerificationReport(f"one-sided k={k} fugacity={fugacity}")
-    if k < 2:
-        return report
     lam2_adj = eigen_summary(adjacency_matrix(g)).lambda2
+    sign_only = fugacity * lam2_adj ** 2 + fugacity ** 2 - 1.0 <= 0
     slc = OneSidedSlice(g, k, fugacity)
-    n = g.n_side
-    if math.comb(n, k - 2) <= face_cap:
-        faces = list(combinations(range(n), k - 2))
-    else:
-        faces = _sampled_truncations(slc, sample_count, seed, _drop_two)
-    for tau in faces:
+
+    def link(tau):
         nbr = neighbor_graph(slc, tau)
         if not one_sided_hypotheses_met(nbr):
-            report.add(tau, None, None, "hypothesis_not_met")
-            continue
-        try:
-            op = one_sided_link_walk_closed_form(slc, tau)
-        except SliceError as e:
-            report.add(tau, None, None, "empty", str(e))
-            continue
-        lam2 = _lambda2_of_walk(op)
+            return None
         avg_deg = float(nbr.survivor_degrees.mean())
         bound = one_sided_bound(g, lam2_adj, fugacity, len(tau), avg_deg)
-        num = fugacity * lam2_adj ** 2 + fugacity ** 2 - 1.0
-        if bound is None:
-            report.add(tau, lam2, None, "vacuous", "nonpositive denominator")
-        elif lam2 <= bound + BOUND_TOL:
-            report.add(tau, lam2, bound, "pass")
-        elif num <= 0:
-            # underivable regime; only the sign statement is provable
-            status = "fail" if lam2 > BOUND_TOL else "vacuous"
-            report.add(tau, lam2, bound, status, "nonpositive numerator")
-        else:
-            report.add(tau, lam2, bound, "fail")
-    return report
+        return _one_sided_walk(nbr, fugacity), _Bound(bound, sign_only=sign_only)
+
+    return _sweep(report, _FaceSource(slc, face_cap, sample_count, seed).faces((2,)), link)
 
 
 # -- regular -------------------------------------------------------------------------
@@ -324,40 +313,35 @@ def verify_top_link_regular(g: RegularGraph, k: int,
                             seed: int = 0) -> VerificationReport:
     """Sweep codimension-2 faces of the uniform slice of an ordinary graph."""
     report = VerificationReport(f"regular k={k}")
-    if k < 2:
-        return report
     lam_min = eigen_summary(adjacency_matrix(g)).lambda_min
     slc = RegularSlice(g, k)
 
-    def independent(tau) -> bool:
-        return all(b not in g.adj[a] for a, b in combinations(tau, 2))
-
-    if math.comb(g.n, k - 2) <= face_cap:
-        faces = [t for t in combinations(range(g.n), k - 2) if independent(t)]
-    else:
-        faces = _sampled_truncations(slc, sample_count, seed, _drop_two)
-    for tau in faces:
-        try:
-            op = regular_link_walk_closed_form(slc, tau)
-        except SliceError as e:
-            report.add(tau, None, None, "empty", str(e))
-            continue
-        lam2 = _lambda2_of_walk(op)
+    def link(tau):
         survivors = g.n - len(g.neighbor_set(tau, closed=True))
-        bound = regular_bound(g, lam_min, survivors)
-        if bound is None:
-            report.add(tau, lam2, None, "vacuous", "nonpositive denominator")
-        else:
-            status = "pass" if lam2 <= bound + BOUND_TOL else "fail"
-            report.add(tau, lam2, bound, status)
-    return report
+        return (regular_link_walk_closed_form(slc, tau),
+                _Bound(regular_bound(g, lam_min, survivors)))
+
+    return _sweep(report, _FaceSource(slc, face_cap, sample_count, seed).faces((2,)), link)
 
 
 # -- one-sided matrix identities -------------------------------------------------------
 
 
+def _walk_factorization(nbr: NeighborGraph, fugacity: float) -> tuple[bool, float]:
+    op = _one_sided_walk(nbr, fugacity)
+    weight = nbr.weight_exponential(fugacity)
+    z, zu = op.z_total, op.z_vertex
+    pi_half = np.diag(op.pi / 2.0)
+    gamma_inv = np.diag((2.0 * z) / zu)
+    pi_tilde = gamma_inv @ pi_half
+    lhs = pi_half @ op.matrix
+    rhs = (pi_tilde @ weight @ pi_tilde) / (2.0 * z)
+    deviation = float(np.max(np.abs(lhs - rhs)))
+    return deviation <= IDENTITY_TOL, deviation
+
+
 def verify_walk_factorization(g: BipartiteRegularGraph, k: int, fugacity: float,
-                              tau: Iterable[int], tol: float = IDENTITY_TOL):
+                              tau: Iterable[int]) -> tuple[bool, float]:
     """Entrywise identity between the stationary-weighted walk and the
     common-neighbor weight matrix.
 
@@ -367,23 +351,34 @@ def verify_walk_factorization(g: BipartiteRegularGraph, k: int, fugacity: float,
     the exponential is entrywise off the diagonal.  Returns
     (ok, max deviation).
     """
-    slc = OneSidedSlice(g, k, fugacity)
-    tau = tuple(sorted(tau))
-    op = one_sided_link_walk_closed_form(slc, tau)
-    nbr = neighbor_graph(slc, tau)
-    weight = nbr.weight_exponential(fugacity)
-    z, zu = op.z_total, op.z_vertex
-    pi_half = np.diag(op.pi / 2.0)
-    gamma_inv = np.diag((2.0 * z) / zu)
-    pi_tilde = gamma_inv @ pi_half
-    lhs = pi_half @ op.matrix
-    rhs = (pi_tilde @ weight @ pi_tilde) / (2.0 * z)
-    deviation = float(np.max(np.abs(lhs - rhs)))
-    return deviation <= tol, deviation
+    return _walk_factorization(neighbor_graph(OneSidedSlice(g, k, fugacity), tau), fugacity)
+
+
+def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph) -> dict:
+    m = len(nbr.ground)
+    h = nbr.counts.astype(float)
+    lam = slc.fugacity
+    e = nbr.weight_exponential(lam)
+    rows = _y_rows(slc, nbr.ground)
+    sq = rows @ rows.T
+    j = np.ones((m, m))
+    eye = np.eye(m)
+    out: dict[str, object] = {"hypotheses_met": one_sided_hypotheses_met(nbr)}
+    ok4, _ = psd_dominance(h, sq, BOUND_TOL)
+    out["neighbor_below_squared"] = ok4
+    if not out["hypotheses_met"]:
+        out["weight_below_affine"] = None
+        out["weight_below_squared_affine"] = None
+        return out
+    ok3, _ = psd_dominance(e, j + lam * h + (lam * lam - 1.0) * eye, BOUND_TOL)
+    ok1, _ = psd_dominance(e, j + lam * sq + (lam * lam - 1.0) * eye, BOUND_TOL)
+    out["weight_below_affine"] = ok3
+    out["weight_below_squared_affine"] = ok1
+    return out
 
 
 def verify_psd_chain(g: BipartiteRegularGraph, k: int, fugacity: float,
-                     tau: Iterable[int], tol: float = BOUND_TOL) -> dict:
+                     tau: Iterable[int]) -> dict:
     """Three PSD dominations tying the weight matrix to the squared adjacency.
 
     With H the neighbor graph, E its entrywise (1+lam) exponential, J the
@@ -394,43 +389,28 @@ def verify_psd_chain(g: BipartiteRegularGraph, k: int, fugacity: float,
     The first and third are gated on the common-neighbor hypotheses and
     reported as skipped when they fail.
     """
-    slc = OneSidedSlice(g, k, fugacity)
     tau = tuple(sorted(tau))
-    nbr = neighbor_graph(slc, tau)
-    m = len(nbr.ground)
-    h = nbr.counts.astype(float)
-    e = nbr.weight_exponential(fugacity)
-    b = g.biadjacency()
-    sq = (b @ b.T)[np.ix_(nbr.ground, nbr.ground)]
-    j = np.ones((m, m))
-    eye = np.eye(m)
-    lam = fugacity
-    out: dict[str, object] = {"face": tau, "hypotheses_met": one_sided_hypotheses_met(nbr)}
-    ok4, wit4 = psd_dominance(h, sq, tol)
-    out["neighbor_below_squared"] = ok4
-    if not out["hypotheses_met"]:
-        out["weight_below_affine"] = None
-        out["weight_below_squared_affine"] = None
-        return out
-    ok3, _ = psd_dominance(e, j + lam * h + (lam * lam - 1.0) * eye, tol)
-    ok1, _ = psd_dominance(e, j + lam * sq + (lam * lam - 1.0) * eye, tol)
-    out["weight_below_affine"] = ok3
-    out["weight_below_squared_affine"] = ok1
-    return out
+    slc = OneSidedSlice(g, k, fugacity)
+    return {"face": tau, **_psd_chain(slc, neighbor_graph(slc, tau))}
 
 
 def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: float,
                                 face_cap: int = EXHAUSTIVE_FACE_CAP,
+                                sample_count: int = SAMPLED_FACES,
                                 seed: int = 0) -> VerificationReport:
-    """Factorization identity and PSD chain swept over all codimension-2 faces."""
+    """Factorization identity and PSD chain over the codimension-2 faces.
+
+    The faces are those of ``verify_top_link_one_sided`` with the same
+    arguments: every face when their count fits ``face_cap``, otherwise
+    ``sample_count`` sampled ones.
+    """
     report = VerificationReport(f"one-sided identities k={k} fugacity={fugacity}")
-    n = g.n_side
-    if k < 2 or math.comb(n, k - 2) > face_cap:
-        return report
-    for tau in combinations(range(n), k - 2):
-        ok, dev = verify_walk_factorization(g, k, fugacity, tau)
+    slc = OneSidedSlice(g, k, fugacity)
+    for tau in _FaceSource(slc, face_cap, sample_count, seed).faces((2,)):
+        nbr = neighbor_graph(slc, tau)
+        ok, dev = _walk_factorization(nbr, fugacity)
         report.add(tau, dev, IDENTITY_TOL, "pass" if ok else "fail", "factorization")
-        psd = verify_psd_chain(g, k, fugacity, tau)
+        psd = _psd_chain(slc, nbr)
         report.add(tau, None, None,
                    "pass" if psd["neighbor_below_squared"] else "fail",
                    "neighbor domination")

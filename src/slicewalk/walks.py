@@ -44,6 +44,9 @@ from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
 
 Rand = Callable[[], float]
 
+# Largest detailed-balance violation that spectral_gap accepts.
+REVERSIBILITY_TOL = 1e-10
+
 
 class InitialStateError(RuntimeError):
     """Greedy restarts exhausted; parameters are near the feasibility frontier."""
@@ -568,15 +571,15 @@ def _codim1_faces(slc: Slice, facet):
             yield tuple(u for u in ids if u != v)
 
 
-def spectral_gap(p: np.ndarray, pi: np.ndarray, reversibility_tol: float = 1e-10):
+def spectral_gap(p: np.ndarray, pi: np.ndarray):
     """(lambda2, lambda_star, gap) of a reversible row-stochastic matrix.
 
     The matrix is symmetrized by conjugating with diag(pi)^(1/2); a detailed
-    balance violation beyond ``reversibility_tol`` raises.  ``gap`` is
+    balance violation beyond ``REVERSIBILITY_TOL`` raises.  ``gap`` is
     1 - lambda2, the quantity that controls the lazy chain's mixing.
     """
     flow = pi[:, None] * p
-    if np.max(np.abs(flow - flow.T)) > reversibility_tol:
+    if np.max(np.abs(flow - flow.T)) > REVERSIBILITY_TOL:
         raise ValueError("matrix is not reversible with respect to pi")
     root = np.sqrt(pi)
     sym = flow / np.outer(root, root)

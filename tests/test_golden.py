@@ -12,15 +12,24 @@ updates the digests here and says so in CHANGES.md.  The one-sided literals
 were recomputed when the one-sided kernel moved to weight-class draws (three
 uniforms a step instead of two); the two-sided and regular ones are the
 originals.
+
+The ``verify-spectral`` digests are the SHA-256 of the JSON report with
+``--full-records``, without its reproducibility stanza (which holds the input
+path and the package version).  They were computed before the top-link
+sweeps moved to one face source and one sweep loop, and cover an exhaustive
+run of each family plus a run whose cross faces are sampled while its
+same-side faces stay under ``--face-cap``.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
+from slicewalk.cli import main
 from slicewalk.counting import estimate_one_sided_partition, estimate_two_sided_count
-from slicewalk.graphs import gen_bipartite_regular, gen_regular
+from slicewalk.graphs import gen_bipartite_regular, gen_regular, save_graph
 from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice
 from slicewalk.walks import ChainConfig, format_facet, run_chain
 
@@ -62,3 +71,34 @@ def test_one_sided_estimate_bits():
     assert est.log_value.hex() == "0x1.825a5303d55b8p-1"
     assert [t.pinned for t in est.trace] == [1, 0, 6]
     assert est.samples == 532
+
+
+VERIFY_DIGESTS = {
+    "two-sided": "193c36b911aed1ec2cd637eead959c79276c36345caec8dcaa36a3a86fbaf393",
+    "one-sided": "71d65b023b637b2cf17967831d3ee868e1ca41e9a231ecdff660e25c93a40d5a",
+    "regular": "afcce2306635d5fd8d2bac8e03fd45782e3b8b64a050b0a09633a73e52b942f9",
+    "sampled-cross": "e54895283b4b6be122b8324258f9205dfc4ed985c5ddcc77dac1df77f97b573b",
+}
+
+VERIFY_RUNS = {
+    "two-sided": (("bipartite", 10, 1), ["--two-sided", "--kx", "2", "--ky", "2"]),
+    "one-sided": (("bipartite", 12, 2), ["--one-sided", "--k", "3", "--lambda", "0.25"]),
+    "regular": (("regular", 12, 1), ["--regular", "--k", "3"]),
+    # 100 cross faces exceed the cap and are sampled; 45 same-side faces per side do not
+    "sampled-cross": (("bipartite", 10, 1), ["--two-sided", "--kx", "2", "--ky", "2",
+                                             "--face-cap", "50", "--seed", "4"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(VERIFY_RUNS))
+def test_verify_report_digest(run, tmp_path, capsys):
+    (kind, n, seed), argv = VERIFY_RUNS[run]
+    gen = gen_bipartite_regular if kind == "bipartite" else gen_regular
+    g = gen(n, 3, seed=seed)
+    path = tmp_path / "g.txt"
+    save_graph(g, path)
+    assert main(["verify-spectral", *argv, "--in", str(path), "--full-records"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["reproducibility"]
+    text = json.dumps(report, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGESTS[run]

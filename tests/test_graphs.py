@@ -80,7 +80,6 @@ def test_global_adjacency(bipartite_c6, six_cycle):
     assert bipartite_c6.global_adj == ((3, 4), (4, 5), (3, 5), (0, 2), (0, 1), (1, 2))
     assert six_cycle.global_adj == six_cycle.adj
     a = bipartite_c6.adjacency()
-    assert np.array_equal(a[:3, 3:], bipartite_c6.biadjacency())
     assert np.array_equal(a, a.T) and not a[:3, :3].any() and not a[3:, 3:].any()
 
 

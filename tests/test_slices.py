@@ -98,6 +98,31 @@ class TestEnumeration:
         slc = TwoSidedSlice(bipartite_c6, 1, 1, pinned_x=frozenset({0}))
         assert enumerate_facets(slc) == [((0,), (2,))]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pinned_enumeration_matches_brute_force(self, seed):
+        """Facets of pinned uniform slices are the sorted independent supersets."""
+        g = gen_bipartite_regular(7, 3, seed=seed)
+        for k_x, k_y in ((2, 2), (3, 1)):
+            for px, py in (((), ()), ((0,), ()), ((1,), (5,)), ((0, 2), ())):
+                try:
+                    slc = TwoSidedSlice(g, k_x, k_y, frozenset(px), frozenset(py))
+                except SliceError:
+                    continue
+                brute = [(xs, ys) for xs in combinations(range(7), k_x)
+                         for ys in combinations(range(7), k_y)
+                         if set(px) <= set(xs) and set(py) <= set(ys)
+                         and not g.neighbor_set("x", xs) & set(ys)]
+                assert enumerate_facets(slc) == brute
+        r = gen_regular(10, 3, seed=seed)
+        for k, pins in ((3, ()), (3, (0,)), (4, (1, 6))):
+            try:
+                slc = RegularSlice(r, k, frozenset(pins))
+            except SliceError:
+                continue
+            brute = [t for t in combinations(range(10), k) if set(pins) <= set(t)
+                     and all(b not in r.adj[a] for a, b in combinations(t, 2))]
+            assert enumerate_facets(slc) == brute
+
 
 class TestExactDistribution:
     def test_uniform_two_sided(self, bipartite_c6):
@@ -238,21 +263,32 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_equivalence_random_corpus(self, seed):
-        """Closed forms agree with the enumeration oracle entrywise to 1e-12."""
+        """Closed forms agree with the enumeration oracle entrywise to 1e-12.
+
+        Two-sided links are checked at cross faces and at same-side faces
+        of either side; regular links at faces of one and of two vertices.
+        """
+        def agree(build, slc, face) -> int:
+            """1 when the link was compared, 0 when it is empty."""
+            try:
+                closed = build(slc, *face)
+                exact = local_walk_exact(slc, face)
+            except SliceError:
+                return 0
+            assert exact.ground == closed.ground
+            assert np.max(np.abs(exact.matrix - closed.matrix)) <= 1e-12
+            assert np.max(np.abs(exact.pi - closed.pi)) <= 1e-12
+            return 1
+
         g = gen_bipartite_regular(7, 2, seed=seed)
         two = TwoSidedSlice(g, 2, 2)
+        pairs = list(combinations(range(7), 2))
         for fx in range(7):
             for fy in range(7):
-                if fy in g.adj_x[fx]:
-                    continue
-                try:
-                    closed = two_sided_link_walk_closed_form(two, (fx,), (fy,))
-                    exact = local_walk_exact(two, ((fx,), (fy,)))
-                except SliceError:
-                    continue
-                assert exact.ground == closed.ground
-                assert np.max(np.abs(exact.matrix - closed.matrix)) <= 1e-12
-                assert np.max(np.abs(exact.pi - closed.pi)) <= 1e-12
+                if fy not in g.adj_x[fx]:
+                    agree(two_sided_link_walk_closed_form, two, ((fx,), (fy,)))
+        same_side = [((), pair) for pair in pairs] + [(pair, ()) for pair in pairs]
+        assert sum(agree(two_sided_link_walk_closed_form, two, face) for face in same_side)
         one = OneSidedSlice(g, 3, 0.35)
         for tau in combinations(range(7), 1):
             closed = one_sided_link_walk_closed_form(one, tau)
@@ -260,15 +296,11 @@ class TestClosedForms:
             assert np.max(np.abs(exact.matrix - closed.matrix)) <= 1e-12
             assert np.max(np.abs(exact.pi - closed.pi)) <= 1e-12
         r = gen_regular(10, 3, seed=seed)
-        reg = RegularSlice(r, 3)
-        for tau in combinations(range(10), 1):
-            try:
-                closed = regular_link_walk_closed_form(reg, tau)
-                exact = local_walk_exact(reg, tau)
-            except SliceError:
-                continue
-            assert exact.ground == closed.ground
-            assert np.max(np.abs(exact.matrix - closed.matrix)) <= 1e-12
+        for k in (3, 4):
+            compared = sum(agree(lambda slc, *face: regular_link_walk_closed_form(slc, face),
+                                 RegularSlice(r, k), tau)
+                           for tau in combinations(range(10), k - 2))
+            assert compared
 
 
 class TestNeighborGraph:

@@ -40,6 +40,15 @@ class TestTwoSidedSweep:
         cross = [rec for rec in r.records if not rec.detail]
         assert 0 < len(cross) <= 25
 
+    def test_same_side_faces_obey_the_cap(self):
+        g = gen_bipartite_regular(10, 3, seed=1)
+        r = verify_top_link_two_sided(g, 3, 3, face_cap=10, sample_count=25, seed=3)
+        # a same-side face keeps one vertex on the side that misses two
+        same_x = [rec for rec in r.records if len(rec.face[0]) == 1]
+        same_y = [rec for rec in r.records if len(rec.face[1]) == 1]
+        assert 0 < len(same_x) <= 25 and 0 < len(same_y) <= 25
+        assert r.all_pass()
+
 
 class TestOneSidedSweep:
     def test_edgeless_negative_bound_passes(self, edgeless_bipartite_5):
@@ -131,6 +140,13 @@ class TestPsdChain:
         assert out["weight_below_affine"] is None
         assert out["weight_below_squared_affine"] is None
         assert out["neighbor_below_squared"] is not None  # unconditional check ran
+
+    def test_identity_sweep_samples_above_the_cap(self):
+        g = gen_bipartite_regular(10, 3, seed=1)
+        r = verify_one_sided_identities(g, 3, 0.3, face_cap=5)
+        swept = verify_top_link_one_sided(g, 3, 0.3, face_cap=5)
+        assert r.checked > 0 and r.all_pass()
+        assert {rec.face for rec in r.records} == {rec.face for rec in swept.records}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identity_sweep_random_instances(self, seed):
