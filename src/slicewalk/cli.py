@@ -8,7 +8,8 @@ the output is byte-identical.  Exit codes: 0 success, 1 verification failure,
 budget, too few samples, an enumeration above its cap).
 
 A flat key=value config file can seed any option (--config); explicit
-command-line flags take precedence over the file.
+command-line flags take precedence over the file in every form argparse
+accepts (``--flag value``, ``--flag=value``, an abbreviated ``--fl``).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .counting import ThresholdParams, estimate_partition_hat, thresholds
+from .counting import ThresholdParams, estimate_partition_hat, threshold_pair
 from .experiments import (ExperimentConfig, experiment_independent_set_size,
                           experiment_large_set_expansion,
                           experiment_neighborhood_concentration,
@@ -62,7 +63,8 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """(top-level parser, subcommand parsers by name)."""
     parser = argparse.ArgumentParser(
         prog="slicewalk",
         description="Sampling, spectral verification, and approximate counting "
@@ -112,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--ell", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=None,
                    help="override the occupancy threshold")
     p.add_argument("--beta", type=float, default=None,
@@ -153,45 +154,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--control", action="store_true")
     common(p)
-    return parser
-
-
-def _flag_for(key: str) -> str:
-    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+    return parser, sub.choices
 
 
 def _effective_args(argv):
-    parser = _build_parser()
+    """Parse ``argv``; a --config file becomes the subcommand's defaults and
+    the command line is parsed again, so argparse lets every explicit flag
+    win over the file."""
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         overrides = load_config_file(args.config)
-        unknown = [k for k in overrides if not hasattr(args, k)]
+        unknown = [k for k in overrides if k == "command" or not hasattr(args, k)]
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, value in overrides.items():
-            if _flag_for(key) not in argv:  # explicit flags win over the file
-                setattr(args, key, value)
+        commands[args.command].set_defaults(**overrides)
+        args = parser.parse_args(argv)
     return args
 
 
 def _public_config(args) -> dict:
-    skip = {"command", "config", "out", "format", "timing", "started"}
+    skip = {"command", "config", "out", "format", "timing"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _finish(args, report: dict, failed: bool = False, records=None) -> int:
-    if args.timing:
-        report["wall_time"] = time.monotonic() - args.started
-    if args.format == "csv" and records is not None:
-        emit(to_csv(records), args.out)
-    elif args.format == "csv":
-        emit(to_csv([report]), args.out)
-    else:
-        emit(to_json(report), args.out)
-    return 1 if failed else 0
+# Each handler returns (report, failed, records); main adds the
+# reproducibility stanza and wall time and emits the report.  With --format
+# csv, ``records`` (when not None) are the rows instead of the report.
 
 
-def _cmd_gen_graph(args) -> int:
+def _cmd_gen_graph(args):
     if args.bipartite:
         g = gen_bipartite_regular(args.n, args.delta, args.seed,
                                   max_retries=args.max_retries)
@@ -199,18 +191,13 @@ def _cmd_gen_graph(args) -> int:
     else:
         g = gen_regular(args.n, args.delta, args.seed, max_retries=args.max_retries)
         kind = "regular"
-    report = {"reproducibility": reproducibility_stanza("gen-graph",
-                                                        _public_config(args), args.seed),
-              "kind": kind, "n": args.n, "degree": args.delta}
+    report = {"kind": kind, "n": args.n, "degree": args.delta}
     if args.out:
         save_graph(g, args.out)
         report["path"] = args.out
-        print(to_json(report), end="")
-        return 0
-    # no --out: the edge list goes into the report
-    report["edges"] = g.edges()
-    print(to_json(report), end="")
-    return 0
+    else:  # the edge list goes into the report
+        report["edges"] = g.edges()
+    return report, False, None
 
 
 def _require_kind(g, bipartite: bool) -> None:
@@ -231,16 +218,14 @@ def _make_slice(args, g):
     return RegularSlice(g, args.k)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     g = load_graph(args.graph_in)
     slc = _make_slice(args, g)
     cfg = ChainConfig(steps=args.steps, seed=args.seed, lazy=not args.no_lazy,
                       burn_in=args.burn_in, thinning=args.thin)
     samples, mix = run_chain(slc, cfg)
     lines = [format_facet(slc, f) for f in samples]
-    report = {"reproducibility": reproducibility_stanza("sample",
-                                                        _public_config(args), args.seed),
-              "samples": len(samples),
+    report = {"samples": len(samples),
               "mixing": {"empirical_tv": mix.empirical_tv, "exact_gap": mix.exact_gap,
                          "autocorr_lag1": mix.autocorr_lag1, "steps": mix.steps}}
     if args.stream_out:
@@ -248,23 +233,19 @@ def _cmd_sample(args) -> int:
         report["stream_path"] = args.stream_out
     else:
         report["stream"] = lines
-    return _finish(args, report)
+    return report, False, None
 
 
-def _cmd_estimate_z(args) -> int:
+def _cmd_estimate_z(args):
     g = load_graph(args.graph_in)
     _require_kind(g, True)
-    if args.alpha is not None or args.beta is not None:
-        base = thresholds(max(3, g.degree), args.lam, args.gamma, args.ell)
-        thr = ThresholdParams(args.alpha if args.alpha is not None else base.alpha,
-                              args.beta if args.beta is not None else base.beta,
-                              args.gamma, args.ell, args.lam, g.degree)
-    else:
-        thr = thresholds(g.degree, args.lam, args.gamma, args.ell)
+    pair = (args.alpha, args.beta)
+    if None in pair:  # a threshold not given comes from the graph's degree
+        pair = [mine if mine is not None else default
+                for mine, default in zip(pair, threshold_pair(g.degree, args.lam, args.gamma))]
+    thr = ThresholdParams(*pair)
     est = estimate_partition_hat(g, args.lam, args.eps, args.delta, seed=args.seed, thr=thr)
     report = {
-        "reproducibility": reproducibility_stanza("estimate-z",
-                                                  _public_config(args), args.seed),
         "estimate_log": est.log_value, "epsilon": est.epsilon, "delta": est.delta,
         "bands": [{"kind": b.kind, "k_range": list(b.k_range),
                    "value_log": b.value_log, "samples": b.samples}
@@ -273,40 +254,27 @@ def _cmd_estimate_z(args) -> int:
                    "marginal": t.marginal, "samples": t.samples, "method": t.method}
                   for t in est.trace],
         "seed": est.seed,
-        "thresholds": {"alpha": thr.alpha, "beta": thr.beta, "gamma": thr.gamma,
-                       "ell": thr.ell},
+        "thresholds": {"alpha": thr.alpha, "beta": thr.beta, "gamma": args.gamma},
         "note": "sets heavy on both sides inside (alpha, beta] are counted in "
                 "both one-sided bands by construction",
     }
-    return _finish(args, report)
+    return report, False, None
 
 
-def _cmd_verify_spectral(args) -> int:
+def _cmd_verify_spectral(args):
     g = load_graph(args.graph_in)
     _require_kind(g, not args.regular)
-    reports = []
-    if args.two_sided:
-        reports.append(verify_top_link_two_sided(g, args.kx, args.ky,
-                                                 face_cap=args.face_cap,
-                                                 sample_count=args.sample_count,
-                                                 seed=args.seed))
-    elif args.one_sided:
-        reports.append(verify_top_link_one_sided(g, args.k, args.lam,
-                                                 face_cap=args.face_cap,
-                                                 sample_count=args.sample_count,
-                                                 seed=args.seed))
-        reports.append(verify_one_sided_identities(g, args.k, args.lam,
-                                                   face_cap=args.face_cap,
-                                                   sample_count=args.sample_count,
-                                                   seed=args.seed))
-    else:
-        reports.append(verify_top_link_regular(g, args.k, face_cap=args.face_cap,
-                                               sample_count=args.sample_count,
-                                               seed=args.seed))
+    families = {  # family flag -> (sweep, its slice parameters) in report order
+        "two_sided": [(verify_top_link_two_sided, (args.kx, args.ky))],
+        "one_sided": [(verify_top_link_one_sided, (args.k, args.lam)),
+                      (verify_one_sided_identities, (args.k, args.lam))],
+        "regular": [(verify_top_link_regular, (args.k,))],
+    }
+    sweeps = next(runs for flag, runs in families.items() if getattr(args, flag))
+    reports = [sweep(g, *params, face_cap=args.face_cap, sample_count=args.sample_count,
+                     seed=args.seed) for sweep, params in sweeps]
     failed = any(not r.all_pass() for r in reports)
     payload = {
-        "reproducibility": reproducibility_stanza("verify-spectral",
-                                                  _public_config(args), args.seed),
         "sweeps": [r.summary() for r in reports],
         "all_pass": not failed,
     }
@@ -321,10 +289,10 @@ def _cmd_verify_spectral(args) -> int:
             {"sweep": r.name, "face": list(rec.face), "lambda2": rec.lambda2,
              "bound": rec.bound} for r in reports for rec in r.records
             if rec.status == "fail"]
-    return _finish(args, payload, failed=failed, records=records)
+    return payload, failed, records
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args):
     cfg = ExperimentConfig(name=args.name, n_side=args.n, degree=args.delta,
                            seed=args.seed, k=args.k, fugacity=args.lam,
                            gamma=args.gamma, ell=args.ell, a=args.a, b=args.b,
@@ -339,9 +307,7 @@ def _cmd_experiment(args) -> int:
         report = driver(cfg)
     else:
         report = experiment_slow_mixing(cfg, control=args.control)
-    report["reproducibility"] = reproducibility_stanza("experiment",
-                                                       _public_config(args), args.seed)
-    return _finish(args, report)
+    return report, False, None
 
 
 def main(argv=None) -> int:
@@ -351,12 +317,20 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    args.started = started  # --timing reports the seconds since this point
     handlers = {"gen-graph": _cmd_gen_graph, "sample": _cmd_sample,
                 "estimate-z": _cmd_estimate_z, "verify-spectral": _cmd_verify_spectral,
                 "experiment": _cmd_experiment}
     try:
-        return handlers[args.command](args)
+        report, failed, records = handlers[args.command](args)
+        report["reproducibility"] = reproducibility_stanza(args.command,
+                                                           _public_config(args), args.seed)
+        if args.timing:  # the seconds since main started
+            report["wall_time"] = time.monotonic() - started
+        text = (to_csv([report] if records is None else records) if args.format == "csv"
+                else to_json(report))
+        # gen-graph writes the graph itself to --out
+        emit(text, None if args.command == "gen-graph" else args.out)
+        return 1 if failed else 0
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

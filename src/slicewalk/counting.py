@@ -54,10 +54,6 @@ class ThresholdParams:
 
     alpha: float
     beta: float
-    gamma: float
-    ell: float
-    fugacity: float
-    degree: int
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta <= 1.0):
@@ -67,9 +63,9 @@ class ThresholdParams:
                 "beta <= alpha: fugacity too small for a nonempty one-sided band")
 
 
-def thresholds(degree: int, fugacity: float, gamma: float = 0.1,
-               ell: float = 2.0) -> ThresholdParams:
-    """alpha = log(degree)/((2+gamma) degree), beta = 4*fugacity, clamped to (0, 1]."""
+def threshold_pair(degree: int, fugacity: float, gamma: float) -> tuple[float, float]:
+    """(alpha, beta) = (log(degree)/((2+gamma) degree), 4*fugacity), clamped to
+    (0, 1]; the pair itself is validated by ThresholdParams."""
     if degree < 3:
         raise ValueError("degree must be at least 3")
     if fugacity <= 0:
@@ -77,8 +73,12 @@ def thresholds(degree: int, fugacity: float, gamma: float = 0.1,
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     alpha = min(math.log(degree) / ((2.0 + gamma) * degree), 1.0 - 1e-12)
-    beta = min(4.0 * fugacity, 1.0)
-    return ThresholdParams(alpha, beta, gamma, ell, fugacity, degree)
+    return alpha, min(4.0 * fugacity, 1.0)
+
+
+def thresholds(degree: int, fugacity: float, gamma: float = 0.1) -> ThresholdParams:
+    """The validated default thresholds of a degree-``degree`` graph."""
+    return ThresholdParams(*threshold_pair(degree, fugacity, gamma))
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,13 @@ def _z_quantile(delta: float) -> float:
 
 # -- exact oracles -----------------------------------------------------------------
 
+# Most vertices exact_partition accepts, and most subsets exact_slice_count
+# and exact_one_sided_partition enumerate.
+EXACT_PARTITION_CAP = 40
+EXACT_COUNT_CAP = 10 ** 6
 
-def exact_partition(g, fugacity: float, size_cap: int = 40) -> float:
+
+def exact_partition(g, fugacity: float) -> float:
     """Exact hardcore partition function by rational branch-and-bound.
 
     Recursion on a highest-degree vertex v: Z(G) = Z(G - v) + fugacity *
@@ -160,8 +165,8 @@ def exact_partition(g, fugacity: float, size_cap: int = 40) -> float:
     """
     adj = g.global_adj
     n = len(adj)
-    if n > size_cap:
-        raise ValueError(f"{n} vertices exceed the exact-partition cap {size_cap}")
+    if n > EXACT_PARTITION_CAP:
+        raise ValueError(f"{n} vertices exceed the exact-partition cap {EXACT_PARTITION_CAP}")
     lam = Fraction(fugacity)
     masks = [0] * n
     for v, row in enumerate(adj):
@@ -213,8 +218,7 @@ def exact_partition(g, fugacity: float, size_cap: int = 40) -> float:
     return float(z((1 << n) - 1))
 
 
-def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
-                      cap: int = 10 ** 6) -> int:
+def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int) -> int:
     """|{independent I : |I ∩ X| = k_x, |I ∩ Y| = k_y}| by one-side enumeration.
 
     X carries no internal edges, so every k_x-subset S of X is independent and
@@ -223,7 +227,7 @@ def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     n = g.n_side
     if k_x > n or k_y > n:
         return 0
-    if math.comb(n, k_x) > cap:
+    if math.comb(n, k_x) > EXACT_COUNT_CAP:
         raise ValueError("enumeration cap exceeded")
     total = 0
     for s in combinations(range(n), k_x):
@@ -232,11 +236,10 @@ def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     return total
 
 
-def exact_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float,
-                              cap: int = 10 ** 6) -> float:
+def exact_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float) -> float:
     """Brute-force sum of fugacity^k (1+fugacity)^{|Y \\ N[S]|} over k-subsets."""
     n = g.n_side
-    if math.comb(n, k) > cap:
+    if math.comb(n, k) > EXACT_COUNT_CAP:
         raise ValueError("enumeration cap exceeded")
     terms = []
     for s in combinations(range(n), k):

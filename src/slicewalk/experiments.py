@@ -10,9 +10,9 @@ a sampled-tau check does not verify a for-all-tau statement.
 
 The size experiment needs hardcore samples at scale.  It uses the X-marginal
 decomposition: the projection of the hardcore law onto S = I ∩ X has weight
-fugacity^{|S|} (1+fugacity)^{|Y \\ N[S]|}, sampled by down-up moves within a
-size mixed with Metropolis add/remove moves across sizes, after which I ∩ Y
-is completed exactly (each uncovered y independently with odds fugacity : 1).
+fugacity^{|S|} (1+fugacity)^{|Y \\ N[S]|}, sampled by Metropolis moves that
+each propose adding or removing one vertex of X, after which I ∩ Y is
+completed exactly (each uncovered y independently with odds fugacity : 1).
 
 The slow-mixing experiment builds a disjoint union of two regular bipartite
 graphs and examines the one-sided chain's bottleneck set S = {tau : more than
@@ -34,6 +34,8 @@ from .walks import _make_state, _step, exact_transition_matrix, facet_table, spe
 
 # The slow-mixing experiment takes the exact chain up to this many facets.
 SLOW_MIXING_EXACT_CAP = 20_000
+# Steps the lockstep escape-time chains take between escape checks.
+ESCAPE_BLOCK = 4096
 SAMPLED_TAU_NOTE = ("sampled-tau frequencies only; the for-all-tau statement "
                     "is not verified")
 
@@ -186,9 +188,9 @@ class MarginalHardcoreSampler:
     """Exact-stationary sampler for the X projection of the hardcore law.
 
     State S ⊆ X with weight fugacity^{|S|} (1+fugacity)^{|Y \\ N[S]|}.  Each
-    step proposes adding a uniform outside vertex or removing a uniform member
-    (probability 1/2 each) and accepts by the Metropolis ratio, computed in
-    O(degree) from coverage counters.
+    step proposes adding a uniform vertex of X (a no-op when it is a member)
+    or removing a uniform member (probability 1/2 each) and accepts by the
+    Metropolis ratio, computed in O(degree) from coverage counters.
     """
 
     def __init__(self, adj_x: list[list[int]], n_y: int, fugacity: float, seed: int):
@@ -395,8 +397,7 @@ def experiment_slow_mixing(config: ExperimentConfig,
 
 
 def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
-                  budget: int, seed: int, runs: int,
-                  block: int = 4096) -> list[int | None]:
+                  budget: int, seed: int, runs: int) -> list[int | None]:
     """First step at which each run 0..runs-1 holds at most k/2 vertices
     below m, or None within ``budget`` steps.
 
@@ -408,7 +409,7 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     replays its run exactly: three uniforms a step, the weight class as the
     number of class sums at most u * total (``bisect_right``), and the index
     within the class, so every float comparison is bit-identical.  Rows that
-    escape inside a block of ``block`` steps are dropped after it.  Above the
+    escape inside a block of ESCAPE_BLOCK steps are dropped after it.  Above the
     table's cap each run steps alone through the pool kernel.
     """
     facet = tuple(sorted(members))
@@ -451,8 +452,8 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     done = 0
     while done < budget and len(active):
         rows = len(active)
-        steps = min(block, budget - done)
-        u = np.stack([gens[run].random(3 * block) for run in active])
+        steps = min(ESCAPE_BLOCK, budget - done)
+        u = np.stack([gens[run].random(3 * ESCAPE_BLOCK) for run in active])
         # flat index of the removed slot in free, and the class and index uniforms
         slot = (u[:, 0:3 * steps:3] * kf).astype(np.intp) + (np.arange(rows) * kf)[:, None]
         slot = np.ascontiguousarray(slot.T)

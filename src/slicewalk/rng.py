@@ -8,6 +8,8 @@ their streams are independent without coordination.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -25,28 +27,24 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# Uniforms drawn per vectorized Generator call.
+BLOCK = 8192
+
+
 class UniformBuffer:
     """Scalar uniforms served from fixed-size vectorized blocks.
 
     Chain inner loops call ``next()`` millions of times; drawing blocks of
-    uniforms amortizes the Generator call overhead while keeping the consumed
-    stream identical for identical seeds.  Blocks are served as Python
+    BLOCK uniforms amortizes the Generator call overhead while keeping the
+    consumed stream identical for identical seeds.  ``next`` is the bound
+    ``__next__`` of a C-level chain over the blocks, so a call runs no Python
+    code between refills.  Blocks are drawn lazily and served as Python
     floats, bit-equal to the NumPy scalars, because arithmetic on them is
     cheaper in those loops.
     """
 
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
+    __slots__ = ("next",)
 
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block).tolist()
-        self._pos = 0
-
-    def next(self) -> float:
-        pos = self._pos
-        if pos == self._block:
-            self._buf = self._rng.random(self._block).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
+        self.next = chain.from_iterable(blocks).__next__

@@ -46,6 +46,8 @@ import numpy as np
 from .graphs import BipartiteRegularGraph, RegularGraph, X, Y
 
 ENUMERATION_CAP = 10 ** 6
+# Largest row-sum, normalization or detailed-balance error LinkOperator.validate accepts.
+OPERATOR_TOL = 1e-12
 
 TwoSidedFacet = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -385,20 +387,20 @@ class LinkOperator:
     z_vertex: np.ndarray | None = None
     dropped: tuple = ()
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         m = len(self.ground)
         if self.matrix.shape != (m, m) or self.pi.shape != (m,):
             raise ValueError("shape mismatch")
-        if np.max(np.abs(self.matrix.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(self.matrix.sum(axis=1) - 1.0)) > OPERATOR_TOL:
             raise ValueError("rows do not sum to 1")
-        if np.any(self.pi <= 0) or abs(self.pi.sum() - 1.0) > tol:
+        if np.any(self.pi <= 0) or abs(self.pi.sum() - 1.0) > OPERATOR_TOL:
             raise ValueError("pi is not a positive probability vector")
         flow = self.pi[:, None] * self.matrix
-        if np.max(np.abs(flow - flow.T)) > tol:
+        if np.max(np.abs(flow - flow.T)) > OPERATOR_TOL:
             raise ValueError("detailed balance violated")
 
 
-def local_walk_exact(slc: Slice, face=None, cap: int = ENUMERATION_CAP) -> LinkOperator:
+def local_walk_exact(slc: Slice, face=None) -> LinkOperator:
     """Walk operator of a codimension-2 link built by exhaustive enumeration.
 
     Entries are P(u, v) = Pr[v in the facet | the face plus u is pinned], and
@@ -408,7 +410,7 @@ def local_walk_exact(slc: Slice, face=None, cap: int = ENUMERATION_CAP) -> LinkO
     slc2 = link(slc, face, check_nonempty=False) if face is not None else slc
     if slc2.free_size != 2:
         raise SliceError("local walk operators are defined for codimension 2 only")
-    facets = enumerate_facets(slc2, cap)
+    facets = enumerate_facets(slc2, ENUMERATION_CAP)
     if not facets:
         raise SliceError("empty link")
     pairs: dict[int, dict[int, float]] = {}

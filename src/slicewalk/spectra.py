@@ -19,6 +19,8 @@ from .graphs import BipartiteRegularGraph, bipartite_complement, complement_regu
 
 DENSE_CAP = 4096
 SYMMETRY_TOL = 1e-12
+# Absolute slack of the order checks: psd_dominance and complement interlacing.
+ORDER_TOL = 1e-9
 
 
 class DenseCapError(ValueError):
@@ -48,12 +50,12 @@ def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def adjacency_matrix(g, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def adjacency_matrix(g) -> np.ndarray:
     """Dense 0/1 adjacency over global ids; bipartite graphs get the
     [[0, B], [B^T, 0]] layout."""
     n = len(g.global_adj)
-    if n > dense_cap:
-        raise DenseCapError(f"{n} vertices exceed dense cap {dense_cap}")
+    if n > DENSE_CAP:
+        raise DenseCapError(f"{n} vertices exceed dense cap {DENSE_CAP}")
     return g.adjacency()
 
 
@@ -128,8 +130,8 @@ def iterative_lambda2(g_or_idx, degree: int | None = None, *, seed: int = 0) -> 
 # -- order checks ----------------------------------------------------------------
 
 
-def psd_dominance(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):
-    """True iff b − a is PSD up to ``tol``; returns the witness pair when not.
+def psd_dominance(a: np.ndarray, b: np.ndarray):
+    """True iff b − a is PSD up to ``ORDER_TOL``; returns the witness pair when not.
 
     The witness is (most negative eigenvalue, its eigenvector) of b − a.
     """
@@ -138,22 +140,22 @@ def psd_dominance(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):
     diff = b - a
     check_symmetric(diff, tol=1e-10)
     vals, vecs = np.linalg.eigh(diff)
-    if vals[0] >= -tol:
+    if vals[0] >= -ORDER_TOL:
         return True, None
     return False, (float(vals[0]), vecs[:, 0])
 
 
-def complement_interlacing_check(g, tol: float = 1e-9) -> bool:
+def complement_interlacing_check(g) -> bool:
     """Second eigenvalue of the complement never exceeds its graph-side cap.
 
-    Bipartite graphs: λ2(crossing complement) <= λ2(A) + tol, which holds
-    deterministically for degree-biregular graphs.  Regular graphs:
-    λ2(complement) <= −λ_min(A) − 1 + tol, which holds for every graph.
+    Bipartite graphs: λ2(crossing complement) <= λ2(A) + ORDER_TOL, which
+    holds deterministically for degree-biregular graphs.  Regular graphs:
+    λ2(complement) <= −λ_min(A) − 1 + ORDER_TOL, which holds for every graph.
     """
     if isinstance(g, BipartiteRegularGraph):
         lam2 = eigen_summary(adjacency_matrix(g)).lambda2
         comp = eigen_summary(adjacency_matrix(bipartite_complement(g))).lambda2
-        return comp <= lam2 + tol
+        return comp <= lam2 + ORDER_TOL
     summary = eigen_summary(adjacency_matrix(g))
     comp = eigen_summary(adjacency_matrix(complement_regular(g))).lambda2
-    return comp <= -summary.lambda_min - 1.0 + tol
+    return comp <= -summary.lambda_min - 1.0 + ORDER_TOL

@@ -364,14 +364,14 @@ def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph) -> dict:
     j = np.ones((m, m))
     eye = np.eye(m)
     out: dict[str, object] = {"hypotheses_met": one_sided_hypotheses_met(nbr)}
-    ok4, _ = psd_dominance(h, sq, BOUND_TOL)
+    ok4, _ = psd_dominance(h, sq)
     out["neighbor_below_squared"] = ok4
     if not out["hypotheses_met"]:
         out["weight_below_affine"] = None
         out["weight_below_squared_affine"] = None
         return out
-    ok3, _ = psd_dominance(e, j + lam * h + (lam * lam - 1.0) * eye, BOUND_TOL)
-    ok1, _ = psd_dominance(e, j + lam * sq + (lam * lam - 1.0) * eye, BOUND_TOL)
+    ok3, _ = psd_dominance(e, j + lam * h + (lam * lam - 1.0) * eye)
+    ok1, _ = psd_dominance(e, j + lam * sq + (lam * lam - 1.0) * eye)
     out["weight_below_affine"] = ok3
     out["weight_below_squared_affine"] = ok1
     return out

@@ -46,6 +46,8 @@ Rand = Callable[[], float]
 
 # Largest detailed-balance violation that spectral_gap accepts.
 REVERSIBILITY_TOL = 1e-10
+# Greedy attempts greedy_initial_state makes before giving up.
+INITIAL_RESTARTS = 256
 
 
 class InitialStateError(RuntimeError):
@@ -118,18 +120,17 @@ def _make_state(slc: Slice, facet) -> ChainState:
     return ChainState(slc, free, member, cover, pools, unc, kernel if free else _stay)
 
 
-def greedy_initial_state(slc: Slice, rng: np.random.Generator,
-                         restarts: int = 256) -> ChainState:
+def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
     """Randomized greedy facet construction with restarts.
 
     One-sided slices always succeed in one draw; for the constrained families
     an exhausted budget signals parameters near or beyond the feasibility
     frontier (the slice may have no facets at all).
     """
-    facet = greedy_facet(slc, rng, restarts=restarts)
+    facet = greedy_facet(slc, rng, restarts=INITIAL_RESTARTS)
     if facet is None:
         raise InitialStateError(
-            f"no facet found in {restarts} greedy restarts; "
+            f"no facet found in {INITIAL_RESTARTS} greedy restarts; "
             "slice parameters may be infeasible")
     return _make_state(slc, facet)
 
@@ -449,6 +450,8 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
         if self.thinning is not None and self.thinning < 1:
             raise ValueError("thinning must be at least 1")
 
@@ -498,6 +501,8 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
 
 
 def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
+    if cap == 0:  # a slice that holds a chain state has a facet, so it never fits
+        return None
     try:
         facets, probs = exact_distribution(slc, cap)
     except EnumerationCapError:
@@ -512,6 +517,8 @@ def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
 
 
 def _oracle_gap(slc: Slice, config: ChainConfig) -> float | None:
+    if config.gap_cap == 0:
+        return None
     try:
         facets, p, probs = exact_transition_matrix(slc, cap=config.gap_cap)
     except EnumerationCapError:

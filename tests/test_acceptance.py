@@ -249,8 +249,7 @@ def test_criterion_4_partition_hat_widened_bands(counting_corpus):
     lam = 0.25
     worst = 0.0
     for i, g in enumerate(counting_corpus[:4]):
-        thr = ThresholdParams(alpha=0.15, beta=1.0, gamma=0.1, ell=2.0,
-                              fugacity=lam, degree=3)
+        thr = ThresholdParams(alpha=0.15, beta=1.0)
         zhat_exact, double = exact_partition_hat(g, lam, thr)
         z = exact_partition(g, lam)
         assert zhat_exact == pytest.approx(z + double, rel=1e-12)

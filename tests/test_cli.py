@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import slicewalk
-from slicewalk.cli import load_config_file, main
+from slicewalk.cli import UsageError, _build_parser, _effective_args, load_config_file, main
 from slicewalk.reports import to_csv, to_json
 
 
@@ -38,6 +39,16 @@ class TestGenGraph:
         from slicewalk.graphs import load_graph
         g = load_graph(path)
         g.validate()
+
+    def test_report_honours_timing_and_csv(self, tmp_path, capsys):
+        argv = ["gen-graph", "--bipartite", "--n", "8", "--delta", "3", "--seed", "1",
+                "--out", str(tmp_path / "g.txt")]
+        code, out, _ = run_cli(capsys, *argv, "--timing")
+        assert code == 0 and 0 <= json.loads(out)["wall_time"] < 600
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header, row = out.splitlines()
+        assert code == 0 and "reproducibility.seed" in header.split(",")
+        assert (tmp_path / "g.txt").read_text().startswith("bipartite 8 3")
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -89,6 +100,12 @@ class TestSample:
         assert all(t.startswith("x") for t in left.split())
         assert all(t.startswith("y") for t in right.split())
 
+    def test_negative_burn_in_exit_2(self, graph_file, capsys):
+        code, out, err = run_cli(capsys, "sample", "--in", graph_file, "--family",
+                                 "one-sided", "--k", "3", "--steps", "10",
+                                 "--burn-in", "-5")
+        assert code == 2 and out == "" and "burn_in" in err
+
     def test_infeasible_slice_exit_3(self, tmp_path, capsys):
         # greedy restarts find no facet of a (6, 6) slice at side 12, degree 3
         path = tmp_path / "g12.txt"
@@ -122,6 +139,34 @@ class TestEstimateZ:
         assert code == 0
         # elapsed seconds of the command, not a raw clock reading
         assert 0 <= json.loads(out)["wall_time"] < 600
+
+    def test_one_threshold_override_is_validated_with_the_other_default(self, tmp_path,
+                                                                         capsys):
+        # the default beta 0.04 of lambda 0.01 lies below alpha; --beta replaces it
+        path = tmp_path / "g1.txt"
+        assert main(["gen-graph", "--bipartite", "--n", "8", "--delta", "3",
+                     "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "estimate-z", "--in", str(path), "--lambda", "0.01",
+                               "--beta", "0.5", "--eps", "0.3", "--delta", "0.3")
+        assert code == 0
+        thr = json.loads(out)["thresholds"]
+        assert thr["beta"] == 0.5 and thr["alpha"] == pytest.approx(math.log(3) / 6.3)
+        assert "ell" not in thr
+
+    def test_default_threshold_needs_degree_three(self, tmp_path, capsys):
+        path = tmp_path / "g2.txt"
+        assert main(["gen-graph", "--bipartite", "--n", "8", "--delta", "2",
+                     "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        argv = ["estimate-z", "--in", str(path), "--lambda", "0.1", "--eps", "0.3",
+                "--delta", "0.3"]
+        for extra in ([], ["--beta", "0.5"]):
+            code, _, err = run_cli(capsys, *argv, *extra)
+            assert code == 2 and "degree must be at least 3" in err
+        code, out, _ = run_cli(capsys, *argv, "--alpha", "0.2", "--beta", "0.5")
+        assert code == 0
+        assert json.loads(out)["thresholds"] == {"alpha": 0.2, "beta": 0.5, "gamma": 0.1}
 
 
 class TestVerifySpectral:
@@ -173,18 +218,32 @@ class TestDeterminismAndConfig:
                                 "--stream-out", str(tmp_path / "a.txt"))
         assert code == 0
         assert json.loads(out1)["reproducibility"]["config"]["steps"] == 2000
-        code, out2, _ = run_cli(capsys, "sample", "--in", graph_file, "--family",
-                                "one-sided", "--config", str(cfg), "--steps", "1000",
-                                "--stream-out", str(tmp_path / "b.txt"))
-        assert json.loads(out2)["reproducibility"]["config"]["steps"] == 1000
+        # every form argparse accepts wins over the file
+        for steps in (["--steps", "1000"], ["--steps=1000"], ["--ste", "1000"]):
+            code, out2, _ = run_cli(capsys, "sample", "--in", graph_file, "--family",
+                                    "one-sided", "--config", str(cfg), *steps,
+                                    "--stream-out", str(tmp_path / "b.txt"))
+            report = json.loads(out2)
+            assert report["reproducibility"]["config"]["steps"] == 1000
+            assert report["mixing"]["steps"] == 1000
+
+    def test_config_does_not_replace_an_explicit_input_file(self, graph_file, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "in.cfg"
+        cfg.write_text(f"graph_in = {tmp_path / 'missing.txt'}\n")
+        code, out, err = run_cli(capsys, "sample", "--in", graph_file, "--family",
+                                 "one-sided", "--k", "3", "--steps", "100",
+                                 "--config", str(cfg))
+        assert code == 0, err
+        assert json.loads(out)["reproducibility"]["config"]["graph_in"] == graph_file
 
     def test_config_file_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not_a_real_option=3\n")
-        from slicewalk.cli import UsageError, _effective_args
-        with pytest.raises(UsageError):
-            _effective_args(["experiment", "--name", "slow-mixing", "--n", "8",
-                             "--delta", "2", "--config", str(cfg)])
+        for line in ("not_a_real_option=3", "command=sample"):
+            cfg.write_text(line + "\n")
+            with pytest.raises(UsageError):
+                _effective_args(["experiment", "--name", "slow-mixing", "--n", "8",
+                                 "--delta", "2", "--config", str(cfg)])
 
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -222,3 +281,76 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", "import sys, slicewalk.cli; print('scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- config precedence over every option ------------------------------------------
+
+# Required options of each subcommand, and the family group a flag may replace.
+_BASE = {
+    "gen-graph": ({"--bipartite": None, "--n": "8", "--delta": "3"},
+                  {"--bipartite", "--regular"}),
+    "sample": ({"--in": "g.txt", "--family": "one-sided"}, set()),
+    "estimate-z": ({"--in": "g.txt", "--lambda": "0.5"}, set()),
+    "verify-spectral": ({"--in": "g.txt", "--two-sided": None},
+                        {"--two-sided", "--one-sided", "--regular"}),
+    "experiment": ({"--name": "slow-mixing", "--n": "8", "--delta": "2"}, set()),
+}
+
+
+def _option_cases():
+    """(command, action, form, abbreviation) for every option a config can set."""
+    _, commands = _build_parser()
+    for command, sub in commands.items():
+        flags = list(sub._option_string_actions)
+        for action in sub._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            flag = action.option_strings[0]
+            # the shortest prefix that names this flag and no other
+            abbrev = next((flag[:i] for i in range(3, len(flag))
+                           if [f for f in flags if f.startswith(flag[:i])] == [flag]), None)
+            forms = ["space", "abbrev"] if action.nargs == 0 else ["space", "equals", "abbrev"]
+            for form in forms:
+                if form != "abbrev" or abbrev:
+                    yield pytest.param(command, action, form, abbrev,
+                                       id=f"{command}-{action.dest}-{form}")
+            if not action.required and flag not in _BASE[command][1]:
+                yield pytest.param(command, action, "absent", None,
+                                   id=f"{command}-{action.dest}-absent")
+
+
+def _values(action):
+    """(config value, command-line string, its parsed value); each differs
+    from the option's default and from the other."""
+    if action.nargs == 0:
+        return False, None, True
+    if action.choices:
+        config = next(c for c in action.choices if c != action.default)
+        flag = next(c for c in action.choices if c != config)
+        return config, flag, flag
+    if action.type is int:
+        return 5, "7", 7
+    if action.type is float:
+        return 0.3, "0.7", 0.7
+    return "from-config.txt", "from-flag.txt", "from-flag.txt"
+
+
+@pytest.mark.parametrize("command,action,form,abbrev", list(_option_cases()))
+def test_explicit_flags_win_over_the_config(tmp_path, command, action, form, abbrev):
+    base, group = _BASE[command]
+    flag = action.option_strings[0]
+    config, given, parsed = _values(action)
+    if form == "absent":
+        config, parsed = (True, True) if action.nargs == 0 else (config, config)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{action.dest} = {str(config).lower() if action.nargs == 0 else config}\n")
+    drop = group | {flag} if flag in group else {flag}
+    argv = [command]
+    for opt, value in base.items():
+        if opt not in drop:
+            argv += [opt] if value is None else [opt, value]
+    value = [] if given is None else [given]
+    explicit = {"space": [flag, *value], "equals": [f"{flag}={given}"],
+                "abbrev": [abbrev, *value], "absent": []}[form]
+    args = _effective_args(argv + explicit + ["--config", str(cfg)])
+    assert getattr(args, action.dest) == parsed

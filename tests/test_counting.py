@@ -222,8 +222,7 @@ class TestEstimators:
 class TestPartitionHat:
     def test_edgeless_small_fugacity(self, edgeless_bipartite_5):
         lam = 0.2
-        thr = ThresholdParams(alpha=0.45, beta=1.0, gamma=0.1, ell=2.0,
-                              fugacity=lam, degree=0)
+        thr = ThresholdParams(alpha=0.45, beta=1.0)
         zhat_exact, double = exact_partition_hat(edgeless_bipartite_5, lam, thr)
         est = estimate_partition_hat(edgeless_bipartite_5, lam, 0.15, 0.2, seed=3, thr=thr)
         assert est.value == pytest.approx(zhat_exact, rel=0.15)
@@ -231,8 +230,7 @@ class TestPartitionHat:
     def test_widened_bands_equal_z_plus_double_count(self):
         g = gen_bipartite_regular(7, 3, seed=11)
         lam = 0.3
-        thr = ThresholdParams(alpha=0.15, beta=1.0, gamma=0.1, ell=2.0,
-                              fugacity=lam, degree=3)
+        thr = ThresholdParams(alpha=0.15, beta=1.0)
         zhat_exact, double = exact_partition_hat(g, lam, thr)
         z = exact_partition(g, lam)
         assert zhat_exact == pytest.approx(z + double, rel=1e-12)
@@ -247,7 +245,6 @@ class TestPartitionHat:
         lam = 0.3
         values = []
         for beta in (0.3, 0.6, 1.0):
-            thr = ThresholdParams(alpha=0.15, beta=beta, gamma=0.1, ell=2.0,
-                                  fugacity=lam, degree=3)
+            thr = ThresholdParams(alpha=0.15, beta=beta)
             values.append(exact_partition_hat(g, lam, thr)[0])
         assert values[0] <= values[1] <= values[2] + 1e-12

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from slicewalk import experiments
 from slicewalk.experiments import (ExperimentConfig, MarginalHardcoreSampler,
                                    alpha_threshold, coupled_ell, disjoint_union,
                                    exact_conductance, experiment_independent_set_size,
@@ -192,7 +193,7 @@ class TestSlowMixing:
             cfg, components=(complete_bipartite(16), complete_bipartite(16)))
         assert rep["empirical"]["never_escaped_fraction"] == 1.0
 
-    def test_lockstep_escape_times_match_single_chains(self):
+    def test_lockstep_escape_times_match_single_chains(self, monkeypatch):
         # the array engine replays each run's own stream step for step: fast
         # escapes, blocks of 3, 7 and 64 steps, a pinned vertex, runs that
         # escape next to runs that never do, and class weights that underflow
@@ -207,7 +208,8 @@ class TestSlowMixing:
         singles = []
         for slc, members, block in cases:
             single = [_escape_time(slc, members, 8, 4, 400, 5, run) for run in range(20)]
-            assert _escape_times(slc, members, 8, 4, 400, 5, 20, block=block) == single
+            monkeypatch.setattr(experiments, "ESCAPE_BLOCK", block)
+            assert _escape_times(slc, members, 8, 4, 400, 5, 20) == single
             singles.append(single)
         assert None in singles[2] and any(t is not None for t in singles[2])
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from slicewalk import walks
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
 from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice, greedy_facet
@@ -63,12 +64,13 @@ class TestGreedyInitialState:
         with pytest.raises(InitialStateError):
             greedy_initial_state(TwoSidedSlice(complete_bipartite_33, 1, 1), rng_stream(0))
 
-    def test_two_sided_random_graphs_succeed(self):
+    def test_two_sided_random_graphs_succeed(self, monkeypatch):
+        monkeypatch.setattr(walks, "INITIAL_RESTARTS", 10)
         ok = 0
         for seed in range(100):
             g = gen_bipartite_regular(20, 3, seed=seed)
             try:
-                greedy_initial_state(TwoSidedSlice(g, 3, 3), rng_stream(seed), restarts=10)
+                greedy_initial_state(TwoSidedSlice(g, 3, 3), rng_stream(seed))
                 ok += 1
             except InitialStateError:
                 pass
@@ -290,6 +292,22 @@ class TestRunChain:
                            (OneSidedSlice(bipartite_c6, 1, 0.5, frozenset({2})), (2,))):
             samples, report = run_chain(slc, ChainConfig(steps=20, seed=3))
             assert set(samples) == {facet} and report.steps == 20
+
+    def test_negative_run_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            ChainConfig(steps=10, seed=0, burn_in=-5)
+        with pytest.raises(ValueError, match="steps"):
+            ChainConfig(steps=-1, seed=0)
+
+    def test_zero_oracle_caps_skip_the_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact_distribution called with a zero cap")
+
+        monkeypatch.setattr(walks, "exact_distribution", refuse)
+        g = gen_bipartite_regular(8, 3, seed=9)
+        for slc in (OneSidedSlice(g, 3, 0.4), TwoSidedSlice(g, 2, 2)):
+            _, report = run_chain(slc, ChainConfig(steps=50, seed=1, oracle_cap=0, gap_cap=0))
+            assert report.empirical_tv is None and report.exact_gap is None
 
     def test_seed_determinism(self):
         g = gen_bipartite_regular(8, 3, seed=9)
