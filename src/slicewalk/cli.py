@@ -168,7 +168,14 @@ def _effective_args(argv):
         unknown = [k for k in overrides if k == "command" or not hasattr(args, k)]
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        commands[args.command].set_defaults(**overrides)
+        sub = commands[args.command]
+        # argparse counts a group member as given only when its value is not
+        # its default, so the file must not touch a group the command line set
+        for group in sub._mutually_exclusive_groups:
+            if any(getattr(args, a.dest) != a.default for a in group._group_actions):
+                for a in group._group_actions:
+                    overrides.pop(a.dest, None)
+        sub.set_defaults(**overrides)
         args = parser.parse_args(argv)
     return args
 

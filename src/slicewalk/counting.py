@@ -456,7 +456,7 @@ def _logsumexp(values) -> float:
 
 def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
                            epsilon: float, delta: float, seed: int,
-                           thr: ThresholdParams | None = None) -> CountEstimate:
+                           thr: ThresholdParams) -> CountEstimate:
     """Banded approximation to the partition function, estimated band by band.
 
     Three terms: the two-sided grid k_x, k_y <= floor(alpha n); the X-side
@@ -469,7 +469,6 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
     relative error) with the confidence budget split evenly across terms.
     An infeasible inner slice contributes zero.
     """
-    thr = thr or thresholds(g.degree, fugacity)
     n = g.n_side
     a_cap = min(math.floor(thr.alpha * n), n)
     b_cap = min(math.floor(thr.beta * n), n)

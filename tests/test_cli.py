@@ -237,6 +237,34 @@ class TestDeterminismAndConfig:
         assert code == 0, err
         assert json.loads(out)["reproducibility"]["config"]["graph_in"] == graph_file
 
+    def test_config_leaves_the_family_group_to_the_command_line(self, graph_file, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text("two_sided = true\n")
+        argv = ["verify-spectral", "--in", graph_file, "--k", "3", "--lambda", "0.3",
+                "--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv, "--two-sided")
+        assert code == 0, err
+        assert [s["name"] for s in json.loads(out)["sweeps"]] == ["two-sided k_x=2 k_y=2"]
+        code, out, err = run_cli(capsys, *argv, "--one-sided")
+        assert code == 0, err
+        names = [s["name"] for s in json.loads(out)["sweeps"]]
+        assert names == ["one-sided k=3 fugacity=0.3", "one-sided identities k=3 fugacity=0.3"]
+
+    @pytest.mark.parametrize("argv,key,given,other", [
+        (["gen-graph", "--n", "8", "--delta", "3"], "bipartite", "--bipartite", "--regular"),
+        (["verify-spectral", "--in", "g.txt"], "two_sided", "--two-sided", "--one-sided"),
+    ])
+    def test_config_member_of_an_exclusive_group_loses_to_any_flag(self, tmp_path, argv,
+                                                                   key, given, other):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text(f"{key} = true\n")
+        args = _effective_args([*argv, given, "--config", str(cfg)])
+        assert getattr(args, key) is True
+        args = _effective_args([*argv, other, "--config", str(cfg)])
+        assert getattr(args, key) is False
+        assert getattr(args, other[2:].replace("-", "_")) is True
+
     def test_config_file_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         for line in ("not_a_real_option=3", "command=sample"):
