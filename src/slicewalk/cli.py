@@ -157,6 +157,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _command_line_dests(argv) -> set[str]:
+    """Dests that ``argv`` sets, whatever their values."""
+    parser, commands = _build_parser()
+    for sub in commands.values():
+        for action in sub._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def _effective_args(argv):
     """Parse ``argv``; a --config file becomes the subcommand's defaults and
     the command line is parsed again, so argparse lets every explicit flag
@@ -169,15 +178,44 @@ def _effective_args(argv):
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
         sub = commands[args.command]
+        for action in sub._actions:  # argparse checks choices on the command line only
+            if action.choices and action.dest in overrides \
+                    and overrides[action.dest] not in action.choices:
+                raise UsageError(f"config {action.dest} = {overrides[action.dest]}: "
+                                 f"choose from {', '.join(map(str, action.choices))}")
         # argparse counts a group member as given only when its value is not
         # its default, so the file must not touch a group the command line set
+        given = _command_line_dests(argv)
         for group in sub._mutually_exclusive_groups:
-            if any(getattr(args, a.dest) != a.default for a in group._group_actions):
+            if any(a.dest in given for a in group._group_actions):
                 for a in group._group_actions:
                     overrides.pop(a.dest, None)
         sub.set_defaults(**overrides)
         args = parser.parse_args(argv)
     return args
+
+
+# The slice parameters each family reads, by the dests of their options.
+FAMILY_OPTIONS = {"two-sided": {"kx", "ky"}, "one-sided": {"k", "lam"}, "regular": {"k"}}
+
+
+def _check_family_options(args, argv) -> None:
+    """Reject a slice parameter that the chosen family does not read when
+    the command line or the config file sets it."""
+    if args.command == "sample":
+        family = args.family
+    elif args.command == "verify-spectral":
+        family = next(f for f in FAMILY_OPTIONS if getattr(args, f.replace("-", "_")))
+    else:
+        return
+    given = _command_line_dests(argv) | set(load_config_file(args.config) if args.config else ())
+    read = FAMILY_OPTIONS[family]
+    unused = sorted((given & set().union(*FAMILY_OPTIONS.values())) - read)
+    if unused:
+        _, commands = _build_parser()
+        flags = {a.dest: a.option_strings[0] for a in commands[args.command]._actions}
+        raise UsageError(f"{', '.join(flags[d] for d in unused)} not read by the {family} "
+                         f"family (it reads {', '.join(flags[d] for d in sorted(read))})")
 
 
 def _public_config(args) -> dict:
@@ -319,8 +357,10 @@ def _cmd_experiment(args):
 
 def main(argv=None) -> int:
     started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _effective_args(sys.argv[1:] if argv is None else argv)
+        args = _effective_args(argv)
+        _check_family_options(args, argv)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -46,6 +46,7 @@ import numpy as np
 from .graphs import BipartiteRegularGraph, RegularGraph, X, Y
 
 ENUMERATION_CAP = 10 ** 6
+EMPTY_LINK = "empty link: all candidate vertices eliminated"
 # Largest row-sum, normalization or detailed-balance error LinkOperator.validate accepts.
 OPERATOR_TOL = 1e-12
 
@@ -95,9 +96,9 @@ class _SliceCore:
         return tuple(i for i, (lo, hi, _) in enumerate(self.parts) for _ in range(lo, hi))
 
     @cached_property
-    def neighbor_ids(self) -> np.ndarray:
-        """``graph.global_adj`` as an (ids, degree) array."""
-        return np.array(self.graph.global_adj, dtype=int)
+    def adjacency(self) -> np.ndarray:
+        """``graph.adjacency()``: the dense 0/1 matrix over global ids."""
+        return self.graph.adjacency()
 
     @property
     def free_size(self) -> int:
@@ -443,50 +444,130 @@ def _free_pair(slc: Slice, facet) -> tuple[int, int]:
     return free[0], free[1]
 
 
-def _degree_walk(labels: Sequence, adjacency: np.ndarray) -> LinkOperator:
-    """Simple random walk P = D^{-1} A on the non-isolated part of a graph."""
-    deg = adjacency.sum(axis=1)
-    keep = (deg > 0).tolist()
-    if sum(keep) < 2:
-        raise SliceError("empty link: all candidate vertices eliminated")
-    if not all(keep):
-        adjacency = adjacency[np.ix_(keep, keep)]
-        deg = adjacency.sum(axis=1)
-    ground = tuple(lab for lab, k in zip(labels, keep) if k)
-    dropped = tuple(lab for lab, k in zip(labels, keep) if not k)
-    return LinkOperator(ground, adjacency / deg[:, None], deg / deg.sum(), dropped=dropped)
+# -- closed forms, built for many faces at once --------------------------------------
+#
+# Each builder takes a stack of faces of one size and returns stacked arrays
+# with a leading face axis; the public per-face builders are its one-face
+# case.
+
+
+def _groups(keys: np.ndarray):
+    """(key, rows) for each distinct key, a row of ``keys`` when it is 2-D."""
+    distinct, inverse = np.unique(keys, axis=0, return_inverse=True)
+    for i, key in enumerate(distinct.tolist()):
+        yield key, np.flatnonzero(inverse.reshape(-1) == i)
+
+
+def _members(mask: np.ndarray, size: int) -> np.ndarray:
+    """Column indices of the true entries of a boolean (rows, columns) array
+    that holds ``size`` of them in every row, ascending in each row."""
+    return np.nonzero(mask)[1].reshape(len(mask), size)
+
+
+def _zero_diagonal(a: np.ndarray) -> None:
+    m = a.shape[-1]
+    a[..., np.arange(m), np.arange(m)] = 0
+
+
+def _link_survivors(slc: TwoSidedSlice | RegularSlice, faces: Sequence[Sequence[int]]):
+    """Survivors of codimension-2 faces of one size, given as global ids.
+
+    Returns (survivors, lefts, errors): a boolean (faces, ids) array of the
+    ids of parts with quota left that are neither in the face nor next to it,
+    the quota each part has left as a (faces, parts) array, and the
+    SliceError of each row whose face is not a codimension-2 face of
+    ``slc``; such a row has no survivors.
+    """
+    n = len(slc.graph.global_adj)
+    ids = np.array(faces, dtype=int).reshape(len(faces), len(faces[0]))
+    errors: dict[int, SliceError] = {}
+    outside = ((ids < 0) | (ids >= n)).any(axis=1)
+    for row in np.flatnonzero(outside).tolist():
+        errors[row] = SliceError(f"pinned ids must lie in range({n})")
+    face = np.zeros((len(faces), n))
+    face[np.arange(len(faces))[:, None], np.where(outside[:, None], 0, ids)] = 1.0
+    near = face @ slc.adjacency > 0
+    face = face > 0
+    for row in np.flatnonzero((face & near).any(axis=1)).tolist():
+        errors.setdefault(row, SliceError("face is not an independent set"))
+    lefts = np.array([quota for _, _, quota in slc.parts]) - np.stack(
+        [face[:, lo:hi].sum(axis=1) for lo, hi, _ in slc.parts], axis=1)
+    for row in np.flatnonzero((lefts.min(axis=1) < 0) | (lefts.sum(axis=1) != 2)).tolist():
+        errors.setdefault(row, SliceError("face must leave exactly two elements free"))
+    open_ids = np.zeros_like(face)
+    for p, (lo, hi, _) in enumerate(slc.parts):
+        open_ids[:, lo:hi] = (lefts[:, p] > 0)[:, None]
+    survivors = open_ids & ~face & ~near
+    survivors[list(errors)] = False
+    return survivors, lefts, errors
+
+
+def _skeleton_blocks(slc: TwoSidedSlice | RegularSlice, rows: np.ndarray, cols: np.ndarray,
+                     lefts: np.ndarray) -> np.ndarray:
+    """Blocks of link skeletons between two survivor lists of each face.
+
+    ``rows`` (faces, r) and ``cols`` (faces, c) hold global ids and ``lefts``
+    each face's remaining quotas.  Two survivors are joined where they are
+    non-adjacent, distinct, and fit the remaining quotas: in two different
+    parts, or in one part that still needs two.
+    """
+    sk = 1.0 - np.take_along_axis(slc.adjacency[rows], cols[:, None, :], axis=2)
+    part = np.asarray(slc.part_of)
+    part_r, part_c = part[rows], part[cols]
+    single = np.take_along_axis(lefts, part_r, axis=1) < 2
+    sk[(part_r[:, :, None] == part_c[:, None, :]) & single[:, :, None]] = 0.0
+    sk[rows[:, :, None] == cols[:, None, :]] = 0.0
+    return sk
+
+
+def _uniform_link_walks(slc: TwoSidedSlice | RegularSlice, survivors: np.ndarray,
+                        lefts: np.ndarray, errors: dict) -> list:
+    """Survivor-complement walks of the faces behind ``_link_survivors``.
+
+    Every survivor's skeleton row comes from ``_skeleton_blocks``; isolated
+    survivors are dropped, and the simple random walk P = D^{-1} A runs on
+    the rest.  Returns one (rows, ground, P, pi) stack per link size, ground
+    holding the kept ids; the row of an empty link gets its SliceError in
+    ``errors``.
+    """
+    walks = []
+    for m, rows in _groups(survivors.sum(axis=1)):
+        ids = _members(survivors[rows], m)
+        skeleton = _skeleton_blocks(slc, ids, ids, lefts[rows])
+        keep = skeleton.sum(axis=-1) > 0
+        for size, sub in _groups(keep.sum(axis=1)):
+            if size < 2:
+                for row in rows[sub].tolist():
+                    errors.setdefault(row, SliceError(EMPTY_LINK))
+                continue
+            adj, ground = skeleton[sub], ids[sub]
+            if size < m:
+                cols = _members(keep[sub], size)
+                adj = adj[np.arange(len(sub))[:, None, None], cols[:, :, None], cols[:, None, :]]
+                ground = np.take_along_axis(ground, cols, axis=1)
+            deg = adj.sum(axis=-1)
+            walks.append((rows[sub], ground, adj / deg[..., None],
+                          deg / deg.sum(axis=-1, keepdims=True)))
+    return walks
 
 
 def _uniform_link_walk(slc: TwoSidedSlice | RegularSlice, face: Iterable[int]) -> LinkOperator:
-    """Survivor-complement walk on the link of a codimension-2 face (global ids).
+    """Survivor-complement walk on the link of one codimension-2 face (global ids).
 
     The survivors are the ids of parts with quota left that are neither in
     the face nor next to it.  The skeleton joins two non-adjacent survivors
     that fit the remaining quotas (two different parts, or one part that
     still needs two); isolated survivors are dropped and reported.
     """
-    adj = slc.graph.global_adj
-    face = frozenset(face)
-    _check_pins(face, len(adj))
-    blocked = face.union(*(adj[v] for v in face))
-    if any(u in face for v in face for u in adj[v]):
-        raise SliceError("face is not an independent set")
-    lefts = [quota - sum(1 for v in face if lo <= v < hi) for lo, hi, quota in slc.parts]
-    if min(lefts) < 0 or sum(lefts) != 2:
-        raise SliceError("face must leave exactly two elements free")
-    survivors = [v for (lo, hi, _), left in zip(slc.parts, lefts) if left
-                 for v in range(lo, hi) if v not in blocked]
-    skeleton = np.ones((len(survivors), len(survivors)))
-    part = np.array([slc.part_of[v] for v in survivors], dtype=int)
-    same = part[:, None] == part[None, :]
-    skeleton[same & (np.array(lefts)[part] < 2)[:, None]] = 0.0
-    np.fill_diagonal(skeleton, 0.0)
-    position = np.full(len(adj), -1)
-    position[survivors] = np.arange(len(survivors))
-    cols = position[slc.neighbor_ids[survivors]]
-    edge = cols >= 0
-    skeleton[np.nonzero(edge)[0], cols[edge]] = 0.0
-    return _degree_walk([slc.label(v) for v in survivors], skeleton)
+    survivors, lefts, errors = _link_survivors(slc, [sorted(frozenset(face))])
+    walks = _uniform_link_walks(slc, survivors, lefts, errors)
+    if errors:
+        raise errors[0]
+    (_, ground, p, pi), = walks
+    kept = set(ground[0].tolist())
+    dropped = [v for v in np.flatnonzero(survivors[0]).tolist() if v not in kept]
+    return LinkOperator(tuple(slc.label(v) for v in ground[0].tolist()), p[0], pi[0],
+                        dropped=tuple(slc.label(v) for v in dropped))
 
 
 def two_sided_link_walk_closed_form(slc: TwoSidedSlice, tau_x: Iterable[int],
@@ -517,36 +598,39 @@ class NeighborGraph:
 
     Neighborhoods are taken outside N[tau]; the diagonal is zero by the
     convention of the entrywise weight exponential built from this matrix.
+    A stack of faces gives arrays with a leading face axis.
     """
 
-    ground: tuple[int, ...]
+    ground: tuple[int, ...] | np.ndarray
     counts: np.ndarray  # integer entries, zero diagonal
     survivor_degrees: np.ndarray  # |N_tau(u)| per ground vertex
 
     def weight_exponential(self, fugacity: float) -> np.ndarray:
         """(1+fugacity) raised entrywise to the counts, with a zero diagonal."""
         e = np.power(1.0 + fugacity, self.counts.astype(float))
-        np.fill_diagonal(e, 0.0)
+        _zero_diagonal(e)
         return e
 
 
-def _y_rows(slc: OneSidedSlice, xs: Sequence[int]) -> np.ndarray:
-    """0/1 matrix with a row per X vertex in ``xs`` and a column per Y vertex."""
-    rows = np.zeros((len(xs), slc.graph.n_side))
-    np.put_along_axis(rows, slc.neighbor_ids[list(xs)] - slc.graph.n_side, 1.0, axis=1)
-    return rows
+def _neighbor_graphs(slc: OneSidedSlice, taus: Sequence[Sequence[int]]) -> NeighborGraph:
+    """Neighbor graphs of faces of one size, each of distinct X ids, as one stack."""
+    n = slc.graph.n_side
+    t = np.array(taus, dtype=int).reshape(len(taus), len(taus[0]))
+    face = np.zeros((len(taus), n))
+    face[np.arange(len(taus))[:, None], t] = 1.0
+    biadjacency = slc.adjacency[:n, n:]
+    survivors = face @ biadjacency == 0  # the Y ids outside N(tau)
+    ground = _members(face == 0, n - t.shape[1])
+    b = biadjacency[ground] * survivors[:, None, :]
+    counts = (b @ b.swapaxes(-1, -2)).astype(np.int64)
+    degs = np.diagonal(counts, axis1=-2, axis2=-1).copy()
+    _zero_diagonal(counts)
+    return NeighborGraph(ground, counts, degs)
 
 
 def neighbor_graph(slc: OneSidedSlice, tau: Iterable[int]) -> NeighborGraph:
-    g = slc.graph
-    t = frozenset(tau)
-    ground = tuple(v for v in range(g.n_side) if v not in t)
-    b = _y_rows(slc, ground)
-    b[:, list(g.neighbor_set(X, t))] = 0.0
-    counts = (b @ b.T).astype(np.int64)
-    degs = np.diag(counts).copy()
-    np.fill_diagonal(counts, 0)
-    return NeighborGraph(ground, counts, degs)
+    nbr = _neighbor_graphs(slc, [sorted(frozenset(tau))])
+    return NeighborGraph(tuple(nbr.ground[0].tolist()), nbr.counts[0], nbr.survivor_degrees[0])
 
 
 def one_sided_link_walk_closed_form(slc: OneSidedSlice, tau: Iterable[int]) -> LinkOperator:
@@ -567,18 +651,18 @@ def one_sided_link_walk_closed_form(slc: OneSidedSlice, tau: Iterable[int]) -> L
 
 
 def _one_sided_walk(nbr: NeighborGraph, fugacity: float) -> LinkOperator:
-    """The one-sided closed form, read off the link's neighbor graph."""
-    m = len(nbr.ground)
-    if m < 2:
+    """The one-sided closed form, read off the link's neighbor graph (or a
+    stack of them, giving stacked arrays)."""
+    if nbr.counts.shape[-1] < 2:
         raise SliceError("link has fewer than two vertices")
     c = 1.0 + fugacity
     # Row u holds c^(-n_v + common(u, v)); exponents are bounded by the degree.
-    expo = nbr.counts - nbr.survivor_degrees[None, :]
+    expo = nbr.counts - nbr.survivor_degrees[..., None, :]
     w = np.power(c, expo.astype(float))
-    np.fill_diagonal(w, 0.0)
-    z_vertex = w.sum(axis=1)
-    p = w / z_vertex[:, None]
+    _zero_diagonal(w)
+    z_vertex = w.sum(axis=-1)
+    p = w / z_vertex[..., None]
     weights = np.power(c, -nbr.survivor_degrees.astype(float)) * z_vertex
-    z_total = float(weights.sum())
-    pi = weights / z_total
+    z_total = weights.sum(axis=-1)
+    pi = weights / np.asarray(z_total)[..., None]
     return LinkOperator(nbr.ground, p, pi, z_total=z_total, z_vertex=z_vertex)

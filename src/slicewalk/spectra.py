@@ -42,11 +42,13 @@ class SpectrumSummary:
 
 
 def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Raise unless ``m`` is a finite symmetric matrix, or a stack of them
+    along leading axes."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if m.size and np.max(np.abs(m - m.T)) > tol:
+    if m.size and np.max(np.abs(m - m.swapaxes(-1, -2))) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -133,16 +135,26 @@ def iterative_lambda2(g_or_idx, degree: int | None = None, *, seed: int = 0) -> 
 def psd_dominance(a: np.ndarray, b: np.ndarray):
     """True iff b − a is PSD up to ``ORDER_TOL``; returns the witness pair when not.
 
-    The witness is (most negative eigenvalue, its eigenvector) of b − a.
+    The witness is (most negative eigenvalue, its eigenvector) of b − a.  A
+    stack of matrix pairs (a leading axis) is checked by one stacked
+    ``eigvalsh`` call and gives a boolean array and a list of witnesses, None
+    where b − a is PSD; an eigenvector is computed only for a failing matrix.
     """
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
     diff = b - a
     check_symmetric(diff, tol=1e-10)
-    vals, vecs = np.linalg.eigh(diff)
-    if vals[0] >= -ORDER_TOL:
-        return True, None
-    return False, (float(vals[0]), vecs[:, 0])
+    ok = np.linalg.eigvalsh(diff)[..., 0] >= -ORDER_TOL
+    witnesses = [None if good else _lowest_pair(d)
+                 for good, d in zip(ok.reshape(-1), diff.reshape(-1, *diff.shape[-2:]))]
+    if diff.ndim == 2:
+        return bool(ok), witnesses[0]
+    return ok, witnesses
+
+
+def _lowest_pair(m: np.ndarray) -> tuple[float, np.ndarray]:
+    vals, vecs = np.linalg.eigh(m)
+    return float(vals[0]), vecs[:, 0]
 
 
 def complement_interlacing_check(g) -> bool:

@@ -1,17 +1,20 @@
 """Spectral verification sweeps over codimension-2 links.
 
 Every sweep is the same loop over three family-specific parts: a face
-source, the closed-form walk operator of each link, and a bound rule.  One
+source, the closed-form walk operators of the links, and a bound rule.  One
 face source serves every face kind (two-sided cross, same-side X, same-side
 Y, one-sided, regular, and the one-sided identities): it enumerates the
-faces of a kind when their count bound is at most ``face_cap``, and
-otherwise samples ``sample_count`` faces by truncating the facets of one
-seeded down-up chain.  The loop computes each link's second eigenvalue and
-compares it against the matching deterministic bound:
+faces of a kind when their count bound is at most ``face_cap`` or
+``sample_count``, and otherwise samples ``sample_count`` faces by truncating
+the facets of one seeded down-up chain.  The loop takes the faces a chunk at
+a time; the family builds the chunk's links as stacks of equal-sized
+matrices and solves each stack with one LAPACK call.  Each link's second
+eigenvalue is compared against the matching deterministic bound:
 
-* two-sided cross links: lambda2(P) <= lambda2(A_G) / (min survivor side - d);
-  same-side links are complete graphs, built by the same survivor-complement
-  construction as the cross links, and are verified as lambda2 <= 0;
+* two-sided cross links: lambda2(P) <= lambda2(A_G) / (min survivor side - d),
+  with lambda2(P) the second singular value of the normalized half-size
+  biadjacency block; same-side links are complete graphs on their m
+  survivors, with lambda2 = -1/(m-1), verified as lambda2 <= 0;
 * one-sided links (under the common-neighbor hypotheses):
   lambda2(P) <= (lam * lambda2(A_G)^2 + lam^2 - 1) * c^D / (|X| - |tau| - c^D)
   with c = 1 + lam and D the average survivor degree over the link;
@@ -42,10 +45,10 @@ import numpy as np
 
 from .graphs import BipartiteRegularGraph, RegularGraph, X, Y
 from .rng import rng_stream
-from .slices import (NeighborGraph, OneSidedSlice, RegularSlice, Slice, SliceError,
-                     TwoSidedSlice, _one_sided_walk, _y_rows, independent_sets,
-                     neighbor_graph, regular_link_walk_closed_form,
-                     two_sided_link_walk_closed_form)
+from .slices import (EMPTY_LINK, NeighborGraph, OneSidedSlice, RegularSlice, Slice, SliceError,
+                     TwoSidedSlice, _groups, _link_survivors, _members, _neighbor_graphs,
+                     _one_sided_walk, _skeleton_blocks, _uniform_link_walks,
+                     independent_sets)
 from .spectra import adjacency_matrix, eigen_summary, psd_dominance
 from .walks import ChainConfig, run_chain, spectral_gap
 
@@ -53,6 +56,11 @@ BOUND_TOL = 1e-9
 IDENTITY_TOL = 1e-10
 EXHAUSTIVE_FACE_CAP = 100_000
 SAMPLED_FACES = 10_000
+# Float64 elements in one stack of link matrices.  A sweep builds and solves
+# its links a chunk of faces at a time, sized so that a stack of matrices
+# over every global id stays within this budget, so memory stays flat in
+# the number of faces.
+STACK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,33 +121,37 @@ class _Bound(NamedTuple):
     sign_only: bool = False  # nonpositive numerator: only lambda2 <= 0 is provable
 
 
-def _sweep(report: VerificationReport, faces, link) -> VerificationReport:
+def _chunks(slc: Slice, faces: list) -> list:
+    step = max(1, STACK_ELEMENTS // len(slc.graph.global_adj) ** 2)
+    return [faces[i:i + step] for i in range(0, len(faces), step)]
+
+
+def _sweep(report: VerificationReport, slc: Slice, faces: list, links) -> VerificationReport:
     """The one sweep loop: each face becomes one record.
 
-    ``link(face)`` returns the link's walk operator with the family's bound,
-    or None when the face fails the hypotheses of the bound; a SliceError
-    records the link as empty.
+    ``links(chunk)`` builds and solves the links of a chunk of faces as
+    stacks.  It returns, per face, the link's second eigenvalue with the
+    family's bound, None when the face fails the hypotheses of the bound, or
+    the SliceError of an empty link.
     """
-    for face in faces:
-        try:
-            built = link(face)
-        except SliceError as e:
-            report.add(face, None, None, "empty", str(e))
-            continue
-        if built is None:
-            report.add(face, None, None, "hypothesis_not_met")
-            continue
-        op, bound = built
-        lam2, _, _ = spectral_gap(op.matrix, op.pi)
-        if bound.value is None:
-            report.add(face, lam2, None, "vacuous", "nonpositive denominator")
-        elif lam2 <= bound.value + BOUND_TOL:
-            report.add(face, lam2, bound.value, "pass", bound.detail)
-        elif bound.sign_only:
-            status = "fail" if lam2 > BOUND_TOL else "vacuous"
-            report.add(face, lam2, bound.value, status, "nonpositive numerator")
-        else:
-            report.add(face, lam2, bound.value, "fail", bound.detail)
+    for chunk in _chunks(slc, faces):
+        for face, got in zip(chunk, links(chunk)):
+            if isinstance(got, SliceError):
+                report.add(face, None, None, "empty", str(got))
+                continue
+            if got is None:
+                report.add(face, None, None, "hypothesis_not_met")
+                continue
+            lam2, bound = got
+            if bound.value is None:
+                report.add(face, lam2, None, "vacuous", "nonpositive denominator")
+            elif lam2 <= bound.value + BOUND_TOL:
+                report.add(face, lam2, bound.value, "pass", bound.detail)
+            elif bound.sign_only:
+                status = "fail" if lam2 > BOUND_TOL else "vacuous"
+                report.add(face, lam2, bound.value, status, "nonpositive numerator")
+            else:
+                report.add(face, lam2, bound.value, "fail", bound.detail)
     return report
 
 
@@ -149,10 +161,11 @@ class _FaceSource:
     A face kind says how many elements each part misses, two in all.  A kind
     whose count bound (the product over parts of the ways to choose its face
     elements) is at most ``face_cap`` is enumerated, lexicographically with
-    the part that misses most taken first.  Otherwise ``sample_count``
-    distinct faces are cut from the facets of one down-up chain seeded by
-    ``seed``, which every sampled kind of the source shares, as it shares the
-    stream that picks the deleted elements.
+    the part that misses most taken first; so is a kind with at most
+    ``sample_count`` faces, which sampling could not thin out.  Otherwise
+    ``sample_count`` distinct faces are cut from the facets of one down-up
+    chain seeded by ``seed``, which every sampled kind of the source shares,
+    as it shares the stream that picks the deleted elements.
     """
 
     def __init__(self, slc: Slice, face_cap: int, sample_count: int, seed: int) -> None:
@@ -166,7 +179,7 @@ class _FaceSource:
         if min(sizes) < 0:
             return []
         bound = math.prod(math.comb(hi - lo, s) for (lo, hi, _), s in zip(parts, sizes))
-        if bound <= self.face_cap:
+        if bound <= max(self.face_cap, self.sample_count):
             order = sorted(range(len(parts)), key=lambda p: -missing[p])
             sets = independent_sets(self.slc.graph.global_adj,
                                     [(*parts[p][:2], sizes[p]) for p in order], (), bound)
@@ -195,17 +208,37 @@ class _FaceSource:
 
 # -- two-sided -----------------------------------------------------------------------
 
-
 def two_sided_cross_bound(g: BipartiteRegularGraph, lam2_adj: float,
-                          tau_x: Iterable[int], tau_y: Iterable[int]) -> float | None:
-    """Survivor-complement bound for a cross face; None when vacuous."""
-    tx, ty = set(tau_x), set(tau_y)
-    sx = g.n_side - len(tx) - len(g.neighbor_set(Y, ty))
-    sy = g.n_side - len(ty) - len(g.neighbor_set(X, tx))
-    denom = min(sx, sy) - g.degree
+                          survivors_x: int, survivors_y: int) -> float | None:
+    """Survivor-complement bound for a cross face from its survivor counts on
+    each side, n - |tau_x| - |N(tau_y)| and n - |tau_y| - |N(tau_x)|; None
+    when vacuous."""
+    denom = min(survivors_x, survivors_y) - g.degree
     if denom <= 0:
         return None
     return lam2_adj / denom
+
+
+def _cross_lambda2(c: np.ndarray) -> np.ndarray:
+    """Second eigenvalue of the walks on bipartite skeletons [[0, C], [C^T, 0]]
+    from a stack of blocks C, nan where the skeleton has no edge.
+
+    The walk's eigenvalues are ±sigma_i of D_x^{-1/2} C D_y^{-1/2}, plus
+    zeros, so lambda2 = sigma_2.  An isolated vertex, a zero row or column,
+    adds only a zero singular value.  With one vertex left on a side the
+    spectrum is {1, -1, 0, ...}: lambda2 is 0, or -1 when both sides have one.
+    """
+    dx, dy = c.sum(axis=-1), c.sum(axis=-2)
+    nx, ny = (dx > 0).sum(axis=-1), (dy > 0).sum(axis=-1)
+    lam2 = np.zeros(len(c))
+    if min(c.shape[1:]) >= 2:
+        rx, ry = (np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0) for d in (dx, dy))
+        scaled = c * rx[:, :, None] * ry[:, None, :]
+        lam2 = np.where(np.minimum(nx, ny) >= 2,
+                        np.linalg.svd(scaled, compute_uv=False)[:, 1], 0.0)
+    lam2[(nx == 1) & (ny == 1)] = -1.0
+    lam2[nx == 0] = np.nan
+    return lam2
 
 
 def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
@@ -214,8 +247,10 @@ def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
                               seed: int = 0) -> VerificationReport:
     """Sweep the codimension-2 faces of the two-sided slice.
 
-    Cross faces get the eigenvalue bound; same-side faces (two missing
-    elements on one side) have complete-graph links and must satisfy
+    Cross faces get the eigenvalue bound, with lambda2 read off the
+    singular values of the link's half-size biadjacency block.  Same-side
+    faces (two missing elements on one side) have complete-graph links on
+    their m survivors, whose lambda2 is -1/(m-1), and must satisfy
     lambda2 <= 0.  Each kind is exhaustive when its face count fits
     ``face_cap``, otherwise its faces are sampled by truncating down-up
     facets.
@@ -224,32 +259,46 @@ def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
     lam2_adj = eigen_summary(adjacency_matrix(g)).lambda2
     slc = TwoSidedSlice(g, k_x, k_y)
     source = _FaceSource(slc, face_cap, sample_count, seed)
+    n = g.n_side
 
-    def cross(face):
-        bound = two_sided_cross_bound(g, lam2_adj, *face)
-        return two_sided_link_walk_closed_form(slc, *face), _Bound(bound)
+    def cross(chunk):
+        survivors, lefts, errors = _link_survivors(slc, [slc.to_ids(f) for f in chunk])
+        out: list = [errors.get(row) for row in range(len(chunk))]
+        sides = np.stack([survivors[:, :n].sum(axis=1), survivors[:, n:].sum(axis=1)], axis=1)
+        for (mx, my), rows in _groups(sides):
+            blocks = _skeleton_blocks(slc, _members(survivors[rows, :n], mx),
+                                      n + _members(survivors[rows, n:], my), lefts[rows])
+            bound = _Bound(two_sided_cross_bound(g, lam2_adj, mx, my))
+            for row, lam2 in zip(rows.tolist(), _cross_lambda2(blocks).tolist()):
+                out[row] = out[row] or (SliceError(EMPTY_LINK) if math.isnan(lam2)
+                                        else (lam2, bound))
+        return out
 
-    _sweep(report, source.faces((1, 1)), cross)
+    _sweep(report, slc, source.faces((1, 1)), cross)
     for missing, side in (((2, 0), X), ((0, 2), Y)):
         same = _Bound(0.0, f"same-side {side}")
-        _sweep(report, source.faces(missing),
-               lambda face: (two_sided_link_walk_closed_form(slc, *face), same))
+
+        def complete(chunk):
+            survivors, _, errors = _link_survivors(slc, [slc.to_ids(f) for f in chunk])
+            return [errors.get(row) or (SliceError(EMPTY_LINK) if m < 2 else (-1.0 / (m - 1), same))
+                    for row, m in enumerate(survivors.sum(axis=1).tolist())]
+
+        _sweep(report, slc, source.faces(missing), complete)
     return report
 
 
 # -- one-sided -----------------------------------------------------------------------
 
 
-def one_sided_hypotheses_met(nbr: NeighborGraph) -> bool:
-    """Common-neighbor hypotheses checked inside the link.
+def one_sided_hypotheses_met(nbr: NeighborGraph):
+    """Common-neighbor hypotheses checked inside the link (per link of a stack).
 
     Every pair shares at most 2 survivor neighbors, and no vertex shares
     exactly 2 with more than one partner; both are what the PSD dominations
     consume.
     """
-    if nbr.counts.max(initial=0) > 2:
-        return False
-    return bool(np.all((nbr.counts == 2).sum(axis=1) <= 1))
+    return ((nbr.counts.max(axis=(-2, -1), initial=0) <= 2)
+            & np.all((nbr.counts == 2).sum(axis=-1) <= 1, axis=-1))
 
 
 def one_sided_bound(g: BipartiteRegularGraph, lam2_adj: float, fugacity: float,
@@ -286,15 +335,23 @@ def verify_top_link_one_sided(g: BipartiteRegularGraph, k: int, fugacity: float,
     sign_only = fugacity * lam2_adj ** 2 + fugacity ** 2 - 1.0 <= 0
     slc = OneSidedSlice(g, k, fugacity)
 
-    def link(tau):
-        nbr = neighbor_graph(slc, tau)
-        if not one_sided_hypotheses_met(nbr):
-            return None
-        avg_deg = float(nbr.survivor_degrees.mean())
-        bound = one_sided_bound(g, lam2_adj, fugacity, len(tau), avg_deg)
-        return _one_sided_walk(nbr, fugacity), _Bound(bound, sign_only=sign_only)
+    def links(chunk):
+        nbr = _neighbor_graphs(slc, chunk)
+        try:
+            op = _one_sided_walk(nbr, fugacity)
+        except SliceError as e:
+            return [e] * len(chunk)
+        met = one_sided_hypotheses_met(nbr)
+        out: list = [None] * len(chunk)
+        if met.any():
+            lam2, _, _ = spectral_gap(op.matrix[met], op.pi[met])
+            avg_deg = nbr.survivor_degrees[met].mean(axis=-1)
+            for row, l2, deg in zip(np.flatnonzero(met).tolist(), lam2.tolist(), avg_deg.tolist()):
+                bound = one_sided_bound(g, lam2_adj, fugacity, len(chunk[row]), deg)
+                out[row] = (l2, _Bound(bound, sign_only=sign_only))
+        return out
 
-    return _sweep(report, _FaceSource(slc, face_cap, sample_count, seed).faces((2,)), link)
+    return _sweep(report, slc, _FaceSource(slc, face_cap, sample_count, seed).faces((2,)), links)
 
 
 # -- regular -------------------------------------------------------------------------
@@ -316,27 +373,38 @@ def verify_top_link_regular(g: RegularGraph, k: int,
     lam_min = eigen_summary(adjacency_matrix(g)).lambda_min
     slc = RegularSlice(g, k)
 
-    def link(tau):
-        survivors = g.n - len(g.neighbor_set(tau, closed=True))
-        return (regular_link_walk_closed_form(slc, tau),
-                _Bound(regular_bound(g, lam_min, survivors)))
+    def links(chunk):
+        survivors, lefts, errors = _link_survivors(slc, chunk)
+        counts = survivors.sum(axis=1).tolist()
+        out: list = [None] * len(chunk)
+        for rows, _, p, pi in _uniform_link_walks(slc, survivors, lefts, errors):
+            lam2, _, _ = spectral_gap(p, pi)
+            for row, l2 in zip(rows.tolist(), lam2.tolist()):
+                out[row] = (l2, _Bound(regular_bound(g, lam_min, counts[row])))
+        for row, e in errors.items():
+            out[row] = e
+        return out
 
-    return _sweep(report, _FaceSource(slc, face_cap, sample_count, seed).faces((2,)), link)
+    return _sweep(report, slc, _FaceSource(slc, face_cap, sample_count, seed).faces((2,)), links)
 
 
 # -- one-sided matrix identities -------------------------------------------------------
 
 
-def _walk_factorization(nbr: NeighborGraph, fugacity: float) -> tuple[bool, float]:
+def _walk_factorization(nbr: NeighborGraph, fugacity: float):
+    """(ok, max deviation) per link of a stack of neighbor graphs.
+
+    The diagonal products of the identity are taken entrywise, in the order
+    of the matrix products they stand for.
+    """
     op = _one_sided_walk(nbr, fugacity)
     weight = nbr.weight_exponential(fugacity)
-    z, zu = op.z_total, op.z_vertex
-    pi_half = np.diag(op.pi / 2.0)
-    gamma_inv = np.diag((2.0 * z) / zu)
-    pi_tilde = gamma_inv @ pi_half
-    lhs = pi_half @ op.matrix
-    rhs = (pi_tilde @ weight @ pi_tilde) / (2.0 * z)
-    deviation = float(np.max(np.abs(lhs - rhs)))
+    z = op.z_total[:, None]
+    pi_half = op.pi / 2.0
+    pi_tilde = ((2.0 * z) / op.z_vertex) * pi_half
+    lhs = pi_half[:, :, None] * op.matrix
+    rhs = (pi_tilde[:, :, None] * weight * pi_tilde[:, None, :]) / (2.0 * z)[:, :, None]
+    deviation = np.abs(lhs - rhs).max(axis=(1, 2))
     return deviation <= IDENTITY_TOL, deviation
 
 
@@ -351,30 +419,31 @@ def verify_walk_factorization(g: BipartiteRegularGraph, k: int, fugacity: float,
     the exponential is entrywise off the diagonal.  Returns
     (ok, max deviation).
     """
-    return _walk_factorization(neighbor_graph(OneSidedSlice(g, k, fugacity), tau), fugacity)
+    slc = OneSidedSlice(g, k, fugacity)
+    ok, dev = _walk_factorization(_neighbor_graphs(slc, [sorted(frozenset(tau))]), fugacity)
+    return bool(ok[0]), float(dev[0])
 
 
-def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph) -> dict:
-    m = len(nbr.ground)
-    h = nbr.counts.astype(float)
+def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph):
+    """(hypotheses met, H <= G2, E <= J + lam H + (lam^2 - 1) I,
+    E <= J + lam G2 + (lam^2 - 1) I) per link of a stack of neighbor graphs;
+    the last two are checked only where the hypotheses hold, False elsewhere."""
+    n = slc.graph.n_side
     lam = slc.fugacity
-    e = nbr.weight_exponential(lam)
-    rows = _y_rows(slc, nbr.ground)
-    sq = rows @ rows.T
-    j = np.ones((m, m))
-    eye = np.eye(m)
-    out: dict[str, object] = {"hypotheses_met": one_sided_hypotheses_met(nbr)}
-    ok4, _ = psd_dominance(h, sq)
-    out["neighbor_below_squared"] = ok4
-    if not out["hypotheses_met"]:
-        out["weight_below_affine"] = None
-        out["weight_below_squared_affine"] = None
-        return out
-    ok3, _ = psd_dominance(e, j + lam * h + (lam * lam - 1.0) * eye)
-    ok1, _ = psd_dominance(e, j + lam * sq + (lam * lam - 1.0) * eye)
-    out["weight_below_affine"] = ok3
-    out["weight_below_squared_affine"] = ok1
-    return out
+    h = nbr.counts.astype(float)
+    biadjacency = slc.adjacency[:n, n:]
+    sq = (biadjacency @ biadjacency.T)[nbr.ground[:, :, None], nbr.ground[:, None, :]]
+    met = one_sided_hypotheses_met(nbr)
+    neighbor_ok, _ = psd_dominance(h, sq)
+    affine_ok, squared_ok = np.zeros_like(met), np.zeros_like(met)
+    if met.any():
+        m = h.shape[-1]
+        e = nbr.weight_exponential(lam)[met]
+        j = np.ones((m, m))
+        eye = np.eye(m)
+        affine_ok[met], _ = psd_dominance(e, j + lam * h[met] + (lam * lam - 1.0) * eye)
+        squared_ok[met], _ = psd_dominance(e, j + lam * sq[met] + (lam * lam - 1.0) * eye)
+    return met, neighbor_ok, affine_ok, squared_ok
 
 
 def verify_psd_chain(g: BipartiteRegularGraph, k: int, fugacity: float,
@@ -391,7 +460,11 @@ def verify_psd_chain(g: BipartiteRegularGraph, k: int, fugacity: float,
     """
     tau = tuple(sorted(tau))
     slc = OneSidedSlice(g, k, fugacity)
-    return {"face": tau, **_psd_chain(slc, neighbor_graph(slc, tau))}
+    met, neighbor_ok, affine_ok, squared_ok = (
+        bool(x[0]) for x in _psd_chain(slc, _neighbor_graphs(slc, [tau])))
+    return {"face": tau, "hypotheses_met": met, "neighbor_below_squared": neighbor_ok,
+            "weight_below_affine": affine_ok if met else None,
+            "weight_below_squared_affine": squared_ok if met else None}
 
 
 def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: float,
@@ -406,18 +479,19 @@ def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: floa
     """
     report = VerificationReport(f"one-sided identities k={k} fugacity={fugacity}")
     slc = OneSidedSlice(g, k, fugacity)
-    for tau in _FaceSource(slc, face_cap, sample_count, seed).faces((2,)):
-        nbr = neighbor_graph(slc, tau)
+    faces = _FaceSource(slc, face_cap, sample_count, seed).faces((2,))
+    for chunk in _chunks(slc, faces):
+        nbr = _neighbor_graphs(slc, chunk)
         ok, dev = _walk_factorization(nbr, fugacity)
-        report.add(tau, dev, IDENTITY_TOL, "pass" if ok else "fail", "factorization")
-        psd = _psd_chain(slc, nbr)
-        report.add(tau, None, None,
-                   "pass" if psd["neighbor_below_squared"] else "fail",
-                   "neighbor domination")
-        if not psd["hypotheses_met"]:
-            report.add(tau, None, None, "hypothesis_not_met", "affine dominations")
-        else:
-            both = psd["weight_below_affine"] and psd["weight_below_squared_affine"]
-            report.add(tau, None, None, "pass" if both else "fail",
-                       "affine dominations")
+        met, neighbor_ok, affine_ok, squared_ok = _psd_chain(slc, nbr)
+        for i, tau in enumerate(chunk):
+            report.add(tau, float(dev[i]), IDENTITY_TOL, "pass" if ok[i] else "fail",
+                       "factorization")
+            report.add(tau, None, None, "pass" if neighbor_ok[i] else "fail",
+                       "neighbor domination")
+            if not met[i]:
+                report.add(tau, None, None, "hypothesis_not_met", "affine dominations")
+            else:
+                both = affine_ok[i] and squared_ok[i]
+                report.add(tau, None, None, "pass" if both else "fail", "affine dominations")
     return report

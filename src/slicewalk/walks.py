@@ -583,16 +583,20 @@ def spectral_gap(p: np.ndarray, pi: np.ndarray):
 
     The matrix is symmetrized by conjugating with diag(pi)^(1/2); a detailed
     balance violation beyond ``REVERSIBILITY_TOL`` raises.  ``gap`` is
-    1 - lambda2, the quantity that controls the lazy chain's mixing.
+    1 - lambda2, the quantity that controls the lazy chain's mixing.  A
+    stack of matrices (a leading axis on ``p`` and ``pi``) is solved by one
+    stacked ``eigvalsh`` call and gives three arrays, one entry per matrix.
     """
-    flow = pi[:, None] * p
-    if np.max(np.abs(flow - flow.T)) > REVERSIBILITY_TOL:
+    flow = pi[..., :, None] * p
+    if np.max(np.abs(flow - flow.swapaxes(-1, -2))) > REVERSIBILITY_TOL:
         raise ValueError("matrix is not reversible with respect to pi")
     root = np.sqrt(pi)
-    sym = flow / np.outer(root, root)
+    sym = flow / (root[..., :, None] * root[..., None, :])
     vals = np.linalg.eigvalsh(sym)
-    lam2 = float(vals[-2]) if len(vals) > 1 else float(vals[-1])
-    lam_star = max(lam2, abs(float(vals[0])))
+    lam2 = vals[..., -2] if vals.shape[-1] > 1 else vals[..., -1]
+    lam_star = np.maximum(lam2, np.abs(vals[..., 0]))
+    if p.ndim == 2:
+        return float(lam2), float(lam_star), 1.0 - float(lam2)
     return lam2, lam_star, 1.0 - lam2
 
 

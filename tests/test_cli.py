@@ -241,12 +241,11 @@ class TestDeterminismAndConfig:
                                                                 capsys):
         cfg = tmp_path / "family.cfg"
         cfg.write_text("two_sided = true\n")
-        argv = ["verify-spectral", "--in", graph_file, "--k", "3", "--lambda", "0.3",
-                "--config", str(cfg)]
+        argv = ["verify-spectral", "--in", graph_file, "--config", str(cfg)]
         code, out, err = run_cli(capsys, *argv, "--two-sided")
         assert code == 0, err
         assert [s["name"] for s in json.loads(out)["sweeps"]] == ["two-sided k_x=2 k_y=2"]
-        code, out, err = run_cli(capsys, *argv, "--one-sided")
+        code, out, err = run_cli(capsys, *argv, "--one-sided", "--k", "3", "--lambda", "0.3")
         assert code == 0, err
         names = [s["name"] for s in json.loads(out)["sweeps"]]
         assert names == ["one-sided k=3 fugacity=0.3", "one-sided identities k=3 fugacity=0.3"]
@@ -272,6 +271,48 @@ class TestDeterminismAndConfig:
             with pytest.raises(UsageError):
                 _effective_args(["experiment", "--name", "slow-mixing", "--n", "8",
                                  "--delta", "2", "--config", str(cfg)])
+
+    def test_config_values_outside_the_choices_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        for line, argv in (("format = xml", ["gen-graph", "--bipartite", "--n", "8",
+                                             "--delta", "3"]),
+                           ("family = three-sided", ["sample", "--in", "g.txt",
+                                                     "--family", "one-sided"]),
+                           ("format = yaml", ["verify-spectral", "--in", "g.txt",
+                                              "--two-sided"])):
+            cfg.write_text(line + "\n")
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert code == 2 and out == "" and line.split()[0] in err
+
+    @pytest.mark.parametrize("argv,config,unused", [
+        (["sample", "--family", "two-sided", "--lambda", "7"], "", "--lambda"),
+        (["sample", "--family", "two-sided", "--k", "3"], "", "--k"),
+        (["sample", "--family", "one-sided", "--kx", "2"], "", "--kx"),
+        (["sample", "--family", "regular", "--ky", "2", "--lambda", "0.5"], "", "--ky, --lambda"),
+        (["verify-spectral", "--two-sided", "--lambda", "0.25"], "", "--lambda"),
+        (["verify-spectral", "--one-sided", "--kx", "2", "--ky", "2"], "", "--kx, --ky"),
+        (["verify-spectral", "--regular"], "lam = 0.25", "--lambda"),
+        (["verify-spectral", "--two-sided"], "k = 3", "--k"),
+    ], ids=["sample-two-sided-lambda", "sample-two-sided-k", "sample-one-sided-kx",
+            "sample-regular-ky-lambda", "verify-two-sided-lambda", "verify-one-sided-kx-ky",
+            "verify-regular-config-lam", "verify-two-sided-config-k"])
+    def test_options_the_family_does_not_read_exit_2(self, graph_file, tmp_path, capsys,
+                                                     argv, config, unused):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text(config + "\n")
+        code, out, err = run_cli(capsys, *argv, "--in", graph_file, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"{unused} not read by the" in err
+
+    def test_options_the_family_reads_still_run(self, graph_file, tmp_path, capsys):
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text("kx = 1\nky = 1\n")
+        code, _, err = run_cli(capsys, "verify-spectral", "--two-sided", "--in", graph_file,
+                               "--config", str(cfg))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "sample", "--family", "one-sided", "--k", "2",
+                               "--lambda", "0.3", "--steps", "50", "--in", graph_file)
+        assert code == 0, err
 
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -18,7 +18,12 @@ The ``verify-spectral`` digests are the SHA-256 of the JSON report with
 path and the package version).  They were computed before the top-link
 sweeps moved to one face source and one sweep loop, and cover an exhaustive
 run of each family plus a run whose cross faces are sampled while its
-same-side faces stay under ``--face-cap``.
+same-side faces stay under ``--face-cap``.  The two two-sided digests were
+recomputed when cross links moved to singular values and same-side links to
+-1/(m-1): their reports match the previous code's field for field, apart
+from lambda2 values and the worst margin, which moved by at most 1e-15.  The
+sampled run gained ``--sample-count 30`` then, because a face kind with no
+more faces than the sample count is now enumerated.
 """
 from __future__ import annotations
 
@@ -74,19 +79,21 @@ def test_one_sided_estimate_bits():
 
 
 VERIFY_DIGESTS = {
-    "two-sided": "193c36b911aed1ec2cd637eead959c79276c36345caec8dcaa36a3a86fbaf393",
+    "two-sided": "c5321880842005c90b5f2bbde6a3bd877c9467f83089379a95b37caaed7dd02a",
     "one-sided": "71d65b023b637b2cf17967831d3ee868e1ca41e9a231ecdff660e25c93a40d5a",
     "regular": "afcce2306635d5fd8d2bac8e03fd45782e3b8b64a050b0a09633a73e52b942f9",
-    "sampled-cross": "e54895283b4b6be122b8324258f9205dfc4ed985c5ddcc77dac1df77f97b573b",
+    "sampled-cross": "41f1918c19e14f008d3a941aa3aebbf4cc2756e7cadc85f2faa1fc40c5cf7873",
 }
 
 VERIFY_RUNS = {
     "two-sided": (("bipartite", 10, 1), ["--two-sided", "--kx", "2", "--ky", "2"]),
     "one-sided": (("bipartite", 12, 2), ["--one-sided", "--k", "3", "--lambda", "0.25"]),
     "regular": (("regular", 12, 1), ["--regular", "--k", "3"]),
-    # 100 cross faces exceed the cap and are sampled; 45 same-side faces per side do not
+    # 100 cross faces exceed the cap and the sample count and are sampled; 45
+    # same-side faces per side do not
     "sampled-cross": (("bipartite", 10, 1), ["--two-sided", "--kx", "2", "--ky", "2",
-                                             "--face-cap", "50", "--seed", "4"]),
+                                             "--face-cap", "50", "--sample-count", "30",
+                                             "--seed", "4"]),
 }
 
 

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import pytest
 
+from slicewalk import verify
 from slicewalk.graphs import (BipartiteRegularGraph, gen_bipartite_regular,
                               gen_regular)
 from slicewalk.verify import (one_sided_hypotheses_met, verify_one_sided_identities,
                               verify_psd_chain, verify_top_link_one_sided,
                               verify_top_link_regular, verify_top_link_two_sided,
                               verify_walk_factorization)
-from slicewalk.slices import OneSidedSlice, neighbor_graph
+from slicewalk.slices import (OneSidedSlice, RegularSlice, SliceError, TwoSidedSlice,
+                              neighbor_graph, one_sided_link_walk_closed_form,
+                              regular_link_walk_closed_form, two_sided_link_walk_closed_form)
+from slicewalk.walks import spectral_gap
 
 
 class TestTwoSidedSweep:
@@ -143,13 +147,96 @@ class TestPsdChain:
 
     def test_identity_sweep_samples_above_the_cap(self):
         g = gen_bipartite_regular(10, 3, seed=1)
-        r = verify_one_sided_identities(g, 3, 0.3, face_cap=5)
-        swept = verify_top_link_one_sided(g, 3, 0.3, face_cap=5)
+        # 10 faces: above both the cap and the sample count, so they are sampled
+        r = verify_one_sided_identities(g, 3, 0.3, face_cap=5, sample_count=8)
+        swept = verify_top_link_one_sided(g, 3, 0.3, face_cap=5, sample_count=8)
         assert r.checked > 0 and r.all_pass()
         assert {rec.face for rec in r.records} == {rec.face for rec in swept.records}
+
+    def test_kinds_within_the_sample_count_are_enumerated_without_a_chain(self, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("run_chain called")
+
+        monkeypatch.setattr(verify, "run_chain", no_chain)
+        g = gen_bipartite_regular(10, 3, seed=1)
+        # 10 faces exceed the cap but not the default sample count
+        for sweep in (verify_top_link_one_sided, verify_one_sided_identities):
+            r = sweep(g, 3, 0.3, face_cap=5)
+            assert list(dict.fromkeys(rec.face for rec in r.records)) == [(v,) for v in range(10)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identity_sweep_random_instances(self, seed):
         g = gen_bipartite_regular(10, 3, seed=100 + seed)
         r = verify_one_sided_identities(g, 3, 0.3)
         assert r.all_pass(), r.summary()
+
+
+class TestClosedFormsAgainstTheDenseSpectrum:
+    """Sweep records against ``spectral_gap`` on each face's dense operator.
+
+    Two-sided cross links are solved by singular values of their half-size
+    block and same-side links by -1/(m-1), so they agree to 1e-12; regular
+    and one-sided links go through the same symmetrized ``eigvalsh``,
+    stacked, and agree bit for bit.
+    """
+
+    @pytest.fixture(scope="class")
+    def bipartite(self):
+        # criterion 3's bipartite corpus
+        return [gen_bipartite_regular(n, 3, seed=7 * n + s)
+                for n in (10, 12, 14, 16) for s in range(4)]
+
+    @staticmethod
+    def _two_sided_links(g, k_x, k_y):
+        """(records, dense operators) of every two-sided link with a walk."""
+        slc = TwoSidedSlice(g, k_x, k_y)
+        out = []
+        for rec in verify_top_link_two_sided(g, k_x, k_y).records:
+            try:
+                op = two_sided_link_walk_closed_form(slc, *rec.face)
+            except SliceError as e:
+                assert rec.status == "empty" and rec.detail == str(e)
+                continue
+            assert abs(rec.lambda2 - spectral_gap(op.matrix, op.pi)[0]) <= 1e-12
+            out.append((rec, op))
+        return out
+
+    def test_two_sided_on_the_corpus(self, bipartite):
+        links = [x for g in bipartite for x in self._two_sided_links(g, 2, 2)]
+        assert sum(1 for rec, _ in links if rec.detail.startswith("same-side")) > 1000
+        assert sum(1 for rec, _ in links if not rec.detail.startswith("same-side")) > 1000
+
+    def test_two_sided_edge_cases(self):
+        g = gen_bipartite_regular(8, 3, seed=0)
+        links = self._two_sided_links(g, 2, 3)
+        cross = [(rec, op) for rec, op in links if not rec.detail.startswith("same-side")]
+        sides = [sum(1 for side, _ in op.ground if side == "x") for _, op in cross]
+        lone = [(rec, op) for (rec, op), xs in zip(cross, sides) if 1 in (xs, len(op.ground) - xs)]
+        # a side with one vertex: 0, or -1 with one vertex on each side
+        assert {rec.lambda2 for rec, op in lone if len(op.ground) > 2} == {0.0}
+        assert {rec.lambda2 for rec, op in lone if len(op.ground) == 2} == {-1.0}
+        assert any(op.dropped for _, op in cross)
+        empty_same = [rec for rec in verify_top_link_two_sided(g, 2, 3).records
+                      if rec.status == "empty" and (len(rec.face[0]), len(rec.face[1])) != (1, 2)]
+        assert empty_same and all(rec.lambda2 is None for rec in empty_same)
+
+    def test_regular_bit_equal(self):
+        compared = 0
+        for g in [gen_regular(n, 3, seed=3 * n + s) for n in (12, 14, 16) for s in (0, 1)]:
+            slc = RegularSlice(g, 3)
+            for rec in verify_top_link_regular(g, 3).records:
+                op = regular_link_walk_closed_form(slc, rec.face)
+                assert rec.lambda2 == spectral_gap(op.matrix, op.pi)[0]
+                compared += 1
+        assert compared > 50
+
+    def test_one_sided_bit_equal(self, bipartite):
+        compared = 0
+        for g in bipartite:
+            slc = OneSidedSlice(g, 3, 0.25)
+            for rec in verify_top_link_one_sided(g, 3, 0.25).records:
+                if rec.lambda2 is not None:
+                    op = one_sided_link_walk_closed_form(slc, rec.face)
+                    assert rec.lambda2 == spectral_gap(op.matrix, op.pi)[0]
+                    compared += 1
+        assert compared > 50
