@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .counting import ThresholdParams, estimate_partition_hat, threshold_pair
@@ -63,6 +64,35 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+class Family(NamedTuple):
+    """A slice family: its class, the graph type it needs, the options it reads
+    (by dest, in constructor and sweep order) and its verify-spectral sweeps."""
+
+    slice: type
+    graph: type
+    reads: tuple[str, ...]
+    sweeps: tuple[Callable, ...]
+
+
+FAMILIES = {
+    "two-sided": Family(TwoSidedSlice, BipartiteRegularGraph, ("kx", "ky"),
+                        (verify_top_link_two_sided,)),
+    "one-sided": Family(OneSidedSlice, BipartiteRegularGraph, ("k", "lam"),
+                        (verify_top_link_one_sided, verify_one_sided_identities)),
+    "regular": Family(RegularSlice, RegularGraph, ("k",), (verify_top_link_regular,)),
+}
+
+
+# Each experiment's driver and the options it reads, by dest.
+EXPERIMENTS = {
+    "neighborhood-concentration": (experiment_neighborhood_concentration,
+                                   ("gamma", "ell", "samples")),
+    "large-set-expansion": (experiment_large_set_expansion, ("gamma", "a", "b", "samples")),
+    "independent-set-size": (experiment_independent_set_size, ("lam", "gamma", "samples")),
+    "slow-mixing": (experiment_slow_mixing, ("k", "lam", "c", "steps", "runs", "control")),
+}
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """(top-level parser, subcommand parsers by name)."""
     parser = argparse.ArgumentParser(
@@ -94,8 +124,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("sample", help="run a down-up chain and emit the sample stream")
     p.add_argument("--in", dest="graph_in", type=str, required=True)
-    p.add_argument("--family", choices=("two-sided", "one-sided", "regular"),
-                   required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--kx", type=int, default=1)
     p.add_argument("--ky", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
@@ -123,9 +152,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("verify-spectral", help="deterministic top-link bound sweeps")
     p.add_argument("--in", dest="graph_in", type=str, required=True)
     fam = p.add_mutually_exclusive_group(required=True)
-    fam.add_argument("--two-sided", action="store_true")
-    fam.add_argument("--one-sided", action="store_true")
-    fam.add_argument("--regular", action="store_true")
+    for name in FAMILIES:
+        fam.add_argument(f"--{name}", action="store_true")
     p.add_argument("--kx", type=int, default=2)
     p.add_argument("--ky", type=int, default=2)
     p.add_argument("--k", type=int, default=3)
@@ -137,9 +165,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common(p)
 
     p = sub.add_parser("experiment", help="concentration and slow-mixing drivers")
-    p.add_argument("--name", required=True,
-                   choices=("neighborhood-concentration", "large-set-expansion",
-                            "independent-set-size", "slow-mixing"))
+    p.add_argument("--name", required=True, choices=tuple(EXPERIMENTS))
     p.add_argument("--n", type=int, required=True, help="side size")
     p.add_argument("--delta", type=int, required=True, help="degree")
     p.add_argument("--k", type=int, default=4)
@@ -157,69 +183,73 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _command_line_dests(argv) -> set[str]:
-    """Dests that ``argv`` sets, whatever their values."""
-    parser, commands = _build_parser()
-    for sub in commands.values():
-        for action in sub._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
 def _effective_args(argv):
     """Parse ``argv``; a --config file becomes the subcommand's defaults and
     the command line is parsed again, so argparse lets every explicit flag
-    win over the file."""
+    win over the file.  ``given`` on the result maps each dest that the
+    command line or the file sets to its flag."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        overrides = load_config_file(args.config)
-        unknown = [k for k in overrides if k == "command" or not hasattr(args, k)]
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        sub = commands[args.command]
-        for action in sub._actions:  # argparse checks choices on the command line only
-            if action.choices and action.dest in overrides \
-                    and overrides[action.dest] not in action.choices:
-                raise UsageError(f"config {action.dest} = {overrides[action.dest]}: "
-                                 f"choose from {', '.join(map(str, action.choices))}")
-        # argparse counts a group member as given only when its value is not
-        # its default, so the file must not touch a group the command line set
-        given = _command_line_dests(argv)
-        for group in sub._mutually_exclusive_groups:
-            if any(a.dest in given for a in group._group_actions):
-                for a in group._group_actions:
-                    overrides.pop(a.dest, None)
+    sub = commands[args.command]
+    bare, bare_commands = _build_parser()  # no defaults: parses to the dests argv sets
+    for action in bare_commands[args.command]._actions:
+        action.default = argparse.SUPPRESS
+    given = set(vars(bare.parse_args(argv)))
+    overrides = load_config_file(args.config) if args.config else {}
+    unknown = [k for k in overrides if k == "command" or not hasattr(args, k)]
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for action in sub._actions:  # argparse checks choices on the command line only
+        if action.choices and action.dest in overrides \
+                and overrides[action.dest] not in action.choices:
+            raise UsageError(f"config {action.dest} = {overrides[action.dest]}: "
+                             f"choose from {', '.join(map(str, action.choices))}")
+    # argparse counts a group member as given only when its value is not its
+    # default, so the file must not touch a group the command line set
+    for group in sub._mutually_exclusive_groups:
+        if any(a.dest in given for a in group._group_actions):
+            for a in group._group_actions:
+                overrides.pop(a.dest, None)
+    if overrides:
         sub.set_defaults(**overrides)
         args = parser.parse_args(argv)
+    args.given = {a.dest: a.option_strings[0] for a in sub._actions
+                  if a.dest in given or a.dest in overrides}
     return args
 
 
-# The slice parameters each family reads, by the dests of their options.
-FAMILY_OPTIONS = {"two-sided": {"kx", "ky"}, "one-sided": {"k", "lam"}, "regular": {"k"}}
-
-
-def _check_family_options(args, argv) -> None:
-    """Reject a slice parameter that the chosen family does not read when
-    the command line or the config file sets it."""
+def _family(args) -> str:
+    """The family that ``sample --family`` names or a verify-spectral flag sets."""
     if args.command == "sample":
-        family = args.family
-    elif args.command == "verify-spectral":
-        family = next(f for f in FAMILY_OPTIONS if getattr(args, f.replace("-", "_")))
+        return args.family
+    return next(f for f in FAMILIES if getattr(args, f.replace("-", "_")))
+
+
+def _check_reads(args) -> None:
+    """Reject an option that the command line or the config file sets when
+    the chosen variant of the command does not read it: a slice parameter of
+    another family, an option of another experiment, or --gamma next to
+    --alpha."""
+    if args.command in ("sample", "verify-spectral"):
+        family = _family(args)
+        variant, reads = f"{family} family", FAMILIES[family].reads
+        optional = {d for f in FAMILIES.values() for d in f.reads}
+    elif args.command == "experiment":
+        variant, (_, reads) = f"{args.name} experiment", EXPERIMENTS[args.name]
+        optional = {d for _, e in EXPERIMENTS.values() for d in e}
+    elif args.command == "estimate-z":  # gamma only sets the default alpha
+        variant, optional = "explicit threshold --alpha", {"gamma"}
+        reads = optional if args.alpha is None else ()
     else:
         return
-    given = _command_line_dests(argv) | set(load_config_file(args.config) if args.config else ())
-    read = FAMILY_OPTIONS[family]
-    unused = sorted((given & set().union(*FAMILY_OPTIONS.values())) - read)
+    unused = sorted((args.given.keys() & optional) - set(reads))
     if unused:
-        _, commands = _build_parser()
-        flags = {a.dest: a.option_strings[0] for a in commands[args.command]._actions}
-        raise UsageError(f"{', '.join(flags[d] for d in unused)} not read by the {family} "
-                         f"family (it reads {', '.join(flags[d] for d in sorted(read))})")
+        raise UsageError(f"{', '.join(args.given[d] for d in unused)} not read by the "
+                         f"{variant}")
 
 
 def _public_config(args) -> dict:
-    skip = {"command", "config", "out", "format", "timing"}
+    skip = {"command", "config", "out", "format", "timing", "given"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -245,27 +275,19 @@ def _cmd_gen_graph(args):
     return report, False, None
 
 
-def _require_kind(g, bipartite: bool) -> None:
-    if bipartite and not isinstance(g, BipartiteRegularGraph):
-        raise UsageError("this operation needs a bipartite graph file")
-    if not bipartite and not isinstance(g, RegularGraph):
-        raise UsageError("this operation needs a regular (non-bipartite) graph file")
-
-
-def _make_slice(args, g):
-    if args.family == "two-sided":
-        _require_kind(g, True)
-        return TwoSidedSlice(g, args.kx, args.ky)
-    if args.family == "one-sided":
-        _require_kind(g, True)
-        return OneSidedSlice(g, args.k, args.lam)
-    _require_kind(g, False)
-    return RegularSlice(g, args.k)
+def _load_graph(path: str, graph: type):
+    """The graph in ``path``, which must be of type ``graph``."""
+    g = load_graph(path)
+    if not isinstance(g, graph):
+        kind = "bipartite" if graph is BipartiteRegularGraph else "regular (non-bipartite)"
+        raise UsageError(f"this operation needs a {kind} graph file")
+    return g
 
 
 def _cmd_sample(args):
-    g = load_graph(args.graph_in)
-    slc = _make_slice(args, g)
+    family = FAMILIES[args.family]
+    slc = family.slice(_load_graph(args.graph_in, family.graph),
+                       *(getattr(args, d) for d in family.reads))
     cfg = ChainConfig(steps=args.steps, seed=args.seed, lazy=not args.no_lazy,
                       burn_in=args.burn_in, thinning=args.thin)
     samples, mix = run_chain(slc, cfg)
@@ -282,8 +304,7 @@ def _cmd_sample(args):
 
 
 def _cmd_estimate_z(args):
-    g = load_graph(args.graph_in)
-    _require_kind(g, True)
+    g = _load_graph(args.graph_in, BipartiteRegularGraph)
     pair = (args.alpha, args.beta)
     if None in pair:  # a threshold not given comes from the graph's degree
         pair = [mine if mine is not None else default
@@ -307,17 +328,11 @@ def _cmd_estimate_z(args):
 
 
 def _cmd_verify_spectral(args):
-    g = load_graph(args.graph_in)
-    _require_kind(g, not args.regular)
-    families = {  # family flag -> (sweep, its slice parameters) in report order
-        "two_sided": [(verify_top_link_two_sided, (args.kx, args.ky))],
-        "one_sided": [(verify_top_link_one_sided, (args.k, args.lam)),
-                      (verify_one_sided_identities, (args.k, args.lam))],
-        "regular": [(verify_top_link_regular, (args.k,))],
-    }
-    sweeps = next(runs for flag, runs in families.items() if getattr(args, flag))
+    family = FAMILIES[_family(args)]
+    g = _load_graph(args.graph_in, family.graph)
+    params = [getattr(args, d) for d in family.reads]
     reports = [sweep(g, *params, face_cap=args.face_cap, sample_count=args.sample_count,
-                     seed=args.seed) for sweep, params in sweeps]
+                     seed=args.seed) for sweep in family.sweeps]
     failed = any(not r.all_pass() for r in reports)
     payload = {
         "sweeps": [r.summary() for r in reports],
@@ -343,15 +358,8 @@ def _cmd_experiment(args):
                            gamma=args.gamma, ell=args.ell, a=args.a, b=args.b,
                            c=args.c, samples=args.samples, steps=args.steps,
                            runs=args.runs)
-    driver = {
-        "neighborhood-concentration": experiment_neighborhood_concentration,
-        "large-set-expansion": experiment_large_set_expansion,
-        "independent-set-size": experiment_independent_set_size,
-    }.get(args.name)
-    if driver is not None:
-        report = driver(cfg)
-    else:
-        report = experiment_slow_mixing(cfg, control=args.control)
+    driver, reads = EXPERIMENTS[args.name]
+    report = driver(cfg, control=args.control) if "control" in reads else driver(cfg)
     return report, False, None
 
 
@@ -360,7 +368,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _effective_args(argv)
-        _check_family_options(args, argv)
+        _check_reads(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ import numpy as np
 from .graphs import BipartiteRegularGraph, X
 from .rng import UniformBuffer, rng_stream
 from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
-                     exact_distribution, link, one_sided_log_weight)
+                     exact_distribution, link)
 from .walks import (TABLE_ROW_CAP, FacetTable, InitialStateError, _step, facet_table,
                     greedy_initial_state)
 
@@ -63,8 +63,13 @@ class ThresholdParams:
                 "beta <= alpha: fugacity too small for a nonempty one-sided band")
 
 
+def alpha_threshold(degree: int, gamma: float) -> float:
+    """The occupancy threshold log(degree)/((2+gamma) degree)."""
+    return math.log(degree) / ((2.0 + gamma) * degree)
+
+
 def threshold_pair(degree: int, fugacity: float, gamma: float) -> tuple[float, float]:
-    """(alpha, beta) = (log(degree)/((2+gamma) degree), 4*fugacity), clamped to
+    """(alpha, beta) = (alpha_threshold(degree, gamma), 4*fugacity), clamped to
     (0, 1]; the pair itself is validated by ThresholdParams."""
     if degree < 3:
         raise ValueError("degree must be at least 3")
@@ -72,7 +77,7 @@ def threshold_pair(degree: int, fugacity: float, gamma: float) -> tuple[float, f
         raise ValueError("fugacity must be positive")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    alpha = min(math.log(degree) / ((2.0 + gamma) * degree), 1.0 - 1e-12)
+    alpha = min(alpha_threshold(degree, gamma), 1.0 - 1e-12)
     return alpha, min(4.0 * fugacity, 1.0)
 
 
@@ -328,10 +333,14 @@ def _exact_marginal(slc: Slice, cap: int = EXACT_MARGINAL_CAP):
     return v, float(marg[v])
 
 
-def _trace_label(slc: Slice, v: int, n: int):
-    """Traced name of global id ``v``: (side, index) with side 0 for X and 1
-    for Y on two-sided slices, the id itself otherwise."""
-    return divmod(v, n) if isinstance(slc, TwoSidedSlice) else v
+def _trace_label(slc: Slice, v: int):
+    """Traced name of global id ``v``: (part index, offset in the part) on a
+    slice of several parts, such as (0, i) for X and (1, j) for Y on a
+    two-sided slice; the id itself on a slice of one part."""
+    if len(slc.parts) == 1:
+        return v
+    p = slc.part_of[v]
+    return p, v - slc.parts[p][0]
 
 
 def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
@@ -373,13 +382,13 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             hits = int(counts[v])
             if hits <= 0:
                 raise InsufficientSamplesError(
-                    f"marginal estimate for vertex {_trace_label(slc, v, n)} came out zero")
+                    f"marginal estimate for vertex {_trace_label(slc, v)} came out zero")
             p_hat = hits / got
             total += got + pilot_got
             # second-order bias correction for E[1/p_hat] = (1/p)(1 + (1-p)/(pN))
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
-        trace.append(LevelTrace(_trace_label(slc, v, n), p_hat, got, method))
+        trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method))
         slc = link(slc, slc.from_ids((v,)), check_nonempty=False)
     return log_value, trace, total, slc
 
@@ -392,13 +401,15 @@ def _repetitions(delta: float) -> int:
     return math.ceil(12.0 * math.log(1.0 / delta))
 
 
-def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int, base_log):
+def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int):
+    """Median over repetitions of the telescoped log value, each closed by the
+    log weight of its fully pinned final slice."""
     reps = _repetitions(delta)
     z2 = _z_quantile(delta) ** 2 if reps == 1 else _z_quantile(0.25) ** 2
     runs = []
     for rep in range(reps):
         log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep)
-        runs.append((log_v + base_log(final), trace, total))
+        runs.append((log_v + final.log_weight(final.from_ids(final.pinned_ids)), trace, total))
     runs.sort(key=lambda r: r[0])
     mid = runs[len(runs) // 2]
     samples = sum(r[2] for r in runs)
@@ -417,7 +428,7 @@ def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     slc = TwoSidedSlice(g, k_x, k_y)
     if k_x == 0 and k_y == 0:
         return CountEstimate(0.0, epsilon, delta, 0, seed=seed)
-    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed, base_log=lambda s: 0.0)
+    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed)
     return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
 
 
@@ -430,15 +441,12 @@ def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: flo
     """
     slc = OneSidedSlice(g, k, fugacity)
 
-    def base_log(final: Slice) -> float:
-        return one_sided_log_weight(final, sorted(final.pinned))
-
     if k == 0:
         return CountEstimate(g.n_side * math.log1p(fugacity), epsilon, delta, 0, seed=seed)
     if k == g.n_side:
-        return CountEstimate(one_sided_log_weight(slc, range(g.n_side)),
+        return CountEstimate(slc.log_weight(range(g.n_side)),
                              epsilon, delta, 0, seed=seed)
-    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed, base_log)
+    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed)
     return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
 
 

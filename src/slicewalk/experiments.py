@@ -27,6 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .counting import alpha_threshold
 from .graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice
@@ -69,10 +70,6 @@ class ExperimentConfig:
             raise ValueError("c must lie in (1/2, 1)")
         if self.samples < 1 or self.runs < 1:
             raise ValueError("samples and runs must be positive")
-
-
-def alpha_threshold(degree: int, gamma: float) -> float:
-    return math.log(degree) / ((2.0 + gamma) * degree)
 
 
 def coupled_ell(degree: int, gamma: float) -> float:
@@ -374,10 +371,10 @@ def experiment_slow_mixing(config: ExperimentConfig,
         }
         if not control:
             within = []
-            for seed_off, comp in ((0, g1), (1, g2)):
+            for comp in (g1, g2):
                 cslc = OneSidedSlice(comp, k, lam)
                 _, cp, cpi = exact_transition_matrix(cslc)
-                lam2, _, gap = spectral_gap(cp, cpi)
+                _, _, gap = spectral_gap(cp, cpi)
                 within.append(gap / 2.0)
             report["exact"]["within_component_conductance_lower"] = min(within)
             report["exact"]["separation_factor"] = (

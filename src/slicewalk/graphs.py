@@ -144,19 +144,6 @@ class RegularGraph:
             raise IndexError(f"vertex {v} out of range")
         return self.adj[v]
 
-    def neighbor_set(self, vertices: Iterable[int], *, closed: bool = False) -> frozenset[int]:
-        verts = list(vertices)
-        out: set[int] = set()
-        for v in verts:
-            if not 0 <= v < self.n:
-                raise IndexError(f"vertex {v} out of range")
-            out.update(self.adj[v])
-        if closed:
-            out.update(verts)
-        else:
-            out.difference_update(verts)
-        return frozenset(out)
-
     @property
     def global_adj(self) -> tuple[tuple[int, ...], ...]:
         return self.adj

@@ -61,10 +61,6 @@ class EnumerationCapError(RuntimeError):
     """State space larger than the configured enumeration cap."""
 
 
-def _sorted_tuple(items: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(items))
-
-
 def _check_pins(pins: frozenset[int], size: int) -> None:
     """Reject pinned ids outside ``range(size)`` before anything indexes by them."""
     if not all(0 <= v < size for v in pins):
@@ -81,6 +77,9 @@ class _SliceCore:
     global ids.  The defaults serve the single-set families, whose public
     format already is a tuple of ids.
     """
+
+    coverage_weighted = False  # the chain kernel: uniform under part quotas
+    stream_tags = ("v",)  # sample-stream tag of each equal block of global ids
 
     @cached_property
     def parts(self) -> tuple[tuple[int, int, int], ...]:
@@ -108,7 +107,7 @@ class _SliceCore:
         return tuple(facet)
 
     def from_ids(self, ids: Iterable[int]):
-        return _sorted_tuple(ids)
+        return tuple(sorted(ids))
 
     def label(self, v: int):
         """Public name of global id ``v``, as used by link operators."""
@@ -118,6 +117,14 @@ class _SliceCore:
         """Same slice with ``face``, in the public format, added to the pins."""
         return replace(self, pinned=self.pinned | frozenset(face))
 
+    def log_weight(self, facet) -> float:
+        """Log of the facet's unnormalized weight: 0 for the uniform families."""
+        return 0.0
+
+    def greedy_order(self, rng: np.random.Generator, count: int):
+        """Order in which greedy completion tries the ``count`` free ids."""
+        return rng.permutation(count)
+
 
 @dataclass(eq=False)
 class TwoSidedSlice(_SliceCore):
@@ -126,6 +133,8 @@ class TwoSidedSlice(_SliceCore):
     k_y: int
     pinned_x: frozenset[int] = field(default_factory=frozenset)
     pinned_y: frozenset[int] = field(default_factory=frozenset)
+
+    stream_tags = (X, Y)
 
     def __post_init__(self) -> None:
         if not (0 <= self.k_x <= self.graph.n_side and 0 <= self.k_y <= self.graph.n_side):
@@ -173,6 +182,9 @@ class OneSidedSlice(_SliceCore):
     fugacity: float
     pinned: frozenset[int] = field(default_factory=frozenset)
 
+    coverage_weighted = True
+    stream_tags = (X, Y)  # a facet is an X part with an empty Y part
+
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.graph.n_side:
             raise SliceError("k out of range")
@@ -192,6 +204,23 @@ class OneSidedSlice(_SliceCore):
         vertex with e uncovered neighbours, relative to one with none."""
         base = 1.0 + self.fugacity
         return tuple(base ** (-e) for e in range(self.graph.degree + 1))
+
+    def log_weight(self, s: Iterable[int]) -> float:
+        """log of fugacity^k * (1+fugacity)^{|Y \\ N[S]|} for a k-subset S of X.
+
+        Equals the log of the exact sum of fugacity^{|I|} over independent sets
+        I with I ∩ X = S: every subset of the uncovered Y vertices completes S.
+        """
+        s_set = frozenset(s)
+        if len(s_set) != self.k:
+            raise SliceError(f"|S| = {len(s_set)} but the slice has k = {self.k}")
+        uncovered = self.graph.n_side - len(self.graph.neighbor_set(X, s_set))
+        return self.k * math.log(self.fugacity) + uncovered * math.log1p(self.fugacity)
+
+    def greedy_order(self, rng: np.random.Generator, count: int):
+        """No two X ids conflict, so one uniform draw of the free size completes
+        the face."""
+        return rng.choice(count, size=self.free_size, replace=False) if self.free_size else ()
 
 
 @dataclass(eq=False)
@@ -222,41 +251,22 @@ Slice = TwoSidedSlice | OneSidedSlice | RegularSlice
 # -- weights ---------------------------------------------------------------------
 
 
-def one_sided_log_weight(slc: OneSidedSlice, s: Iterable[int]) -> float:
-    """log of fugacity^k * (1+fugacity)^{|Y \\ N[S]|} for a k-subset S of X.
-
-    Equals the log of the exact sum of fugacity^{|I|} over independent sets I
-    with I ∩ X = S: every subset of the uncovered Y vertices completes S.
-    """
-    s_set = frozenset(s)
-    if len(s_set) != slc.k:
-        raise SliceError(f"|S| = {len(s_set)} but the slice has k = {slc.k}")
-    uncovered = slc.graph.n_side - len(slc.graph.neighbor_set(X, s_set))
-    return slc.k * math.log(slc.fugacity) + uncovered * math.log1p(slc.fugacity)
+one_sided_log_weight = OneSidedSlice.log_weight
 
 
 def one_sided_weight(slc: OneSidedSlice, s: Iterable[int]) -> float:
     return math.exp(one_sided_log_weight(slc, s))
 
 
-def facet_log_weight(slc: Slice, facet) -> float:
-    if isinstance(slc, OneSidedSlice):
-        return one_sided_log_weight(slc, facet)
-    return 0.0  # uniform families
-
-
 # -- enumeration -------------------------------------------------------------------
 
 
 def enumerate_facets(slc: Slice, cap: int = ENUMERATION_CAP) -> list:
-    """Exhaustive, duplicate-free, lexicographically ordered facet list."""
-    if isinstance(slc, OneSidedSlice):
-        free = sorted(set(range(slc.graph.n_side)) - slc.pinned)
-        need = slc.free_size
-        if math.comb(len(free), need) > cap:
-            raise EnumerationCapError("one-sided slice exceeds the enumeration cap")
-        base = _sorted_tuple(slc.pinned)
-        return [_sorted_tuple(base + extra) for extra in combinations(free, need)]
+    """Exhaustive, duplicate-free, lexicographically ordered facet list.
+
+    The one-sided slice is its single X part: X has no internal edges, so
+    every k-subset of it is independent.
+    """
     pins = slc.pinned_ids
     parts = [(lo, hi, quota - sum(1 for v in pins if lo <= v < hi))
              for lo, hi, quota in slc.parts]
@@ -302,7 +312,7 @@ def exact_distribution(slc: Slice, cap: int = ENUMERATION_CAP):
     facets = enumerate_facets(slc, cap)
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
-    logw = np.array([facet_log_weight(slc, f) for f in facets])
+    logw = np.array([slc.log_weight(f) for f in facets])
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     return facets, probs
@@ -335,24 +345,18 @@ def link(slc: Slice, face, *, check_nonempty: bool = True) -> Slice:
 def greedy_facet(slc: Slice, rng: np.random.Generator, restarts: int = 64):
     """Randomized greedy completion of the pinned face to a facet, or None.
 
-    One-sided slices always succeed in a single uniform draw; the independent
-    set families shuffle the free vertices and insert each one whose part
-    quota is unmet and which has no neighbor in the set, with restarts.
+    Each restart tries the free vertices in the slice's ``greedy_order`` and
+    inserts each one whose part quota is unmet and which has no neighbor in
+    the set.
     """
     pinned = slc.pinned_ids
-    if isinstance(slc, OneSidedSlice):
-        free = [v for v in range(slc.graph.n_side) if v not in pinned]
-        if len(free) < slc.free_size:
-            return None
-        pick = rng.choice(len(free), size=slc.free_size, replace=False) if slc.free_size else []
-        return _sorted_tuple(set(pinned) | {free[int(i)] for i in pick})
     adj = slc.graph.global_adj
     verts = [(v, p) for p, (lo, hi, _) in enumerate(slc.parts)
              for v in range(lo, hi) if v not in pinned]
     quota = [q - sum(1 for v in pinned if lo <= v < hi) for lo, hi, q in slc.parts]
     size = len(pinned) + sum(quota)
     for _ in range(restarts):
-        order = rng.permutation(len(verts))
+        order = slc.greedy_order(rng, len(verts))
         chosen = set(pinned)
         need = list(quota)
         for t in order:
@@ -377,8 +381,7 @@ class LinkOperator:
     ``ground`` orders the link vertices; ``matrix`` is the row-stochastic walk,
     ``pi`` its stationary distribution.  For one-sided links the per-vertex
     normalizers ``z_vertex`` and their weighted total ``z_total`` are kept,
-    since the spectral analysis is phrased in terms of them.  ``dropped``
-    lists candidate vertices excluded because they are isolated in the link.
+    since the spectral analysis is phrased in terms of them.
     """
 
     ground: tuple
@@ -386,7 +389,6 @@ class LinkOperator:
     pi: np.ndarray
     z_total: float | None = None
     z_vertex: np.ndarray | None = None
-    dropped: tuple = ()
 
     def validate(self) -> None:
         m = len(self.ground)
@@ -415,7 +417,7 @@ def local_walk_exact(slc: Slice, face=None) -> LinkOperator:
     if not facets:
         raise SliceError("empty link")
     pairs: dict[int, dict[int, float]] = {}
-    logw = [facet_log_weight(slc2, f) for f in facets]
+    logw = [slc2.log_weight(f) for f in facets]
     shift = max(logw)
     for f, lw in zip(facets, logw):
         u, v = _free_pair(slc2, f)
@@ -557,17 +559,14 @@ def _uniform_link_walk(slc: TwoSidedSlice | RegularSlice, face: Iterable[int]) -
     The survivors are the ids of parts with quota left that are neither in
     the face nor next to it.  The skeleton joins two non-adjacent survivors
     that fit the remaining quotas (two different parts, or one part that
-    still needs two); isolated survivors are dropped and reported.
+    still needs two); isolated survivors are dropped.
     """
     survivors, lefts, errors = _link_survivors(slc, [sorted(frozenset(face))])
     walks = _uniform_link_walks(slc, survivors, lefts, errors)
     if errors:
         raise errors[0]
     (_, ground, p, pi), = walks
-    kept = set(ground[0].tolist())
-    dropped = [v for v in np.flatnonzero(survivors[0]).tolist() if v not in kept]
-    return LinkOperator(tuple(slc.label(v) for v in ground[0].tolist()), p[0], pi[0],
-                        dropped=tuple(slc.label(v) for v in dropped))
+    return LinkOperator(tuple(slc.label(v) for v in ground[0].tolist()), p[0], pi[0])
 
 
 def two_sided_link_walk_closed_form(slc: TwoSidedSlice, tau_x: Iterable[int],

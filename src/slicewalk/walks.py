@@ -39,8 +39,7 @@ import numpy as np
 
 from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
-                     SliceError, TwoSidedSlice, enumerate_facets, exact_distribution,
-                     facet_log_weight, greedy_facet)
+                     SliceError, enumerate_facets, exact_distribution, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -105,7 +104,7 @@ def _make_state(slc: Slice, facet) -> ChainState:
         raise SliceError("facet is not an independent set")
     pinned = slc.pinned_ids
     free = [v for v in ids if v not in pinned]
-    if isinstance(slc, OneSidedSlice):
+    if slc.coverage_weighted:
         n = slc.graph.n_side
         unc = [sum(1 for j in adj[x] if cover[j] == 0) for x in range(n)]
         pools: list[list[int]] = [[] for _ in range(slc.graph.degree + 1)]
@@ -411,10 +410,9 @@ def facet_table(slc: Slice) -> FacetTable | None:
     # one int object per base, shared by every successor list
     base_of = {mask: f * width for mask, f in index.items()}
     rows: list = [None] * (len(facets) * width)
-    weighted = False
+    weighted = slc.coverage_weighted
     for f, facet in enumerate(facets):
         state = _make_state(slc, facet)
-        weighted = state.kernel is _step_one_sided
         mask = _id_mask(state.free)
         for pos, v in enumerate(state.free):
             rest = mask ^ (1 << v)
@@ -554,7 +552,7 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
     k_free = slc.free_size
     if k_free == 0:
         return facets, np.ones((1, 1)), probs
-    logw = np.array([facet_log_weight(slc, f) for f in facets])
+    logw = np.array([slc.log_weight(f) for f in facets])
     weights = np.exp(logw - logw.max())
     groups: dict = {}
     for i, f in enumerate(facets):
@@ -614,11 +612,11 @@ def tv_distance(histogram: np.ndarray, exact: np.ndarray) -> float:
 
 
 def format_facet(slc: Slice, facet) -> str:
-    """Sample stream line: sorted side-tagged indices, e.g. ``x3 x7 | y1 y4``."""
-    if isinstance(slc, TwoSidedSlice):
-        xs = " ".join(f"x{i}" for i in facet[0])
-        ys = " ".join(f"y{j}" for j in facet[1])
-        return f"{xs} | {ys}".strip()
-    if isinstance(slc, OneSidedSlice):
-        return (" ".join(f"x{i}" for i in facet) + " |").strip()
-    return " ".join(f"v{i}" for i in facet)
+    """Sample stream line: sorted side-tagged indices, e.g. ``x3 x7 | y1 y4``,
+    from equal blocks of global ids, one per entry of ``slc.stream_tags``."""
+    tags = slc.stream_tags
+    block = len(slc.graph.global_adj) // len(tags)
+    sides: list[list[str]] = [[] for _ in tags]
+    for v in sorted(slc.to_ids(facet)):
+        sides[v // block].append(f"{tags[v // block]}{v % block}")
+    return " | ".join(" ".join(side) for side in sides).strip()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import slicewalk
+from slicewalk import cli
 from slicewalk.cli import UsageError, _build_parser, _effective_args, load_config_file, main
 from slicewalk.reports import to_csv, to_json
 
@@ -304,6 +307,41 @@ class TestDeterminismAndConfig:
         assert code == 2 and out == ""
         assert f"{unused} not read by the" in err
 
+    @pytest.mark.parametrize("argv,config,unused", [
+        (["experiment", "--name", "neighborhood-concentration", "--control", "--runs", "3",
+          "--steps", "5"], "", "--control, --runs, --steps"),
+        (["experiment", "--name", "slow-mixing", "--steps", "10", "--runs", "1", "--ell", "1"],
+         "", "--ell"),
+        (["experiment", "--name", "independent-set-size"], "a = 0.5", "--a"),
+        (["estimate-z", "--in", None, "--alpha", "0.2", "--beta", "0.5", "--gamma", "0.3"],
+         "", "--gamma"),
+        (["estimate-z", "--in", None, "--alpha", "0.2", "--beta", "0.5"], "gamma = 0.3",
+         "--gamma"),
+        (["estimate-z", "--in", None, "--alpha", "0.2", "--gamma", "0.3"], "", "--gamma"),
+    ], ids=["concentration-control-runs-steps", "slow-mixing-ell",
+            "independent-set-size-config-a", "estimate-z-gamma", "estimate-z-config-gamma",
+            "estimate-z-alpha-gamma"])
+    def test_options_the_variant_does_not_read_exit_2(self, graph_file, tmp_path, capsys,
+                                                      argv, config, unused):
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(config + "\n")
+        argv = [graph_file if a is None else a for a in argv]
+        if argv[0] == "experiment":
+            argv += ["--n", "8", "--delta", "3"]
+        else:
+            argv += ["--lambda", "0.25", "--eps", "0.3", "--delta", "0.3"]
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"{unused} not read by the" in err
+
+    def test_gamma_sets_the_default_alpha(self, graph_file, capsys):
+        argv = ["estimate-z", "--in", graph_file, "--lambda", "0.25", "--eps", "0.3",
+                "--delta", "0.3", "--beta", "0.5", "--gamma", "0.3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        thr = json.loads(out)["thresholds"]
+        assert thr["alpha"] == pytest.approx(math.log(3) / 6.9) and thr["gamma"] == 0.3
+
     def test_options_the_family_reads_still_run(self, graph_file, tmp_path, capsys):
         cfg = tmp_path / "family.cfg"
         cfg.write_text("kx = 1\nky = 1\n")
@@ -423,3 +461,44 @@ def test_explicit_flags_win_over_the_config(tmp_path, command, action, form, abb
                 "abbrev": [abbrev, *value], "absent": []}[form]
     args = _effective_args(argv + explicit + ["--config", str(cfg)])
     assert getattr(args, action.dest) == parsed
+
+
+# -- every option is read -----------------------------------------------------------
+
+
+def _attributes_of(fn, name: str) -> set[str]:
+    """Attributes that the source of ``fn`` reads from the name ``name``."""
+    return {node.attr for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == name}
+
+
+def test_every_option_is_read():
+    """No dead flag: each subcommand option is common, read by the command's
+    handler whatever the variant, selects the variant, or is read by a family
+    or experiment of the command."""
+    common = {"help", "seed", "out", "format", "config", "timing"}
+    families = [f.reads for f in cli.FAMILIES.values()]
+    variant_reads = {"sample": families, "verify-spectral": families,
+                     "experiment": [reads for _, reads in cli.EXPERIMENTS.values()]}
+    _, commands = _build_parser()
+    for command, sub in commands.items():
+        dests = {a.dest for a in sub._actions}
+        handler = _attributes_of(getattr(cli, "_cmd_" + command.replace("-", "_")), "args")
+        selectors = {a.dest for group in sub._mutually_exclusive_groups if group.required
+                     for a in group._group_actions}
+        variants = set().union(*variant_reads.get(command, []))
+        assert variants <= dests, command
+        assert dests - common - handler - selectors - variants == set(), command
+
+
+@pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+def test_experiment_read_sets_match_the_drivers(name):
+    driver, reads = cli.EXPERIMENTS[name]
+    call = next(node for node in ast.walk(ast.parse(inspect.getsource(cli._cmd_experiment)))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                == "ExperimentConfig")
+    field_of = {kw.value.attr: kw.arg for kw in call.keywords}  # option dest -> field
+    fields = _attributes_of(driver, "config")
+    read = {d for d, f in field_of.items() if f in fields}
+    read |= {"control"} & set(inspect.signature(driver).parameters)
+    assert read - {"n", "delta", "seed"} == set(reads)

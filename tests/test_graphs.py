@@ -70,11 +70,6 @@ def test_neighborhoods(bipartite_c6):
         bipartite_c6.neighbor_set(X, (99,))
 
 
-def test_closed_neighborhood_regular(six_cycle):
-    assert six_cycle.neighbor_set((0,), closed=True) == {5, 0, 1}
-    assert six_cycle.neighbor_set((0,), closed=False) == {5, 1}
-
-
 def test_global_adjacency(bipartite_c6, six_cycle):
     # X keeps ids 0..2 and Y becomes 3..5
     assert bipartite_c6.global_adj == ((3, 4), (4, 5), (3, 5), (0, 2), (0, 1), (1, 2))

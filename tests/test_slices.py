@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 from itertools import combinations
 
 import numpy as np
@@ -121,6 +123,17 @@ class TestEnumeration:
                 continue
             brute = [t for t in combinations(range(10), k) if set(pins) <= set(t)
                      and all(b not in r.adj[a] for a, b in combinations(t, 2))]
+            assert enumerate_facets(slc) == brute
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_sided_facets_are_every_superset_of_the_pins(self, seed):
+        # X has no internal edges: the generic independent-set enumeration
+        # of the one X part is every k-subset holding the pins, in order
+        g = gen_bipartite_regular(8, 3, seed=seed)
+        for k, pins in ((0, ()), (3, ()), (3, (2,)), (4, (0, 7)), (2, (1, 5))):
+            slc = OneSidedSlice(g, k, 0.3, frozenset(pins))
+            brute = [t for t in combinations(range(8), k) if set(pins) <= set(t)]
             assert enumerate_facets(slc) == brute
 
 
@@ -348,3 +361,21 @@ class TestLinkOperatorInvariants:
         for op in ops:
             op.validate()
             assert np.abs(op.pi @ op.matrix - op.pi).sum() <= 1e-10
+
+
+def test_no_isinstance_on_a_slice_type():
+    """Each family declares what differs on its class; no module asks which
+    family a slice is."""
+    families = {"TwoSidedSlice", "OneSidedSlice", "RegularSlice"}
+    found = []
+    for path in sorted(Path(slices.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                name = kind.id if isinstance(kind, ast.Name) else getattr(kind, "attr", None)
+                if name in families:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
