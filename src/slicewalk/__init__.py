@@ -2,6 +2,15 @@
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# One BLAS thread unless the environment says otherwise: the spectral sweeps
+# solve stacks of small links, which a multithreaded BLAS only slows down.
+# The limit takes effect only when set before NumPy loads, as it is here for
+# the CLI and for any program that imports slicewalk before NumPy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .graphs import (BipartiteRegularGraph, RegularGraph, RejectionBudgetError,
                      bipartite_complement, complement_regular, gen_bipartite_regular,
                      gen_regular, load_graph, save_graph)

@@ -284,19 +284,21 @@ def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
 
     Returns (counts, n_collected); counts index free vertices by global id.
     The replica split is the documented (seed, replica) stream split.  With
-    the slice's facet ``table`` the chains step through it, which replays
-    ``_step`` on the same uniforms, and the samples are counted as a
+    the slice's facet ``table`` each replica is one ``FacetTable.histogram``
+    call, which draws the replica's uniforms in blocks straight from its
+    generator and replays ``_step`` on them, and its samples are counted as a
     histogram over facets.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     per = (n_samples + REPLICAS - 1) // REPLICAS
     burn = _burn_in(slc, epsilon)
     thin = max(1, THIN_SCALE * slc.free_size)
-    hist = [0] * len(table.rows) if table is not None else []  # indexed by row base
+    incidence = table.incidence() if table is not None else None
     for rep in range(REPLICAS):
         state = greedy_initial_state(slc, rng_stream(seed, *path, rep, 0))
-        rand = UniformBuffer(rng_stream(seed, *path, rep, 1)).next
+        rng = rng_stream(seed, *path, rep, 1)
         if table is None:
+            rand = UniformBuffer(rng).next
             for _ in range(burn):
                 _step(slc, state, rand)
             for _ in range(per):
@@ -305,13 +307,7 @@ def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
                 for v in state.free:
                     counts[v] += 1
         else:
-            free = state.free
-            base = table.run(table.start(free), free, rand, burn)
-            for _ in range(per):
-                base = table.run(base, free, rand, thin)
-                hist[base] += 1
-    if table is not None:
-        counts = np.array(hist[::table.width], dtype=np.int64) @ table.incidence()
+            counts += table.histogram(rng, state.free, burn, per, thin) @ incidence
     return counts, per * REPLICAS
 
 

@@ -87,13 +87,17 @@ def coupled_ell(degree: int, gamma: float) -> float:
 
 def _uncovered_counts(rows: np.ndarray, rng: np.random.Generator,
                       tau_size: int, n_samples: int) -> np.ndarray:
-    """|Y \\ N[tau]| for uniformly sampled tau of the given size."""
+    """|Y \\ N[tau]| for uniformly sampled tau of the given size, each
+    neighbourhood counted as the set entries of a bitmap over Y."""
     n = rows.shape[0]
     out = np.empty(n_samples, dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
     for t in range(n_samples):
         tau = rng.choice(n, size=tau_size, replace=False)
-        covered = np.unique(rows[tau])
-        out[t] = n - covered.size
+        hit = rows[tau]
+        covered[hit] = True
+        out[t] = n - np.count_nonzero(covered)
+        covered[hit] = False
     return out
 
 

@@ -31,6 +31,20 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 BLOCK = 8192
 
 
+def uniform_blocks(rng: np.random.Generator, total: int, unit: int):
+    """Yield ``total`` uniforms of ``rng`` as arrays of whole units of ``unit``
+    floats, BLOCK // unit units an array (one unit when BLOCK is smaller).
+
+    The arrays hold the stream's uniforms in order and exactly ``total`` of
+    them, so the generator is left where a scalar draw of each would leave it.
+    """
+    size = max(1, BLOCK // unit) * unit
+    while total > 0:
+        block = rng.random(min(size, total))
+        total -= len(block)
+        yield block
+
+
 class UniformBuffer:
     """Scalar uniforms served from fixed-size vectorized blocks.
 

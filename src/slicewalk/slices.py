@@ -309,13 +309,20 @@ def independent_sets(adj: Sequence[Sequence[int]], parts: Sequence[tuple[int, in
 
 def exact_distribution(slc: Slice, cap: int = ENUMERATION_CAP):
     """(facets, probabilities) with probabilities normalized in log space."""
+    facets, _, probs = _facet_weights(slc, cap)
+    return facets, probs
+
+
+def _facet_weights(slc: Slice, cap: int):
+    """(facets, weights, probabilities): the enumerated facets, their weights
+    relative to the heaviest, exp(log weight - max log weight), and those
+    weights normalized."""
     facets = enumerate_facets(slc, cap)
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
     logw = np.array([slc.log_weight(f) for f in facets])
-    probs = np.exp(logw - logw.max())
-    probs /= probs.sum()
-    return facets, probs
+    weights = np.exp(logw - logw.max())
+    return facets, weights, weights / weights.sum()
 
 
 # -- links -------------------------------------------------------------------------

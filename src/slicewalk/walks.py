@@ -21,8 +21,12 @@ can be compiled into a ``FacetTable``: for every facet and free element, the
 kernel's own removal half is run once and its pools, class sums and the
 successor facet of each candidate are stored.  A table step is then a row
 lookup and the same uniform draws, replaying ``_step`` bit for bit.  The
-estimator and the lockstep escape-time experiment step through tables;
-``run_chain`` and ``down_up_step`` keep the pool kernels.
+estimator runs each chain as one ``FacetTable.histogram`` call, which draws
+the chain's uniforms from its generator in blocks of at most ``rng.BLOCK``
+floats, the same stream in the same order as ``UniformBuffer``, and computes
+each block's removal slots in NumPy.  The lockstep escape-time experiment
+steps through tables too; ``run_chain`` and ``down_up_step`` keep the pool
+kernels.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -37,9 +41,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rng import UniformBuffer, rng_stream
+from .rng import UniformBuffer, rng_stream, uniform_blocks
 from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
-                     SliceError, enumerate_facets, exact_distribution, greedy_facet)
+                     SliceError, _facet_weights, enumerate_facets, exact_distribution,
+                     greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -307,31 +312,52 @@ class FacetTable:
         """Row base of the facet whose free ids are ``free``."""
         return self.index[_id_mask(free)] * self.width
 
-    def run(self, base: int, free: list[int], rand: Rand, steps: int) -> int:
-        """``steps`` non-lazy steps from the facet at row ``base``; returns the
-        final base.  ``free`` is a chain state's stepping order, updated in
-        place: the same uniforms give the same ``free`` sequence as ``_step``.
+    def histogram(self, rng: np.random.Generator, free: list[int], burn_in: int,
+                  count: int, thinning: int) -> np.ndarray:
+        """Facet counts of ``count`` samples, one every ``thinning`` non-lazy
+        steps after ``burn_in`` steps, of the chain started at the facet whose
+        free ids are ``free`` in a chain state's stepping order.
+
+        ``free`` is updated in place, and the uniforms are drawn from ``rng``
+        in ``rng.uniform_blocks``, two a step (three on a weighted table): the
+        same uniforms in the same order as ``_step`` on ``rng``, so the
+        ``free`` sequence, the samples and the generator's next uniform are
+        those of the pool kernel.  The removal slots of a block are computed
+        at once, ``(u * k).astype(np.intp)`` being ``int(u * k)``.
         """
         rows = self.rows
+        hist = [0] * len(rows)  # indexed by row base
+        base = self.start(free)
         k = len(free)
-        if not k:
-            return base
-        if self.weighted:
-            for _ in range(steps):
-                pos = int(rand() * k)
-                acc, total, classes = rows[base + free[pos]]
-                cands, succ = classes[bisect_right(acc, rand() * total)]
-                at = int(rand() * len(cands))
-                free[pos] = cands[at]
-                base = succ[at]
-        else:
-            for _ in range(steps):
-                pos = int(rand() * k)
-                cands, succ = rows[base + free[pos]]
-                at = int(rand() * len(cands))
-                free[pos] = cands[at]
-                base = succ[at]
-        return base
+        steps = burn_in + count * thinning if k else 0
+        if not k:  # the pinned face is the only facet, and a step draws nothing
+            hist[base] = count
+        unit = 3 if self.weighted else 2
+        left = burn_in + thinning  # steps to the next sample
+        for u in uniform_blocks(rng, unit * steps, unit):
+            slots = (u[0::unit] * k).astype(np.intp).tolist()
+            if self.weighted:
+                for pos, u_class, u_at in zip(slots, u[1::3].tolist(), u[2::3].tolist()):
+                    acc, total, classes = rows[base + free[pos]]
+                    cands, succ = classes[bisect_right(acc, u_class * total)]
+                    at = int(u_at * len(cands))
+                    free[pos] = cands[at]
+                    base = succ[at]
+                    left -= 1
+                    if not left:
+                        hist[base] += 1
+                        left = thinning
+            else:
+                for pos, u_at in zip(slots, u[1::2].tolist()):
+                    cands, succ = rows[base + free[pos]]
+                    at = int(u_at * len(cands))
+                    free[pos] = cands[at]
+                    base = succ[at]
+                    left -= 1
+                    if not left:
+                        hist[base] += 1
+                        left = thinning
+        return np.array(hist[::self.width], dtype=np.int64)
 
     def incidence(self) -> np.ndarray:
         """(facets, width) 0/1 integer matrix of free membership."""
@@ -377,17 +403,21 @@ def _draw(cands: list[int], base_of: dict[int, int], rest: int):
     return tuple(cands), tuple(base_of[rest | 1 << c] for c in cands)
 
 
-def _facet_bound(slc: Slice) -> int:
-    """Upper bound on the facet count: per part, the ways to fill its quota
-    from the ids that are neither pinned nor next to a pinned id."""
+def _facet_bound(slc: Slice) -> tuple[int, bool]:
+    """(bound, exact): an upper bound on the facet count, the ways to fill
+    each part's quota from its candidate ids (those neither pinned nor next
+    to a pinned id), and whether it is the count itself, which it is when no
+    two candidates are adjacent, as on a one-sided slice."""
     adj = slc.graph.global_adj
     pinned = slc.pinned_ids
     blocked = set(pinned).union(*(adj[v] for v in pinned))
+    cands: set[int] = set()
     bound = 1
     for lo, hi, quota in slc.parts:
-        left = sum(1 for v in range(lo, hi) if v not in blocked)
-        bound *= math.comb(left, quota - sum(1 for v in pinned if lo <= v < hi))
-    return bound
+        left = [v for v in range(lo, hi) if v not in blocked]
+        cands.update(left)
+        bound *= math.comb(len(left), quota - sum(1 for v in pinned if lo <= v < hi))
+    return bound, not any(u in cands for v in cands for u in adj[v])
 
 
 def facet_table(slc: Slice) -> FacetTable | None:
@@ -398,7 +428,7 @@ def facet_table(slc: Slice) -> FacetTable | None:
     kernel's removal half, the pools it leaves are copied into the row, and
     the insertion half puts the id back in its slot.
     """
-    if _facet_bound(slc) * max(1, slc.free_size) > TABLE_ROW_CAP:
+    if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
         return None
     facets = enumerate_facets(slc, TABLE_ROW_CAP)
     if not facets:
@@ -498,8 +528,19 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     return samples, MixingReport(tv, gap, auto, len(samples), config.steps)
 
 
+def _over_cap(slc: Slice, cap: int) -> bool:
+    """Whether ``slc`` surely has more than ``cap`` facets, decided without
+    enumerating: a slice that holds a chain state has a facet, so it never
+    fits a cap of 0, and an exact facet bound above the cap settles it.  A
+    loose bound decides nothing, and the oracle enumerates up to the cap."""
+    if cap == 0:
+        return True
+    bound, exact = _facet_bound(slc)
+    return exact and bound > cap
+
+
 def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
-    if cap == 0:  # a slice that holds a chain state has a facet, so it never fits
+    if _over_cap(slc, cap):
         return None
     try:
         facets, probs = exact_distribution(slc, cap)
@@ -515,7 +556,7 @@ def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
 
 
 def _oracle_gap(slc: Slice, config: ChainConfig) -> float | None:
-    if config.gap_cap == 0:
+    if _over_cap(slc, config.gap_cap):
         return None
     try:
         facets, p, probs = exact_transition_matrix(slc, cap=config.gap_cap)
@@ -548,12 +589,10 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
     codimension-1 face obtained by deleting a free element, and within a group
     the replacement law is the conditional of the slice weights.
     """
-    facets, probs = exact_distribution(slc, cap)
+    facets, weights, probs = _facet_weights(slc, cap)
     k_free = slc.free_size
     if k_free == 0:
         return facets, np.ones((1, 1)), probs
-    logw = np.array([slc.log_weight(f) for f in facets])
-    weights = np.exp(logw - logw.max())
     groups: dict = {}
     for i, f in enumerate(facets):
         for sub in _codim1_faces(slc, f):

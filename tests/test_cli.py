@@ -390,6 +390,24 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("given", [None, "3"])
+def test_import_pins_blas_threads_unless_set(given):
+    # set before NumPy loads, so a CLI run starts one BLAS thread unless the
+    # environment asks for more
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(slicewalk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = path
+    if given:
+        env.update(dict.fromkeys(names, given))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, slicewalk.cli; print(*(os.environ[n] for n in {names!r}))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [given or "1"] * 3
+
+
 # -- config precedence over every option ------------------------------------------
 
 # Required options of each subcommand, and the family group a flag may replace.

@@ -14,7 +14,7 @@ from slicewalk.experiments import (ExperimentConfig, MarginalHardcoreSampler,
                                    experiment_neighborhood_concentration,
                                    experiment_slow_mixing, pairing_support_adjacency)
 from slicewalk.experiments import _escape_times
-from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
+from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from slicewalk.rng import UniformBuffer, rng_stream
 from slicewalk.slices import OneSidedSlice
 from slicewalk.walks import _make_state, _step, tv_distance
@@ -226,8 +226,17 @@ def test_alpha_and_coupled_ell_values():
     assert coupled_ell(64, 0.1) < 0
 
 
+def test_uncovered_counts_on_multiedges():
+    # a pairing draw at side 30 and degree 8 holds multiedges
+    rows = pairing_bipartite_rows(30, 8, rng_stream(0, 0))
+    assert any(len(set(row.tolist())) < len(row) for row in rows)
+    ref = rng_stream(5, 1)
+    want = [30 - len({int(j) for i in ref.choice(30, size=4, replace=False) for j in rows[i]})
+            for _ in range(50)]
+    assert experiments._uncovered_counts(rows, rng_stream(5, 1), 4, 50).tolist() == want
+
+
 def test_pairing_support_adjacency_roundtrip():
-    from slicewalk.graphs import pairing_bipartite_rows
     rows = pairing_bipartite_rows(30, 4, rng_stream(5))
     adj_x, adj_y = pairing_support_adjacency(rows)
     assert len(adj_x) == 30 and len(adj_y) == 30

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from slicewalk import walks
+from slicewalk import slices, walks
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
-from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice, greedy_facet
+from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumerate_facets,
+                              greedy_facet)
 from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _remove_one_sided,
                              _remove_uniform, _step, down_up_step, exact_transition_matrix,
                              facet_table, format_facet, greedy_initial_state, run_chain,
@@ -157,32 +158,42 @@ def _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask):
     return slc.with_face(slc.from_ids(v for i, v in enumerate(ids) if pin_mask >> i & 1)), facet
 
 
+def _replay_histogram(slc, facet, table, rng, burn_in, count, thinning):
+    """Facet histogram and final state of ``_step`` on scalar draws of ``rng``,
+    sampled as ``FacetTable.histogram`` samples."""
+    state = _make_state(slc, facet)
+    want = [0] * len(table.free_ids)
+    for t in range(1, burn_in + count * thinning + 1):
+        _step(slc, state, rng.random)
+        if t > burn_in and (t - burn_in) % thinning == 0:
+            want[table.start(state.free) // table.width] += 1
+    return want, state
+
+
 class TestFacetTable:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(family=st.sampled_from(["two", "one", "reg"]), n=st.integers(2, 8),
            degree=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
            sizes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
            fugacity=st.sampled_from([0.3, 2.0, 1e300]),
-           pin_mask=st.integers(0, 2 ** 8 - 1), steps=st.integers(1, 60))
+           pin_mask=st.integers(0, 2 ** 8 - 1), burn_in=st.integers(0, 40),
+           count=st.integers(0, 12), thinning=st.integers(1, 5))
     def test_table_replays_the_kernel(self, family, n, degree, seed, sizes, fugacity,
-                                      pin_mask, steps):
+                                      pin_mask, burn_in, count, thinning):
         made = _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask)
         assume(made is not None)
         slc, facet = made
         table = facet_table(slc)
         assert table is not None
-        # the same uniforms give the same free order and facet sequence
-        state = _make_state(slc, facet)
-        free = list(state.free)
-        base = table.start(free)
-        uniforms = rng_stream(seed, 1).random(3 * steps + 1).tolist()
-        kernel_rand, table_rand = iter(uniforms).__next__, iter(uniforms).__next__
-        for _ in range(steps):
-            _step(slc, state, kernel_rand)
-            base = table.run(base, free, table_rand, 1)
-            assert free == state.free
-            assert base == table.start(state.free)
-        assert kernel_rand() == table_rand()  # both drew as many uniforms
+        # the same stream gives the same samples, free order and next uniform
+        kernel_rng, table_rng = rng_stream(seed, 1), rng_stream(seed, 1)
+        want, state = _replay_histogram(slc, facet, table, kernel_rng, burn_in, count,
+                                        thinning)
+        free = _make_state(slc, facet).free
+        hist = table.histogram(table_rng, free, burn_in, count, thinning)
+        assert hist.tolist() == want
+        assert free == state.free
+        assert kernel_rng.random() == table_rng.random()  # both drew as many uniforms
         # every row is what the kernel's removal half leaves
         pinned = slc.pinned_ids
         width = table.width
@@ -203,10 +214,29 @@ class TestFacetTable:
         # communicating classes against the exact chain's support
         facets, p, _ = exact_transition_matrix(slc)
         assert len(facets) == len(table.free_ids)
+        bound, exact = walks._facet_bound(slc)
+        assert bound == len(facets) if exact else bound >= len(facets)
+        assert exact or family != "one"
         if not table.weighted:
             assert table.classes() == connected_components(p > 0)[0]
         else:
             assert table.classes() == 1  # every k-subset has positive weight
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 7])
+    def test_histogram_across_block_boundaries(self, monkeypatch, block):
+        # blocks of whole steps, one step when a step takes more than BLOCK
+        monkeypatch.setattr("slicewalk.rng.BLOCK", block)
+        g = gen_bipartite_regular(8, 3, seed=12)
+        for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4),
+                    RegularSlice(gen_regular(10, 3, seed=2), 3)):
+            facet = greedy_facet(slc, rng_stream(4))
+            table = facet_table(slc)
+            kernel_rng, table_rng = rng_stream(9, 1), rng_stream(9, 1)
+            want, state = _replay_histogram(slc, facet, table, kernel_rng, 11, 9, 3)
+            free = _make_state(slc, facet).free
+            assert table.histogram(table_rng, free, 11, 9, 3).tolist() == want
+            assert free == state.free
+            assert kernel_rng.random() == table_rng.random()
 
     def test_slices_above_the_cap_get_no_table(self):
         # decided by the binomial bound before any enumeration
@@ -308,6 +338,25 @@ class TestRunChain:
         for slc in (OneSidedSlice(g, 3, 0.4), TwoSidedSlice(g, 2, 2)):
             _, report = run_chain(slc, ChainConfig(steps=50, seed=1, oracle_cap=0, gap_cap=0))
             assert report.empirical_tv is None and report.exact_gap is None
+
+    def test_oracles_skip_a_slice_whose_exact_bound_exceeds_the_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated a slice known to exceed the cap")
+
+        monkeypatch.setattr(slices, "enumerate_facets", refuse)
+        # the README sample slice: C(100, 8) facets, far above both caps
+        slc = OneSidedSlice(gen_bipartite_regular(100, 3, seed=7), 8, 0.2)
+        _, report = run_chain(slc, ChainConfig(steps=200, seed=1))
+        assert report.empirical_tv is None and report.exact_gap is None
+
+    def test_a_loose_bound_above_the_cap_keeps_the_oracles(self):
+        slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=9), 2, 2)
+        count = len(enumerate_facets(slc))
+        bound, exact = walks._facet_bound(slc)
+        assert not exact and bound > count
+        cfg = ChainConfig(steps=2000, seed=1, oracle_cap=count, gap_cap=count)
+        _, report = run_chain(slc, cfg)
+        assert report.empirical_tv is not None and report.exact_gap is not None
 
     def test_seed_determinism(self):
         g = gen_bipartite_regular(8, 3, seed=9)
