@@ -34,7 +34,7 @@ from .graphs import BipartiteRegularGraph, X
 from .rng import UniformBuffer, rng_stream
 from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
                      exact_distribution, link)
-from .walks import (TABLE_ROW_CAP, FacetTable, InitialStateError, _step, facet_table,
+from .walks import (TABLE_ROW_CAP, FacetTable, InitialStateError, facet_table,
                     greedy_initial_state)
 
 LOG_ZERO = float("-inf")
@@ -286,28 +286,26 @@ def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
     The replica split is the documented (seed, replica) stream split.  With
     the slice's facet ``table`` each replica is one ``FacetTable.histogram``
     call, which draws the replica's uniforms in blocks straight from its
-    generator and replays ``_step`` on them, and its samples are counted as a
-    histogram over facets.
+    generator and replays the chain's kernel on them, and its samples are
+    counted as a histogram over facets.  Without one, the kernel runs once
+    for the burn-in and once per thinning interval.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     per = (n_samples + REPLICAS - 1) // REPLICAS
     burn = _burn_in(slc, epsilon)
     thin = max(1, THIN_SCALE * slc.free_size)
-    incidence = table.incidence() if table is not None else None
     for rep in range(REPLICAS):
         state = greedy_initial_state(slc, rng_stream(seed, *path, rep, 0))
         rng = rng_stream(seed, *path, rep, 1)
         if table is None:
             rand = UniformBuffer(rng).next
-            for _ in range(burn):
-                _step(slc, state, rand)
+            state.kernel(slc, state, rand, burn, False)
             for _ in range(per):
-                for _ in range(thin):
-                    _step(slc, state, rand)
+                state.kernel(slc, state, rand, thin, False)
                 for v in state.free:
                     counts[v] += 1
         else:
-            counts += table.histogram(rng, state.free, burn, per, thin) @ incidence
+            counts += table.histogram(rng, state.free, burn, per, thin) @ table.incidence
     return counts, per * REPLICAS
 
 

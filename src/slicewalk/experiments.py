@@ -411,7 +411,7 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     number of class sums at most u * total (``bisect_right``), and the index
     within the class, so every float comparison is bit-identical.  Rows that
     escape inside a block of ESCAPE_BLOCK steps are dropped after it.  Above the
-    table's cap each run steps alone through the pool kernel.
+    table's cap each run steps alone through the slice's kernel.
     """
     facet = tuple(sorted(members))
     half = k / 2.0
@@ -440,7 +440,7 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     acc, total = np.array(acc), np.array(total)
     first, size = np.array(first, np.intp), np.array(size, np.intp)
     cands, succ = np.array(cands, np.intp), np.array(succ, np.intp)
-    inside = table.incidence()[:, :m].sum(1)
+    inside = table.incidence[:, :m].sum(1)
     class_ix = np.arange(classes)
 
     times: list[int | None] = [None] * runs

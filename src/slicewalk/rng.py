@@ -27,8 +27,8 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# Uniforms drawn per vectorized Generator call.
-BLOCK = 8192
+# Uniforms drawn per vectorized Generator call, and in a UniformBuffer's first block.
+BLOCK, FIRST_BLOCK = 8192, 64
 
 
 def uniform_blocks(rng: np.random.Generator, total: int, unit: int):
@@ -46,11 +46,12 @@ def uniform_blocks(rng: np.random.Generator, total: int, unit: int):
 
 
 class UniformBuffer:
-    """Scalar uniforms served from fixed-size vectorized blocks.
+    """Scalar uniforms served from vectorized blocks.
 
-    Chain inner loops call ``next()`` millions of times; drawing blocks of
-    BLOCK uniforms amortizes the Generator call overhead while keeping the
-    consumed stream identical for identical seeds.  ``next`` is the bound
+    Chain inner loops call ``next()`` millions of times; drawing blocks
+    amortizes the Generator call overhead.  Block sizes double from
+    FIRST_BLOCK up to BLOCK, so a short chain draws about what it uses, and
+    the stream served does not depend on them.  ``next`` is the bound
     ``__next__`` of a C-level chain over the blocks, so a call runs no Python
     code between refills.  Blocks are drawn lazily and served as Python
     floats, bit-equal to the NumPy scalars, because arithmetic on them is
@@ -60,5 +61,10 @@ class UniformBuffer:
     __slots__ = ("next",)
 
     def __init__(self, rng: np.random.Generator):
-        blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
-        self.next = chain.from_iterable(blocks).__next__
+        def blocks():
+            size = min(FIRST_BLOCK, BLOCK)
+            while True:
+                yield rng.random(size).tolist()
+                size = min(2 * size, BLOCK)
+
+        self.next = chain.from_iterable(blocks()).__next__

@@ -11,22 +11,20 @@ deleting from sorted lists, and chains are a pure function of (slice, config
 seed).  There is one kernel per kind of constraint: a uniform draw within the
 removed vertex's part for the independent-set slices (two-sided, regular),
 and the coverage-weighted draw of the one-sided slice, which picks a weight
-class and then a uniform member of it.  Each kernel is a removal half, which
-takes the chosen element out and leaves the candidate pools to draw from,
-and an insertion half.
+class and then a uniform member of it.  A kernel is one loop over a given
+number of (optionally lazy) steps, called once per sample interval.  One
+pool builder, ``_pools``, makes pools from counters; kernels update them.
 
 Slices whose facet count times free size stays within ``TABLE_ROW_CAP`` rows
 (checked first against a binomial bound, so large slices never enumerate)
 can be compiled into a ``FacetTable``: for every facet and free element, the
-kernel's own removal half is run once and its pools, class sums and the
-successor facet of each candidate are stored.  A table step is then a row
-lookup and the same uniform draws, replaying ``_step`` bit for bit.  The
-estimator runs each chain as one ``FacetTable.histogram`` call, which draws
-the chain's uniforms from its generator in blocks of at most ``rng.BLOCK``
-floats, the same stream in the same order as ``UniformBuffer``, and computes
-each block's removal slots in NumPy.  The lockstep escape-time experiment
-steps through tables too; ``run_chain`` and ``down_up_step`` keep the pool
-kernels.
+pool builder makes the pools of the face left without it, stored with the
+class sums and each candidate's successor facet.  A table step is a row
+lookup and the same uniform draws, replaying the kernel bit for bit.  The
+estimator runs each chain as one ``FacetTable.histogram`` call, drawing its
+uniforms in blocks of at most ``rng.BLOCK`` floats (the stream of
+``UniformBuffer``) with each block's removal slots computed in NumPy.  The
+lockstep escape-time experiment steps through tables too.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -37,6 +35,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, dropwhile
+from operator import mul, not_
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,8 +72,8 @@ class ChainState:
     where a step changes coverage.  For the uniform kernel there is one per
     part: its non-members with zero cover.  For the one-sided kernel
     ``unc[x]`` counts the uncovered neighbours of each X vertex, and
-    ``pools[e]`` lists the non-members with ``unc = e``.  ``kernel`` is the
-    step function that keeps them, a no-op when no element is free.
+    ``pools[e]`` lists the non-members with ``unc = e``.  ``kernel(slc,
+    state, rand, steps, lazy)`` runs steps, or none when nothing is free.
     """
 
     slc: Slice
@@ -81,7 +82,7 @@ class ChainState:
     cover: list[int]
     pools: list[list[int]]
     unc: list[int]
-    kernel: Callable[[Slice, "ChainState", Rand], None]
+    kernel: Callable[[Slice, "ChainState", Rand, int, bool], None]
     steps: int = 0
 
     def facet(self):
@@ -98,6 +99,20 @@ class ChainState:
 
 def _make_state(slc: Slice, facet) -> ChainState:
     ids = slc.to_ids(facet)
+    member, cover, unc = _counts(slc, ids)
+    if any(cover[v] for v in ids):
+        raise SliceError("facet is not an independent set")
+    pinned = slc.pinned_ids
+    free = [v for v in ids if v not in pinned]
+    kernel = _kernel_one_sided if slc.coverage_weighted else _kernel_uniform
+    return ChainState(slc, free, member, cover, _pools(slc, member, cover, unc), unc,
+                      kernel if free else _stay)
+
+
+def _counts(slc: Slice, ids: Iterable[int]) -> tuple[list[bool], list[int], list[int]]:
+    """(member, cover, unc) of the ids: member flags, the count of ids next to
+    each vertex, and on a coverage-weighted slice the uncovered neighbours
+    of each X vertex (else [])."""
     adj = slc.graph.global_adj
     member = [False] * len(adj)
     cover = [0] * len(adj)
@@ -105,23 +120,28 @@ def _make_state(slc: Slice, facet) -> ChainState:
         member[v] = True
         for u in adj[v]:
             cover[u] += 1
-    if any(cover[v] for v in ids):
-        raise SliceError("facet is not an independent set")
-    pinned = slc.pinned_ids
-    free = [v for v in ids if v not in pinned]
-    if slc.coverage_weighted:
-        n = slc.graph.n_side
-        unc = [sum(1 for j in adj[x] if cover[j] == 0) for x in range(n)]
-        pools: list[list[int]] = [[] for _ in range(slc.graph.degree + 1)]
-        for x in range(n):
-            if not member[x]:
-                pools[unc[x]].append(x)
-        kernel = _step_one_sided
-    else:
-        pools = [[v for v in range(lo, hi) if not member[v] and cover[v] == 0]
-                 for lo, hi, _ in slc.parts]
-        unc, kernel = [], _step_uniform
-    return ChainState(slc, free, member, cover, pools, unc, kernel if free else _stay)
+    if not slc.coverage_weighted:
+        return member, cover, []
+    bare = list(map(not_, cover))
+    return member, cover, [sum(map(bare.__getitem__, adj[x])) for x in range(slc.graph.n_side)]
+
+
+def _pools(slc: Slice, member: list[bool], cover: list[int], unc: list[int]):
+    """The sorted candidate pools of the facet or face flagged by ``member``:
+    per part, the non-members with zero cover (``_part_pool``); on a
+    coverage-weighted slice, per uncovered count e = 0..degree, the
+    non-members with ``unc = e``."""
+    if not slc.coverage_weighted:
+        return [_part_pool(member, cover, lo, hi) for lo, hi, _ in slc.parts]
+    pools: list[list[int]] = [[] for _ in range(slc.graph.degree + 1)]
+    for x in range(slc.graph.n_side):
+        if not member[x]:
+            pools[unc[x]].append(x)
+    return pools
+
+
+def _part_pool(member: list[bool], cover: list[int], lo: int, hi: int) -> list[int]:
+    return [v for v in range(lo, hi) if not member[v] and cover[v] == 0]
 
 
 def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
@@ -139,7 +159,7 @@ def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
     return _make_state(slc, facet)
 
 
-# -- single steps ---------------------------------------------------------------
+# -- kernels ----------------------------------------------------------------------
 
 
 def down_up_step(slc: Slice, state: ChainState, rng: np.random.Generator) -> ChainState:
@@ -149,157 +169,125 @@ def down_up_step(slc: Slice, state: ChainState, rng: np.random.Generator) -> Cha
 
 
 def _step(slc: Slice, state: ChainState, rand: Rand) -> None:
-    state.kernel(slc, state, rand)
+    state.kernel(slc, state, rand, 1, False)
     state.steps += 1
 
 
-def _stay(slc: Slice, state: ChainState, rand: Rand) -> None:
-    """Kernel of a state with no free element: the pinned face is the only
-    facet, so the step stays and draws nothing."""
+def _stay(slc: Slice, state: ChainState, rand: Rand, steps: int, lazy: bool) -> None:
+    """Kernel of a state with no free element: every step stays, drawing nothing."""
 
 
-def _step_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand) -> None:
-    """Coverage-weighted replacement: x' has weight (1+fugacity)^-unc[x'].
-
-    Three uniforms: the removal slot, the weight class (see
-    ``_remove_one_sided``), and the index within the class.
-    """
-    free = state.free
-    pos = int(rand() * len(free))
-    classes, acc, total = _remove_one_sided(slc, state, free[pos])
-    pool = classes[bisect_right(acc, rand() * total)]
-    _insert_one_sided(slc, state, pos, pool, int(rand() * len(pool)))
-
-
-def _remove_one_sided(slc: OneSidedSlice, state: ChainState, x_out: int):
-    """Removal half of the one-sided step: take ``x_out`` out of the facet.
-
-    Returns (classes, acc, total): the pools from the smallest occupied class
-    e_min up, and the sequential cumulative sums of the class weights
-    |pools[e]| * (1+fugacity)^-(e - e_min); the weight 1 of class e_min keeps
-    the total at least 1.  Only the X vertices next to a Y vertex whose cover
-    falls to 0 change class, at most degree^2 of them.
+def _kernel_uniform(slc: Slice, state: ChainState, rand: Rand, steps: int,
+                    lazy: bool) -> None:
+    """``steps`` steps replacing a uniform free slot by a uniform member of
+    its part's pool (the removed vertex included): the kernel of every
+    independent-set slice with part quotas.  A step draws the lazy coin when
+    ``lazy`` (it stays below 1/2), then the removal slot and the pool index.
     """
     adj = slc.graph.global_adj
-    member = state.member
-    cover = state.cover
-    pools = state.pools
-    unc = state.unc
-    # x_out still counts as a member here, so it is not moved between classes
-    for j in adj[x_out]:
-        c = cover[j] - 1
-        cover[j] = c
-        if not c:
-            for x in adj[j]:
-                e = unc[x]
-                unc[x] = e + 1
-                if not member[x]:
-                    pool = pools[e]
-                    del pool[bisect_left(pool, x)]
-                    insort(pools[e + 1], x)
-    member[x_out] = False
-    insort(pools[unc[x_out]], x_out)
-    emin = 0
-    while not pools[emin]:
-        emin += 1
-    acc = []
-    total = 0.0
-    for pool, w in zip(pools[emin:], slc.class_weights):
-        total += len(pool) * w
-        acc.append(total)
-    return pools[emin:], acc, total
-
-
-def _insert_one_sided(slc: OneSidedSlice, state: ChainState, pos: int,
-                      pool: list[int], at: int) -> None:
-    """Insertion half: ``pool[at]`` joins the facet in slot ``pos``."""
-    adj = slc.graph.global_adj
-    member = state.member
-    cover = state.cover
-    pools = state.pools
-    unc = state.unc
-    x_new = pool[at]
-    del pool[at]
-    member[x_new] = True
-    for j in adj[x_new]:
-        c = cover[j] + 1
-        cover[j] = c
-        if c == 1:
-            for x in adj[j]:
-                e = unc[x]
-                unc[x] = e - 1
-                if not member[x]:
-                    pool = pools[e]
-                    del pool[bisect_left(pool, x)]
-                    insort(pools[e - 1], x)
-    state.free[pos] = x_new
-
-
-def _step_uniform(slc: Slice, state: ChainState, rand: Rand) -> None:
-    """Uniform replacement among the uncovered non-members of the removed
-    vertex's part: the kernel of every independent-set slice with part quotas."""
-    free = state.free
-    pos = int(rand() * len(free))
-    pool = _remove_uniform(slc, state, free[pos])
-    _insert_uniform(slc, state, pos, pool, int(rand() * len(pool)))
-
-
-def _remove_uniform(slc: Slice, state: ChainState, v_out: int) -> list[int]:
-    """Removal half of the uniform step: take ``v_out`` out of the facet and
-    return its part's pool, which lists the candidates in index order."""
-    adj = slc.graph.global_adj
-    cover = state.cover
-    pools = state.pools
     part_of = slc.part_of
-    state.member[v_out] = False
-    for u in adj[v_out]:
-        c = cover[u] - 1
-        cover[u] = c
-        if not c:
-            insort(pools[part_of[u]], u)
-    pool = pools[part_of[v_out]]
-    insort(pool, v_out)
-    return pool
+    free, member, cover, pools = state.free, state.member, state.cover, state.pools
+    k = len(free)
+    for _ in range(steps):
+        if lazy and rand() < 0.5:
+            continue
+        pos = int(rand() * k)
+        v = free[pos]
+        member[v] = False
+        for u in adj[v]:
+            c = cover[u] - 1
+            cover[u] = c
+            if not c:
+                insort(pools[part_of[u]], u)
+        pool = pools[part_of[v]]
+        insort(pool, v)
+        v = pool.pop(int(rand() * len(pool)))
+        member[v] = True
+        for u in adj[v]:
+            c = cover[u] + 1
+            cover[u] = c
+            if c == 1:
+                pool = pools[part_of[u]]
+                del pool[bisect_left(pool, u)]
+        free[pos] = v
 
 
-def _insert_uniform(slc: Slice, state: ChainState, pos: int, pool: list[int],
-                    at: int) -> None:
-    """Insertion half: ``pool[at]`` joins the facet in slot ``pos``."""
+def _kernel_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand, steps: int,
+                      lazy: bool) -> None:
+    """``steps`` coverage-weighted replacements: x' has weight
+    (1+fugacity)^-unc[x'] once the removed vertex is out.
+
+    A step draws the lazy coin when ``lazy``, then the removal slot, the
+    weight class and the index within the class.  The class is the number of
+    sequential sums ``acc`` of |pools[e]| * (1+fugacity)^-(e - e_min), from
+    the smallest occupied class e_min up, that are at most u * total; the
+    weight 1 of class e_min keeps the total at least 1.  Only the X vertices
+    next to a Y vertex whose cover falls to 0 or rises to 1 change class.
+    """
     adj = slc.graph.global_adj
-    cover = state.cover
-    pools = state.pools
-    part_of = slc.part_of
-    v_new = pool[at]
-    del pool[at]
-    state.member[v_new] = True
-    for u in adj[v_new]:
-        c = cover[u] + 1
-        cover[u] = c
-        if c == 1:
-            pool = pools[part_of[u]]
-            del pool[bisect_left(pool, u)]
-    state.free[pos] = v_new
+    weights = slc.class_weights
+    free, member, cover, pools, unc = (state.free, state.member, state.cover, state.pools,
+                                       state.unc)
+    k = len(free)
+    for _ in range(steps):
+        if lazy and rand() < 0.5:
+            continue
+        pos = int(rand() * k)
+        x_out = free[pos]
+        # x_out still counts as a member here, so it is not moved between classes
+        for j in adj[x_out]:
+            c = cover[j] - 1
+            cover[j] = c
+            if not c:
+                for x in adj[j]:
+                    e = unc[x]
+                    unc[x] = e + 1
+                    if not member[x]:
+                        pool = pools[e]
+                        del pool[bisect_left(pool, x)]
+                        insort(pools[e + 1], x)
+        member[x_out] = False
+        insort(pools[unc[x_out]], x_out)
+        emin = 0
+        while not pools[emin]:
+            emin += 1
+        acc = [*accumulate(map(mul, map(len, pools[emin:]), weights))]
+        pool = pools[emin + bisect_right(acc, rand() * acc[-1])]
+        x_new = pool.pop(int(rand() * len(pool)))
+        member[x_new] = True
+        for j in adj[x_new]:
+            c = cover[j] + 1
+            cover[j] = c
+            if c == 1:
+                for x in adj[j]:
+                    e = unc[x]
+                    unc[x] = e - 1
+                    if not member[x]:
+                        pool = pools[e]
+                        del pool[bisect_left(pool, x)]
+                        insort(pools[e - 1], x)
+        free[pos] = x_new
 
 
 # -- facet tables -------------------------------------------------------------------
 
 # Slices whose facets times free elements may exceed this many rows step
-# through the pool kernels instead of a compiled table.
+# through the kernels instead of a compiled table.
 TABLE_ROW_CAP = 20_000
 
 
 @dataclass(eq=False)
 class FacetTable:
-    """The down-up chain of an enumerated slice, compiled by its own kernel.
+    """The down-up chain of an enumerated slice, one row per (facet, free id).
 
     ``free_ids[f]`` lists facet f's free ids in increasing order and
     ``index`` maps the bitmask of a facet's free ids to f.  Facet f's rows
     start at base ``f * width`` in ``rows``; free id v has row ``f * width +
-    v``, holding what the kernel's removal half leaves for the draw after v
-    is removed.  A uniform row is (cands, succ): the candidates in pool order
-    and the base of the facet each one leads to.  A ``weighted`` (one-sided)
-    row is (acc, total, classes) with the kernel's class sums and one
-    (cands, succ) pair per weight class from the smallest occupied one.
+    v``, holding the candidate pools of the face left when v is removed.  A
+    uniform row is (cands, succ): the candidates in pool order and the base
+    of the facet each one leads to.  A ``weighted`` (one-sided) row is (acc,
+    total, classes) with the kernel's class sums and one (cands, succ) pair
+    per weight class from the smallest occupied one.
     """
 
     width: int
@@ -359,8 +347,9 @@ class FacetTable:
                         left = thinning
         return np.array(hist[::self.width], dtype=np.int64)
 
+    @cached_property
     def incidence(self) -> np.ndarray:
-        """(facets, width) 0/1 integer matrix of free membership."""
+        """(facets, width) 0/1 integer matrix of free membership, built once."""
         out = np.zeros((len(self.free_ids), self.width), dtype=np.int64)
         for f, ids in enumerate(self.free_ids):
             out[f, list(ids)] = 1
@@ -400,7 +389,7 @@ def _id_mask(ids: Iterable[int]) -> int:
 def _draw(cands: list[int], base_of: dict[int, int], rest: int):
     """(cands, succ) for a row: the candidates, and the row base of the facet
     each completes when added to the free ids in the bitmask ``rest``."""
-    return tuple(cands), tuple(base_of[rest | 1 << c] for c in cands)
+    return tuple(cands), tuple([base_of[rest | 1 << c] for c in cands])
 
 
 def _facet_bound(slc: Slice) -> tuple[int, bool]:
@@ -424,16 +413,18 @@ def facet_table(slc: Slice) -> FacetTable | None:
     """Compile the chain of ``slc``, or None when the facet bound times the
     free size exceeds ``TABLE_ROW_CAP`` rows or the slice has no facet.
 
-    Each facet gets a fresh pool state; every free id is taken out by the
-    kernel's removal half, the pools it leaves are copied into the row, and
-    the insertion half puts the id back in its slot.
+    The counts of each facet are made once.  For each free id v only those
+    that change when v leaves are adjusted, and the chain state's pool
+    builder turns them into the pools of the face: v's part on a uniform row,
+    every class on a weighted one.
     """
     if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
         return None
     facets = enumerate_facets(slc, TABLE_ROW_CAP)
     if not facets:
         return None
-    width = len(slc.graph.global_adj)
+    adj = slc.graph.global_adj
+    width = len(adj)
     pinned = slc.pinned_ids
     free_ids = [tuple(v for v in slc.to_ids(f) if v not in pinned) for f in facets]
     index = {_id_mask(ids): f for f, ids in enumerate(free_ids)}
@@ -441,21 +432,27 @@ def facet_table(slc: Slice) -> FacetTable | None:
     base_of = {mask: f * width for mask, f in index.items()}
     rows: list = [None] * (len(facets) * width)
     weighted = slc.coverage_weighted
+    part_of = slc.part_of
     for f, facet in enumerate(facets):
-        state = _make_state(slc, facet)
-        mask = _id_mask(state.free)
-        for pos, v in enumerate(state.free):
+        member, cover, unc = _counts(slc, slc.to_ids(facet))
+        mask = _id_mask(free_ids[f])
+        for v in free_ids[f]:
+            face_member, face_cover, face_unc = member.copy(), cover.copy(), unc.copy()
+            face_member[v] = False
+            for u in adj[v]:
+                face_cover[u] -= 1
+                if weighted and not face_cover[u]:
+                    for x in adj[u]:
+                        face_unc[x] += 1
             rest = mask ^ (1 << v)
-            if weighted:
-                classes, acc, total = _remove_one_sided(slc, state, v)
-                row = (acc, total, [_draw(c, base_of, rest) for c in classes])
-                pool = state.pools[state.unc[v]]
-                _insert_one_sided(slc, state, pos, pool, bisect_left(pool, v))
+            if weighted:  # the classes from the smallest occupied one
+                classes = list(dropwhile(not_, _pools(slc, face_member, face_cover, face_unc)))
+                acc = [*accumulate(map(mul, map(len, classes), slc.class_weights))]
+                rows[f * width + v] = (acc, acc[-1], [_draw(p, base_of, rest) for p in classes])
             else:
-                pool = _remove_uniform(slc, state, v)
-                row = _draw(pool, base_of, rest)
-                _insert_uniform(slc, state, pos, pool, bisect_left(pool, v))
-            rows[f * width + v] = row
+                lo, hi, _ = slc.parts[part_of[v]]
+                rows[f * width + v] = _draw(_part_pool(face_member, face_cover, lo, hi),
+                                            base_of, rest)
     return FacetTable(width, free_ids, index, rows, weighted)
 
 
@@ -501,24 +498,23 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     the exact chain's spectral gap whenever those oracles fit their caps.
     Deterministic given (slice, config, initial).
     """
-    init_rng = rng_stream(config.seed, 0)
-    state = initial if initial is not None else greedy_initial_state(slc, init_rng)
+    state = initial or greedy_initial_state(slc, rng_stream(config.seed, 0))
     burn_in = config.steps // 2 if config.burn_in is None else config.burn_in
     thinning = config.thinning if config.thinning is not None else max(1, slc.free_size)
-    buf = UniformBuffer(rng_stream(config.seed, 1))
-    rand = buf.next
+    rand = UniformBuffer(rng_stream(config.seed, 1)).next
     lazy = config.lazy
     samples = []
     member = state.member
-    ref = [v for v, inside in enumerate(member) if inside]
+    ref = [*state.free, *slc.pinned_ids]  # the starting facet
     series: list[int] = []
     kernel = state.kernel
-    for t in range(1, config.steps + 1):
-        if not lazy or rand() >= 0.5:
-            kernel(slc, state, rand)
-        if t > burn_in and (t - burn_in) % thinning == 0:
-            samples.append(state.facet())
-            series.append(sum(member[v] for v in ref))
+    done = 0
+    for t in range(burn_in + thinning, config.steps + 1, thinning):
+        kernel(slc, state, rand, t - done, lazy)
+        done = t
+        samples.append(state.facet())
+        series.append(sum(member[v] for v in ref))
+    kernel(slc, state, rand, config.steps - done, lazy)
     state.steps += config.steps
     if not samples:
         samples = [state.facet()]

@@ -13,6 +13,13 @@ were recomputed when the one-sided kernel moved to weight-class draws (three
 uniforms a step instead of two); the two-sided and regular ones are the
 originals.
 
+Those chains are lazy and small.  ``LONG_CHAIN_DIGESTS`` pins the non-lazy
+path at n=200 with an explicit burn-in and thinning, one slice per kernel,
+and a regular chain continued through ``initial=`` in four 175-step
+segments, the pattern of the benchmark's chain workload, whose digest also
+covers the free order after each segment.  They were computed before the
+pool kernels became one multi-step loop each.
+
 The ``verify-spectral`` digests are the SHA-256 of the JSON report with
 ``--full-records``, without its reproducibility stanza (which holds the input
 path and the package version).  They were computed before the top-link
@@ -36,7 +43,8 @@ from slicewalk.cli import main
 from slicewalk.counting import estimate_one_sided_partition, estimate_two_sided_count
 from slicewalk.graphs import gen_bipartite_regular, gen_regular, save_graph
 from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice
-from slicewalk.walks import ChainConfig, format_facet, run_chain
+from slicewalk.rng import rng_stream
+from slicewalk.walks import ChainConfig, format_facet, greedy_initial_state, run_chain
 
 CHAIN_DIGESTS = {
     "two-sided": "e99a8db39439331154f781b76a2b30cca63caea3d59a709c4f3002734a2e5a19",
@@ -60,6 +68,39 @@ def test_chain_stream_digest(family):
     samples, _ = run_chain(slc, ChainConfig(steps=5000, seed=11))
     text = "\n".join(format_facet(slc, f) for f in samples)
     assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_DIGESTS[family]
+
+
+LONG_CHAIN_DIGESTS = {
+    "non-lazy-two-sided": "b4659bd3ed0cd08b7e18a6b76d9c530b5fe87a90066c32977228008f99fbed37",
+    "non-lazy-one-sided": "b6531c43dd6e491367d6c069622375c765f898d9401d2ba2d51e332f3fcb1ba8",
+    "segments": "a67c1dd6dfce6126f8ffcdbf00b8d728609b8fad45dd85371e2a3294e7759f97",
+}
+
+
+def _long_chain_text(run: str) -> str:
+    if run == "segments":
+        slc = RegularSlice(gen_regular(200, 3, seed=3), 7)
+        state = greedy_initial_state(slc, rng_stream(5))
+        lines = []
+        for seg in range(4):
+            cfg = ChainConfig(steps=175, seed=30 + seg, lazy=False, burn_in=0,
+                              oracle_cap=0, gap_cap=0)
+            samples, _ = run_chain(slc, cfg, initial=state)
+            lines += [format_facet(slc, f) for f in samples]
+            lines.append(" ".join(map(str, state.free)))
+        return "\n".join(lines)
+    g = gen_bipartite_regular(200, 3, seed=2)
+    slc = TwoSidedSlice(g, 6, 5) if run == "non-lazy-two-sided" else OneSidedSlice(g, 8, 0.2)
+    cfg = ChainConfig(steps=4000, seed=21, lazy=False, burn_in=37, thinning=13,
+                      oracle_cap=0, gap_cap=0)
+    samples, _ = run_chain(slc, cfg)
+    return "\n".join(format_facet(slc, f) for f in samples)
+
+
+@pytest.mark.parametrize("run", sorted(LONG_CHAIN_DIGESTS))
+def test_long_chain_digest(run):
+    text = _long_chain_text(run)
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_CHAIN_DIGESTS[run]
 
 
 def test_two_sided_estimate_bits():

@@ -11,10 +11,9 @@ from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
 from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumerate_facets,
                               greedy_facet)
-from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _remove_one_sided,
-                             _remove_uniform, _step, down_up_step, exact_transition_matrix,
-                             facet_table, format_facet, greedy_initial_state, run_chain,
-                             spectral_gap, tv_distance)
+from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _step, down_up_step,
+                             exact_transition_matrix, facet_table, format_facet,
+                             greedy_initial_state, run_chain, spectral_gap, tv_distance)
 
 
 class TestTvDistance:
@@ -128,6 +127,26 @@ class TestDownUpStep:
             _assert_pools_are_candidate_sets(slc, state)
         assert slc.pinned_ids <= set(slc.to_ids(state.facet()))
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("pins", [0, 0b101, 0xFF])
+    @pytest.mark.parametrize("family", ["two", "one", "reg"])
+    def test_kernel_intervals_equal_single_steps(self, family, pins, lazy):
+        # the multi-step kernel over random intervals against one-step calls
+        # on the same stream: equal state after each interval and equal next
+        # uniform; pins 0xFF pin the whole facet, whose kernel draws nothing
+        slc, facet = _small_slice(family, 9, 3, 21, (4, 3), 0.6, pins)
+        assert (slc.free_size == 0) == (pins == 0xFF)
+        state, ref = _make_state(slc, facet), _make_state(slc, facet)
+        rng, ref_rng = rng_stream(22, 1), rng_stream(22, 1)
+        for steps in rng_stream(22, 2).integers(0, 30, size=12).tolist():
+            state.kernel(slc, state, rng.random, steps, lazy)
+            for _ in range(steps):
+                ref.kernel(slc, ref, ref_rng.random, 1, lazy)
+            assert state.free == ref.free and state.member == ref.member
+            assert (state.cover, state.pools, state.unc) == (ref.cover, ref.pools, ref.unc)
+            assert state.recount_ok()
+        assert rng.random() == ref_rng.random()
+
     def test_pinned_vertices_never_removed(self):
         g = gen_bipartite_regular(8, 3, seed=5)
         slc = OneSidedSlice(g, 3, 0.4, pinned=frozenset({2}))
@@ -194,23 +213,39 @@ class TestFacetTable:
         assert hist.tolist() == want
         assert free == state.free
         assert kernel_rng.random() == table_rng.random()  # both drew as many uniforms
-        # every row is what the kernel's removal half leaves
+        # every row follows from enumerate_facets alone: the candidates of
+        # (facet, v) are the ids c, v among them, that complete the face
+        # without v to a facet, ascending; a weighted row groups them by their
+        # uncovered neighbours under the face from the smallest count up, with
+        # (acc, total) the sequential sums of the class weights
+        adj = slc.graph.global_adj
         pinned = slc.pinned_ids
         width = table.width
+        facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
         for f, ids in enumerate(table.free_ids):
             for v in ids:
-                probe = _make_state(slc, slc.from_ids(set(ids) | pinned))
+                face = (set(ids) - {v}) | pinned
+                cands = [c for c in range(width)
+                         if c not in face and frozenset(face | {c}) in facet_ids]
+                assert v in cands
                 row = table.rows[f * width + v]
                 if table.weighted:
-                    classes, acc, total = _remove_one_sided(slc, probe, v)
+                    covered = {j for u in face for j in adj[u]}
+                    unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
+                    classes = [[c for c in cands if unc[c] == e]
+                               for e in range(min(unc.values()), slc.graph.degree + 1)]
+                    acc, total = [], 0.0
+                    for members, w in zip(classes, slc.class_weights):
+                        total += len(members) * w
+                        acc.append(total)
                     assert (row[0], row[1]) == (acc, total)
                     drawn = list(zip(classes, row[2]))
                 else:
-                    drawn = [(_remove_uniform(slc, probe, v), row)]
-                for pool, (cands, succ) in drawn:
-                    assert list(cands) == pool
+                    drawn = [(cands, row)]
+                for want, (got, succ) in drawn:
+                    assert list(got) == want
                     assert [table.free_ids[b // width] for b in succ] == [
-                        tuple(sorted(set(ids) - {v} | {c})) for c in cands]
+                        tuple(sorted(set(ids) - {v} | {c})) for c in got]
         # communicating classes against the exact chain's support
         facets, p, _ = exact_transition_matrix(slc)
         assert len(facets) == len(table.free_ids)
