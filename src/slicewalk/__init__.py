@@ -17,8 +17,7 @@ from .graphs import (BipartiteRegularGraph, RegularGraph, RejectionBudgetError,
 from .slices import (LinkOperator, NeighborGraph, OneSidedSlice, RegularSlice,
                      SliceError, TwoSidedSlice, enumerate_facets, exact_distribution,
                      link, local_walk_exact, neighbor_graph, one_sided_link_walk_closed_form,
-                     one_sided_log_weight, one_sided_weight, regular_link_walk_closed_form,
-                     two_sided_link_walk_closed_form)
+                     regular_link_walk_closed_form, two_sided_link_walk_closed_form)
 from .spectra import (SpectrumSummary, adjacency_matrix, complement_interlacing_check,
                       eigen_summary, psd_dominance)
 from .walks import (ChainConfig, ChainState, MixingReport, down_up_step,

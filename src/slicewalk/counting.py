@@ -420,8 +420,6 @@ def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     per-level sampling (median over repetitions when delta < 1e-3).
     """
     slc = TwoSidedSlice(g, k_x, k_y)
-    if k_x == 0 and k_y == 0:
-        return CountEstimate(0.0, epsilon, delta, 0, seed=seed)
     log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed)
     return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
 
@@ -434,9 +432,6 @@ def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: flo
     evaluated exactly by the closed-form weight.
     """
     slc = OneSidedSlice(g, k, fugacity)
-
-    if k == 0:
-        return CountEstimate(g.n_side * math.log1p(fugacity), epsilon, delta, 0, seed=seed)
     if k == g.n_side:
         return CountEstimate(slc.log_weight(range(g.n_side)),
                              epsilon, delta, 0, seed=seed)
@@ -503,7 +498,7 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
                                                + (0 if kind.endswith("x") else 1))
             logs.append(est.log_value)
             used += est.samples
-        value = _logsumexp(logs) if logs else LOG_ZERO
+        value = _logsumexp(logs)
         bands.append(BandRecord(kind, (a_cap + 1, b_cap), value, used))
         total_samples += used
 

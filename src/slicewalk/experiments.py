@@ -174,15 +174,9 @@ def experiment_large_set_expansion(config: ExperimentConfig) -> dict:
 # -- hardcore sampling at scale ---------------------------------------------------------
 
 
-def pairing_support_adjacency(rows: np.ndarray):
-    """Deduplicated adjacency lists of a pairing draw (multiedges collapsed)."""
-    n = rows.shape[0]
-    adj_x = [sorted(set(int(j) for j in row)) for row in rows]
-    adj_y: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(adj_x):
-        for j in row:
-            adj_y[j].append(i)
-    return adj_x, [sorted(r) for r in adj_y]
+def pairing_support_adjacency(rows: np.ndarray) -> list[list[int]]:
+    """Deduplicated X adjacency lists of a pairing draw (multiedges collapsed)."""
+    return [sorted(set(int(j) for j in row)) for row in rows]
 
 
 class MarginalHardcoreSampler:
@@ -257,7 +251,7 @@ def experiment_independent_set_size(config: ExperimentConfig) -> dict:
     """
     n, d, lam = config.n_side, config.degree, config.fugacity
     rows = pairing_bipartite_rows(n, d, rng_stream(config.seed, 0))
-    adj_x, _ = pairing_support_adjacency(rows)
+    adj_x = pairing_support_adjacency(rows)
     sampler = MarginalHardcoreSampler(adj_x, n, lam, config.seed)
     complete_rng = rng_stream(config.seed, 8)
     alpha = alpha_threshold(d, config.gamma)

@@ -248,16 +248,6 @@ class RegularSlice(_SliceCore):
 Slice = TwoSidedSlice | OneSidedSlice | RegularSlice
 
 
-# -- weights ---------------------------------------------------------------------
-
-
-one_sided_log_weight = OneSidedSlice.log_weight
-
-
-def one_sided_weight(slc: OneSidedSlice, s: Iterable[int]) -> float:
-    return math.exp(one_sided_log_weight(slc, s))
-
-
 # -- enumeration -------------------------------------------------------------------
 
 
@@ -314,15 +304,15 @@ def exact_distribution(slc: Slice, cap: int = ENUMERATION_CAP):
 
 
 def _facet_weights(slc: Slice, cap: int):
-    """(facets, weights, probabilities): the enumerated facets, their weights
-    relative to the heaviest, exp(log weight - max log weight), and those
-    weights normalized."""
+    """(facets, log weights, probabilities): the enumerated facets, their log
+    weights, and the weights relative to the heaviest, exp(log weight - max
+    log weight), normalized."""
     facets = enumerate_facets(slc, cap)
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
     logw = np.array([slc.log_weight(f) for f in facets])
     weights = np.exp(logw - logw.max())
-    return facets, weights, weights / weights.sum()
+    return facets, logw, weights / weights.sum()
 
 
 # -- links -------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Eigenvalue computation and positive-semidefinite order checks.
 
-Two routes to the second adjacency eigenvalue: a dense route (LAPACK ``eigh``
-on the full symmetric matrix, capped at DENSE_CAP vertices) and a sparse
-Lanczos route (ARPACK ``eigsh``) that returns the upper end of a residual
-enclosure and scales to the graph sizes used by the spectral frequency sweeps.
-The two routes are cross-checked against each other in the tests.
+Two routes to the second adjacency eigenvalue: a dense route (LAPACK
+``eigvalsh`` on the full symmetric matrix, capped at DENSE_CAP vertices) and a
+sparse Lanczos route (ARPACK ``eigsh``) that returns the upper end of a
+residual enclosure and scales to the graph sizes used by the spectral
+frequency sweeps.  The two routes are cross-checked against each other in the
+tests.
 
 All comparisons use absolute slack after the matrices involved are naturally
 normalized to spectral radius <= degree; tolerances are pinned at call sites.
@@ -29,12 +30,11 @@ class DenseCapError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Top two eigenvalues and the bottom one, with the largest residual."""
+    """Top two eigenvalues and the bottom one."""
 
     lambda1: float
     lambda2: float
     lambda_min: float
-    residual: float
 
     def __post_init__(self) -> None:
         if not (self.lambda1 >= self.lambda2 >= self.lambda_min):
@@ -62,25 +62,15 @@ def adjacency_matrix(g) -> np.ndarray:
 
 
 def eigen_summary(m: np.ndarray) -> SpectrumSummary:
-    """Dense symmetric eigendecomposition summarized as (λ1, λ2, λ_min)."""
+    """Dense symmetric eigenvalues summarized as (λ1, λ2, λ_min)."""
     check_symmetric(m)
-    vals, vecs = np.linalg.eigh(m)
+    vals = np.linalg.eigvalsh(m)
     lam1 = float(vals[-1])
     lam2 = float(vals[-2]) if len(vals) > 1 else lam1
-    lam_min = float(vals[0])
-    idx = [-1, -2, 0] if len(vals) > 1 else [0]
-    residual = max(
-        float(np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i])) for i in idx)
-    return SpectrumSummary(lam1, lam2, lam_min, residual)
+    return SpectrumSummary(lam1, lam2, float(vals[0]))
 
 
 # -- sparse route --------------------------------------------------------------------
-
-
-def neighbor_index_matrix(g) -> np.ndarray:
-    """(N, degree) neighbor-index array of the global adjacency, such that
-    (A v)_i = sum(v[idx[i]])."""
-    return np.asarray(g.global_adj, dtype=np.int64)
 
 
 def pairing_index_matrix(rows_x: np.ndarray) -> np.ndarray:
@@ -111,7 +101,7 @@ def iterative_lambda2(g_or_idx, degree: int | None = None, *, seed: int = 0) -> 
     from scipy.sparse import csr_array
     from scipy.sparse.linalg import eigsh
 
-    idx = neighbor_index_matrix(g_or_idx) if degree is None else g_or_idx
+    idx = np.asarray(g_or_idx.global_adj) if degree is None else g_or_idx
     n, d = idx.shape
     a = csr_array((np.ones(n * d), idx.ravel(), np.arange(n + 1) * d), shape=(n, n))
     if n < 3 or d == 0:
@@ -133,28 +123,17 @@ def iterative_lambda2(g_or_idx, degree: int | None = None, *, seed: int = 0) -> 
 
 
 def psd_dominance(a: np.ndarray, b: np.ndarray):
-    """True iff b − a is PSD up to ``ORDER_TOL``; returns the witness pair when not.
+    """True iff b − a is PSD up to ``ORDER_TOL``, by its smallest eigenvalue.
 
-    The witness is (most negative eigenvalue, its eigenvector) of b − a.  A
-    stack of matrix pairs (a leading axis) is checked by one stacked
-    ``eigvalsh`` call and gives a boolean array and a list of witnesses, None
-    where b − a is PSD; an eigenvector is computed only for a failing matrix.
+    A stack of matrix pairs (a leading axis) is checked by one stacked
+    ``eigvalsh`` call and gives a boolean array.
     """
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
     diff = b - a
     check_symmetric(diff, tol=1e-10)
     ok = np.linalg.eigvalsh(diff)[..., 0] >= -ORDER_TOL
-    witnesses = [None if good else _lowest_pair(d)
-                 for good, d in zip(ok.reshape(-1), diff.reshape(-1, *diff.shape[-2:]))]
-    if diff.ndim == 2:
-        return bool(ok), witnesses[0]
-    return ok, witnesses
-
-
-def _lowest_pair(m: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(m)
-    return float(vals[0]), vecs[:, 0]
+    return bool(ok) if diff.ndim == 2 else ok
 
 
 def complement_interlacing_check(g) -> bool:

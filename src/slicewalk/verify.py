@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -392,10 +392,15 @@ def verify_top_link_regular(g: RegularGraph, k: int,
 
 
 def _walk_factorization(nbr: NeighborGraph, fugacity: float):
-    """(ok, max deviation) per link of a stack of neighbor graphs.
+    """(ok, max deviation) per link of a stack of neighbor graphs, for the
+    entrywise identity between the stationary-weighted walk and the
+    common-neighbor weight matrix.
 
-    The diagonal products of the identity are taken entrywise, in the order
-    of the matrix products they stand for.
+    With Pi half the stationary diagonal, Gamma(u,u) = Z_u / (2Z) and
+    Pi~ = Gamma^{-1} Pi, the product Pi P must equal
+    (1/(2Z)) Pi~ (1+lam)^{H} Pi~ exactly, where H is the neighbor graph and
+    the exponential is entrywise off the diagonal.  The diagonal products are
+    taken entrywise, in the order of the matrix products they stand for.
     """
     op = _one_sided_walk(nbr, fugacity)
     weight = nbr.weight_exponential(fugacity)
@@ -408,63 +413,30 @@ def _walk_factorization(nbr: NeighborGraph, fugacity: float):
     return deviation <= IDENTITY_TOL, deviation
 
 
-def verify_walk_factorization(g: BipartiteRegularGraph, k: int, fugacity: float,
-                              tau: Iterable[int]) -> tuple[bool, float]:
-    """Entrywise identity between the stationary-weighted walk and the
-    common-neighbor weight matrix.
-
-    With Pi half the stationary diagonal, Gamma(u,u) = Z_u / (2Z) and
-    Pi~ = Gamma^{-1} Pi, the product Pi P must equal
-    (1/(2Z)) Pi~ (1+lam)^{H} Pi~ exactly, where H is the neighbor graph and
-    the exponential is entrywise off the diagonal.  Returns
-    (ok, max deviation).
-    """
-    slc = OneSidedSlice(g, k, fugacity)
-    ok, dev = _walk_factorization(_neighbor_graphs(slc, [sorted(frozenset(tau))]), fugacity)
-    return bool(ok[0]), float(dev[0])
-
-
 def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph):
     """(hypotheses met, H <= G2, E <= J + lam H + (lam^2 - 1) I,
-    E <= J + lam G2 + (lam^2 - 1) I) per link of a stack of neighbor graphs;
-    the last two are checked only where the hypotheses hold, False elsewhere."""
+    E <= J + lam G2 + (lam^2 - 1) I) per link of a stack of neighbor graphs.
+
+    H is the neighbor graph, E its entrywise (1+lam) exponential, J the
+    all-ones matrix and G2 the squared-adjacency principal submatrix on the
+    link.  The last two dominations need the common-neighbor hypotheses and
+    are checked only where they hold, False elsewhere."""
     n = slc.graph.n_side
     lam = slc.fugacity
     h = nbr.counts.astype(float)
     biadjacency = slc.adjacency[:n, n:]
     sq = (biadjacency @ biadjacency.T)[nbr.ground[:, :, None], nbr.ground[:, None, :]]
     met = one_sided_hypotheses_met(nbr)
-    neighbor_ok, _ = psd_dominance(h, sq)
+    neighbor_ok = psd_dominance(h, sq)
     affine_ok, squared_ok = np.zeros_like(met), np.zeros_like(met)
     if met.any():
         m = h.shape[-1]
         e = nbr.weight_exponential(lam)[met]
         j = np.ones((m, m))
         eye = np.eye(m)
-        affine_ok[met], _ = psd_dominance(e, j + lam * h[met] + (lam * lam - 1.0) * eye)
-        squared_ok[met], _ = psd_dominance(e, j + lam * sq[met] + (lam * lam - 1.0) * eye)
+        affine_ok[met] = psd_dominance(e, j + lam * h[met] + (lam * lam - 1.0) * eye)
+        squared_ok[met] = psd_dominance(e, j + lam * sq[met] + (lam * lam - 1.0) * eye)
     return met, neighbor_ok, affine_ok, squared_ok
-
-
-def verify_psd_chain(g: BipartiteRegularGraph, k: int, fugacity: float,
-                     tau: Iterable[int]) -> dict:
-    """Three PSD dominations tying the weight matrix to the squared adjacency.
-
-    With H the neighbor graph, E its entrywise (1+lam) exponential, J the
-    all-ones matrix, and G2 the squared-adjacency principal submatrix on the
-    link:   E <= J + lam H + (lam^2 - 1) I   (needs the hypotheses),
-            H <= G2,
-            E <= J + lam G2 + (lam^2 - 1) I.
-    The first and third are gated on the common-neighbor hypotheses and
-    reported as skipped when they fail.
-    """
-    tau = tuple(sorted(tau))
-    slc = OneSidedSlice(g, k, fugacity)
-    met, neighbor_ok, affine_ok, squared_ok = (
-        bool(x[0]) for x in _psd_chain(slc, _neighbor_graphs(slc, [tau])))
-    return {"face": tau, "hypotheses_met": met, "neighbor_below_squared": neighbor_ok,
-            "weight_below_affine": affine_ok if met else None,
-            "weight_below_squared_affine": squared_ok if met else None}
 
 
 def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: float,

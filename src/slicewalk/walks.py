@@ -583,9 +583,11 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
 
     Built purely from the facet enumeration: facets are grouped by each
     codimension-1 face obtained by deleting a free element, and within a group
-    the replacement law is the conditional of the slice weights.
+    the replacement law is the conditional of the slice weights, taken
+    relative to the group's heaviest facet so that no group underflows at
+    extreme fugacity.
     """
-    facets, weights, probs = _facet_weights(slc, cap)
+    facets, logw, probs = _facet_weights(slc, cap)
     k_free = slc.free_size
     if k_free == 0:
         return facets, np.ones((1, 1)), probs
@@ -595,7 +597,7 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
             groups.setdefault(sub, []).append(i)
     p = np.zeros((len(facets), len(facets)))
     for members in groups.values():
-        w = weights[members]
+        w = np.exp(logw[members] - logw[members].max())
         cond = w / w.sum()
         for i in members:
             p[i, members] += cond / k_free

@@ -30,7 +30,14 @@ recomputed when cross links moved to singular values and same-side links to
 -1/(m-1): their reports match the previous code's field for field, apart
 from lambda2 values and the worst margin, which moved by at most 1e-15.  The
 sampled run gained ``--sample-count 30`` then, because a face kind with no
-more faces than the sample count is now enumerated.
+more faces than the sample count is now enumerated.  They were recomputed
+again when the dense spectrum summary moved from ``eigh`` to ``eigvalsh``,
+which moves lambda2(A_G) by a few ulps: field for field, only the bounds
+moved, by at most 7.8e-16, and every status matched.
+
+``test_partition_hat_bits`` and ``test_empty_and_full_slice_estimate_bits``
+were computed before the estimators lost their early returns for a slice
+with nothing free, which the general telescoping path now computes.
 """
 from __future__ import annotations
 
@@ -40,7 +47,8 @@ import json
 import pytest
 
 from slicewalk.cli import main
-from slicewalk.counting import estimate_one_sided_partition, estimate_two_sided_count
+from slicewalk.counting import (estimate_one_sided_partition, estimate_partition_hat,
+                                estimate_two_sided_count, exact_partition_hat, thresholds)
 from slicewalk.graphs import gen_bipartite_regular, gen_regular, save_graph
 from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice
 from slicewalk.rng import rng_stream
@@ -119,11 +127,44 @@ def test_one_sided_estimate_bits():
     assert est.samples == 532
 
 
+def test_partition_hat_bits():
+    # alpha n = 1 and beta n = 8: the grid holds the (0, 0) term and the
+    # one-sided bands end at k = n
+    g = gen_bipartite_regular(8, 3, seed=1)
+    thr = thresholds(3, 0.25)
+    est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=thr)
+    assert est.log_value.hex() == "0x1.6c6ce050261e3p+1"
+    assert est.samples == 10748
+    assert [(b.kind, b.k_range, b.value_log.hex(), b.samples) for b in est.bands] == [
+        ("two-sided", (0, 1), "0x1.fe8281ae2b581p+0", 2136),
+        ("one-sided-x", (2, 8), "0x1.9cf015abbdb55p+0", 4304),
+        ("one-sided-y", (2, 8), "0x1.956e9b942f63ep+0", 4308),
+    ]
+    assert [v.hex() for v in exact_partition_hat(g, 0.25, thr)] == [
+        "0x1.16baa00000000p+4", "0x1.95d0000000000p-2"]
+
+
+@pytest.mark.parametrize("kind, k, bits", [
+    ("two-sided", 0, "0x0.0p+0"),
+    ("one-sided", 0, "0x1.0ca937be1b9dcp+1"),
+    ("one-sided", 8, "-0x1.34378fcbda721p+3"),
+])
+def test_empty_and_full_slice_estimate_bits(kind, k, bits):
+    g = gen_bipartite_regular(8, 3, seed=1)
+    if kind == "two-sided":
+        est = estimate_two_sided_count(g, k, k, 0.3, 0.1, seed=5)
+    else:
+        est = estimate_one_sided_partition(g, k, 0.3, 0.3, 0.1, seed=5)
+    assert est.log_value.hex() == bits
+    assert est.samples == 0
+    assert est.trace == ()
+
+
 VERIFY_DIGESTS = {
-    "two-sided": "c5321880842005c90b5f2bbde6a3bd877c9467f83089379a95b37caaed7dd02a",
+    "two-sided": "fe3d0756babbcafac9ace55f7dca1ac65a5e7b0cf946ff20a4506e1e9933759e",
     "one-sided": "71d65b023b637b2cf17967831d3ee868e1ca41e9a231ecdff660e25c93a40d5a",
     "regular": "afcce2306635d5fd8d2bac8e03fd45782e3b8b64a050b0a09633a73e52b942f9",
-    "sampled-cross": "41f1918c19e14f008d3a941aa3aebbf4cc2756e7cadc85f2faa1fc40c5cf7873",
+    "sampled-cross": "5c084510f4223c8f37ed35bd1b57756bf2bb5a7a440b4f548d7e6bc5e0ede4ed",
 }
 
 VERIFY_RUNS = {

@@ -14,7 +14,6 @@ from slicewalk.slices import (EnumerationCapError, OneSidedSlice, RegularSlice,
                               SliceError, TwoSidedSlice, enumerate_facets,
                               exact_distribution, link, local_walk_exact,
                               neighbor_graph, one_sided_link_walk_closed_form,
-                              one_sided_log_weight, one_sided_weight,
                               regular_link_walk_closed_form,
                               two_sided_link_walk_closed_form)
 
@@ -47,21 +46,21 @@ def test_pinned_ids_out_of_range_rejected(make):
 class TestOneSidedWeight:
     def test_empty_set(self, bipartite_c6):
         slc = OneSidedSlice(bipartite_c6, 0, 0.7)
-        assert one_sided_weight(slc, ()) == pytest.approx(1.7 ** 3, rel=1e-12)
+        assert math.exp(slc.log_weight(())) == pytest.approx(1.7 ** 3, rel=1e-12)
 
     def test_single_edge(self):
         g = gen_bipartite_regular(1, 1, seed=0)
         slc = OneSidedSlice(g, 1, 1.0)
-        assert one_sided_weight(slc, (0,)) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(slc.log_weight((0,))) == pytest.approx(1.0, rel=1e-12)
 
     def test_c6_example(self, bipartite_c6):
         slc = OneSidedSlice(bipartite_c6, 1, 0.5)
-        assert one_sided_weight(slc, (0,)) == pytest.approx(0.75, rel=1e-12)
+        assert math.exp(slc.log_weight((0,))) == pytest.approx(0.75, rel=1e-12)
 
     def test_wrong_size_rejected(self, bipartite_c6):
         slc = OneSidedSlice(bipartite_c6, 2, 0.5)
         with pytest.raises(SliceError):
-            one_sided_log_weight(slc, (0,))
+            slc.log_weight((0,))
 
     @pytest.mark.parametrize("seed,lam", [(0, 0.5), (1, 0.25), (2, 1.5)])
     def test_matches_brute_force(self, seed, lam):
@@ -70,12 +69,12 @@ class TestOneSidedWeight:
             slc = OneSidedSlice(g, k, lam)
             for s in combinations(range(8), k):
                 expected = brute_one_sided_weight(g, s, lam)
-                assert one_sided_weight(slc, s) == pytest.approx(expected, rel=1e-12)
+                assert math.exp(slc.log_weight(s)) == pytest.approx(expected, rel=1e-12)
 
     def test_log_space_no_overflow(self):
         g = gen_bipartite_regular(60, 3, seed=4)
         slc = OneSidedSlice(g, 5, 0.5)
-        lw = one_sided_log_weight(slc, tuple(range(5)))
+        lw = slc.log_weight(tuple(range(5)))
         assert math.isfinite(lw)
 
 
@@ -379,3 +378,50 @@ def test_no_isinstance_on_a_slice_type():
                 if name in families:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Public names that only the tests use, each a reference or a check the tests
+# apply to the program's results.
+TEST_ONLY_NAMES = {
+    # exact Z by branch-and-bound, the oracle for the occupancy profile and
+    # the banded sum
+    "exact_partition",
+    # link walks by facet enumeration, the oracle for the closed forms
+    "local_walk_exact",
+    # complement spectra against their graph-side caps (criterion 3)
+    "complement_interlacing_check",
+}
+
+
+def test_every_public_name_has_a_consumer():
+    """Every public top-level function, class and alias in the package is used
+    by other package code or by the benchmark, unless it is a reference the
+    tests compare against (``TEST_ONLY_NAMES``).  Imports do not count as
+    uses, so neither does the ``__init__`` re-export."""
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "slicewalk").glob("*.py"))
+    defined = {}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path in package:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif (isinstance(node, ast.Assign)
+                      and isinstance(node.value, (ast.Name, ast.Attribute))):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        defined[name] = (path, node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path, node.lineno))
+    unused = sorted(
+        f"{path.name}:{name}" for name, (path, lo, hi) in defined.items()
+        if name not in TEST_ONLY_NAMES
+        and all(p == path and lo <= line <= hi for p, line in uses.get(name, [])))
+    assert not unused, "no consumer outside the tests: " + ", ".join(unused)

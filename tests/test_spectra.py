@@ -26,7 +26,6 @@ def test_eigen_summary_cycle(six_cycle):
     assert s.lambda1 == pytest.approx(2.0, abs=1e-9)
     assert s.lambda2 == pytest.approx(1.0, abs=1e-9)
     assert s.lambda_min == pytest.approx(-2.0, abs=1e-9)
-    assert s.residual < 1e-10
 
 
 def test_eigen_summary_trivial_cases(complete_bipartite_33):
@@ -81,15 +80,11 @@ def test_iterative_lambda2_not_below_dense_at_side_1000():
 
 def test_psd_dominance_basics():
     eye = np.eye(3)
-    ok, witness = psd_dominance(eye, eye)
-    assert ok and witness is None
-    ok, _ = psd_dominance(eye, 2 * eye)
-    assert ok
-    ok, witness = psd_dominance(2 * eye, eye)
-    assert not ok
-    value, vec = witness
-    assert value == pytest.approx(-1.0, abs=1e-9)
-    assert vec.shape == (3,)
+    assert psd_dominance(eye, eye) is True
+    assert psd_dominance(eye, 2 * eye) is True
+    assert psd_dominance(2 * eye, eye) is False
+    stacked = psd_dominance(np.stack([eye, 2 * eye]), np.stack([2 * eye, eye]))
+    assert stacked.tolist() == [True, False]
 
 
 def test_cauchy_interlacing_on_random_matrices():

@@ -5,12 +5,11 @@ import pytest
 from slicewalk import verify
 from slicewalk.graphs import (BipartiteRegularGraph, gen_bipartite_regular,
                               gen_regular)
-from slicewalk.verify import (one_sided_hypotheses_met, verify_one_sided_identities,
-                              verify_psd_chain, verify_top_link_one_sided,
-                              verify_top_link_regular, verify_top_link_two_sided,
-                              verify_walk_factorization)
+from slicewalk.verify import (_psd_chain, _walk_factorization, one_sided_hypotheses_met,
+                              verify_one_sided_identities, verify_top_link_one_sided,
+                              verify_top_link_regular, verify_top_link_two_sided)
 from slicewalk.slices import (OneSidedSlice, RegularSlice, SliceError, TwoSidedSlice,
-                              neighbor_graph, one_sided_link_walk_closed_form,
+                              _neighbor_graphs, neighbor_graph, one_sided_link_walk_closed_form,
                               regular_link_walk_closed_form, two_sided_link_walk_closed_form)
 from slicewalk.walks import spectral_gap
 
@@ -103,35 +102,42 @@ class TestRegularSweep:
         assert r.checked > 0
 
 
+def _factorization(g, k, fugacity, tau):
+    slc = OneSidedSlice(g, k, fugacity)
+    ok, dev = _walk_factorization(_neighbor_graphs(slc, [sorted(tau)]), fugacity)
+    return bool(ok[0]), float(dev[0])
+
+
+def _psd(g, k, fugacity, tau):
+    """(hypotheses met, H <= G2, E <= J + lam H + ..., E <= J + lam G2 + ...)
+    for one face."""
+    slc = OneSidedSlice(g, k, fugacity)
+    return tuple(bool(x[0]) for x in _psd_chain(slc, _neighbor_graphs(slc, [sorted(tau)])))
+
+
 class TestWalkFactorization:
     def test_edgeless_zero_deviation(self, edgeless_bipartite_5):
-        ok, dev = verify_walk_factorization(edgeless_bipartite_5, 2, 0.5, ())
+        ok, dev = _factorization(edgeless_bipartite_5, 2, 0.5, ())
         assert ok and dev == pytest.approx(0.0, abs=1e-15)
 
     def test_c6(self, bipartite_c6):
-        ok, dev = verify_walk_factorization(bipartite_c6, 2, 0.5, ())
+        ok, dev = _factorization(bipartite_c6, 2, 0.5, ())
         assert ok and dev <= 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sweep(self, seed):
         g = gen_bipartite_regular(10, 3, seed=seed)
         for tau in ((0,), (4,), (9,)):
-            ok, dev = verify_walk_factorization(g, 3, 0.35, tau)
+            ok, dev = _factorization(g, 3, 0.35, tau)
             assert ok, dev
 
 
 class TestPsdChain:
     def test_edgeless_trivial(self, edgeless_bipartite_5):
-        out = verify_psd_chain(edgeless_bipartite_5, 2, 0.5, ())
-        assert out["hypotheses_met"]
-        assert out["neighbor_below_squared"]
-        assert out["weight_below_affine"]
-        assert out["weight_below_squared_affine"]
+        assert _psd(edgeless_bipartite_5, 2, 0.5, ()) == (True, True, True, True)
 
     def test_c6(self, bipartite_c6):
-        out = verify_psd_chain(bipartite_c6, 2, 0.5, ())
-        assert all(out[k] for k in ("hypotheses_met", "neighbor_below_squared",
-                                    "weight_below_affine", "weight_below_squared_affine"))
+        assert _psd(bipartite_c6, 2, 0.5, ()) == (True, True, True, True)
 
     def test_hypothesis_violation_gates_affine_checks(self):
         # two x vertices sharing three common neighbors break the hypotheses
@@ -139,11 +145,11 @@ class TestPsdChain:
         g = BipartiteRegularGraph(3, 3, adj_x, adj_x)
         slc = OneSidedSlice(g, 2, 0.5)
         assert not one_sided_hypotheses_met(neighbor_graph(slc, ()))
-        out = verify_psd_chain(g, 2, 0.5, ())
-        assert out["hypotheses_met"] is False
-        assert out["weight_below_affine"] is None
-        assert out["weight_below_squared_affine"] is None
-        assert out["neighbor_below_squared"] is not None  # unconditional check ran
+        met, neighbor_ok, affine_ok, squared_ok = _psd(g, 2, 0.5, ())
+        assert not met
+        # the gated checks are not run; the unconditional one is
+        assert not affine_ok and not squared_ok
+        assert neighbor_ok
 
     def test_identity_sweep_samples_above_the_cap(self):
         g = gen_bipartite_regular(10, 3, seed=1)

@@ -295,6 +295,15 @@ class TestExactTransitionMatrix:
         _, p, _ = exact_transition_matrix(RegularSlice(six_cycle, 2))
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_rows_stay_finite_at_extreme_fugacity(self):
+        # at this fugacity most facets weigh 0 relative to the slice's
+        # heaviest, so each face's conditional is taken against its own
+        # heaviest facet
+        slc = OneSidedSlice(gen_bipartite_regular(6, 2, seed=0), 3, 1e300)
+        _, p, _ = exact_transition_matrix(slc)
+        assert np.isfinite(p).all()
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
     def test_two_sided_c6_doubly_stochastic(self, bipartite_c6):
         _, p, _ = exact_transition_matrix(TwoSidedSlice(bipartite_c6, 1, 1))
         assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
