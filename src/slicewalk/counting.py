@@ -121,8 +121,7 @@ class CountEstimate:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0 and 0.0 < self.delta < 1.0):
-            raise ValueError("epsilon and delta must lie in (0, 1)")
+        _check_accuracy(self.epsilon, self.delta)
         for t in self.trace:
             if not (0.0 < t.marginal <= 1.0):
                 raise ValueError("traced marginals must lie in (0, 1]")
@@ -147,6 +146,11 @@ THIN_SCALE = 2
 EXACT_MARGINAL_CAP = 32
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
+        raise ValueError("epsilon and delta must lie in (0, 1)")
+
+
 def _z_quantile(delta: float) -> float:
     """Two-sided standard normal quantile."""
     return NormalDist().inv_cdf(1.0 - delta / 2.0)
@@ -154,8 +158,8 @@ def _z_quantile(delta: float) -> float:
 
 # -- exact oracles -----------------------------------------------------------------
 
-# Most vertices exact_partition accepts, and most subsets exact_slice_count
-# and exact_one_sided_partition enumerate.
+# Most vertices exact_partition accepts, and most subsets one enumeration of
+# the k-subsets of X behind the other oracles visits.
 EXACT_PARTITION_CAP = 40
 EXACT_COUNT_CAP = 10 ** 6
 
@@ -223,33 +227,32 @@ def exact_partition(g, fugacity: float) -> float:
     return float(z((1 << n) - 1))
 
 
+def _uncovered_histogram(g: BipartiteRegularGraph, k: int) -> list[int]:
+    """c with c[u] the number of k-subsets S of X that leave u = |Y \\ N[S]|
+    vertices of Y uncovered."""
+    n = g.n_side
+    if math.comb(n, k) > EXACT_COUNT_CAP:
+        raise ValueError("enumeration cap exceeded")
+    hist = [0] * (n + 1)
+    for s in combinations(range(n), k):
+        hist[n - len(g.neighbor_set(X, s))] += 1
+    return hist
+
+
 def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int) -> int:
     """|{independent I : |I ∩ X| = k_x, |I ∩ Y| = k_y}| by one-side enumeration.
 
     X carries no internal edges, so every k_x-subset S of X is independent and
     contributes binom(|Y \\ N[S]|, k_y) completions.
     """
-    n = g.n_side
-    if k_x > n or k_y > n:
-        return 0
-    if math.comb(n, k_x) > EXACT_COUNT_CAP:
-        raise ValueError("enumeration cap exceeded")
-    total = 0
-    for s in combinations(range(n), k_x):
-        uncovered = n - len(g.neighbor_set(X, s))
-        total += math.comb(uncovered, k_y)
-    return total
+    return sum(c * math.comb(u, k_y) for u, c in enumerate(_uncovered_histogram(g, k_x)))
 
 
 def exact_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float) -> float:
     """Brute-force sum of fugacity^k (1+fugacity)^{|Y \\ N[S]|} over k-subsets."""
-    n = g.n_side
-    if math.comb(n, k) > EXACT_COUNT_CAP:
-        raise ValueError("enumeration cap exceeded")
     terms = []
-    for s in combinations(range(n), k):
-        uncovered = n - len(g.neighbor_set(X, s))
-        terms.append(fugacity ** k * (1.0 + fugacity) ** uncovered)
+    for u, c in enumerate(_uncovered_histogram(g, k)):
+        terms += [fugacity ** k * (1.0 + fugacity) ** u] * c
     return math.fsum(terms)
 
 
@@ -259,14 +262,11 @@ def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
     n = g.n_side
     if n > 22:
         raise ValueError("profile enumeration limited to n_side <= 22")
-    counts = np.zeros((n + 1, n + 1), dtype=float)
-    for size in range(n + 1):
-        for s in combinations(range(n), size):
-            uncovered = n - len(g.neighbor_set(X, s))
-            for b in range(uncovered + 1):
-                counts[size, b] += math.comb(uncovered, b)
+    sizes = range(n + 1)
+    hists = np.array([_uncovered_histogram(g, a) for a in sizes], dtype=np.int64)
+    binom = np.array([[math.comb(u, b) for b in sizes] for u in sizes], dtype=np.int64)
     powers = fugacity ** np.arange(n + 1, dtype=float)
-    return counts * np.outer(powers, powers)
+    return (hists @ binom) * np.outer(powers, powers)
 
 
 # -- chain-based marginal estimation --------------------------------------------------
@@ -395,9 +395,10 @@ def _repetitions(delta: float) -> int:
     return math.ceil(12.0 * math.log(1.0 / delta))
 
 
-def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int):
+def _estimate(slc: Slice, epsilon: float, delta: float, seed: int) -> CountEstimate:
     """Median over repetitions of the telescoped log value, each closed by the
     log weight of its fully pinned final slice."""
+    _check_accuracy(epsilon, delta)
     reps = _repetitions(delta)
     z2 = _z_quantile(delta) ** 2 if reps == 1 else _z_quantile(0.25) ** 2
     runs = []
@@ -407,7 +408,7 @@ def _run_estimator(slc: Slice, epsilon: float, delta: float, seed: int):
     runs.sort(key=lambda r: r[0])
     mid = runs[len(runs) // 2]
     samples = sum(r[2] for r in runs)
-    return mid[0], tuple(mid[1]), samples
+    return CountEstimate(mid[0], epsilon, delta, samples, tuple(mid[1]), seed=seed)
 
 
 def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
@@ -419,9 +420,7 @@ def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
     face contributes one.  Meets the (epsilon, delta) contract via z-budgeted
     per-level sampling (median over repetitions when delta < 1e-3).
     """
-    slc = TwoSidedSlice(g, k_x, k_y)
-    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed)
-    return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
+    return _estimate(TwoSidedSlice(g, k_x, k_y), epsilon, delta, seed)
 
 
 def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float,
@@ -435,8 +434,7 @@ def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: flo
     if k == g.n_side:
         return CountEstimate(slc.log_weight(range(g.n_side)),
                              epsilon, delta, 0, seed=seed)
-    log_v, trace, samples = _run_estimator(slc, epsilon, delta, seed)
-    return CountEstimate(log_v, epsilon, delta, samples, trace, seed=seed)
+    return _estimate(slc, epsilon, delta, seed)
 
 
 def _mirror(g: BipartiteRegularGraph) -> BipartiteRegularGraph:
@@ -451,60 +449,60 @@ def _logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in finite))
 
 
+def _band_caps(n: int, thr: ThresholdParams) -> tuple[int, int]:
+    """(a_cap, b_cap): the two-sided grid takes each side occupancy up to
+    a_cap, the one-sided bands take a_cap < k <= b_cap."""
+    return math.floor(thr.alpha * n), math.floor(thr.beta * n)
+
+
+def _banded_terms(g: BipartiteRegularGraph, fugacity: float, thr: ThresholdParams,
+                  seed: int) -> list[tuple[str, Slice, float, int]]:
+    """The terms of the banded sum as (band, slice, log scale, seed), in
+    estimation order: the two-sided grid row by row, scaled by
+    fugacity^{k_x+k_y}, then the X band and the Y band (on the mirrored
+    graph), whose slices carry their own weights."""
+    a_cap, b_cap = _band_caps(g.n_side, thr)
+    log_lam = math.log(fugacity)
+    grid = [(kx, ky) for kx in range(a_cap + 1) for ky in range(a_cap + 1)]
+    terms = [("two-sided", TwoSidedSlice(g, kx, ky), (kx + ky) * log_lam,
+              seed + 1000003 * (t + 1)) for t, (kx, ky) in enumerate(grid)]
+    for side, (band, graph) in enumerate((("one-sided-x", g), ("one-sided-y", _mirror(g)))):
+        terms += [(band, OneSidedSlice(graph, k, fugacity), 0.0, seed + 2000003 * (t + 1) + side)
+                  for t, k in enumerate(range(a_cap + 1, b_cap + 1))]
+    return terms
+
+
 def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
                            epsilon: float, delta: float, seed: int,
                            thr: ThresholdParams) -> CountEstimate:
-    """Banded approximation to the partition function, estimated band by band.
+    """Banded approximation to the partition function, estimated term by term.
 
-    Three terms: the two-sided grid k_x, k_y <= floor(alpha n); the X-side
+    Three bands: the two-sided grid k_x, k_y <= floor(alpha n); the X-side
     one-sided band floor(alpha n) < k <= floor(beta n); the mirrored Y-side
     band.  Sets heavy on both sides in the band are double counted by
     construction; that discrepancy is part of the approximation, not corrected
-    here, and is reported by the exact oracle ``double_count_band``.
+    here, and is the second value of ``exact_partition_hat``.
 
-    Each inner estimate runs at the full epsilon (positive sums preserve
+    Each term is estimated at the full epsilon (positive sums preserve
     relative error) with the confidence budget split evenly across terms.
-    An infeasible inner slice contributes zero.
+    An infeasible two-sided slice contributes zero.
     """
-    n = g.n_side
-    a_cap = min(math.floor(thr.alpha * n), n)
-    b_cap = min(math.floor(thr.beta * n), n)
-    log_lam = math.log(fugacity)
-    grid = [(kx, ky) for kx in range(a_cap + 1) for ky in range(a_cap + 1)]
-    band = list(range(a_cap + 1, b_cap + 1))
-    n_terms = max(1, len(grid) + 2 * len(band))
-    delta_inner = delta / n_terms
-    bands: list[BandRecord] = []
-    total_samples = 0
-
-    two_logs = []
-    for t, (kx, ky) in enumerate(grid):
+    _check_accuracy(epsilon, delta)
+    terms = _banded_terms(g, fugacity, thr, seed)
+    a_cap, b_cap = _band_caps(g.n_side, thr)
+    k_ranges = {"two-sided": (0, a_cap), "one-sided-x": (a_cap + 1, b_cap),
+                "one-sided-y": (a_cap + 1, b_cap)}
+    results: dict[str, list] = {band: [] for band in k_ranges}  # (log term, samples)
+    for band, slc, log_scale, term_seed in terms:
         try:
-            est = estimate_two_sided_count(g, kx, ky, epsilon, delta_inner,
-                                           seed=seed + 1000003 * (t + 1))
-            two_logs.append(est.log_value + (kx + ky) * log_lam)
-            total_samples += est.samples
-        except (InitialStateError, SliceError):
-            two_logs.append(LOG_ZERO)
-    two_log = _logsumexp(two_logs)
-    bands.append(BandRecord("two-sided", (0, a_cap), two_log, total_samples))
-
-    for kind, graph in (("one-sided-x", g), ("one-sided-y", _mirror(g))):
-        logs = []
-        used = 0
-        for t, k in enumerate(band):
-            est = estimate_one_sided_partition(graph, k, fugacity, epsilon, delta_inner,
-                                               seed=seed + 2000003 * (t + 1)
-                                               + (0 if kind.endswith("x") else 1))
-            logs.append(est.log_value)
-            used += est.samples
-        value = _logsumexp(logs)
-        bands.append(BandRecord(kind, (a_cap + 1, b_cap), value, used))
-        total_samples += used
-
-    log_total = _logsumexp([b.value_log for b in bands])
-    return CountEstimate(log_total, epsilon, delta, total_samples,
-                         bands=tuple(bands), seed=seed)
+            est = _estimate(slc, epsilon, delta / len(terms), term_seed)
+            results[band].append((est.log_value + log_scale, est.samples))
+        except (InitialStateError, SliceError):  # an infeasible two-sided slice
+            results[band].append((LOG_ZERO, 0))
+    bands = tuple(BandRecord(band, k_ranges[band], _logsumexp(v for v, _ in r),
+                             sum(m for _, m in r)) for band, r in results.items())
+    return CountEstimate(_logsumexp([b.value_log for b in bands]), epsilon, delta,
+                         sum(b.samples for b in bands), bands=bands, seed=seed)
 
 
 def exact_partition_hat(g: BipartiteRegularGraph, fugacity: float,
@@ -516,9 +514,7 @@ def exact_partition_hat(g: BipartiteRegularGraph, fugacity: float,
     construction counts twice.
     """
     w = occupancy_profile(g, fugacity)
-    n = g.n_side
-    a_cap = min(math.floor(thr.alpha * n), n)
-    b_cap = min(math.floor(thr.beta * n), n)
+    a_cap, b_cap = _band_caps(g.n_side, thr)
     t1 = float(w[: a_cap + 1, : a_cap + 1].sum())
     t2 = float(w[a_cap + 1: b_cap + 1, :].sum())
     t3 = float(w[:, a_cap + 1: b_cap + 1].sum())

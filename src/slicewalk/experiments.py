@@ -68,8 +68,8 @@ class ExperimentConfig:
             raise ValueError("a and b must lie in (0, 1)")
         if not (0.5 < self.c < 1.0):
             raise ValueError("c must lie in (1/2, 1)")
-        if self.samples < 1 or self.runs < 1:
-            raise ValueError("samples and runs must be positive")
+        if self.samples < 1 or self.runs < 1 or self.steps < 0:
+            raise ValueError("samples and runs must be positive, steps nonnegative")
 
 
 def coupled_ell(degree: int, gamma: float) -> float:

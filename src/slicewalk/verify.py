@@ -169,6 +169,8 @@ class _FaceSource:
     """
 
     def __init__(self, slc: Slice, face_cap: int, sample_count: int, seed: int) -> None:
+        if sample_count < 1:
+            raise ValueError("sample_count must be positive")
         self.slc, self.face_cap = slc, face_cap
         self.sample_count, self.seed = sample_count, seed
         self._facets = self._rng = None

@@ -171,8 +171,23 @@ class TestEstimateZ:
         assert code == 0
         assert json.loads(out)["thresholds"] == {"alpha": 0.2, "beta": 0.5, "gamma": 0.1}
 
+    def test_zero_delta_exit_2(self, graph_file, capsys):
+        # splitting delta = 0 over the terms used to divide by zero
+        code, out, err = run_cli(capsys, "estimate-z", "--in", graph_file,
+                                 "--lambda", "0.25", "--eps", "0.2", "--delta", "0")
+        assert code == 2 and out == ""
+        assert err == "error: epsilon and delta must lie in (0, 1)\n"
+
 
 class TestVerifySpectral:
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sample_count_below_one_exit_2(self, graph_file, capsys, count):
+        # a sample count below one used to check one face per sampled kind
+        code, out, err = run_cli(capsys, "verify-spectral", "--two-sided", "--in", graph_file,
+                                 "--face-cap", "0", "--sample-count", count)
+        assert code == 2 and out == ""
+        assert err == "error: sample_count must be positive\n"
+
     def test_exit_zero_on_pass(self, graph_file, capsys):
         code, out, _ = run_cli(capsys, "verify-spectral", "--two-sided",
                                "--kx", "2", "--ky", "2", "--in", graph_file)
@@ -203,6 +218,14 @@ class TestExperimentCommand:
         report = json.loads(out)
         assert report["experiment"] == "neighborhood-concentration"
         assert "notes" in report
+
+    def test_negative_steps_exit_2(self, capsys):
+        # matrix_power(P_S, -1) inverted the matrix and reported a negative
+        # stay probability
+        code, out, err = run_cli(capsys, "experiment", "--name", "slow-mixing", "--n", "4",
+                                 "--delta", "2", "--steps", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: samples and runs must be positive, steps nonnegative\n"
 
 
 class TestDeterminismAndConfig:

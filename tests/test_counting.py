@@ -5,8 +5,8 @@ import math
 import pytest
 
 from slicewalk import counting
-from slicewalk.counting import (DegenerateBandError, ThresholdParams, _z_quantile,
-                                estimate_one_sided_partition, estimate_partition_hat,
+from slicewalk.counting import (DegenerateBandError, ThresholdParams, _banded_terms,
+                                _z_quantile, estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
                                 exact_partition, exact_partition_hat, exact_slice_count,
                                 occupancy_profile, thresholds)
@@ -248,3 +248,45 @@ class TestPartitionHat:
             thr = ThresholdParams(alpha=0.15, beta=beta)
             values.append(exact_partition_hat(g, lam, thr)[0])
         assert values[0] <= values[1] <= values[2] + 1e-12
+
+    @pytest.mark.parametrize("n, degree, lam, thr", [
+        (8, 3, 0.25, thresholds(3, 0.25)),  # the one-sided bands end at k = n
+        (12, 3, 0.05, thresholds(3, 0.05)),  # a_cap = b_cap: both bands empty
+        (10, 3, 0.3, ThresholdParams(0.15, 1.0)),
+        (14, 4, 0.1, thresholds(4, 0.1)),
+    ])
+    def test_terms_sum_to_the_exact_banded_value(self, n, degree, lam, thr):
+        # each term's exact weight on its own graph, scaled by its log scale
+        g = gen_bipartite_regular(n, degree, seed=1)
+        terms = _banded_terms(g, lam, thr, seed=0)
+        assert len({seed for *_, seed in terms}) == len(terms)
+        weights = []
+        for band, slc, log_scale, _ in terms:
+            if band == "two-sided":
+                assert log_scale == (slc.k_x + slc.k_y) * math.log(lam)
+                weight = exact_slice_count(slc.graph, slc.k_x, slc.k_y)
+            else:
+                assert log_scale == 0.0 and slc.fugacity == lam
+                weight = exact_one_sided_partition(slc.graph, slc.k, lam)
+            weights.append(weight * math.exp(log_scale))
+        assert math.fsum(weights) == pytest.approx(exact_partition_hat(g, lam, thr)[0],
+                                                   rel=1e-12)
+
+
+class TestAccuracyArguments:
+    @pytest.mark.parametrize("epsilon, delta", [(0.3, 0.0), (0.3, 1.0), (0.0, 0.1),
+                                                (1.5, 0.1), (0.3, 2.0)])
+    def test_rejected_before_any_chain_runs(self, monkeypatch, epsilon, delta):
+        # delta = 2 split over the terms would pass each term's own check
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(counting, "_telescope_log", no_chain)
+        g = gen_bipartite_regular(8, 3, seed=1)
+        runs = [lambda: estimate_two_sided_count(g, 2, 2, epsilon, delta, seed=0),
+                lambda: estimate_one_sided_partition(g, 3, 0.3, epsilon, delta, seed=0),
+                lambda: estimate_partition_hat(g, 0.25, epsilon, delta, seed=0,
+                                               thr=thresholds(3, 0.25))]
+        for run in runs:
+            with pytest.raises(ValueError, match=r"epsilon and delta must lie in \(0, 1\)"):
+                run()

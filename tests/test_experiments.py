@@ -42,6 +42,8 @@ class TestConfig:
             ExperimentConfig("x", n_side=10, degree=3, a=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig("x", n_side=10, degree=3, c=0.4)
+        with pytest.raises(ValueError):
+            ExperimentConfig("x", n_side=10, degree=3, steps=-1)
         cfg = ExperimentConfig("x", n_side=10, degree=3)
         assert cfg.gamma == 0.1 and cfg.ell == 2.0
 

@@ -38,6 +38,9 @@ moved, by at most 7.8e-16, and every status matched.
 ``test_partition_hat_bits`` and ``test_empty_and_full_slice_estimate_bits``
 were computed before the estimators lost their early returns for a slice
 with nothing free, which the general telescoping path now computes.
+``test_median_of_repetitions_bits`` pins the median-of-repetitions path that
+a confidence below 1e-3 takes; it was computed before the banded sum's terms
+were declared in one table.
 """
 from __future__ import annotations
 
@@ -48,7 +51,8 @@ import pytest
 
 from slicewalk.cli import main
 from slicewalk.counting import (estimate_one_sided_partition, estimate_partition_hat,
-                                estimate_two_sided_count, exact_partition_hat, thresholds)
+                                estimate_two_sided_count, exact_partition_hat,
+                                exact_slice_count, thresholds)
 from slicewalk.graphs import gen_bipartite_regular, gen_regular, save_graph
 from slicewalk.slices import OneSidedSlice, RegularSlice, TwoSidedSlice
 from slicewalk.rng import rng_stream
@@ -142,6 +146,17 @@ def test_partition_hat_bits():
     ]
     assert [v.hex() for v in exact_partition_hat(g, 0.25, thr)] == [
         "0x1.16baa00000000p+4", "0x1.95d0000000000p-2"]
+
+
+def test_median_of_repetitions_bits():
+    # delta < 1e-3 takes the median over ceil(12 ln(1/delta)) = 92 telescopes
+    g = gen_bipartite_regular(8, 3, seed=1)
+    est = estimate_two_sided_count(g, 2, 2, 0.3, 5e-4, seed=5)
+    assert est.log_value.hex() == "0x1.19ee9b77243dep+2"
+    assert est.samples == 47384
+    assert [(t.pinned, t.method) for t in est.trace] == [
+        ((0, 5), "sampled"), ((0, 3), "exact"), ((1, 0), "exact"), ((1, 3), "exact")]
+    assert abs(est.value / exact_slice_count(g, 2, 2) - 1) <= 0.3
 
 
 @pytest.mark.parametrize("kind, k, bits", [

@@ -425,3 +425,29 @@ def test_every_public_name_has_a_consumer():
         if name not in TEST_ONLY_NAMES
         and all(p == path and lo <= line <= hi for p, line in uses.get(name, [])))
     assert not unused, "no consumer outside the tests: " + ", ".join(unused)
+
+
+# Settable values of the package, tracked in CHANGES.md: a new one has to
+# replace an old one.
+MAX_DEFAULTED_PARAMETERS = 30
+MAX_ADD_ARGUMENT_CALLS = 52
+THRESHOLD_FIELDS = 2
+
+
+def test_settable_values_do_not_grow():
+    """Function parameters with a default across the package, ``add_argument``
+    calls and ``ThresholdParams`` fields, counted on the AST."""
+    defaulted = arguments = 0
+    threshold_fields = None
+    for path in sorted(Path(slices.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaulted += len(node.args.defaults)
+                defaulted += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                arguments += 1
+            elif isinstance(node, ast.ClassDef) and node.name == "ThresholdParams":
+                threshold_fields = sum(isinstance(b, ast.AnnAssign) for b in node.body)
+    assert defaulted <= MAX_DEFAULTED_PARAMETERS
+    assert arguments <= MAX_ADD_ARGUMENT_CALLS
+    assert threshold_fields == THRESHOLD_FIELDS
