@@ -317,7 +317,8 @@ def _cmd_estimate_z(args):
                    "value_log": b.value_log, "samples": b.samples}
                   for b in est.bands],
         "trace": [{"pinned": list(t.pinned) if isinstance(t.pinned, tuple) else t.pinned,
-                   "marginal": t.marginal, "samples": t.samples, "method": t.method}
+                   "marginal": t.marginal, "samples": t.samples, "method": t.method,
+                   "burn_in": t.burn_in}
                   for t in est.trace],
         "seed": est.seed,
         "thresholds": {"alpha": thr.alpha, "beta": thr.beta, "gamma": args.gamma},

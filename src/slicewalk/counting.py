@@ -7,9 +7,12 @@ product of inverse marginals gives the count.  The heavy vertex is the argmax
 of pilot-estimated marginals; an averaging argument guarantees the true max
 marginal is at least (level size)/(side size), so the pilot only needs
 constant-factor accuracy.  Levels small enough for a facet table step their
-chains through it, and a level whose table splits into several
-communicating classes takes the exact marginal instead: replicas started in
-different classes would never mix.  Larger levels are sampled unchecked.
+chains through it, and each replica starts at an exact draw from the level's
+law (``walks.stationary_start``), so it is stationary from its first step
+and runs no burn-in.  A level whose table splits into several communicating
+classes takes the exact marginal instead: replicas never cross between
+classes, so a few of them cannot weigh the classes.  Larger levels start
+from greedy facets, burn in, and are sampled unchecked.
 
 Exact oracles are kept deliberately independent of the estimators: the
 partition function uses exact rational branch-and-bound, slice counts use
@@ -25,8 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +39,8 @@ from .graphs import BipartiteRegularGraph, X
 from .rng import UniformBuffer, rng_stream
 from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
                      exact_distribution, link)
-from .walks import (TABLE_ROW_CAP, FacetTable, InitialStateError, facet_table,
-                    greedy_initial_state)
+from .walks import (TABLE_ROW_CAP, ChainState, FacetTable, InitialStateError, facet_table,
+                    greedy_initial_state, stationary_start)
 
 LOG_ZERO = float("-inf")
 
@@ -92,12 +97,15 @@ class LevelTrace:
     samples behind it, and how it was decided: ``exact`` (the slice
     enumerates within EXACT_MARGINAL_CAP), ``reducible`` (its chain has more
     than one communicating class, so the marginal is enumerated instead of
-    sampled) or ``sampled``."""
+    sampled) or ``sampled``.  ``burn_in`` is each replica's unsampled steps:
+    0 on a sampled level whose replicas start from its law, and on exact
+    and reducible levels, which run no chain."""
 
     pinned: tuple | int
     marginal: float
     samples: int
     method: str
+    burn_in: int
 
 
 @dataclass(frozen=True)
@@ -131,11 +139,12 @@ class CountEstimate:
         return math.exp(self.log_value)
 
 
-# Telescoping budget.  The burn-in is CHAIN_SCALE * (free size) * (vertex
-# count) * log(1/epsilon) steps.
+# Telescoping budget.  A level above the table cap burns in for CHAIN_SCALE *
+# (free size) * (vertex count) * log(1/epsilon) steps.
 CHAIN_SCALE = 20.0
-# Independent chains pooled per level, so the pilot sees more than one
-# greedy basin.
+# Independent chains pooled per level.  Above the table cap they start from
+# greedy facets, and pooling lets the pilot see more than one greedy basin;
+# on a table level each starts at its own draw from the level's law.
 REPLICAS = 4
 PILOT_FLOOR = 200
 SAFETY = 3.0
@@ -278,24 +287,26 @@ def _burn_in(slc: Slice, epsilon: float) -> int:
                * max(1.0, math.log(1.0 / epsilon)))
 
 
-def _membership_counts(slc: Slice, n_samples: int, epsilon: float, seed: int,
-                       path: tuple[int, ...], table: FacetTable | None):
+def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, ...],
+                       table: FacetTable | None,
+                       start: Callable[[np.random.Generator], ChainState], burn: int):
     """Pool thinned membership indicators from REPLICAS independent chains.
 
     Returns (counts, n_collected); counts index free vertices by global id.
-    The replica split is the documented (seed, replica) stream split.  With
-    the slice's facet ``table`` each replica is one ``FacetTable.histogram``
-    call, which draws the replica's uniforms in blocks straight from its
-    generator and replays the chain's kernel on them, and its samples are
-    counted as a histogram over facets.  Without one, the kernel runs once
-    for the burn-in and once per thinning interval.
+    The replica split is the documented (seed, replica) stream split: each
+    replica's ``start`` state comes from its stream 0 and its steps, the
+    first ``burn`` of them unsampled, from its stream 1.  With the slice's
+    facet ``table`` each replica is one ``FacetTable.histogram`` call, which
+    draws the replica's uniforms in blocks straight from its generator and
+    replays the chain's kernel on them, and its samples are counted as a
+    histogram over facets.  Without one, the kernel runs once for the burn-in
+    and once per thinning interval.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     per = (n_samples + REPLICAS - 1) // REPLICAS
-    burn = _burn_in(slc, epsilon)
     thin = max(1, THIN_SCALE * slc.free_size)
     for rep in range(REPLICAS):
-        state = greedy_initial_state(slc, rng_stream(seed, *path, rep, 0))
+        state = start(rng_stream(seed, *path, rep, 0))
         rng = rng_stream(seed, *path, rep, 1)
         if table is None:
             rand = UniformBuffer(rng).next
@@ -347,7 +358,7 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
     lo, hi, _ = slc.parts[0]
     n = hi - lo  # the side size, or the vertex count of a regular graph
     for level in range(levels):
-        method, table = "exact", None
+        method, table, burn = "exact", None, 0
         exact = _exact_marginal(slc)
         if exact is None:
             table = facet_table(slc)
@@ -360,9 +371,14 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             got = 0
         else:
             method = "sampled"
+            # a level that enumerates starts each replica at a draw from its
+            # law, so it needs no burn-in; a larger one burns in from a greedy facet
+            start = stationary_start(slc)
+            if start is None:
+                start, burn = partial(greedy_initial_state, slc), _burn_in(slc, epsilon)
             pilot_n = max(PILOT_FLOOR, math.ceil(10 * n * math.log(max(2, n))))
-            counts, pilot_got = _membership_counts(slc, pilot_n, epsilon, seed,
-                                                   (rep, level, 0), table)
+            counts, pilot_got = _membership_counts(slc, pilot_n, seed, (rep, level, 0),
+                                                   table, start, burn)
             # argmax takes the first maximum, so ties go to the lowest id
             v = int(np.argmax(counts))
             if counts[v] <= 0:
@@ -371,8 +387,8 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             need = math.ceil(SAFETY * per_level_z2 * levels
                              * (1.0 / p_pilot - 1.0) / (epsilon * epsilon))
             need = max(need, 64)
-            counts, got = _membership_counts(slc, need, epsilon, seed, (rep, level, 1),
-                                             table)
+            counts, got = _membership_counts(slc, need, seed, (rep, level, 1), table,
+                                             start, burn)
             hits = int(counts[v])
             if hits <= 0:
                 raise InsufficientSamplesError(
@@ -382,7 +398,7 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             # second-order bias correction for E[1/p_hat] = (1/p)(1 + (1-p)/(pN))
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
-        trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method))
+        trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method, burn))
         slc = link(slc, slc.from_ids((v,)), check_nonempty=False)
     return log_value, trace, total, slc
 

@@ -6,6 +6,7 @@ only included when explicitly requested.
 """
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -52,7 +53,8 @@ def _flatten(prefix: str, obj, row: dict) -> None:
 
 
 def to_csv(records: list[dict]) -> str:
-    """One flattened row per record; nested keys become dotted columns."""
+    """One flattened row per record; nested keys become dotted columns.  A
+    field holding a comma, quote or line break is quoted (RFC 4180)."""
     rows = []
     columns: list[str] = []
     seen = set()
@@ -65,10 +67,10 @@ def to_csv(records: list[dict]) -> str:
                 seen.add(k)
                 columns.append(k)
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(columns)
     for row in rows:
-        buf.write(",".join("" if row.get(c) is None else str(row.get(c, ""))
-                           for c in columns) + "\n")
+        out.writerow(["" if row.get(c) is None else str(row.get(c, "")) for c in columns])
     return buf.getvalue()
 
 

@@ -23,8 +23,10 @@ class sums and each candidate's successor facet.  A table step is a row
 lookup and the same uniform draws, replaying the kernel bit for bit.  The
 estimator runs each chain as one ``FacetTable.histogram`` call, drawing its
 uniforms in blocks of at most ``rng.BLOCK`` floats (the stream of
-``UniformBuffer``) with each block's removal slots computed in NumPy.  The
-lockstep escape-time experiment steps through tables too.
+``UniformBuffer``) with each block's removal slots computed in NumPy, and
+starts it at an exact draw from the slice's law (``stationary_start``, under
+the same bound), so the chain needs no burn-in.  The lockstep escape-time
+experiment steps through tables too.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -157,6 +159,23 @@ def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
             f"no facet found in {INITIAL_RESTARTS} greedy restarts; "
             "slice parameters may be infeasible")
     return _make_state(slc, facet)
+
+
+def stationary_start(slc: Slice) -> Callable[[np.random.Generator], ChainState] | None:
+    """A draw of chain states from the slice's own law, or None when the slice
+    may be too large for a ``facet_table`` (the same bound decides).
+
+    The law is the cumulative weights of the enumerated facets, built once; a
+    draw takes one uniform of the given generator and starts the state at the
+    first facet whose cumulative weight exceeds it times the total.  A chain
+    started there is stationary from its first step.  The state's ``free``
+    order is the facet's ``FacetTable.free_ids`` entry.
+    """
+    if not _fits_table(slc):
+        return None
+    facets, _, probs = _facet_weights(slc, TABLE_ROW_CAP)
+    acc = [*accumulate(probs.tolist())]
+    return lambda rng: _make_state(slc, facets[bisect_right(acc, rng.random() * acc[-1])])
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -409,6 +428,12 @@ def _facet_bound(slc: Slice) -> tuple[int, bool]:
     return bound, not any(u in cands for v in cands for u in adj[v])
 
 
+def _fits_table(slc: Slice) -> bool:
+    """Whether the facet bound times the free size is within ``TABLE_ROW_CAP``
+    rows, so the slice enumerates within the cap."""
+    return _facet_bound(slc)[0] * max(1, slc.free_size) <= TABLE_ROW_CAP
+
+
 def facet_table(slc: Slice) -> FacetTable | None:
     """Compile the chain of ``slc``, or None when the facet bound times the
     free size exceeds ``TABLE_ROW_CAP`` rows or the slice has no facet.
@@ -418,7 +443,7 @@ def facet_table(slc: Slice) -> FacetTable | None:
     builder turns them into the pools of the face: v's part on a uniform row,
     every class on a weighted one.
     """
-    if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
+    if not _fits_table(slc):
         return None
     facets = enumerate_facets(slc, TABLE_ROW_CAP)
     if not facets:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -400,6 +402,33 @@ class TestReportHelpers:
         lines = text.splitlines()
         assert lines[0] == "a.b,c"
         assert lines[1] == "1,1;2"
+
+    def test_csv_quotes_fields_that_hold_commas(self):
+        text = to_csv([{"note": "(alpha, beta]", "faces": [[0, 1], []]}])
+        assert text == 'faces,note\n"[0, 1];[]","(alpha, beta]"\n'
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["faces", "note"], ["[0, 1];[]", "(alpha, beta]"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-graph", "--bipartite", "--n", "8", "--delta", "3", "--seed", "1", "--out", None],
+    ["sample", "--in", None, "--family", "two-sided", "--kx", "2", "--ky", "2",
+     "--steps", "200", "--seed", "1"],
+    # the note's "(alpha, beta]" and each band's dict hold commas
+    ["estimate-z", "--in", None, "--lambda", "0.25", "--eps", "0.3", "--delta", "0.3",
+     "--seed", "2"],
+    # a same-side record's face, "[];[0, 1]", holds a comma
+    ["verify-spectral", "--two-sided", "--kx", "2", "--ky", "2", "--in", None],
+    ["experiment", "--name", "neighborhood-concentration", "--n", "500", "--delta", "8",
+     "--samples", "10", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_every_csv_row_is_as_long_as_the_header(graph_file, tmp_path, capsys, argv):
+    fill = str(tmp_path / "out.txt") if argv[0] == "gen-graph" else graph_file
+    code, out, _ = run_cli(capsys, *[fill if a is None else a for a in argv],
+                           "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_cli_import_loads_no_scipy():

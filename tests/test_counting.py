@@ -4,13 +4,14 @@ import math
 
 import pytest
 
-from slicewalk import counting
+from slicewalk import counting, walks
 from slicewalk.counting import (DegenerateBandError, ThresholdParams, _banded_terms,
                                 _z_quantile, estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
                                 exact_partition, exact_partition_hat, exact_slice_count,
                                 occupancy_profile, thresholds)
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
+from slicewalk.slices import TwoSidedSlice
 
 
 class TestExactPartition:
@@ -52,7 +53,7 @@ class TestExactSliceCount:
         assert exact_slice_count(bipartite_c6, 2, 0) == 3
 
     def test_agrees_with_facet_enumeration(self):
-        from slicewalk.slices import TwoSidedSlice, enumerate_facets
+        from slicewalk.slices import enumerate_facets
         g = gen_bipartite_regular(7, 3, seed=5)
         for kx in range(3):
             for ky in range(3):
@@ -141,6 +142,18 @@ class TestEstimators:
                                        0.3, 0.1, seed=5)
         assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
         assert [t.samples > 0 for t in est.trace] == [True, False, False, False]
+        # the sampled level fits a facet table, so its replicas start from its law
+        assert [t.burn_in for t in est.trace] == [0, 0, 0, 0]
+
+    def test_levels_above_the_table_cap_burn_in_from_a_greedy_facet(self, monkeypatch):
+        # with no level under the cap, the sampled level starts its replicas at
+        # greedy facets and traces the burn-in each ran
+        monkeypatch.setattr(walks, "TABLE_ROW_CAP", 0)
+        g = gen_bipartite_regular(8, 3, seed=1)
+        est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
+        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
+        burn = counting._burn_in(TwoSidedSlice(g, 2, 2), 0.3)
+        assert burn > 0 and [t.burn_in for t in est.trace] == [burn, 0, 0, 0]
 
     def test_reducible_level_takes_the_exact_marginal(self):
         # At (2, 2) on this graph the down-up chain has more than one
@@ -152,6 +165,7 @@ class TestEstimators:
         est = estimate_two_sided_count(g, 2, 2, 0.1, 0.1, seed=9000)
         assert est.value == pytest.approx(exact, rel=0.1)
         assert est.trace[0].method == "reducible" and est.trace[0].samples == 0
+        assert est.trace[0].burn_in == 0
 
     def test_pool_kernels_give_the_facet_table_estimates(self, monkeypatch):
         # slices above the table cap step through the pool kernels, which

@@ -10,10 +10,11 @@ from slicewalk import slices, walks
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
 from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumerate_facets,
-                              greedy_facet)
+                              exact_distribution, greedy_facet)
 from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _step, down_up_step,
                              exact_transition_matrix, facet_table, format_facet,
-                             greedy_initial_state, run_chain, spectral_gap, tv_distance)
+                             greedy_initial_state, run_chain, spectral_gap,
+                             stationary_start, tv_distance)
 
 
 class TestTvDistance:
@@ -284,6 +285,53 @@ class TestFacetTable:
         # criterion 4's graph seed 500 at (2, 2) holds a frozen facet
         table = facet_table(TwoSidedSlice(gen_bipartite_regular(8, 3, seed=500), 2, 2))
         assert table.classes() > 1
+
+
+class TestStationaryStart:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_start_draws_follow_the_exact_law(self, weighted):
+        # 20,000 draws: every facet's frequency lies within 4.5 binomial
+        # standard deviations of its exact probability; a correct sampler
+        # breaks this on one of the 82 (or 56) facets with chance below 1e-3
+        g = gen_bipartite_regular(8, 3, seed=1)
+        slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
+        facets, probs = exact_distribution(slc)
+        table = facet_table(slc)
+        draw = stationary_start(slc)
+        rng = rng_stream(3)
+        draws = 20_000
+        counts = np.zeros(len(facets))
+        for _ in range(draws):
+            state = draw(rng)
+            f = table.start(state.free) // table.width
+            assert tuple(state.free) == table.free_ids[f]  # the table's stepping order
+            counts[f] += 1
+        assert state.recount_ok()
+        assert len(facets) == (56 if weighted else 82)
+        assert np.all(np.abs(counts / draws - probs) <= 4.5 * np.sqrt(probs * (1 - probs) / draws))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_table_chain_from_a_start_needs_no_burn_in(self, weighted):
+        # 400 replicas of 10 samples each, thinned as the estimator thins,
+        # started from the law with no burn-in: the pooled TV stays within
+        # 1.5 x 0.5 sum sqrt(p (1 - p) / N), the bound on the expected TV of
+        # N independent draws
+        g = gen_bipartite_regular(8, 3, seed=1)
+        slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
+        _, probs = exact_distribution(slc)
+        table = facet_table(slc)
+        draw = stationary_start(slc)
+        reps, per = 400, 10
+        hist = sum(table.histogram(rng_stream(8, r, 1), draw(rng_stream(8, r, 0)).free, 0,
+                                   per, 2 * slc.free_size) for r in range(reps))
+        noise = 0.5 * np.sqrt(probs * (1 - probs) / (reps * per)).sum()
+        assert tv_distance(hist, probs) <= 1.5 * noise
+
+    def test_no_start_above_the_table_cap(self):
+        # the bound facet_table uses decides, before any enumeration
+        g = gen_bipartite_regular(100, 3, seed=1)
+        assert stationary_start(TwoSidedSlice(g, 2, 2)) is None
+        assert stationary_start(OneSidedSlice(g, 3, 0.4)) is None
 
 
 class TestExactTransitionMatrix:
