@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -316,10 +317,8 @@ def _cmd_estimate_z(args):
         "bands": [{"kind": b.kind, "k_range": list(b.k_range),
                    "value_log": b.value_log, "samples": b.samples}
                   for b in est.bands],
-        "trace": [{"pinned": list(t.pinned) if isinstance(t.pinned, tuple) else t.pinned,
-                   "marginal": t.marginal, "samples": t.samples, "method": t.method,
-                   "burn_in": t.burn_in}
-                  for t in est.trace],
+        # one record per term: band, k, value_log, samples and its levels
+        "trace": [asdict(t) for b in est.bands for t in b.terms],
         "seed": est.seed,
         "thresholds": {"alpha": thr.alpha, "beta": thr.beta, "gamma": args.gamma},
         "note": "sets heavy on both sides inside (alpha, beta] are counted in "

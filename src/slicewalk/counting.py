@@ -29,13 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
-from .graphs import BipartiteRegularGraph, X
+from .graphs import BipartiteRegularGraph
 from .rng import UniformBuffer, rng_stream
 from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
                      exact_distribution, link)
@@ -109,11 +108,26 @@ class LevelTrace:
 
 
 @dataclass(frozen=True)
+class TermRecord:
+    """One term of the banded sum: its band, its k (one-sided) or (k_x, k_y)
+    (two-sided), its log value with the term's scale, and the samples and
+    levels of its estimate.  An infeasible two-sided term has log value -inf
+    and no levels."""
+
+    band: str
+    k: tuple[int, int] | int
+    value_log: float
+    samples: int
+    levels: tuple[LevelTrace, ...]
+
+
+@dataclass(frozen=True)
 class BandRecord:
     kind: str
     k_range: tuple[int, int]
     value_log: float
     samples: int
+    terms: tuple[TermRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -167,8 +181,8 @@ def _z_quantile(delta: float) -> float:
 
 # -- exact oracles -----------------------------------------------------------------
 
-# Most vertices exact_partition accepts, and most subsets one enumeration of
-# the k-subsets of X behind the other oracles visits.
+# Most vertices exact_partition accepts, and most k-subsets of X that
+# exact_slice_count and exact_one_sided_partition enumerate.
 EXACT_PARTITION_CAP = 40
 EXACT_COUNT_CAP = 10 ** 6
 
@@ -236,16 +250,53 @@ def exact_partition(g, fugacity: float) -> float:
     return float(z((1 << n) - 1))
 
 
-def _uncovered_histogram(g: BipartiteRegularGraph, k: int) -> list[int]:
-    """c with c[u] the number of k-subsets S of X that leave u = |Y \\ N[S]|
-    vertices of Y uncovered."""
+def _uncovered_histogram(g: BipartiteRegularGraph, lo: int, hi: int) -> list[list[int]]:
+    """h with h[a][u] the number of a-subsets S of X, lo <= a <= hi, that
+    leave u = |Y \\ N[S]| vertices of Y uncovered; rows below lo are zero.
+
+    One depth-first pass over the subsets of X carries N(S) as a bitmask over
+    Y, built from each x's neighbour mask, so |N(S)| is one ``int.bit_count``.
+    Each S is reached once, from S without its largest element, and a subset
+    is extended only while it can still reach lo elements: the pass visits
+    all 2^n subsets when lo = 0, and the C(n + 1, k) prefixes of k-subsets
+    when lo = hi = k.
+    """
     n = g.n_side
-    if math.comb(n, k) > EXACT_COUNT_CAP:
+    masks = [sum(1 << j for j in row) for row in g.adj_x]
+    hist = [[0] * (n + 1) for _ in range(hi + 1)]  # indexed by |N(S)| until the end
+    if lo == 0:
+        hist[0][0] = 1
+    # (N(S), smallest index S may add, |S| + 1), with the children of S
+    # counted when S is popped; a child is pushed only if it has children
+    stack = [(0, 0, 1)] if 0 < hi and lo <= n else []
+    pop, push = stack.pop, stack.append
+    below = [0] * (n + 1)  # counts of the sizes below lo, dropped
+    while stack:
+        covered, start, size = pop()
+        row = hist[size] if size >= lo else below
+        stop = n - lo + size if lo > size else n  # room for the lo - size others
+        if size < hi:
+            size += 1
+            for i in range(start, stop - 1):
+                c = covered | masks[i]
+                row[c.bit_count()] += 1
+                push((c, i + 1, size))
+            c = covered | masks[stop - 1]
+            row[c.bit_count()] += 1
+            if stop < n:
+                push((c, stop, size))
+        else:
+            for m in masks[start:stop]:
+                row[(covered | m).bit_count()] += 1
+    return [row[::-1] for row in hist]
+
+
+def _uncovered_row(g: BipartiteRegularGraph, k: int) -> list[int]:
+    """Row k of ``_uncovered_histogram``, refused before the pass when X has
+    more than EXACT_COUNT_CAP k-subsets."""
+    if math.comb(g.n_side, k) > EXACT_COUNT_CAP:
         raise ValueError("enumeration cap exceeded")
-    hist = [0] * (n + 1)
-    for s in combinations(range(n), k):
-        hist[n - len(g.neighbor_set(X, s))] += 1
-    return hist
+    return _uncovered_histogram(g, k, k)[k]
 
 
 def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int) -> int:
@@ -254,15 +305,23 @@ def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int) -> int:
     X carries no internal edges, so every k_x-subset S of X is independent and
     contributes binom(|Y \\ N[S]|, k_y) completions.
     """
-    return sum(c * math.comb(u, k_y) for u, c in enumerate(_uncovered_histogram(g, k_x)))
+    return sum(c * math.comb(u, k_y) for u, c in enumerate(_uncovered_row(g, k_x)))
 
 
 def exact_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float) -> float:
-    """Brute-force sum of fugacity^k (1+fugacity)^{|Y \\ N[S]|} over k-subsets."""
-    terms = []
-    for u, c in enumerate(_uncovered_histogram(g, k)):
-        terms += [fugacity ** k * (1.0 + fugacity) ** u] * c
-    return math.fsum(terms)
+    """Sum of fugacity^k (1+fugacity)^{|Y \\ N[S]|} over k-subsets S of X.
+
+    Each of the n+1 float weights is multiplied by its subset count and the
+    products are summed as rationals, then rounded once: the correctly
+    rounded sum of every subset's weight, as ``math.fsum`` over one weight
+    per subset would give.
+    """
+    hist = _uncovered_row(g, k)
+    weights = [fugacity ** k * (1.0 + fugacity) ** u for u in range(len(hist))]
+    terms = [(c, w) for c, w in zip(hist, weights) if c]
+    if all(math.isfinite(w) for _, w in terms):
+        return float(sum(c * Fraction(w) for c, w in terms))
+    return math.fsum(w for _, w in terms)  # an infinite or NaN weight decides the sum
 
 
 def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
@@ -272,7 +331,7 @@ def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
     if n > 22:
         raise ValueError("profile enumeration limited to n_side <= 22")
     sizes = range(n + 1)
-    hists = np.array([_uncovered_histogram(g, a) for a in sizes], dtype=np.int64)
+    hists = np.array(_uncovered_histogram(g, 0, n), dtype=np.int64)
     binom = np.array([[math.comb(u, b) for b in sizes] for u in sizes], dtype=np.int64)
     powers = fugacity ** np.arange(n + 1, dtype=float)
     return (hists @ binom) * np.outer(powers, powers)
@@ -296,11 +355,12 @@ def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, .
     The replica split is the documented (seed, replica) stream split: each
     replica's ``start`` state comes from its stream 0 and its steps, the
     first ``burn`` of them unsampled, from its stream 1.  With the slice's
-    facet ``table`` each replica is one ``FacetTable.histogram`` call, which
-    draws the replica's uniforms in blocks straight from its generator and
-    replays the chain's kernel on them, and its samples are counted as a
-    histogram over facets.  Without one, the kernel runs once for the burn-in
-    and once per thinning interval.
+    facet ``table`` the replicas start from the level's law and ``burn`` is
+    0: each replica is one ``FacetTable.histogram`` call, which draws the
+    replica's uniforms in blocks straight from its generator and replays the
+    chain's kernel on them, and its samples are counted as a histogram over
+    facets.  Without one, the kernel runs once for the burn-in and once per
+    thinning interval.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     per = (n_samples + REPLICAS - 1) // REPLICAS
@@ -316,7 +376,7 @@ def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, .
                 for v in state.free:
                     counts[v] += 1
         else:
-            counts += table.histogram(rng, state.free, burn, per, thin) @ table.incidence
+            counts += table.histogram(rng, state.free, per, thin) @ table.incidence
     return counts, per * REPLICAS
 
 
@@ -472,18 +532,19 @@ def _band_caps(n: int, thr: ThresholdParams) -> tuple[int, int]:
 
 
 def _banded_terms(g: BipartiteRegularGraph, fugacity: float, thr: ThresholdParams,
-                  seed: int) -> list[tuple[str, Slice, float, int]]:
-    """The terms of the banded sum as (band, slice, log scale, seed), in
-    estimation order: the two-sided grid row by row, scaled by
-    fugacity^{k_x+k_y}, then the X band and the Y band (on the mirrored
-    graph), whose slices carry their own weights."""
+                  seed: int) -> list[tuple[str, tuple[int, int] | int, Slice, float, int]]:
+    """The terms of the banded sum as (band, k, slice, log scale, seed), in
+    estimation order: the two-sided grid row by row, with k = (k_x, k_y) and
+    scaled by fugacity^{k_x+k_y}, then the X band and the Y band (on the
+    mirrored graph), whose slices carry their own weights."""
     a_cap, b_cap = _band_caps(g.n_side, thr)
     log_lam = math.log(fugacity)
     grid = [(kx, ky) for kx in range(a_cap + 1) for ky in range(a_cap + 1)]
-    terms = [("two-sided", TwoSidedSlice(g, kx, ky), (kx + ky) * log_lam,
+    terms = [("two-sided", (kx, ky), TwoSidedSlice(g, kx, ky), (kx + ky) * log_lam,
               seed + 1000003 * (t + 1)) for t, (kx, ky) in enumerate(grid)]
     for side, (band, graph) in enumerate((("one-sided-x", g), ("one-sided-y", _mirror(g)))):
-        terms += [(band, OneSidedSlice(graph, k, fugacity), 0.0, seed + 2000003 * (t + 1) + side)
+        terms += [(band, k, OneSidedSlice(graph, k, fugacity), 0.0,
+                   seed + 2000003 * (t + 1) + side)
                   for t, k in enumerate(range(a_cap + 1, b_cap + 1))]
     return terms
 
@@ -501,22 +562,25 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
 
     Each term is estimated at the full epsilon (positive sums preserve
     relative error) with the confidence budget split evenly across terms.
-    An infeasible two-sided slice contributes zero.
+    An infeasible two-sided slice contributes zero.  Each band record holds
+    its terms' records, in estimation order.
     """
     _check_accuracy(epsilon, delta)
     terms = _banded_terms(g, fugacity, thr, seed)
     a_cap, b_cap = _band_caps(g.n_side, thr)
     k_ranges = {"two-sided": (0, a_cap), "one-sided-x": (a_cap + 1, b_cap),
                 "one-sided-y": (a_cap + 1, b_cap)}
-    results: dict[str, list] = {band: [] for band in k_ranges}  # (log term, samples)
-    for band, slc, log_scale, term_seed in terms:
+    results: dict[str, list[TermRecord]] = {band: [] for band in k_ranges}
+    for band, k, slc, log_scale, term_seed in terms:
         try:
             est = _estimate(slc, epsilon, delta / len(terms), term_seed)
-            results[band].append((est.log_value + log_scale, est.samples))
+            term = TermRecord(band, k, est.log_value + log_scale, est.samples, est.trace)
         except (InitialStateError, SliceError):  # an infeasible two-sided slice
-            results[band].append((LOG_ZERO, 0))
-    bands = tuple(BandRecord(band, k_ranges[band], _logsumexp(v for v, _ in r),
-                             sum(m for _, m in r)) for band, r in results.items())
+            term = TermRecord(band, k, LOG_ZERO, 0, ())
+        results[band].append(term)
+    bands = tuple(BandRecord(band, k_ranges[band], _logsumexp(t.value_log for t in r),
+                             sum(t.samples for t in r), tuple(r))
+                  for band, r in results.items())
     return CountEstimate(_logsumexp([b.value_log for b in bands]), epsilon, delta,
                          sum(b.samples for b in bands), bands=bands, seed=seed)
 

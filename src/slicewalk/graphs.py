@@ -196,7 +196,7 @@ def gen_bipartite_regular(n_side: int, degree: int, seed: int,
         rows = pairing_bipartite_rows(n_side, degree, rng)
         if not rows_are_simple(rows):
             continue
-        adj_x = tuple(tuple(int(j) for j in row) for row in rows)
+        adj_x = tuple(map(tuple, rows.tolist()))
         adj_y_sets: list[list[int]] = [[] for _ in range(n_side)]
         for i, row in enumerate(adj_x):
             for j in row:

@@ -319,11 +319,11 @@ class FacetTable:
         """Row base of the facet whose free ids are ``free``."""
         return self.index[_id_mask(free)] * self.width
 
-    def histogram(self, rng: np.random.Generator, free: list[int], burn_in: int,
-                  count: int, thinning: int) -> np.ndarray:
+    def histogram(self, rng: np.random.Generator, free: list[int], count: int,
+                  thinning: int) -> np.ndarray:
         """Facet counts of ``count`` samples, one every ``thinning`` non-lazy
-        steps after ``burn_in`` steps, of the chain started at the facet whose
-        free ids are ``free`` in a chain state's stepping order.
+        steps, of the chain started at the facet whose free ids are ``free``
+        in a chain state's stepping order.
 
         ``free`` is updated in place, and the uniforms are drawn from ``rng``
         in ``rng.uniform_blocks``, two a step (three on a weighted table): the
@@ -336,11 +336,11 @@ class FacetTable:
         hist = [0] * len(rows)  # indexed by row base
         base = self.start(free)
         k = len(free)
-        steps = burn_in + count * thinning if k else 0
+        steps = count * thinning if k else 0
         if not k:  # the pinned face is the only facet, and a step draws nothing
             hist[base] = count
         unit = 3 if self.weighted else 2
-        left = burn_in + thinning  # steps to the next sample
+        left = thinning  # steps to the next sample
         for u in uniform_blocks(rng, unit * steps, unit):
             slots = (u[0::unit] * k).astype(np.intp).tolist()
             if self.weighted:

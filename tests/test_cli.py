@@ -137,6 +137,24 @@ class TestEstimateZ:
         assert kinds == ["two-sided", "one-sided-x", "one-sided-y"]
         assert "wall_time" not in report
 
+    def test_trace_holds_one_record_per_term(self, graph_file, capsys):
+        from slicewalk.counting import ThresholdParams, _banded_terms
+        from slicewalk.graphs import load_graph
+        code, out, _ = run_cli(capsys, "estimate-z", "--in", graph_file,
+                               "--lambda", "0.25", "--eps", "0.2", "--delta", "0.3",
+                               "--seed", "2")
+        assert code == 0
+        report = json.loads(out)
+        thr = ThresholdParams(report["thresholds"]["alpha"], report["thresholds"]["beta"])
+        terms = _banded_terms(load_graph(graph_file), 0.25, thr, seed=2)
+        trace = report["trace"]
+        assert [(t["band"], t["k"]) for t in trace] == [
+            (band, list(k) if band == "two-sided" else k) for band, k, *_ in terms]
+        assert sum(t["samples"] for t in trace) == sum(b["samples"] for b in report["bands"])
+        levels = [level for t in trace for level in t["levels"]]
+        assert levels and all(set(level) == {"pinned", "marginal", "samples", "method",
+                                             "burn_in"} for level in levels)
+
     def test_wall_time_only_with_timing(self, graph_file, capsys):
         code, out, _ = run_cli(capsys, "estimate-z", "--in", graph_file,
                                "--lambda", "0.25", "--eps", "0.2", "--delta", "0.3",

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+from itertools import combinations
 
 import pytest
 
 from slicewalk import counting, walks
-from slicewalk.counting import (DegenerateBandError, ThresholdParams, _banded_terms,
-                                _z_quantile, estimate_one_sided_partition, estimate_partition_hat,
+from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdParams,
+                                _banded_terms, _uncovered_histogram, _z_quantile, estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
                                 exact_partition, exact_partition_hat, exact_slice_count,
                                 occupancy_profile, thresholds)
@@ -83,6 +86,112 @@ class TestBandIdentity:
         for k in range(9):
             assert w[k, :].sum() == pytest.approx(
                 exact_one_sided_partition(g, k, 0.6), rel=1e-12)
+
+
+def _brute_uncovered(g, k):
+    """Reference histogram: c[u] k-subsets of X leave u vertices of Y uncovered."""
+    hist = [0] * (g.n_side + 1)
+    for s in combinations(range(g.n_side), k):
+        hist[g.n_side - len(g.neighbor_set("x", s))] += 1
+    return hist
+
+
+def _no_pass(*args):
+    raise AssertionError("the subsets of X were enumerated")
+
+
+class TestUncoveredHistogram:
+    @pytest.mark.parametrize("n, degree, seed", [
+        (1, 1, 0), (2, 1, 3), (4, 2, 1), (5, 3, 2), (6, 2, 7), (7, 3, 4), (8, 3, 1),
+        (9, 4, 5), (10, 3, 6), (11, 2, 8), (12, 3, 9), (12, 4, 10)])
+    def test_one_pass_matches_brute_force_at_every_size(self, n, degree, seed):
+        g = gen_bipartite_regular(n, degree, seed=seed)
+        full = _uncovered_histogram(g, 0, n)
+        assert len(full) == n + 1
+        for k in range(n + 1):
+            want = _brute_uncovered(g, k)
+            assert full[k] == want
+            # a single size, with the prefixes that cannot reach k pruned
+            assert _uncovered_histogram(g, k, k) == [[0] * (n + 1)] * k + [want]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 3), (2, 4), (3, 7), (7, 7)])
+    def test_rows_outside_the_range_are_zero(self, lo, hi):
+        g = gen_bipartite_regular(7, 3, seed=2)
+        hist = _uncovered_histogram(g, lo, hi)
+        assert len(hist) == hi + 1
+        for a, row in enumerate(hist):
+            assert row == (_brute_uncovered(g, a) if a >= lo else [0] * 8)
+
+    def test_edgeless_graph(self, edgeless_bipartite_5):
+        # no subset covers anything: every a-subset leaves all five uncovered
+        hist = _uncovered_histogram(edgeless_bipartite_5, 0, 5)
+        assert hist == [[0] * 5 + [math.comb(5, a)] for a in range(6)]
+        assert exact_slice_count(edgeless_bipartite_5, 2, 3) == math.comb(5, 2) * math.comb(5, 3)
+
+    def test_sizes_beyond_the_side_count_nothing(self, bipartite_c6):
+        assert _uncovered_histogram(bipartite_c6, 4, 4)[4] == [0] * 4
+        assert exact_one_sided_partition(bipartite_c6, 4, 0.5) == 0.0
+
+
+class TestOracleCaps:
+    def test_single_size_oracles_refuse_above_the_cap_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(counting, "_uncovered_histogram", _no_pass)
+        g = gen_bipartite_regular(100, 3, seed=1)
+        assert math.comb(100, 4) > EXACT_COUNT_CAP
+        with pytest.raises(ValueError, match="enumeration cap"):
+            exact_slice_count(g, 4, 0)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            exact_one_sided_partition(g, 4, 0.4)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # C(8, 4) = 70 subsets: accepted at a cap of 70, refused at 69
+        g = gen_bipartite_regular(8, 3, seed=1)
+        monkeypatch.setattr(counting, "EXACT_COUNT_CAP", 70)
+        assert exact_slice_count(g, 4, 0) == 70
+        assert exact_one_sided_partition(g, 4, 0.4) > 0
+        monkeypatch.setattr(counting, "EXACT_COUNT_CAP", 69)
+        for oracle in (lambda: exact_slice_count(g, 4, 0),
+                       lambda: exact_one_sided_partition(g, 4, 0.4)):
+            with pytest.raises(ValueError, match="enumeration cap"):
+                oracle()
+
+    def test_profile_refuses_above_side_22_before_enumerating(self, monkeypatch):
+        calls = []
+
+        def fake_pass(g, lo, hi):
+            calls.append((g.n_side, lo, hi))
+            return [[0] * (g.n_side + 1) for _ in range(hi + 1)]
+
+        monkeypatch.setattr(counting, "_uncovered_histogram", fake_pass)
+        assert occupancy_profile(gen_bipartite_regular(22, 3, seed=1), 0.3).shape == (23, 23)
+        assert calls == [(22, 0, 22)]  # one pass for every size
+        with pytest.raises(ValueError, match="n_side <= 22"):
+            occupancy_profile(gen_bipartite_regular(23, 3, seed=1), 0.3)
+        assert calls == [(22, 0, 22)]
+
+
+# Estimator internals that no exact oracle may reach, directly or through a
+# helper of the counting module: the oracles are the specification.
+ESTIMATOR_NAMES = {"run_chain", "facet_table", "stationary_start", "_telescope_log",
+                   "_banded_terms"}
+EXACT_ORACLES = ("exact_partition", "exact_slice_count", "exact_one_sided_partition",
+                 "occupancy_profile", "exact_partition_hat")
+
+
+def test_exact_oracles_name_no_estimator_internals():
+    tree = ast.parse(inspect.getsource(counting))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen = list(EXACT_ORACLES), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)}
+        assert not names & ESTIMATOR_NAMES, (name, names & ESTIMATOR_NAMES)
+        todo += [n for n in names if n in functions]
+    assert {"_uncovered_histogram", "_uncovered_row", "_band_caps"} <= seen
 
 
 class TestThresholds:
@@ -253,6 +362,23 @@ class TestPartitionHat:
         kinds = [b.kind for b in est.bands]
         assert kinds == ["two-sided", "one-sided-x", "one-sided-y"]
 
+    def test_one_record_per_term(self):
+        g = gen_bipartite_regular(8, 3, seed=1)
+        lam, thr = 0.25, thresholds(3, 0.25)
+        est = estimate_partition_hat(g, lam, 0.3, 0.3, seed=1, thr=thr)
+        terms = [t for b in est.bands for t in b.terms]
+        assert [(t.band, t.k) for t in terms] == [
+            (band, k) for band, k, *_ in _banded_terms(g, lam, thr, seed=1)]
+        assert sum(t.samples for t in terms) == est.samples
+        for b in est.bands:
+            assert b.samples == sum(t.samples for t in b.terms)
+            assert b.value_log == counting._logsumexp(t.value_log for t in b.terms)
+        for t in terms:
+            # the levels' main-phase samples; the term also counts its pilots
+            assert sum(level.samples for level in t.levels) <= t.samples
+            assert all(level.method in ("exact", "reducible", "sampled") for level in t.levels)
+        assert any(t.levels for t in terms)
+
     def test_monotone_in_beta(self):
         # with exact inner terms, widening beta only adds nonnegative mass
         g = gen_bipartite_regular(7, 3, seed=2)
@@ -275,12 +401,13 @@ class TestPartitionHat:
         terms = _banded_terms(g, lam, thr, seed=0)
         assert len({seed for *_, seed in terms}) == len(terms)
         weights = []
-        for band, slc, log_scale, _ in terms:
+        for band, k, slc, log_scale, _ in terms:
             if band == "two-sided":
+                assert k == (slc.k_x, slc.k_y)
                 assert log_scale == (slc.k_x + slc.k_y) * math.log(lam)
                 weight = exact_slice_count(slc.graph, slc.k_x, slc.k_y)
             else:
-                assert log_scale == 0.0 and slc.fugacity == lam
+                assert k == slc.k and log_scale == 0.0 and slc.fugacity == lam
                 weight = exact_one_sided_partition(slc.graph, slc.k, lam)
             weights.append(weight * math.exp(log_scale))
         assert math.fsum(weights) == pytest.approx(exact_partition_hat(g, lam, thr)[0],
