@@ -39,21 +39,10 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_config_value(raw: str):
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment."""
-    out: dict = {}
+def load_config_file(path: str) -> dict[str, str]:
+    """Flat key=value lines; '#' starts a comment.  Values stay text: each
+    option converts its own."""
+    out: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -61,7 +50,7 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, raw = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = _parse_config_value(raw.strip())
+        out[key.strip().replace("-", "_")] = raw.strip()
     return out
 
 
@@ -200,11 +189,9 @@ def _effective_args(argv):
     unknown = [k for k in overrides if k == "command" or not hasattr(args, k)]
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for action in sub._actions:  # argparse checks choices on the command line only
-        if action.choices and action.dest in overrides \
-                and overrides[action.dest] not in action.choices:
-            raise UsageError(f"config {action.dest} = {overrides[action.dest]}: "
-                             f"choose from {', '.join(map(str, action.choices))}")
+    for action in sub._actions:  # set_defaults bypasses argparse's type and choices
+        if action.dest in overrides:
+            overrides[action.dest] = _config_value(action, overrides[action.dest])
     # argparse counts a group member as given only when its value is not its
     # default, so the file must not touch a group the command line set
     for group in sub._mutually_exclusive_groups:
@@ -217,6 +204,25 @@ def _effective_args(argv):
     args.given = {a.dest: a.option_strings[0] for a in sub._actions
                   if a.dest in given or a.dest in overrides}
     return args
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """The config file's text ``raw`` for ``action`` converted as the
+    command line converts it: by the option's ``type`` and checked against
+    its choices; a flag takes true or false."""
+    if action.nargs == 0:
+        if raw.lower() not in ("true", "false"):
+            raise UsageError(f"config {action.dest} = {raw}: expected true or false")
+        return raw.lower() == "true"
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except ValueError:
+        raise UsageError(f"config {action.dest} = {raw}: "
+                         f"invalid {action.type.__name__} value") from None
+    if action.choices and value not in action.choices:
+        raise UsageError(f"config {action.dest} = {raw}: "
+                         f"choose from {', '.join(map(str, action.choices))}")
+    return value
 
 
 def _family(args) -> str:

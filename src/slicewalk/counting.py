@@ -7,12 +7,12 @@ product of inverse marginals gives the count.  The heavy vertex is the argmax
 of pilot-estimated marginals; an averaging argument guarantees the true max
 marginal is at least (level size)/(side size), so the pilot only needs
 constant-factor accuracy.  Levels small enough for a facet table step their
-chains through it, and each replica starts at an exact draw from the level's
-law (``walks.stationary_start``), so it is stationary from its first step
+chains through it, and each replica starts at an exact draw from the law the
+table carries (``FacetTable.draw``), so it is stationary from its first step
 and runs no burn-in.  A level whose table splits into several communicating
-classes takes the exact marginal instead: replicas never cross between
-classes, so a few of them cannot weigh the classes.  Larger levels start
-from greedy facets, burn in, and are sampled unchecked.
+classes takes the exact marginal from that law instead: replicas never cross
+between classes, so a few of them cannot weigh the classes.  Larger levels
+start from greedy facets, burn in, and are sampled unchecked.
 
 Exact oracles are kept deliberately independent of the estimators: the
 partition function uses exact rational branch-and-bound, slice counts use
@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from statistics import NormalDist
-from typing import Callable
 
 import numpy as np
 
@@ -38,8 +36,7 @@ from .graphs import BipartiteRegularGraph
 from .rng import UniformBuffer, rng_stream
 from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
                      exact_distribution, link)
-from .walks import (TABLE_ROW_CAP, ChainState, FacetTable, InitialStateError, facet_table,
-                    greedy_initial_state, stationary_start)
+from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
 
 LOG_ZERO = float("-inf")
 
@@ -347,49 +344,54 @@ def _burn_in(slc: Slice, epsilon: float) -> int:
 
 
 def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, ...],
-                       table: FacetTable | None,
-                       start: Callable[[np.random.Generator], ChainState], burn: int):
+                       table: FacetTable | None, burn: int):
     """Pool thinned membership indicators from REPLICAS independent chains.
 
     Returns (counts, n_collected); counts index free vertices by global id.
-    The replica split is the documented (seed, replica) stream split: each
-    replica's ``start`` state comes from its stream 0 and its steps, the
-    first ``burn`` of them unsampled, from its stream 1.  With the slice's
-    facet ``table`` the replicas start from the level's law and ``burn`` is
-    0: each replica is one ``FacetTable.histogram`` call, which draws the
-    replica's uniforms in blocks straight from its generator and replays the
-    chain's kernel on them, and its samples are counted as a histogram over
-    facets.  Without one, the kernel runs once for the burn-in and once per
-    thinning interval.
+    Replica r draws its start from stream (seed, *path, r, 0) and its steps
+    from stream (seed, *path, r, 1).  With the slice's facet ``table`` it
+    starts at ``FacetTable.draw`` and is one ``FacetTable.histogram`` call,
+    which replays the kernel on uniforms drawn in blocks and counts the
+    samples per facet.  Without one it starts at a greedy facet, and the
+    kernel runs once for the ``burn`` unsampled steps and once per thinning
+    interval.
     """
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
     per = (n_samples + REPLICAS - 1) // REPLICAS
     thin = max(1, THIN_SCALE * slc.free_size)
     for rep in range(REPLICAS):
-        state = start(rng_stream(seed, *path, rep, 0))
+        start = rng_stream(seed, *path, rep, 0)
         rng = rng_stream(seed, *path, rep, 1)
-        if table is None:
-            rand = UniformBuffer(rng).next
-            state.kernel(slc, state, rand, burn, False)
-            for _ in range(per):
-                state.kernel(slc, state, rand, thin, False)
-                for v in state.free:
-                    counts[v] += 1
-        else:
-            counts += table.histogram(rng, state.free, per, thin) @ table.incidence
+        if table is not None:
+            counts += table.histogram(rng, table.draw(start), per, thin) @ table.incidence
+            continue
+        state = greedy_initial_state(slc, start)
+        rand = UniformBuffer(rng).next
+        state.kernel(slc, state, rand, burn, False)
+        for _ in range(per):
+            state.kernel(slc, state, rand, thin, False)
+            for v in state.free:
+                counts[v] += 1
     return counts, per * REPLICAS
 
 
-def _exact_marginal(slc: Slice, cap: int = EXACT_MARGINAL_CAP):
-    """(argmax global id, exact marginal) from the enumerated conditional, or None."""
+def _exact_marginal(slc: Slice):
+    """(argmax global id, exact marginal) from the conditional enumerated
+    within EXACT_MARGINAL_CAP facets, or None."""
     try:
-        facets, probs = exact_distribution(slc, cap)
+        facets, probs = exact_distribution(slc, EXACT_MARGINAL_CAP)
     except EnumerationCapError:
         return None
+    return _argmax_marginal(slc, map(slc.to_ids, facets), probs)
+
+
+def _argmax_marginal(slc: Slice, facet_ids, probs):
+    """(argmax free global id, marginal) under the law ``probs`` of the
+    facets whose ids are ``facet_ids``, summed facet by facet."""
     marg = np.zeros(len(slc.graph.global_adj))
     pinned = slc.pinned_ids
-    for f, p in zip(facets, probs):
-        for v in slc.to_ids(f):
+    for ids, p in zip(facet_ids, probs):
+        for v in ids:
             if v not in pinned:
                 marg[v] += p
     # Marginals that are equal in exact arithmetic can differ in their last
@@ -425,7 +427,8 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             if table is not None and table.classes() > 1:
                 # chains started in different classes never meet, so samples
                 # would weigh each class by where its replicas started
-                method, exact = "reducible", _exact_marginal(slc, TABLE_ROW_CAP)
+                method, exact = "reducible", _argmax_marginal(slc, table.free_ids,
+                                                              table.probs)
         if exact is not None:
             v, p_hat = exact
             got = 0
@@ -433,12 +436,10 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             method = "sampled"
             # a level that enumerates starts each replica at a draw from its
             # law, so it needs no burn-in; a larger one burns in from a greedy facet
-            start = stationary_start(slc)
-            if start is None:
-                start, burn = partial(greedy_initial_state, slc), _burn_in(slc, epsilon)
+            burn = _burn_in(slc, epsilon) if table is None else 0
             pilot_n = max(PILOT_FLOOR, math.ceil(10 * n * math.log(max(2, n))))
             counts, pilot_got = _membership_counts(slc, pilot_n, seed, (rep, level, 0),
-                                                   table, start, burn)
+                                                   table, burn)
             # argmax takes the first maximum, so ties go to the lowest id
             v = int(np.argmax(counts))
             if counts[v] <= 0:
@@ -448,7 +449,7 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
                              * (1.0 / p_pilot - 1.0) / (epsilon * epsilon))
             need = max(need, 64)
             counts, got = _membership_counts(slc, need, seed, (rep, level, 1), table,
-                                             start, burn)
+                                             burn)
             hits = int(counts[v])
             if hits <= 0:
                 raise InsufficientSamplesError(

@@ -64,6 +64,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_side < 1 or self.degree < 1:
             raise ValueError("n_side and degree must be positive")
+        if not self.fugacity > 0:
+            raise ValueError("fugacity must be positive")
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError("a and b must lie in (0, 1)")
         if not (0.5 < self.c < 1.0):

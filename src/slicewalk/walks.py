@@ -23,10 +23,10 @@ class sums and each candidate's successor facet.  A table step is a row
 lookup and the same uniform draws, replaying the kernel bit for bit.  The
 estimator runs each chain as one ``FacetTable.histogram`` call, drawing its
 uniforms in blocks of at most ``rng.BLOCK`` floats (the stream of
-``UniformBuffer``) with each block's removal slots computed in NumPy, and
-starts it at an exact draw from the slice's law (``stationary_start``, under
-the same bound), so the chain needs no burn-in.  The lockstep escape-time
-experiment steps through tables too.
+``UniformBuffer``) with each block's removal slots computed in NumPy.  The
+table carries its facets' law, from the same enumeration, and starts each
+chain at an exact draw from it (``FacetTable.draw``), so the chain needs no
+burn-in.  The lockstep escape-time experiment steps through tables too.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -46,8 +46,7 @@ import numpy as np
 
 from .rng import UniformBuffer, rng_stream, uniform_blocks
 from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
-                     SliceError, _facet_weights, enumerate_facets, exact_distribution,
-                     greedy_facet)
+                     SliceError, _facet_weights, exact_distribution, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -159,23 +158,6 @@ def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
             f"no facet found in {INITIAL_RESTARTS} greedy restarts; "
             "slice parameters may be infeasible")
     return _make_state(slc, facet)
-
-
-def stationary_start(slc: Slice) -> Callable[[np.random.Generator], ChainState] | None:
-    """A draw of chain states from the slice's own law, or None when the slice
-    may be too large for a ``facet_table`` (the same bound decides).
-
-    The law is the cumulative weights of the enumerated facets, built once; a
-    draw takes one uniform of the given generator and starts the state at the
-    first facet whose cumulative weight exceeds it times the total.  A chain
-    started there is stationary from its first step.  The state's ``free``
-    order is the facet's ``FacetTable.free_ids`` entry.
-    """
-    if not _fits_table(slc):
-        return None
-    facets, _, probs = _facet_weights(slc, TABLE_ROW_CAP)
-    acc = [*accumulate(probs.tolist())]
-    return lambda rng: _make_state(slc, facets[bisect_right(acc, rng.random() * acc[-1])])
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -306,7 +288,8 @@ class FacetTable:
     uniform row is (cands, succ): the candidates in pool order and the base
     of the facet each one leads to.  A ``weighted`` (one-sided) row is (acc,
     total, classes) with the kernel's class sums and one (cands, succ) pair
-    per weight class from the smallest occupied one.
+    per weight class from the smallest occupied one.  ``probs[f]`` is facet
+    f's probability under the slice's law and ``acc`` their running sums.
     """
 
     width: int
@@ -314,10 +297,19 @@ class FacetTable:
     index: dict[int, int]
     rows: list
     weighted: bool
+    probs: np.ndarray
+    acc: list[float]
 
     def start(self, free: Sequence[int]) -> int:
         """Row base of the facet whose free ids are ``free``."""
         return self.index[_id_mask(free)] * self.width
+
+    def draw(self, rng: np.random.Generator) -> list[int]:
+        """The free ids, in stepping order, of a facet drawn from the slice's
+        law with one uniform u of ``rng``: the first facet whose running sum
+        exceeds u times the total.  A chain started there is stationary from
+        its first step."""
+        return list(self.free_ids[bisect_right(self.acc, rng.random() * self.acc[-1])])
 
     def histogram(self, rng: np.random.Generator, free: list[int], count: int,
                   thinning: int) -> np.ndarray:
@@ -428,25 +420,22 @@ def _facet_bound(slc: Slice) -> tuple[int, bool]:
     return bound, not any(u in cands for v in cands for u in adj[v])
 
 
-def _fits_table(slc: Slice) -> bool:
-    """Whether the facet bound times the free size is within ``TABLE_ROW_CAP``
-    rows, so the slice enumerates within the cap."""
-    return _facet_bound(slc)[0] * max(1, slc.free_size) <= TABLE_ROW_CAP
-
-
 def facet_table(slc: Slice) -> FacetTable | None:
-    """Compile the chain of ``slc``, or None when the facet bound times the
-    free size exceeds ``TABLE_ROW_CAP`` rows or the slice has no facet.
+    """Compile the chain and the law of ``slc``, or None when the facet bound
+    times the free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
+    enumeration) or the slice has no facet.
 
-    The counts of each facet are made once.  For each free id v only those
+    The facets and their probabilities come from one enumeration.  The
+    counts of each facet are made once.  For each free id v only those
     that change when v leaves are adjusted, and the chain state's pool
     builder turns them into the pools of the face: v's part on a uniform row,
     every class on a weighted one.
     """
-    if not _fits_table(slc):
+    if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
         return None
-    facets = enumerate_facets(slc, TABLE_ROW_CAP)
-    if not facets:
+    try:
+        facets, _, probs = _facet_weights(slc, TABLE_ROW_CAP)
+    except SliceError:  # no facet
         return None
     adj = slc.graph.global_adj
     width = len(adj)
@@ -478,7 +467,8 @@ def facet_table(slc: Slice) -> FacetTable | None:
                 lo, hi, _ = slc.parts[part_of[v]]
                 rows[f * width + v] = _draw(_part_pool(face_member, face_cover, lo, hi),
                                             base_of, rest)
-    return FacetTable(width, free_ids, index, rows, weighted)
+    return FacetTable(width, free_ids, index, rows, weighted, probs,
+                      [*accumulate(probs.tolist())])
 
 
 # -- chains -----------------------------------------------------------------------

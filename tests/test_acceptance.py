@@ -13,7 +13,7 @@ model standing in for rejection sampling where rejection is computationally
 impossible (degree 8 and up).  Criterion 8 keeps its stated budget (100
 chains of 1e6 steps, seed 88, k = 4, side 8) on two complete bipartite
 components, where the two-component bottleneck exists; it is marked slow
-(about 90 seconds: the 100 chains step together in arrays).
+(about 28 seconds on a 2-core machine: the 100 chains step together in arrays).
 """
 from __future__ import annotations
 
@@ -331,8 +331,8 @@ def test_criterion_8_slow_mixing_echo():
     {0, 1, 2, 3} stays in S for the whole budget, which the experiment
     computes from its transition matrix restricted to S, is checked first:
     the 99/100 threshold then fails a correct program with probability about
-    4e-9.  Slow: the 1e8 steps take about 90 s with the chains stepped in
-    lockstep.
+    4e-9.  Slow: the 1e8 steps take about 28 s on a 2-core machine with the
+    chains stepped in lockstep.
     """
     m, steps = 8, 1_000_000
     row = tuple(range(m))

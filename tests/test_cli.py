@@ -247,6 +247,15 @@ class TestExperimentCommand:
         assert code == 2 and out == ""
         assert err == "error: samples and runs must be positive, steps nonnegative\n"
 
+    @pytest.mark.parametrize("lam", ["-1", "-0.5", "0"])
+    def test_nonpositive_fugacity_exits_2(self, capsys, lam):
+        # -1 divided by zero, -0.5 reached NumPy's binomial, and 0 reported
+        # a size event fraction of 1.0
+        code, out, err = run_cli(capsys, "experiment", "--name", "independent-set-size",
+                                 "--n", "50", "--delta", "3", "--lambda", lam)
+        assert code == 2 and out == ""
+        assert err == "error: fugacity must be positive\n"
+
 
 class TestDeterminismAndConfig:
     def test_byte_identical_reports(self, graph_file, capsys):
@@ -396,10 +405,43 @@ class TestDeterminismAndConfig:
         assert code == 0, err
 
     def test_config_parser(self, tmp_path):
+        # values stay text; each option converts its own
         cfg = tmp_path / "c.cfg"
         cfg.write_text("a=0.5\nflag=true\nname=slow-mixing  # trailing\n\n")
         parsed = load_config_file(cfg)
-        assert parsed == {"a": 0.5, "flag": True, "name": "slow-mixing"}
+        assert parsed == {"a": "0.5", "flag": "true", "name": "slow-mixing"}
+
+    @pytest.mark.parametrize("line,message", [
+        ("steps = 1.5", "config steps = 1.5: invalid int value"),
+        ("steps = true", "config steps = true: invalid int value"),
+        ("lam = half", "config lam = half: invalid float value"),
+        ("no_lazy = yes", "config no_lazy = yes: expected true or false"),
+    ])
+    def test_config_values_of_the_wrong_type_exit_2(self, graph_file, tmp_path, capsys,
+                                                    line, message):
+        # 1.5 crashed with a TypeError and true ran one step
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "sample", "--family", "one-sided", "--in",
+                                 graph_file, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_config_values_take_their_options_type(self, graph_file, tmp_path, capsys,
+                                                   monkeypatch):
+        # lam = 1 gave the integer 1 and stream_out = 007 the integer 7
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text("lam = 1\nstream_out = 007\nno_lazy = False\n")
+        argv = ["sample", "--family", "one-sided", "--in", graph_file, "--steps", "40"]
+        code, from_file, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0, err
+        assert (tmp_path / "007").is_file()
+        code, from_flags, err = run_cli(capsys, *argv, "--lambda", "1",
+                                        "--stream-out", "007")
+        assert code == 0, err
+        assert from_file == from_flags
+        assert json.loads(from_file)["reproducibility"]["config"]["lam"] == 1.0
 
 
 class TestReportHelpers:

@@ -7,7 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from slicewalk import counting, walks
+import slicewalk
+from slicewalk import counting, slices, walks
 from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdParams,
                                 _banded_terms, _uncovered_histogram, _z_quantile, estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
@@ -15,6 +16,7 @@ from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdP
                                 occupancy_profile, thresholds)
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
 from slicewalk.slices import TwoSidedSlice
+from slicewalk.walks import _make_state
 
 
 class TestExactPartition:
@@ -172,8 +174,7 @@ class TestOracleCaps:
 
 # Estimator internals that no exact oracle may reach, directly or through a
 # helper of the counting module: the oracles are the specification.
-ESTIMATOR_NAMES = {"run_chain", "facet_table", "stationary_start", "_telescope_log",
-                   "_banded_terms"}
+ESTIMATOR_NAMES = {"run_chain", "facet_table", "_telescope_log", "_banded_terms"}
 EXACT_ORACLES = ("exact_partition", "exact_slice_count", "exact_one_sided_partition",
                  "occupancy_profile", "exact_partition_hat")
 
@@ -278,14 +279,51 @@ class TestEstimators:
 
     def test_pool_kernels_give_the_facet_table_estimates(self, monkeypatch):
         # slices above the table cap step through the pool kernels, which
-        # draw the same uniforms the same way
+        # draw the same uniforms the same way: started where the table's draw
+        # starts and run without burn-in, they give the same estimates
         g = gen_bipartite_regular(8, 3, seed=1)
         runs = [lambda: estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5),
                 lambda: estimate_one_sided_partition(g, 3, 0.3, 0.3, 0.1, seed=5)]
         tabled = [run() for run in runs]
+
+        def table_start(slc, rng):
+            free = walks.facet_table(slc).draw(rng)
+            return _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
+
         monkeypatch.setattr(counting, "facet_table", lambda slc: None)
+        monkeypatch.setattr(counting, "_burn_in", lambda slc, epsilon: 0)
+        monkeypatch.setattr(counting, "greedy_initial_state", table_start)
         for est, run in zip(tabled, runs):
             assert run() == est
+
+    def test_each_table_level_enumerates_once(self, monkeypatch):
+        # the table's rows and the law its replicas start from (or the
+        # marginal of a reducible level) come from one enumeration
+        enumerations, tables = [], []
+        real_enumerate, real_table = slices.enumerate_facets, counting.facet_table
+
+        def enumerate_spy(slc, cap=slices.ENUMERATION_CAP):
+            enumerations.append((slc, cap))
+            return real_enumerate(slc, cap)
+
+        def table_spy(slc):
+            table = real_table(slc)
+            if table is not None:
+                tables.append(slc)
+            return table
+
+        for module in (slicewalk, slices, walks, counting):
+            if getattr(module, "enumerate_facets", None) is real_enumerate:
+                monkeypatch.setattr(module, "enumerate_facets", enumerate_spy)
+        monkeypatch.setattr(counting, "facet_table", table_spy)
+        estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2, 0.3, 0.1, seed=5)
+        estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 3, 0.3, 0.3, 0.1,
+                                     seed=5)
+        estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=500), 2, 2, 0.1, 0.1,
+                                 seed=9000)  # a reducible level
+        at_cap = [slc for slc, cap in enumerations if cap == walks.TABLE_ROW_CAP]
+        assert len(tables) == 3  # the top level of each estimate
+        assert len(at_cap) == 3 and all(a is b for a, b in zip(at_cap, tables))
 
     def test_samples_count_what_the_chains_collected(self, monkeypatch):
         # at side 12 the pilot asks for 299 samples and its 4 replicas collect 300

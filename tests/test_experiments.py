@@ -47,6 +47,11 @@ class TestConfig:
         cfg = ExperimentConfig("x", n_side=10, degree=3)
         assert cfg.gamma == 0.1 and cfg.ell == 2.0
 
+    @pytest.mark.parametrize("fugacity", [-1.0, -0.5, 0.0, float("nan")])
+    def test_fugacity_must_be_positive(self, fugacity):
+        with pytest.raises(ValueError, match="fugacity must be positive"):
+            ExperimentConfig("x", n_side=10, degree=3, fugacity=fugacity)
+
 
 class TestNeighborhoodConcentration:
     def test_extreme_sizes(self):

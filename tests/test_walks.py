@@ -13,8 +13,7 @@ from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumer
                               exact_distribution, greedy_facet)
 from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _step, down_up_step,
                              exact_transition_matrix, facet_table, format_facet,
-                             greedy_initial_state, run_chain, spectral_gap,
-                             stationary_start, tv_distance)
+                             greedy_initial_state, run_chain, spectral_gap, tv_distance)
 
 
 class TestTvDistance:
@@ -287,6 +286,8 @@ class TestFacetTable:
 
 
 class TestStationaryStart:
+    """``FacetTable.draw``: chain starts drawn from the law the table carries."""
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_start_draws_follow_the_exact_law(self, weighted):
         # 20,000 draws: every facet's frequency lies within 4.5 binomial
@@ -296,16 +297,18 @@ class TestStationaryStart:
         slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
         facets, probs = exact_distribution(slc)
         table = facet_table(slc)
-        draw = stationary_start(slc)
+        assert table.probs.tolist() == probs.tolist()  # in the enumeration's order
         rng = rng_stream(3)
         draws = 20_000
         counts = np.zeros(len(facets))
         for _ in range(draws):
-            state = draw(rng)
-            f = table.start(state.free) // table.width
-            assert tuple(state.free) == table.free_ids[f]  # the table's stepping order
+            free = table.draw(rng)
+            f = table.start(free) // table.width
+            assert tuple(free) == table.free_ids[f]  # the table's stepping order
             counts[f] += 1
-        assert state.recount_ok()
+        # the draw is a facet in a chain state's stepping order
+        state = _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
+        assert state.free == free and state.recount_ok()
         assert len(facets) == (56 if weighted else 82)
         assert np.all(np.abs(counts / draws - probs) <= 4.5 * np.sqrt(probs * (1 - probs) / draws))
 
@@ -319,18 +322,11 @@ class TestStationaryStart:
         slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
         _, probs = exact_distribution(slc)
         table = facet_table(slc)
-        draw = stationary_start(slc)
         reps, per = 400, 10
-        hist = sum(table.histogram(rng_stream(8, r, 1), draw(rng_stream(8, r, 0)).free, per,
+        hist = sum(table.histogram(rng_stream(8, r, 1), table.draw(rng_stream(8, r, 0)), per,
                                    2 * slc.free_size) for r in range(reps))
         noise = 0.5 * np.sqrt(probs * (1 - probs) / (reps * per)).sum()
         assert tv_distance(hist, probs) <= 1.5 * noise
-
-    def test_no_start_above_the_table_cap(self):
-        # the bound facet_table uses decides, before any enumeration
-        g = gen_bipartite_regular(100, 3, seed=1)
-        assert stationary_start(TwoSidedSlice(g, 2, 2)) is None
-        assert stationary_start(OneSidedSlice(g, 3, 0.4)) is None
 
 
 class TestExactTransitionMatrix:
