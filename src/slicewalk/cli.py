@@ -30,8 +30,8 @@ from .graphs import (BipartiteRegularGraph, RegularGraph, gen_bipartite_regular,
                      load_graph, save_graph)
 from .reports import emit, reproducibility_stanza, to_csv, to_json
 from .slices import OneSidedSlice, RegularSlice, TwoSidedSlice
-from .verify import (verify_one_sided_identities, verify_top_link_one_sided,
-                     verify_top_link_regular, verify_top_link_two_sided)
+from .verify import (EXHAUSTIVE_FACE_CAP, SAMPLED_FACES, verify_one_sided_identities,
+                     verify_top_link_one_sided, verify_top_link_regular, verify_top_link_two_sided)
 from .walks import ChainConfig, format_facet, run_chain
 
 
@@ -148,8 +148,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--ky", type=int, default=2)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--lambda", dest="lam", type=float, default=0.25, help="fugacity")
-    p.add_argument("--face-cap", type=int, default=100_000)
-    p.add_argument("--sample-count", type=int, default=10_000)
+    p.add_argument("--face-cap", type=int, default=EXHAUSTIVE_FACE_CAP)
+    p.add_argument("--sample-count", type=int, default=SAMPLED_FACES)
     p.add_argument("--full-records", action="store_true",
                    help="include every per-link record in the report")
     common(p)

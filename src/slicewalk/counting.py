@@ -34,8 +34,7 @@ import numpy as np
 
 from .graphs import BipartiteRegularGraph
 from .rng import UniformBuffer, rng_stream
-from .slices import (EnumerationCapError, OneSidedSlice, Slice, SliceError, TwoSidedSlice,
-                     exact_distribution, link)
+from .slices import OneSidedSlice, Slice, SliceError, TwoSidedSlice, _law_within
 from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
 
 LOG_ZERO = float("-inf")
@@ -378,11 +377,8 @@ def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, .
 def _exact_marginal(slc: Slice):
     """(argmax global id, exact marginal) from the conditional enumerated
     within EXACT_MARGINAL_CAP facets, or None."""
-    try:
-        facets, probs = exact_distribution(slc, EXACT_MARGINAL_CAP)
-    except EnumerationCapError:
-        return None
-    return _argmax_marginal(slc, map(slc.to_ids, facets), probs)
+    law = _law_within(slc, EXACT_MARGINAL_CAP)
+    return None if law is None else _argmax_marginal(slc, map(slc.to_ids, law[0]), law[2])
 
 
 def _argmax_marginal(slc: Slice, facet_ids, probs):
@@ -460,7 +456,7 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
         trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method, burn))
-        slc = link(slc, slc.from_ids((v,)), check_nonempty=False)
+        slc = slc.with_face(slc.from_ids((v,)))
     return log_value, trace, total, slc
 
 
@@ -567,6 +563,8 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
     its terms' records, in estimation order.
     """
     _check_accuracy(epsilon, delta)
+    if not fugacity > 0:
+        raise ValueError("fugacity must be positive")
     terms = _banded_terms(g, fugacity, thr, seed)
     a_cap, b_cap = _band_caps(g.n_side, thr)
     k_ranges = {"two-sided": (0, a_cap), "one-sided-x": (a_cap + 1, b_cap),

@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("n_side and degree must be positive")
         if not self.fugacity > 0:
             raise ValueError("fugacity must be positive")
+        if not self.gamma >= 0:
+            raise ValueError("gamma must be nonnegative")
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError("a and b must lie in (0, 1)")
         if not (0.5 < self.c < 1.0):
@@ -81,10 +83,11 @@ def coupled_ell(degree: int, gamma: float) -> float:
     equating it with (2 ell + 1)/2 * log(degree)/sqrt(degree) couples ell to
     gamma.  At desk-scale degrees this value is small or negative, which is
     why fixed (gamma, ell) pairs taken from asymptotic statements can be
-    mutually inconsistent.
+    mutually inconsistent.  Degree 1 (log(degree) = 0) has no such ell.
     """
-    d = float(degree)
-    return d ** (-1.0 / (2.0 + gamma)) * math.sqrt(d) / math.log(d) - 0.5
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
+    return degree ** (-1.0 / (2.0 + gamma)) * math.sqrt(degree) / math.log(degree) - 0.5
 
 
 def _uncovered_counts(rows: np.ndarray, rng: np.random.Generator,

@@ -297,9 +297,9 @@ def independent_sets(adj: Sequence[Sequence[int]], parts: Sequence[tuple[int, in
     return out
 
 
-def exact_distribution(slc: Slice, cap: int = ENUMERATION_CAP):
+def exact_distribution(slc: Slice):
     """(facets, probabilities) with probabilities normalized in log space."""
-    facets, _, probs = _facet_weights(slc, cap)
+    facets, _, probs = _facet_weights(slc, ENUMERATION_CAP)
     return facets, probs
 
 
@@ -315,19 +315,51 @@ def _facet_weights(slc: Slice, cap: int):
     return facets, logw, weights / weights.sum()
 
 
+def _facet_bound(slc: Slice) -> tuple[int, bool]:
+    """(bound, exact): an upper bound on the facet count, the ways to fill
+    each part's quota from its candidate ids (those neither pinned nor next
+    to a pinned id), and whether it is the count itself, which it is when no
+    two candidates are adjacent, as on a one-sided slice."""
+    adj = slc.graph.global_adj
+    pinned = slc.pinned_ids
+    blocked = set(pinned).union(*(adj[v] for v in pinned))
+    cands: set[int] = set()
+    bound = 1
+    for lo, hi, quota in slc.parts:
+        left = [v for v in range(lo, hi) if v not in blocked]
+        cands.update(left)
+        bound *= math.comb(len(left), quota - sum(1 for v in pinned if lo <= v < hi))
+    return bound, not any(u in cands for v in cands for u in adj[v])
+
+
+def _law_within(slc: Slice, cap: int):
+    """``_facet_weights(slc, cap)``, or None past ``cap`` facets: a cap below 1 or
+    an exact facet bound above it enumerates nothing, and otherwise the
+    enumeration stops past the cap.  SliceError when the slice has no facet."""
+    if cap <= 0:
+        return None
+    bound, exact = _facet_bound(slc)
+    if exact and bound > cap:
+        return None
+    try:
+        return _facet_weights(slc, cap)
+    except EnumerationCapError:
+        return None
+
+
 # -- links -------------------------------------------------------------------------
 
 
-def link(slc: Slice, face, *, check_nonempty: bool = True) -> Slice:
+def link(slc: Slice, face) -> Slice:
     """Same slice family with the pinned face extended by ``face``.
 
     Facet weights of the result are the conditionals of the parent slice.
-    With ``check_nonempty``, a link that greedy search cannot complete is
-    enumerated: SliceError when it has no facet, EnumerationCapError when it
-    is too large to enumerate, so its emptiness is undecided.
+    A link that greedy search cannot complete is enumerated: SliceError when
+    it has no facet, EnumerationCapError when it is too large to enumerate,
+    so its emptiness is undecided.
     """
     out = slc.with_face(face)
-    if check_nonempty and greedy_facet(out, np.random.Generator(np.random.PCG64(0))) is None:
+    if greedy_facet(out, np.random.Generator(np.random.PCG64(0))) is None:
         try:
             facets = enumerate_facets(out, ENUMERATION_CAP)
         except EnumerationCapError:
@@ -407,7 +439,7 @@ def local_walk_exact(slc: Slice, face=None) -> LinkOperator:
     pi(u) = Pr[u in the facet | the face is pinned] / 2.  This is the oracle
     the closed forms are checked against.
     """
-    slc2 = link(slc, face, check_nonempty=False) if face is not None else slc
+    slc2 = slc.with_face(face) if face is not None else slc
     if slc2.free_size != 2:
         raise SliceError("local walk operators are defined for codimension 2 only")
     facets = enumerate_facets(slc2, ENUMERATION_CAP)

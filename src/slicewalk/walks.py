@@ -30,11 +30,11 @@ burn-in.  The lockstep escape-time experiment steps through tables too.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
-stepping code, so the two implementations check each other.
+stepping code, so the two implementations check each other.  One exact-law
+query (``slices._law_within``) feeds both oracles of ``run_chain``.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,8 +45,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .rng import UniformBuffer, rng_stream, uniform_blocks
-from .slices import (ENUMERATION_CAP, EnumerationCapError, OneSidedSlice, Slice,
-                     SliceError, _facet_weights, exact_distribution, greedy_facet)
+from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
+                     _facet_weights, _law_within, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -403,23 +403,6 @@ def _draw(cands: list[int], base_of: dict[int, int], rest: int):
     return tuple(cands), tuple([base_of[rest | 1 << c] for c in cands])
 
 
-def _facet_bound(slc: Slice) -> tuple[int, bool]:
-    """(bound, exact): an upper bound on the facet count, the ways to fill
-    each part's quota from its candidate ids (those neither pinned nor next
-    to a pinned id), and whether it is the count itself, which it is when no
-    two candidates are adjacent, as on a one-sided slice."""
-    adj = slc.graph.global_adj
-    pinned = slc.pinned_ids
-    blocked = set(pinned).union(*(adj[v] for v in pinned))
-    cands: set[int] = set()
-    bound = 1
-    for lo, hi, quota in slc.parts:
-        left = [v for v in range(lo, hi) if v not in blocked]
-        cands.update(left)
-        bound *= math.comb(len(left), quota - sum(1 for v in pinned if lo <= v < hi))
-    return bound, not any(u in cands for v in cands for u in adj[v])
-
-
 def facet_table(slc: Slice) -> FacetTable | None:
     """Compile the chain and the law of ``slc``, or None when the facet bound
     times the free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
@@ -484,8 +467,8 @@ class ChainConfig:
     lazy: bool = True
     burn_in: int | None = None
     thinning: int | None = None
-    oracle_cap: int = 20_000  # enumerate the exact law for TV when below this
-    gap_cap: int = 512        # build the exact chain matrix when below this
+    oracle_cap: int = 20_000  # TV against the exact law up to this many facets
+    gap_cap: int = 512        # the exact chain's gap up to this many facets
 
     def __post_init__(self) -> None:
         if self.steps < 0:
@@ -510,7 +493,8 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
 
     Samples are facets collected every ``thinning`` steps after burn-in.  The
     report includes empirical total variation against the enumerated law and
-    the exact chain's spectral gap whenever those oracles fit their caps.
+    the exact chain's spectral gap whenever the slice's facets fit the
+    oracle's cap.  One enumeration, within the larger cap, feeds both.
     Deterministic given (slice, config, initial).
     """
     state = initial or greedy_initial_state(slc, rng_stream(config.seed, 0))
@@ -533,30 +517,20 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     state.steps += config.steps
     if not samples:
         samples = [state.facet()]
-    tv = _oracle_tv(slc, samples, config.oracle_cap)
-    gap = _oracle_gap(slc, config)
+    tv = gap = None
+    law = _law_within(slc, max(config.oracle_cap, config.gap_cap))
+    if law is not None:
+        facets, logw, probs = law
+        if len(facets) <= config.oracle_cap:
+            tv = _oracle_tv(samples, facets, probs)
+        if len(facets) <= config.gap_cap:
+            p = _transition_matrix(slc, facets, logw)
+            gap = spectral_gap(0.5 * (np.eye(len(p)) + p) if lazy else p, probs)[2]
     auto = _lag1_autocorr(series)
     return samples, MixingReport(tv, gap, auto, len(samples), config.steps)
 
 
-def _over_cap(slc: Slice, cap: int) -> bool:
-    """Whether ``slc`` surely has more than ``cap`` facets, decided without
-    enumerating: a slice that holds a chain state has a facet, so it never
-    fits a cap of 0, and an exact facet bound above the cap settles it.  A
-    loose bound decides nothing, and the oracle enumerates up to the cap."""
-    if cap == 0:
-        return True
-    bound, exact = _facet_bound(slc)
-    return exact and bound > cap
-
-
-def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
-    if _over_cap(slc, cap):
-        return None
-    try:
-        facets, probs = exact_distribution(slc, cap)
-    except EnumerationCapError:
-        return None
+def _oracle_tv(samples: Sequence, facets: list, probs: np.ndarray) -> float:
     counts: dict = {}
     for f in samples:
         counts[f] = counts.get(f, 0) + 1
@@ -564,19 +538,6 @@ def _oracle_tv(slc: Slice, samples: Sequence, cap: int) -> float | None:
     if hist.sum() != len(samples):
         raise SliceError("chain visited a facet outside the enumerated slice")
     return tv_distance(hist, probs)
-
-
-def _oracle_gap(slc: Slice, config: ChainConfig) -> float | None:
-    if _over_cap(slc, config.gap_cap):
-        return None
-    try:
-        facets, p, probs = exact_transition_matrix(slc, cap=config.gap_cap)
-    except EnumerationCapError:
-        return None
-    if config.lazy:
-        p = 0.5 * (np.eye(len(facets)) + p)
-    _, _, gap = spectral_gap(p, probs)
-    return gap
 
 
 def _lag1_autocorr(series: Sequence[int]) -> float | None:
@@ -593,19 +554,24 @@ def _lag1_autocorr(series: Sequence[int]) -> float | None:
 # -- exact oracles ------------------------------------------------------------------
 
 
-def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
-    """(facets, P, stationary) for the exact non-lazy down-up chain.
+def exact_transition_matrix(slc: Slice):
+    """(facets, P, stationary) for the exact non-lazy down-up chain."""
+    facets, logw, probs = _facet_weights(slc, ENUMERATION_CAP)
+    return facets, _transition_matrix(slc, facets, logw), probs
+
+
+def _transition_matrix(slc: Slice, facets: list, logw: np.ndarray) -> np.ndarray:
+    """P of the exact non-lazy down-up chain on the enumerated ``facets``.
 
     Built purely from the facet enumeration: facets are grouped by each
     codimension-1 face obtained by deleting a free element, and within a group
-    the replacement law is the conditional of the slice weights, taken
-    relative to the group's heaviest facet so that no group underflows at
-    extreme fugacity.
+    the replacement law is the conditional of the slice weights ``logw``,
+    taken relative to the group's heaviest facet so that no group underflows
+    at extreme fugacity.
     """
-    facets, logw, probs = _facet_weights(slc, cap)
     k_free = slc.free_size
     if k_free == 0:
-        return facets, np.ones((1, 1)), probs
+        return np.ones((1, 1))
     groups: dict = {}
     for i, f in enumerate(facets):
         for sub in _codim1_faces(slc, f):
@@ -616,7 +582,7 @@ def exact_transition_matrix(slc: Slice, cap: int = ENUMERATION_CAP):
         cond = w / w.sum()
         for i in members:
             p[i, members] += cond / k_free
-    return facets, p, probs
+    return p
 
 
 def _codim1_faces(slc: Slice, facet):

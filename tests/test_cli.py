@@ -198,6 +198,16 @@ class TestEstimateZ:
         assert code == 2 and out == ""
         assert err == "error: epsilon and delta must lie in (0, 1)\n"
 
+    @pytest.mark.parametrize("lam", ["0", "-1"])
+    def test_nonpositive_fugacity_with_explicit_thresholds_exit_2(self, graph_file, capsys,
+                                                                  lam):
+        # with both thresholds given no default is computed, and log(lambda)
+        # used to fail with "math domain error"
+        code, out, err = run_cli(capsys, "estimate-z", "--in", graph_file, "--lambda", lam,
+                                 "--alpha", "0.1", "--beta", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: fugacity must be positive\n"
+
 
 class TestVerifySpectral:
     @pytest.mark.parametrize("count", ["0", "-5"])
@@ -255,6 +265,24 @@ class TestExperimentCommand:
                                  "--n", "50", "--delta", "3", "--lambda", lam)
         assert code == 2 and out == ""
         assert err == "error: fugacity must be positive\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["neighborhood-concentration", "--delta", "1"], "degree must be at least 2"),
+        (["neighborhood-concentration", "--delta", "3", "--gamma", "-2"],
+         "gamma must be nonnegative"),
+        (["large-set-expansion", "--delta", "3", "--gamma", "-2"],
+         "gamma must be nonnegative"),
+        (["independent-set-size", "--delta", "3", "--gamma", "-2.5", "--samples", "5"],
+         "gamma must be nonnegative"),
+    ], ids=["concentration-degree-1", "concentration-gamma", "expansion-gamma",
+            "size-gamma"])
+    def test_degenerate_thresholds_exit_2(self, capsys, argv, message):
+        # degree 1 divided by log 1 and gamma = -2 by 2 + gamma; gamma = -2.5
+        # ran and reported a negative alpha
+        name, *rest = argv
+        code, out, err = run_cli(capsys, "experiment", "--name", name, "--n", "50", *rest)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestDeterminismAndConfig:

@@ -15,7 +15,7 @@ from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdP
                                 exact_partition, exact_partition_hat, exact_slice_count,
                                 occupancy_profile, thresholds)
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
-from slicewalk.slices import TwoSidedSlice
+from slicewalk.slices import OneSidedSlice, TwoSidedSlice
 from slicewalk.walks import _make_state
 
 
@@ -324,6 +324,16 @@ class TestEstimators:
         at_cap = [slc for slc, cap in enumerations if cap == walks.TABLE_ROW_CAP]
         assert len(tables) == 3  # the top level of each estimate
         assert len(at_cap) == 3 and all(a is b for a, b in zip(at_cap, tables))
+
+    def test_a_level_above_the_exact_bound_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated a level whose exact bound exceeds the cap")
+
+        monkeypatch.setattr(slices, "enumerate_facets", refuse)
+        # C(8, 3) = 56 facets, above EXACT_MARGINAL_CAP = 32
+        slc = OneSidedSlice(gen_bipartite_regular(8, 3, seed=1), 3, 0.4)
+        assert slices._facet_bound(slc) == (56, True)
+        assert counting._exact_marginal(slc) is None
 
     def test_samples_count_what_the_chains_collected(self, monkeypatch):
         # at side 12 the pilot asks for 299 samples and its 4 replicas collect 300

@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="fugacity must be positive"):
             ExperimentConfig("x", n_side=10, degree=3, fugacity=fugacity)
 
+    @pytest.mark.parametrize("gamma", [-2.5, -2.0, -1e-9, float("nan")])
+    def test_gamma_must_be_nonnegative(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            ExperimentConfig("x", n_side=10, degree=3, gamma=gamma)
+        assert ExperimentConfig("x", n_side=10, degree=3, gamma=0.0).gamma == 0.0
+
 
 class TestNeighborhoodConcentration:
     def test_extreme_sizes(self):
@@ -231,6 +237,10 @@ def test_alpha_and_coupled_ell_values():
     assert alpha_threshold(64, 0.1) == pytest.approx(math.log(64) / (2.1 * 64))
     # the coupled ell is small/negative at desk-scale degrees
     assert coupled_ell(64, 0.1) < 0
+    # degree 1 used to divide by log 1 = 0
+    assert math.isfinite(coupled_ell(2, 0.1))
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        coupled_ell(1, 0.1)
 
 
 def test_uncovered_counts_on_multiedges():

@@ -177,7 +177,7 @@ class TestLink:
     def test_unextendable_face_raises(self, complete_bipartite_33):
         slc = TwoSidedSlice(complete_bipartite_33, 1, 0)
         with pytest.raises(SliceError):
-            link(slc, ((), ()), check_nonempty=True) and link(
+            link(slc, ((), ())) and link(
                 TwoSidedSlice(complete_bipartite_33, 1, 1), ((0,), ()))
 
     def test_greedy_failure_decided_by_enumeration(self, monkeypatch):
@@ -429,7 +429,7 @@ def test_every_public_name_has_a_consumer():
 
 # Settable values of the package, tracked in CHANGES.md: a new one has to
 # replace an old one.
-MAX_DEFAULTED_PARAMETERS = 29
+MAX_DEFAULTED_PARAMETERS = 26
 MAX_ADD_ARGUMENT_CALLS = 52
 THRESHOLD_FIELDS = 2
 

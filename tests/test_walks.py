@@ -248,7 +248,7 @@ class TestFacetTable:
         # communicating classes against the exact chain's support
         facets, p, _ = exact_transition_matrix(slc)
         assert len(facets) == len(table.free_ids)
-        bound, exact = walks._facet_bound(slc)
+        bound, exact = slices._facet_bound(slc)
         assert bound == len(facets) if exact else bound >= len(facets)
         assert exact or family != "one"
         if not table.weighted:
@@ -418,9 +418,9 @@ class TestRunChain:
 
     def test_zero_oracle_caps_skip_the_enumeration(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("exact_distribution called with a zero cap")
+            raise AssertionError("enumerated a slice with zero oracle caps")
 
-        monkeypatch.setattr(walks, "exact_distribution", refuse)
+        monkeypatch.setattr(slices, "enumerate_facets", refuse)
         g = gen_bipartite_regular(8, 3, seed=9)
         for slc in (OneSidedSlice(g, 3, 0.4), TwoSidedSlice(g, 2, 2)):
             _, report = run_chain(slc, ChainConfig(steps=50, seed=1, oracle_cap=0, gap_cap=0))
@@ -436,10 +436,23 @@ class TestRunChain:
         _, report = run_chain(slc, ChainConfig(steps=200, seed=1))
         assert report.empirical_tv is None and report.exact_gap is None
 
+    def test_one_enumeration_feeds_both_oracles(self, monkeypatch):
+        caps = []
+
+        def spy(slc, cap):
+            caps.append(cap)
+            return enumerate_facets(slc, cap)
+
+        monkeypatch.setattr(slices, "enumerate_facets", spy)
+        slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=1), 2, 2)
+        _, report = run_chain(slc, ChainConfig(steps=1000, seed=1))
+        assert caps == [20_000]
+        assert report.empirical_tv is not None and report.exact_gap is not None
+
     def test_a_loose_bound_above_the_cap_keeps_the_oracles(self):
         slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=9), 2, 2)
         count = len(enumerate_facets(slc))
-        bound, exact = walks._facet_bound(slc)
+        bound, exact = slices._facet_bound(slc)
         assert not exact and bound > count
         cfg = ChainConfig(steps=2000, seed=1, oracle_cap=count, gap_cap=count)
         _, report = run_chain(slc, cfg)
