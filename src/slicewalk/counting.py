@@ -6,13 +6,16 @@ vertex, the vertex is pinned (passing to its link), and the telescoping
 product of inverse marginals gives the count.  The heavy vertex is the argmax
 of pilot-estimated marginals; an averaging argument guarantees the true max
 marginal is at least (level size)/(side size), so the pilot only needs
-constant-factor accuracy.  Levels small enough for a facet table step their
-chains through it, and each replica starts at an exact draw from the law the
-table carries (``FacetTable.draw``), so it is stationary from its first step
-and runs no burn-in.  A level whose table splits into several communicating
-classes takes the exact marginal from that law instead: replicas never cross
-between classes, so a few of them cannot weigh the classes.  Larger levels
-start from greedy facets, burn in, and are sampled unchecked.
+constant-factor accuracy.  Levels small enough for a facet table step
+TABLE_REPLICAS replicas through it in lockstep (``FacetTable.advance``), each
+started at an exact draw from the law the table carries (``FacetTable.draw``),
+so every sample is stationary and no replica burns in.  A level whose table
+splits into several communicating classes takes the exact marginal from that
+law instead: replicas never cross between classes, so they cannot weigh the
+classes.  Larger levels run REPLICAS replicas from greedy facets, burn in,
+and are sampled unchecked.  Either way a phase draws its starts from one
+stream and its steps from another, read time-major, replica r reading
+column r, so the two paths count the same samples from the same starts.
 
 Exact oracles are kept deliberately independent of the estimators: the
 partition function uses exact rational branch-and-bound, slice counts use
@@ -33,7 +36,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .graphs import BipartiteRegularGraph
-from .rng import UniformBuffer, rng_stream
+from .rng import rng_stream, uniform_blocks
 from .slices import OneSidedSlice, Slice, SliceError, TwoSidedSlice, _law_within
 from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
 
@@ -152,10 +155,15 @@ class CountEstimate:
 # Telescoping budget.  A level above the table cap burns in for CHAIN_SCALE *
 # (free size) * (vertex count) * log(1/epsilon) steps.
 CHAIN_SCALE = 20.0
-# Independent chains pooled per level.  Above the table cap they start from
-# greedy facets, and pooling lets the pilot see more than one greedy basin;
-# on a table level each starts at its own draw from the level's law.
+# Independent chains pooled per level.  Above the table cap REPLICAS chains
+# start from greedy facets, and pooling lets the pilot see more than one
+# greedy basin.  On a table level TABLE_REPLICAS chains start at their own
+# draws from the level's law and step in lockstep, one NumPy call a step for
+# all of them: every sample is stationary and the down-up operator is
+# positive semidefinite, so spreading a phase's samples over more chains,
+# each as thinned, can only lower the estimate's variance.
 REPLICAS = 4
+TABLE_REPLICAS = 128
 PILOT_FLOOR = 200
 SAFETY = 3.0
 THIN_SCALE = 2
@@ -289,10 +297,49 @@ def _uncovered_histogram(g: BipartiteRegularGraph, lo: int, hi: int) -> list[lis
 
 def _uncovered_row(g: BipartiteRegularGraph, k: int) -> list[int]:
     """Row k of ``_uncovered_histogram``, refused before the pass when X has
-    more than EXACT_COUNT_CAP k-subsets."""
-    if math.comb(g.n_side, k) > EXACT_COUNT_CAP:
+    more than EXACT_COUNT_CAP k-subsets.  Above half the side the k-subsets
+    are enumerated by the n - k vertices they leave out, so the pass costs
+    about C(n, k) (n + 1) / (k + 1) steps in place of C(n + 1, k)."""
+    n = g.n_side
+    if math.comb(n, k) > EXACT_COUNT_CAP:
         raise ValueError("enumeration cap exceeded")
-    return _uncovered_histogram(g, k, k)[k]
+    if 2 * k <= n or k > n:
+        return _uncovered_histogram(g, k, k)[k]
+    return _uncovered_by_exclusion(g, n - k)
+
+
+def _uncovered_by_exclusion(g: BipartiteRegularGraph, m: int) -> list[int]:
+    """h with h[u] the number of subsets S of X, all but m of its vertices,
+    that leave u vertices of Y uncovered.
+
+    One depth-first pass over the left-out sets E = {e_1 < ... < e_m}: N(S)
+    is the union of the neighbour masks below e_1, between consecutive
+    left-out vertices and above e_m.  A pass carries the union up to the
+    next choice and reads the part above e_m from a suffix table.
+    """
+    n = g.n_side
+    masks = [sum(1 << j for j in row) for row in g.adj_x]
+    above = [0] * (n + 1)  # above[i]: the union of masks[i:]
+    for i in range(n - 1, -1, -1):
+        above[i] = above[i + 1] | masks[i]
+    row = [0] * (n + 1)  # indexed by |N(S)| until the end
+    if not m:
+        row[above[0].bit_count()] = 1
+    # (union of the masks below start, smallest vertex E may leave out next,
+    # vertices left to leave out)
+    stack = [(0, 0, m)] if m else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        covered, start, left = pop()
+        if left == 1:
+            for e in range(start, n):
+                row[(covered | above[e + 1]).bit_count()] += 1
+                covered |= masks[e]
+            continue
+        for e in range(start, n - left + 1):
+            push((covered, e + 1, left - 1))
+            covered |= masks[e]
+    return row[::-1]
 
 
 def exact_slice_count(g: BipartiteRegularGraph, k_x: int, k_y: int) -> int:
@@ -344,34 +391,67 @@ def _burn_in(slc: Slice, epsilon: float) -> int:
 
 def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, ...],
                        table: FacetTable | None, burn: int):
-    """Pool thinned membership indicators from REPLICAS independent chains.
+    """Pool thinned membership indicators from independent replicas.
 
     Returns (counts, n_collected); counts index free vertices by global id.
-    Replica r draws its start from stream (seed, *path, r, 0) and its steps
-    from stream (seed, *path, r, 1).  With the slice's facet ``table`` it
-    starts at ``FacetTable.draw`` and is one ``FacetTable.histogram`` call,
-    which replays the kernel on uniforms drawn in blocks and counts the
-    samples per facet.  Without one it starts at a greedy facet, and the
-    kernel runs once for the ``burn`` unsampled steps and once per thinning
-    interval.
+    The replicas take their starts from the one stream (seed, *path, 0), in
+    replica order, and their steps from the one stream (seed, *path, 1),
+    drawn time-major in ``rng.uniform_blocks``: step t of replica r reads
+    the uniforms at (t, r).  With the slice's facet ``table``,
+    TABLE_REPLICAS replicas start at ``FacetTable.draw`` and step in
+    lockstep through ``FacetTable.advance``, and the samples are counted per
+    facet.  Without one, REPLICAS replicas start at greedy facets and each
+    runs the kernel on its own column, ``burn`` unsampled steps first.  Both
+    replay the same kernel on the same uniforms, so at equal replica counts
+    and equal starts they count the same samples.
     """
+    reps = REPLICAS if table is None else TABLE_REPLICAS
+    per = (n_samples + reps - 1) // reps
+    k = slc.free_size
+    thin = max(1, THIN_SCALE * k)
+    unit = 3 if slc.coverage_weighted else 2
+    start, rng = rng_stream(seed, *path, 0), rng_stream(seed, *path, 1)
+    # a state with nothing free draws nothing, and its samples count no member
+    blocks = uniform_blocks(rng, unit * reps * (burn + per * thin) if k else 0, unit * reps)
     counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
-    per = (n_samples + REPLICAS - 1) // REPLICAS
-    thin = max(1, THIN_SCALE * slc.free_size)
-    for rep in range(REPLICAS):
-        start = rng_stream(seed, *path, rep, 0)
-        rng = rng_stream(seed, *path, rep, 1)
-        if table is not None:
-            counts += table.histogram(rng, table.draw(start), per, thin) @ table.incidence
-            continue
-        state = greedy_initial_state(slc, start)
-        rand = UniformBuffer(rng).next
-        state.kernel(slc, state, rand, burn, False)
-        for _ in range(per):
-            state.kernel(slc, state, rand, thin, False)
-            for v in state.free:
-                counts[v] += 1
-    return counts, per * REPLICAS
+    done = 0
+    if table is not None:
+        facets = table.draw(start, reps)
+        free = np.array(table.free_ids, np.intp)[facets]
+        base = facets * table.width
+        sampled = []
+        for u in blocks:
+            bases = table.advance(free, base, u.reshape(-1, reps, unit))
+            sampled.append(bases[_first_sample(done, burn, thin)::thin])
+            base = bases[-1]
+            done += len(bases)
+        if sampled:
+            hist = np.bincount(np.concatenate(sampled).ravel() // table.width,
+                               minlength=len(table.free_ids))
+            counts += hist @ table.incidence
+        return counts, per * reps
+    states = [greedy_initial_state(slc, start) for _ in range(reps)]
+    for u in blocks:
+        u = u.reshape(-1, reps, unit)
+        samples = range(_first_sample(done, burn, thin), len(u), thin)
+        for r, state in enumerate(states):
+            rand = iter(u[:, r].ravel().tolist()).__next__
+            at = 0
+            for t in samples:
+                state.kernel(slc, state, rand, t + 1 - at, False)
+                at = t + 1
+                counts[state.free] += 1
+            state.kernel(slc, state, rand, len(u) - at, False)
+        done += len(u)
+    return counts, per * reps
+
+
+def _first_sample(done: int, burn: int, thin: int) -> int:
+    """Offset, in a block of steps after ``done`` earlier ones, of the first
+    step a sample follows: the samples follow steps burn + thin, burn + 2
+    thin, ... (counted from 1)."""
+    at = max(done, burn + thin - 1)
+    return at + (burn + thin - 1 - at) % thin - done
 
 
 def _exact_marginal(slc: Slice):

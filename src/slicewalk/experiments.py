@@ -403,14 +403,11 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
 
     Run ``run`` is the scalar chain started at ``members`` and stepped by
     ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  When the slice
-    compiles into a facet table, the chains step in lockstep, one array row
-    per chain, gathering each step from the table's rows flattened into
-    arrays, so a step costs a few NumPy calls for all of them.  Each row
-    replays its run exactly: three uniforms a step, the weight class as the
-    number of class sums at most u * total (``bisect_right``), and the index
-    within the class, so every float comparison is bit-identical.  Rows that
-    escape inside a block of ESCAPE_BLOCK steps are dropped after it.  Above the
-    table's cap each run steps alone through the slice's kernel.
+    compiles into a facet table, the runs step in lockstep through
+    ``FacetTable.advance``, one array row each, which replays each run's
+    stream exactly.  Rows that escape inside a block of ESCAPE_BLOCK steps
+    are dropped after it.  Above the table's cap each run steps alone
+    through the slice's kernel.
     """
     facet = tuple(sorted(members))
     half = k / 2.0
@@ -418,62 +415,25 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     if table is None:
         return [_escape_time(slc, facet, m, half, budget, rng_stream(seed, 1000 + run))
                 for run in range(runs)]
-    classes = slc.graph.degree + 1
-    # row_at[base + v]: offset of the row of (facet, v) in the class arrays
-    row_at = np.zeros(len(table.rows), np.intp)
-    acc, total, first, size, cands, succ = [], [], [], [], [], []
-    for i, row in enumerate(table.rows):
-        if row is None:
-            continue
-        row_at[i] = len(acc)
-        row_acc, row_total, row_classes = row
-        # pad to every class; an infinite sum is never at most u * total
-        pad = classes - len(row_acc)
-        acc += row_acc + [math.inf] * pad
-        total += [row_total] * classes
-        for members_c, succ_c in row_classes + [((), ())] * pad:
-            first.append(len(cands))
-            size.append(len(members_c))
-            cands += members_c
-            succ += succ_c
-    acc, total = np.array(acc), np.array(total)
-    first, size = np.array(first, np.intp), np.array(size, np.intp)
-    cands, succ = np.array(cands, np.intp), np.array(succ, np.intp)
     inside = table.incidence[:, :m].sum(1)
-    class_ix = np.arange(classes)
-
     times: list[int | None] = [None] * runs
     active = np.arange(runs)
     gens = [rng_stream(seed, 1000 + run) for run in range(runs)]
     start = _make_state(slc, facet).free
     free = np.tile(np.array(start, dtype=np.intp), (runs, 1))
-    kf = free.shape[1]
     base = np.full(runs, table.start(start), np.intp)
     done = 0
     while done < budget and len(active):
-        rows = len(active)
         steps = min(ESCAPE_BLOCK, budget - done)
         u = np.stack([gens[run].random(3 * ESCAPE_BLOCK) for run in active])
-        # flat index of the removed slot in free, and the class and index uniforms
-        slot = (u[:, 0:3 * steps:3] * kf).astype(np.intp) + (np.arange(rows) * kf)[:, None]
-        slot = np.ascontiguousarray(slot.T)
-        u_class = np.ascontiguousarray(u[:, 1:3 * steps:3].T)
-        u_index = np.ascontiguousarray(u[:, 2:3 * steps:3].T)
-        free_flat = free.reshape(-1)
-        bases = np.empty((steps, rows), np.intp)
-        for s in range(steps):
-            at = row_at.take(base + free_flat.take(slot[s]))
-            below = acc.take(at[:, None] + class_ix) <= (u_class[s] * total.take(at))[:, None]
-            at += below.sum(1)
-            pick = first.take(at) + (u_index[s] * size.take(at)).astype(np.intp)
-            free_flat.put(slot[s], cands.take(pick))
-            base = bases[s] = succ.take(pick)
+        u = u.reshape(len(active), ESCAPE_BLOCK, 3)[:, :steps].swapaxes(0, 1)
+        bases = table.advance(free, base, u)
         hit = inside.take(bases // table.width) <= half
         escaped = hit.any(0)
         for i, first_hit in zip(np.flatnonzero(escaped), hit.argmax(0)[escaped]):
             times[int(active[i])] = done + int(first_hit) + 1
         keep = ~escaped
-        active, free, base = active[keep], free[keep], base[keep]
+        active, free, base = active[keep], free[keep], bases[-1][keep]
         done += steps
     return times
 

@@ -18,15 +18,15 @@ pool builder, ``_pools``, makes pools from counters; kernels update them.
 Slices whose facet count times free size stays within ``TABLE_ROW_CAP`` rows
 (checked first against a binomial bound, so large slices never enumerate)
 can be compiled into a ``FacetTable``: for every facet and free element, the
-pool builder makes the pools of the face left without it, stored with the
-class sums and each candidate's successor facet.  A table step is a row
-lookup and the same uniform draws, replaying the kernel bit for bit.  The
-estimator runs each chain as one ``FacetTable.histogram`` call, drawing its
-uniforms in blocks of at most ``rng.BLOCK`` floats (the stream of
-``UniformBuffer``) with each block's removal slots computed in NumPy.  The
-table carries its facets' law, from the same enumeration, and starts each
-chain at an exact draw from it (``FacetTable.draw``), so the chain needs no
-burn-in.  The lockstep escape-time experiment steps through tables too.
+pool builder makes the pools of the face left without it, stored in flat
+arrays with the class sums and each candidate's successor facet.  A table
+step is a row lookup and the same uniform draws, replaying the kernel bit
+for bit, and ``FacetTable.advance`` takes it for many chains at once, one
+array row each, in a few NumPy calls.  The table carries its facets' law,
+from the same enumeration, and draws exact starts from it
+(``FacetTable.draw``), so a chain started there needs no burn-in.  The
+estimator's replicas and the lockstep escape-time experiment both step
+through ``advance``.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .rng import UniformBuffer, rng_stream, uniform_blocks
+from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
                      _facet_weights, _law_within, greedy_facet)
 
@@ -279,84 +279,85 @@ TABLE_ROW_CAP = 20_000
 
 @dataclass(eq=False)
 class FacetTable:
-    """The down-up chain of an enumerated slice, one row per (facet, free id).
+    """The down-up chain of an enumerated slice, one row per (facet, free id),
+    compiled into flat arrays.
 
     ``free_ids[f]`` lists facet f's free ids in increasing order and
-    ``index`` maps the bitmask of a facet's free ids to f.  Facet f's rows
-    start at base ``f * width`` in ``rows``; free id v has row ``f * width +
-    v``, holding the candidate pools of the face left when v is removed.  A
-    uniform row is (cands, succ): the candidates in pool order and the base
-    of the facet each one leads to.  A ``weighted`` (one-sided) row is (acc,
-    total, classes) with the kernel's class sums and one (cands, succ) pair
-    per weight class from the smallest occupied one.  ``probs[f]`` is facet
-    f's probability under the slice's law and ``acc`` their running sums.
+    ``index`` maps the bitmask of a facet's free ids to f.  Facet f's row
+    base is ``f * width``, and free id v has row ``row_at[f * width + v]``,
+    the candidate pools of the face left when v is removed; facet f's rows
+    are its free ids' rows in order.  A row holds ``class_count`` weight
+    classes: one on a uniform table; on a ``weighted`` (one-sided) table
+    every uncovered count from the smallest occupied one up, then empty
+    padding.  Class c of row r is entry ``r * class_count + c`` of ``first``
+    and ``size``, which give its run of ``cands`` (the candidates in pool
+    order) and of ``succ`` (the row base of the facet each one leads to).
+    ``sums[r]`` holds the kernel's sequential class sums, padded with
+    infinities; the last real one is ``total[r]``.  ``probs[f]`` is facet f's
+    probability under the slice's law and ``acc`` their running sums.
     """
 
     width: int
     free_ids: list[tuple[int, ...]]
     index: dict[int, int]
-    rows: list
     weighted: bool
+    class_count: int
+    row_at: np.ndarray
+    sums: np.ndarray
+    total: np.ndarray
+    first: np.ndarray
+    size: np.ndarray
+    cands: np.ndarray
+    succ: np.ndarray
     probs: np.ndarray
-    acc: list[float]
+    acc: np.ndarray
 
     def start(self, free: Sequence[int]) -> int:
         """Row base of the facet whose free ids are ``free``."""
         return self.index[_id_mask(free)] * self.width
 
-    def draw(self, rng: np.random.Generator) -> list[int]:
-        """The free ids, in stepping order, of a facet drawn from the slice's
-        law with one uniform u of ``rng``: the first facet whose running sum
-        exceeds u times the total.  A chain started there is stationary from
-        its first step."""
-        return list(self.free_ids[bisect_right(self.acc, rng.random() * self.acc[-1])])
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Indices of ``count`` facets drawn from the slice's law, one
+        uniform u of ``rng`` each: the first facet whose running sum exceeds
+        u times the total.  A chain started there is stationary from its
+        first step."""
+        return np.searchsorted(self.acc, rng.random(count) * self.acc[-1], side="right")
 
-    def histogram(self, rng: np.random.Generator, free: list[int], count: int,
-                  thinning: int) -> np.ndarray:
-        """Facet counts of ``count`` samples, one every ``thinning`` non-lazy
-        steps, of the chain started at the facet whose free ids are ``free``
-        in a chain state's stepping order.
+    def advance(self, free: np.ndarray, base: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Step chains in lockstep, one per row of ``free``, and return the
+        row base of each after every step, shape (steps, chains).
 
-        ``free`` is updated in place, and the uniforms are drawn from ``rng``
-        in ``rng.uniform_blocks``, two a step (three on a weighted table): the
-        same uniforms in the same order as ``_step`` on ``rng``, so the
-        ``free`` sequence, the samples and the generator's next uniform are
-        those of the pool kernel.  The removal slots of a block are computed
-        at once, ``(u * k).astype(np.intp)`` being ``int(u * k)``.
+        Chain i is at the facet with row base ``base[i]``, whose free ids
+        ``free[i]`` (a C-contiguous array, updated in place) are in its
+        stepping order.  Step s reads ``u[s, i]``: the removal slot, on a
+        weighted table the weight class, and the index within the class,
+        the uniforms ``_step`` draws, so every chain replays the pool kernel
+        on them bit for bit.  ``(u * k).astype(np.intp)`` is ``int(u * k)``
+        and the class is the first whose sum exceeds u * total (u * total <
+        total in floating point), which is ``bisect_right`` over the sums.
         """
-        rows = self.rows
-        hist = [0] * len(rows)  # indexed by row base
-        base = self.start(free)
-        k = len(free)
-        steps = count * thinning if k else 0
-        if not k:  # the pinned face is the only facet, and a step draws nothing
-            hist[base] = count
-        unit = 3 if self.weighted else 2
-        left = thinning  # steps to the next sample
-        for u in uniform_blocks(rng, unit * steps, unit):
-            slots = (u[0::unit] * k).astype(np.intp).tolist()
+        steps, chains = u.shape[:2]
+        k = free.shape[1]
+        out = np.empty((steps, chains), np.intp)
+        if not k:  # the pinned face is the only facet, and a step moves nothing
+            out[:] = base
+            return out
+        u = np.ascontiguousarray(np.moveaxis(u, 2, 0))  # (uniform, step, chain)
+        slots = (u[0] * k).astype(np.intp) + np.arange(0, chains * k, k)
+        flat = free.reshape(-1)
+        row_at, first, size, cands, succ = (self.row_at, self.first, self.size, self.cands,
+                                             self.succ)
+        sums, total, per_row = self.sums, self.total, self.class_count
+        for s in range(steps):
+            slot = slots[s]
+            at = row_at.take(base + flat.take(slot))
             if self.weighted:
-                for pos, u_class, u_at in zip(slots, u[1::3].tolist(), u[2::3].tolist()):
-                    acc, total, classes = rows[base + free[pos]]
-                    cands, succ = classes[bisect_right(acc, u_class * total)]
-                    at = int(u_at * len(cands))
-                    free[pos] = cands[at]
-                    base = succ[at]
-                    left -= 1
-                    if not left:
-                        hist[base] += 1
-                        left = thinning
-            else:
-                for pos, u_at in zip(slots, u[1::2].tolist()):
-                    cands, succ = rows[base + free[pos]]
-                    at = int(u_at * len(cands))
-                    free[pos] = cands[at]
-                    base = succ[at]
-                    left -= 1
-                    if not left:
-                        hist[base] += 1
-                        left = thinning
-        return np.array(hist[::self.width], dtype=np.int64)
+                below = sums.take(at, axis=0) <= (u[1, s] * total.take(at))[:, None]
+                at = at * per_row + below.argmin(1)
+            pick = first.take(at) + (u[-1, s] * size.take(at)).astype(np.intp)
+            flat.put(slot, cands.take(pick))
+            base = out[s] = succ.take(pick)
+        return out
 
     @cached_property
     def incidence(self) -> np.ndarray:
@@ -369,10 +370,16 @@ class FacetTable:
     def classes(self) -> int:
         """Number of communicating classes.  The chain is reversible, so
         they are the connected components of the successor lists."""
-        width = self.width
-        seen = [False] * len(self.free_ids)
+        facets = len(self.free_ids)
+        per_facet = self.class_count * len(self.free_ids[0])
+        if not per_facet:
+            return facets
+        # facet f's candidates run from ends[f] to ends[f + 1]
+        ends = self.first[::per_facet].tolist() + [len(self.cands)]
+        succ = (self.succ // self.width).tolist()
+        seen = [False] * facets
         count = 0
-        for root in range(len(seen)):
+        for root in range(facets):
             if seen[root]:
                 continue
             count += 1
@@ -380,13 +387,10 @@ class FacetTable:
             stack = [root]
             while stack:
                 f = stack.pop()
-                for v in self.free_ids[f]:
-                    row = self.rows[f * width + v]
-                    for _, succ in (row[2] if self.weighted else (row,)):
-                        for g in {b // width for b in succ}:
-                            if not seen[g]:
-                                seen[g] = True
-                                stack.append(g)
+                for g in set(succ[ends[f]:ends[f + 1]]):
+                    if not seen[g]:
+                        seen[g] = True
+                        stack.append(g)
         return count
 
 
@@ -395,12 +399,6 @@ def _id_mask(ids: Iterable[int]) -> int:
     for v in ids:
         mask |= 1 << v
     return mask
-
-
-def _draw(cands: list[int], base_of: dict[int, int], rest: int):
-    """(cands, succ) for a row: the candidates, and the row base of the facet
-    each completes when added to the free ids in the bitmask ``rest``."""
-    return tuple(cands), tuple([base_of[rest | 1 << c] for c in cands])
 
 
 def facet_table(slc: Slice) -> FacetTable | None:
@@ -425,10 +423,15 @@ def facet_table(slc: Slice) -> FacetTable | None:
     pinned = slc.pinned_ids
     free_ids = [tuple(v for v in slc.to_ids(f) if v not in pinned) for f in facets]
     index = {_id_mask(ids): f for f, ids in enumerate(free_ids)}
-    # one int object per base, shared by every successor list
     base_of = {mask: f * width for mask, f in index.items()}
-    rows: list = [None] * (len(facets) * width)
     weighted = slc.coverage_weighted
+    per_row = slc.graph.degree + 1 if weighted else 1
+    row_at = np.zeros(len(facets) * width, np.intp)
+    sums: list[float] = []
+    total: list[float] = []
+    size: list[int] = []
+    cands: list[int] = []
+    succ: list[int] = []
     part_of = slc.part_of
     for f, facet in enumerate(facets):
         member, cover, unc = _counts(slc, slc.to_ids(facet))
@@ -441,17 +444,30 @@ def facet_table(slc: Slice) -> FacetTable | None:
                 if weighted and not face_cover[u]:
                     for x in adj[u]:
                         face_unc[x] += 1
-            rest = mask ^ (1 << v)
+            row_at[f * width + v] = len(total)
             if weighted:  # the classes from the smallest occupied one
-                classes = list(dropwhile(not_, _pools(slc, face_member, face_cover, face_unc)))
-                acc = [*accumulate(map(mul, map(len, classes), slc.class_weights))]
-                rows[f * width + v] = (acc, acc[-1], [_draw(p, base_of, rest) for p in classes])
+                pools = list(dropwhile(not_, _pools(slc, face_member, face_cover, face_unc)))
+                acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
+                sums += acc + [np.inf] * (per_row - len(acc))
+                total.append(acc[-1])
+                pools += [[]] * (per_row - len(pools))
             else:
                 lo, hi, _ = slc.parts[part_of[v]]
-                rows[f * width + v] = _draw(_part_pool(face_member, face_cover, lo, hi),
-                                            base_of, rest)
-    return FacetTable(width, free_ids, index, rows, weighted, probs,
-                      [*accumulate(probs.tolist())])
+                pools = [_part_pool(face_member, face_cover, lo, hi)]
+                total.append(float(len(pools[0])))
+                sums.append(total[-1])
+            rest = mask ^ (1 << v)
+            for pool in pools:
+                size.append(len(pool))
+                cands += pool
+                succ += [base_of[rest | 1 << c] for c in pool]
+    size_arr = np.array(size, np.intp)
+    first = np.zeros(len(size), np.intp)
+    np.cumsum(size_arr[:-1], out=first[1:])
+    return FacetTable(width, free_ids, index, weighted, per_row, row_at,
+                      np.array(sums).reshape(len(total), per_row), np.array(total),
+                      first, size_arr, np.array(cands, np.intp), np.array(succ, np.intp),
+                      probs, np.cumsum(probs))
 
 
 # -- chains -----------------------------------------------------------------------
@@ -598,16 +614,24 @@ def spectral_gap(p: np.ndarray, pi: np.ndarray):
     """(lambda2, lambda_star, gap) of a reversible row-stochastic matrix.
 
     The matrix is symmetrized by conjugating with diag(pi)^(1/2); a detailed
-    balance violation beyond ``REVERSIBILITY_TOL`` raises.  ``gap`` is
-    1 - lambda2, the quantity that controls the lazy chain's mixing.  A
-    stack of matrices (a leading axis on ``p`` and ``pi``) is solved by one
-    stacked ``eigvalsh`` call and gives three arrays, one entry per matrix.
+    balance violation beyond ``REVERSIBILITY_TOL`` raises.  Where pi
+    underflows to 0 (a slice at extreme fugacity), an entry whose
+    conjugation would divide by 0 is sqrt(P_ij P_ji) instead, the same entry
+    of a reversible P.  ``gap`` is 1 - lambda2, the quantity that controls
+    the lazy chain's mixing.  A stack of matrices (a leading axis on ``p``
+    and ``pi``) is solved by one stacked ``eigvalsh`` call and gives three
+    arrays, one entry per matrix.
     """
     flow = pi[..., :, None] * p
     if np.max(np.abs(flow - flow.swapaxes(-1, -2))) > REVERSIBILITY_TOL:
         raise ValueError("matrix is not reversible with respect to pi")
     root = np.sqrt(pi)
-    sym = flow / (root[..., :, None] * root[..., None, :])
+    scale = root[..., :, None] * root[..., None, :]
+    if scale.all():
+        sym = flow / scale
+    else:
+        sym = np.sqrt(p * p.swapaxes(-1, -2))
+        np.divide(flow, scale, out=sym, where=scale != 0)
     vals = np.linalg.eigvalsh(sym)
     lam2 = vals[..., -2] if vals.shape[-1] > 1 else vals[..., -1]
     lam_star = np.maximum(lam2, np.abs(vals[..., 0]))

@@ -111,6 +111,22 @@ class TestSample:
                                  "--burn-in", "-5")
         assert code == 2 and out == "" and "burn_in" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gap_oracle_survives_an_underflowed_law(self, tmp_path, capsys):
+        # at fugacity 1e300 some facet probabilities underflow to 0; the gap
+        # oracle once divided by their square roots and exited 2 with
+        # "Eigenvalues did not converge"
+        path = tmp_path / "g6.txt"
+        assert main(["gen-graph", "--bipartite", "--n", "6", "--delta", "2",
+                     "--seed", "0", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "sample", "--in", str(path), "--family",
+                                 "one-sided", "--k", "3", "--lambda", "1e300",
+                                 "--steps", "400")
+        assert code == 0 and err == ""
+        gap = json.loads(out)["mixing"]["exact_gap"]
+        assert gap is not None and 0.0 <= gap <= 1.0
+
     def test_infeasible_slice_exit_3(self, tmp_path, capsys):
         # greedy restarts find no facet of a (6, 6) slice at side 12, degree 3
         path = tmp_path / "g12.txt"

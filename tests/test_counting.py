@@ -5,6 +5,7 @@ import inspect
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import slicewalk
@@ -16,6 +17,7 @@ from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdP
                                 occupancy_profile, thresholds)
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
 from slicewalk.slices import OneSidedSlice, TwoSidedSlice
+from slicewalk.rng import rng_stream
 from slicewalk.walks import _make_state
 
 
@@ -115,6 +117,23 @@ class TestUncoveredHistogram:
             assert full[k] == want
             # a single size, with the prefixes that cannot reach k pruned
             assert _uncovered_histogram(g, k, k) == [[0] * (n + 1)] * k + [want]
+
+    @pytest.mark.parametrize("n, degree, seed", [
+        (1, 1, 0), (2, 1, 3), (4, 2, 1), (5, 3, 2), (6, 2, 7), (7, 3, 4), (8, 3, 1),
+        (9, 4, 5), (10, 3, 6), (11, 2, 8), (12, 3, 9), (12, 4, 10)])
+    def test_single_sizes_near_the_side_match_brute_force(self, n, degree, seed):
+        # above half the side a row is enumerated by the vertices it leaves out
+        g = gen_bipartite_regular(n, degree, seed=seed)
+        for k in range(max(0, n - 3), n + 2):
+            assert counting._uncovered_row(g, k) == _brute_uncovered(g, k)
+
+    def test_sizes_near_the_side_skip_the_prefix_pass(self, monkeypatch):
+        # C(40, 38) = 780 subsets, whose prefixes number C(41, 38) = 10,660
+        g = gen_bipartite_regular(40, 3, seed=2)
+        want = [_brute_uncovered(g, k) for k in (38, 39, 40)]
+        monkeypatch.setattr(counting, "_uncovered_histogram", _no_pass)
+        assert [counting._uncovered_row(g, k) for k in (38, 39, 40)] == want
+        assert exact_slice_count(g, 38, 0) == 780
 
     @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 3), (2, 4), (3, 7), (7, 7)])
     def test_rows_outside_the_range_are_zero(self, lo, hi):
@@ -279,15 +298,19 @@ class TestEstimators:
 
     def test_pool_kernels_give_the_facet_table_estimates(self, monkeypatch):
         # slices above the table cap step through the pool kernels, which
-        # draw the same uniforms the same way: started where the table's draw
-        # starts and run without burn-in, they give the same estimates
+        # read the same time-major uniforms: with as many replicas, started
+        # where the table's draws start and run without burn-in, they give
+        # the same estimates
+        monkeypatch.setattr(counting, "TABLE_REPLICAS", counting.REPLICAS)
         g = gen_bipartite_regular(8, 3, seed=1)
         runs = [lambda: estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5),
                 lambda: estimate_one_sided_partition(g, 3, 0.3, 0.3, 0.1, seed=5)]
         tabled = [run() for run in runs]
+        assert any(t.method == "sampled" for est in tabled for t in est.trace)
 
         def table_start(slc, rng):
-            free = walks.facet_table(slc).draw(rng)
+            table = walks.facet_table(slc)
+            free = table.free_ids[table.draw(rng, 1)[0]]
             return _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
 
         monkeypatch.setattr(counting, "facet_table", lambda slc: None)
@@ -295,6 +318,67 @@ class TestEstimators:
         monkeypatch.setattr(counting, "greedy_initial_state", table_start)
         for est, run in zip(tabled, runs):
             assert run() == est
+
+    @pytest.mark.parametrize("block", [1, 40, 8192])
+    @pytest.mark.parametrize("tabled", [True, False])
+    def test_membership_counts_replay_the_scalar_kernel(self, monkeypatch, tabled, block):
+        # each replica is _step on its column of the phase's time-major step
+        # stream, from its start in replica order, sampled after burn + thin,
+        # burn + 2 thin, ... steps; the table path starts at the law's draws,
+        # the kernel path at greedy facets after 13 unsampled steps, more than
+        # the thinning; blocks of one step, of a few, and of the whole phase
+        monkeypatch.setattr("slicewalk.rng.BLOCK", block)
+        monkeypatch.setattr(counting, "TABLE_REPLICAS", 3)
+        monkeypatch.setattr(counting, "REPLICAS", 3)
+        g = gen_bipartite_regular(8, 3, seed=1)
+        for slc in (TwoSidedSlice(g, 2, 2), OneSidedSlice(g, 3, 0.4)):
+            table = walks.facet_table(slc) if tabled else None
+            burn = 0 if tabled else 13
+            counts, got = counting._membership_counts(slc, 7, 4, (0, 1, 1), table, burn)
+            per, thin, unit = 3, 2 * slc.free_size, 3 if slc.coverage_weighted else 2
+            assert got == 3 * per
+            start = rng_stream(4, 0, 1, 1, 0)
+            if tabled:
+                t = walks.facet_table(slc)
+                states = [_make_state(slc, slc.from_ids(set(t.free_ids[f]) | slc.pinned_ids))
+                          for f in t.draw(start, 3)]
+            else:
+                states = [walks.greedy_initial_state(slc, start) for _ in range(3)]
+            steps = burn + per * thin
+            columns = rng_stream(4, 0, 1, 1, 1).random((steps, 3, unit))
+            want = np.zeros_like(counts)
+            for r, state in enumerate(states):
+                rand = iter(columns[:, r].ravel().tolist()).__next__
+                for t in range(1, steps + 1):
+                    walks._step(slc, state, rand)
+                    if t > burn and (t - burn) % thin == 0:
+                        want[state.free] += 1
+            assert counts.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("tabled", [True, False])
+    def test_a_phase_builds_at_most_two_generators(self, monkeypatch, tabled):
+        # one stream for the starts and one for the steps, whatever the
+        # replica count, on the table path and on the kernel path alike
+        if not tabled:
+            monkeypatch.setattr(walks, "TABLE_ROW_CAP", 0)
+        paths = []
+        real_stream = counting.rng_stream
+
+        def stream_spy(seed, *path):
+            paths.append(path)
+            return real_stream(seed, *path)
+
+        monkeypatch.setattr(counting, "rng_stream", stream_spy)
+        for replicas in (4, 64):
+            monkeypatch.setattr(counting, "TABLE_REPLICAS", replicas)
+            monkeypatch.setattr(counting, "REPLICAS", replicas)
+            paths.clear()
+            est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2,
+                                           0.3, 0.1, seed=5)
+            phases = {path[:-1] for path in paths}
+            sampled = sum(t.method == "sampled" for t in est.trace)
+            assert sampled and len(phases) == 2 * sampled  # a pilot and a main phase each
+            assert all(sum(p[:-1] == phase for p in paths) <= 2 for phase in phases)
 
     def test_each_table_level_enumerates_once(self, monkeypatch):
         # the table's rows and the law its replicas start from (or the
@@ -336,7 +420,8 @@ class TestEstimators:
         assert counting._exact_marginal(slc) is None
 
     def test_samples_count_what_the_chains_collected(self, monkeypatch):
-        # at side 12 the pilot asks for 299 samples and its 4 replicas collect 300
+        # at side 12 the top level fits a facet table: the pilot asks for 299
+        # samples and its 128 lockstep replicas collect 384
         collected = []
         membership_counts = counting._membership_counts
 

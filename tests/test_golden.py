@@ -49,6 +49,16 @@ in: the start state and the step count both changed, so every sampled
 level's chain moved.  Each asserts that its estimate lies within its epsilon
 of the exact oracle, which the changed values met before they were pinned.
 The empty and full slice literals sample no level and did not move.
+
+They were recomputed again when a table level's replicas began to step in
+lockstep: 128 replicas instead of 4, the starts of a phase drawn from one
+stream and its steps from another, read time-major.  Every sampled level
+then draws different uniforms, and each replica's sample count is rounded
+up over more replicas, so the samples moved with the values.  Each
+estimate was checked within its epsilon of the exact oracle before it was
+pinned: the two-sided count 15.8% above it, the one-sided partition 5.8%
+below, the banded estimate 0.18% above and the median of repetitions 0.47%
+below.
 """
 from __future__ import annotations
 
@@ -126,18 +136,18 @@ def test_long_chain_digest(run):
 def test_two_sided_estimate_bits():
     g = gen_bipartite_regular(8, 3, seed=1)
     est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
-    assert est.log_value.hex() == "0x1.27032e1052734p+2"
-    assert [t.pinned for t in est.trace] == [(1, 4), (0, 1), (0, 0), (1, 1)]
-    assert est.samples == 816
+    assert est.log_value.hex() == "0x1.2367f73011e96p+2"
+    assert [t.pinned for t in est.trace] == [(0, 1), (1, 1), (0, 0), (1, 2)]
+    assert est.samples == 1024
     assert abs(est.value / exact_slice_count(g, 2, 2) - 1) <= 0.3
 
 
 def test_one_sided_estimate_bits():
     g = gen_bipartite_regular(8, 3, seed=1)
     est = estimate_one_sided_partition(g, 3, 0.3, 0.3, 0.1, seed=5)
-    assert est.log_value.hex() == "0x1.575062ff34370p-1"
-    assert [t.pinned for t in est.trace] == [5, 3, 2]
-    assert est.samples == 540
+    assert est.log_value.hex() == "0x1.809d1c1eaf99cp-1"
+    assert [t.pinned for t in est.trace] == [4, 7, 0]
+    assert est.samples == 640
     assert abs(est.value / exact_one_sided_partition(g, 3, 0.3) - 1) <= 0.3
 
 
@@ -147,12 +157,12 @@ def test_partition_hat_bits():
     g = gen_bipartite_regular(8, 3, seed=1)
     thr = thresholds(3, 0.25)
     est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=thr)
-    assert est.log_value.hex() == "0x1.6e366419fa829p+1"
-    assert est.samples == 10408
+    assert est.log_value.hex() == "0x1.6e024bf8e8a8ep+1"
+    assert est.samples == 12288
     assert [(b.kind, b.k_range, b.value_log.hex(), b.samples) for b in est.bands] == [
-        ("two-sided", (0, 1), "0x1.02ad10c5c6a46p+1", 2284),
-        ("one-sided-x", (2, 8), "0x1.9a4521e38b23ep+0", 4048),
-        ("one-sided-y", (2, 8), "0x1.9a650a2885a08p+0", 4076),
+        ("two-sided", (0, 1), "0x1.024393babaaccp+1", 2304),
+        ("one-sided-x", (2, 8), "0x1.9caffcc45ff90p+0", 4992),
+        ("one-sided-y", (2, 8), "0x1.97c5c02b8d4dcp+0", 4992),
     ]
     exact = exact_partition_hat(g, 0.25, thr)
     assert [v.hex() for v in exact] == ["0x1.16baa00000000p+4", "0x1.95d0000000000p-2"]
@@ -163,8 +173,8 @@ def test_median_of_repetitions_bits():
     # delta < 1e-3 takes the median over ceil(12 ln(1/delta)) = 92 telescopes
     g = gen_bipartite_regular(8, 3, seed=1)
     est = estimate_two_sided_count(g, 2, 2, 0.3, 5e-4, seed=5)
-    assert est.log_value.hex() == "0x1.1bc3eb3f9bb9ap+2"
-    assert est.samples == 47936
+    assert est.log_value.hex() == "0x1.19ba20c2ad8bcp+2"
+    assert est.samples == 66304
     assert [(t.pinned, t.method) for t in est.trace] == [
         ((1, 4), "sampled"), ((0, 1), "exact"), ((0, 0), "exact"), ((1, 1), "exact")]
     assert abs(est.value / exact_slice_count(g, 2, 2) - 1) <= 0.3

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from slicewalk import slices, walks
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
-from slicewalk.rng import rng_stream
+from slicewalk.rng import rng_stream, uniform_blocks
 from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumerate_facets,
                               exact_distribution, greedy_facet)
 from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _step, down_up_step,
@@ -43,6 +43,28 @@ class TestSpectralGap:
         lam2, lam_star, gap = spectral_gap(p, np.full(m, 1 / m))
         assert lam2 == pytest.approx(-1 / (m - 1), abs=1e-12)
         assert lam_star == pytest.approx(1 / (m - 1), abs=1e-12)
+
+    def test_underflowed_stationary_entries(self):
+        # a birth-death chain whose pi falls by about 1e-150 a state: the
+        # last entry underflows to 0, where sqrt(P_ij P_ji) replaces the
+        # conjugation by diag(pi)^(1/2).  The symmetrized off-diagonal
+        # entries are at most sqrt(r / 2) ~ 7e-76, so the eigenvalues are the
+        # diagonal (1 - r, 0.5 - r, 0.5 - r, 0.9) up to 1e-150, and lambda2
+        # is the diagonal entry of the state whose pi underflowed
+        r = 1e-150
+        p = np.diag([r, r, r], 1) + np.diag([0.5, 0.5, 0.1], -1)
+        p += np.diag(1.0 - p.sum(1))
+        pi = np.array([1.0, 2 * r, 4 * r * r, 40 * r ** 3])
+        assert pi[-1] == 0.0 and pi[-2] > 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            lam2, _, gap = spectral_gap(p, pi / pi.sum())
+        assert lam2 == pytest.approx(0.9, abs=1e-12) and gap == pytest.approx(0.1, abs=1e-12)
+        # with every entry positive the conjugation is unchanged, bit for bit
+        q = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
+        rho = np.array([0.25, 0.5, 0.25])
+        root = np.sqrt(rho)
+        want = np.linalg.eigvalsh(rho[:, None] * q / (root[:, None] * root[None, :]))[-2]
+        assert spectral_gap(q, rho)[0] == want
 
     def test_non_reversible_rejected(self):
         p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -177,16 +199,51 @@ def _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask):
     return slc.with_face(slc.from_ids(v for i, v in enumerate(ids) if pin_mask >> i & 1)), facet
 
 
-def _replay_histogram(slc, facet, table, rng, count, thinning):
-    """Facet histogram and final state of ``_step`` on scalar draws of ``rng``,
-    sampled as ``FacetTable.histogram`` samples."""
+def _replay_histogram(slc, facet, table, rand, count, thinning):
+    """Facet histogram and final state of ``_step`` on the uniforms ``rand``
+    serves, sampled after every ``thinning`` steps."""
     state = _make_state(slc, facet)
     want = [0] * len(table.free_ids)
     for t in range(1, count * thinning + 1):
-        _step(slc, state, rng.random)
+        _step(slc, state, rand)
         if t % thinning == 0:
             want[table.start(state.free) // table.width] += 1
     return want, state
+
+
+def _lockstep(table, starts, rng, steps, unit):
+    """Row bases after every step (shape (steps, chains)) and final free ids
+    of ``FacetTable.advance`` on one chain per entry of ``starts`` (free ids
+    in stepping order), reading ``unit`` uniforms a step from time-major
+    ``rng.uniform_blocks`` of ``rng`` as the estimator does."""
+    chains = len(starts)
+    free = np.array(starts, np.intp).reshape(chains, -1)
+    base = np.array([table.start(f) for f in starts], np.intp)
+    out = [np.empty((0, chains), np.intp)]
+    for u in uniform_blocks(rng, unit * chains * steps, unit * chains):
+        out.append(table.advance(free, base, u.reshape(-1, chains, unit)))
+        base = out[-1][-1]
+    return np.concatenate(out), free
+
+
+def _check_rows_replay(slc, table, starts, seed, count, thinning):
+    """Each lockstep chain r against ``_step`` on column r of the same
+    time-major uniforms: the same samples, free order and uniform count."""
+    unit = 3 if table.weighted else 2
+    steps = count * thinning
+    bases, free = _lockstep(table, starts, rng_stream(seed, 1), steps, unit)
+    assert bases.shape == (steps, len(starts))
+    columns = rng_stream(seed, 1).random((steps, len(starts), unit))
+    for r, start in enumerate(starts):
+        col = iter(columns[:, r].ravel().tolist())
+        facet = slc.from_ids(set(start) | slc.pinned_ids)
+        want, state = _replay_histogram(slc, facet, table, col.__next__, count, thinning)
+        got = np.bincount(bases[thinning - 1::thinning, r] // table.width,
+                          minlength=len(table.free_ids))
+        assert got.tolist() == want
+        assert free[r].tolist() == state.free
+        # the scalar chain drew its whole column, or nothing when nothing is free
+        assert len(list(col)) == (0 if slc.free_size else unit * steps)
 
 
 class TestFacetTable:
@@ -204,30 +261,30 @@ class TestFacetTable:
         slc, facet = made
         table = facet_table(slc)
         assert table is not None
-        # the same stream gives the same samples, free order and next uniform
-        kernel_rng, table_rng = rng_stream(seed, 1), rng_stream(seed, 1)
-        want, state = _replay_histogram(slc, facet, table, kernel_rng, count, thinning)
-        free = _make_state(slc, facet).free
-        hist = table.histogram(table_rng, free, count, thinning)
-        assert hist.tolist() == want
-        assert free == state.free
-        assert kernel_rng.random() == table_rng.random()  # both drew as many uniforms
+        # three chains in lockstep: one at the greedy facet, two at draws
+        # from the law; each row replays the scalar kernel on its column
+        drawn = table.draw(rng_stream(seed, 0), 2).tolist()
+        starts = [_make_state(slc, facet).free] + [list(table.free_ids[f]) for f in drawn]
+        _check_rows_replay(slc, table, starts, seed, count, thinning)
         # every row follows from enumerate_facets alone: the candidates of
         # (facet, v) are the ids c, v among them, that complete the face
         # without v to a facet, ascending; a weighted row groups them by their
         # uncovered neighbours under the face from the smallest count up, with
-        # (acc, total) the sequential sums of the class weights
+        # (sums, total) the sequential sums of the class weights
         adj = slc.graph.global_adj
         pinned = slc.pinned_ids
         width = table.width
+        per_row = table.class_count
+        assert per_row == (slc.graph.degree + 1 if table.weighted else 1)
         facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
         for f, ids in enumerate(table.free_ids):
-            for v in ids:
+            for j, v in enumerate(ids):
                 face = (set(ids) - {v}) | pinned
                 cands = [c for c in range(width)
                          if c not in face and frozenset(face | {c}) in facet_ids]
                 assert v in cands
-                row = table.rows[f * width + v]
+                row = int(table.row_at[f * width + v])
+                assert row == f * len(ids) + j  # a facet's rows in its free ids' order
                 if table.weighted:
                     covered = {j for u in face for j in adj[u]}
                     unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
@@ -237,14 +294,19 @@ class TestFacetTable:
                     for members, w in zip(classes, slc.class_weights):
                         total += len(members) * w
                         acc.append(total)
-                    assert (row[0], row[1]) == (acc, total)
-                    drawn = list(zip(classes, row[2]))
+                    pad = per_row - len(classes)
+                    assert table.sums[row].tolist() == acc + [np.inf] * pad
+                    assert table.total[row] == total
+                    classes += [[]] * pad
                 else:
-                    drawn = [(cands, row)]
-                for want, (got, succ) in drawn:
-                    assert list(got) == want
-                    assert [table.free_ids[b // width] for b in succ] == [
-                        tuple(sorted(set(ids) - {v} | {c})) for c in got]
+                    classes = [cands]
+                    assert table.sums[row].tolist() == [table.total[row]] == [len(cands)]
+                for c, want in enumerate(classes):
+                    at = row * per_row + c
+                    lo, hi = table.first[at], table.first[at] + table.size[at]
+                    assert table.cands[lo:hi].tolist() == want
+                    assert [table.free_ids[b // width] for b in table.succ[lo:hi]] == [
+                        tuple(sorted(set(ids) - {v} | {c})) for c in want]
         # communicating classes against the exact chain's support
         facets, p, _ = exact_transition_matrix(slc)
         assert len(facets) == len(table.free_ids)
@@ -256,21 +318,28 @@ class TestFacetTable:
         else:
             assert table.classes() == 1  # every k-subset has positive weight
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 7])
+    @pytest.mark.parametrize("block", [1, 2, 5, 7, 20, 50])
     def test_histogram_across_block_boundaries(self, monkeypatch, block):
-        # blocks of whole steps, one step when a step takes more than BLOCK
+        # blocks of whole steps of every chain, one step when a step of all
+        # three takes more than BLOCK
         monkeypatch.setattr("slicewalk.rng.BLOCK", block)
         g = gen_bipartite_regular(8, 3, seed=12)
         for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4),
                     RegularSlice(gen_regular(10, 3, seed=2), 3)):
-            facet = greedy_facet(slc, rng_stream(4))
             table = facet_table(slc)
-            kernel_rng, table_rng = rng_stream(9, 1), rng_stream(9, 1)
-            want, state = _replay_histogram(slc, facet, table, kernel_rng, 13, 3)
-            free = _make_state(slc, facet).free
-            assert table.histogram(table_rng, free, 13, 3).tolist() == want
-            assert free == state.free
-            assert kernel_rng.random() == table_rng.random()
+            starts = [_make_state(slc, greedy_facet(slc, rng_stream(4))).free]
+            starts += [list(table.free_ids[f]) for f in table.draw(rng_stream(5), 2)]
+            _check_rows_replay(slc, table, starts, 9, 13, 3)
+
+    def test_face_with_nothing_free(self):
+        # the pinned face is the only facet: every chain stays, drawing nothing
+        g = gen_bipartite_regular(8, 3, seed=12)
+        for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4)):
+            facet = greedy_facet(slc, rng_stream(4))
+            slc = slc.with_face(facet)
+            table = facet_table(slc)
+            assert slc.free_size == 0 and len(table.free_ids) == 1
+            _check_rows_replay(slc, table, [[], []], 3, 5, 1)
 
     def test_slices_above_the_cap_get_no_table(self):
         # decided by the binomial bound before any enumeration
@@ -298,33 +367,37 @@ class TestStationaryStart:
         facets, probs = exact_distribution(slc)
         table = facet_table(slc)
         assert table.probs.tolist() == probs.tolist()  # in the enumeration's order
-        rng = rng_stream(3)
         draws = 20_000
-        counts = np.zeros(len(facets))
-        for _ in range(draws):
-            free = table.draw(rng)
-            f = table.start(free) // table.width
-            assert tuple(free) == table.free_ids[f]  # the table's stepping order
-            counts[f] += 1
-        # the draw is a facet in a chain state's stepping order
-        state = _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
-        assert state.free == free and state.recount_ok()
+        drawn = table.draw(rng_stream(3), draws)
+        # one draw at a time reads the same uniforms and picks the same facets
+        rng = rng_stream(3)
+        assert [int(table.draw(rng, 1)[0]) for _ in range(50)] == drawn[:50].tolist()
+        counts = np.bincount(drawn, minlength=len(facets))
+        # a draw's free ids are a facet in a chain state's stepping order
+        for f in drawn[:20].tolist():
+            free = list(table.free_ids[f])
+            assert table.start(free) == f * table.width
+            state = _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
+            assert state.free == free and state.recount_ok()
         assert len(facets) == (56 if weighted else 82)
         assert np.all(np.abs(counts / draws - probs) <= 4.5 * np.sqrt(probs * (1 - probs) / draws))
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_table_chain_from_a_start_needs_no_burn_in(self, weighted):
-        # 400 replicas of 10 samples each, thinned as the estimator thins,
-        # started from the law with no burn-in: the pooled TV stays within
-        # 1.5 x 0.5 sum sqrt(p (1 - p) / N), the bound on the expected TV of
-        # N independent draws
+        # 400 chains in lockstep, 10 samples each, thinned as the estimator
+        # thins, started from the law with no burn-in: the pooled TV stays
+        # within 1.5 x 0.5 sum sqrt(p (1 - p) / N), the bound on the expected
+        # TV of N independent draws
         g = gen_bipartite_regular(8, 3, seed=1)
         slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
         _, probs = exact_distribution(slc)
         table = facet_table(slc)
-        reps, per = 400, 10
-        hist = sum(table.histogram(rng_stream(8, r, 1), table.draw(rng_stream(8, r, 0)), per,
-                                   2 * slc.free_size) for r in range(reps))
+        reps, per, thin = 400, 10, 2 * slc.free_size
+        starts = [list(table.free_ids[f]) for f in table.draw(rng_stream(8, 0), reps)]
+        bases, _ = _lockstep(table, starts, rng_stream(8, 1), per * thin, 3 if weighted else 2)
+        hist = np.bincount(bases[thin - 1::thin].ravel() // table.width,
+                           minlength=len(probs))
+        assert hist.sum() == reps * per
         noise = 0.5 * np.sqrt(probs * (1 - probs) / (reps * per)).sum()
         assert tv_distance(hist, probs) <= 1.5 * noise
 
