@@ -6,16 +6,21 @@ vertex, the vertex is pinned (passing to its link), and the telescoping
 product of inverse marginals gives the count.  The heavy vertex is the argmax
 of pilot-estimated marginals; an averaging argument guarantees the true max
 marginal is at least (level size)/(side size), so the pilot only needs
-constant-factor accuracy.  Levels small enough for a facet table step
-TABLE_REPLICAS replicas through it in lockstep (``FacetTable.advance``), each
-started at an exact draw from the law the table carries (``FacetTable.draw``),
-so every sample is stationary and no replica burns in.  A level whose table
-splits into several communicating classes takes the exact marginal from that
-law instead: replicas never cross between classes, so they cannot weigh the
-classes.  Larger levels run REPLICAS replicas from greedy facets, burn in,
-and are sampled unchecked.  Either way a phase draws its starts from one
-stream and its steps from another, read time-major, replica r reading
-column r, so the two paths count the same samples from the same starts.
+constant-factor accuracy.  A term's table is compiled once, at the first
+level small enough for one (the top level's is shared by every repetition),
+and each level below reads its own table from the one above by restriction
+(``FacetTable.pin``); a level that an exact facet bound shows to hold at
+most EXACT_MARGINAL_CAP facets needs none.  Table levels step TABLE_REPLICAS replicas through it
+in lockstep (``FacetTable.advance``), each started at an exact draw from the
+law the table carries (``FacetTable.draw``), so every sample is stationary
+and no replica burns in.  A table level of at most EXACT_MARGINAL_CAP
+facets, or whose table splits into several communicating classes, takes
+the exact marginal from that law instead: replicas never cross between
+classes, so they cannot weigh the classes.  Larger levels run REPLICAS
+replicas from greedy facets, burn in, and are sampled unchecked.  Either
+way a phase draws its starts from one stream and its steps from another,
+read time-major, replica r reading column r, so the two paths count the
+same samples from the same starts.
 
 Exact oracles are kept deliberately independent of the estimators: the
 partition function uses exact rational branch-and-bound, slice counts use
@@ -37,8 +42,10 @@ import numpy as np
 
 from .graphs import BipartiteRegularGraph
 from .rng import rng_stream, uniform_blocks
-from .slices import OneSidedSlice, Slice, SliceError, TwoSidedSlice, _law_within
-from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
+from .slices import (OneSidedSlice, Slice, SliceError, TwoSidedSlice, _facet_bound,
+                     _law_within)
+from .walks import (FacetTable, InitialStateError, _free_ids, facet_table,
+                    greedy_initial_state)
 
 LOG_ZERO = float("-inf")
 
@@ -417,7 +424,7 @@ def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, .
     done = 0
     if table is not None:
         facets = table.draw(start, reps)
-        free = np.array(table.free_ids, np.intp)[facets]
+        free = table.free[facets]
         base = facets * table.width
         sampled = []
         for u in blocks:
@@ -427,8 +434,9 @@ def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, .
             done += len(bases)
         if sampled:
             hist = np.bincount(np.concatenate(sampled).ravel() // table.width,
-                               minlength=len(table.free_ids))
-            counts += hist @ table.incidence
+                               minlength=len(table.free))
+            counts += np.bincount(table.free.ravel(), np.repeat(hist, k),
+                                  len(counts)).astype(np.int64)
         return counts, per * reps
     states = [greedy_initial_state(slc, start) for _ in range(reps)]
     for u in blocks:
@@ -458,18 +466,13 @@ def _exact_marginal(slc: Slice):
     """(argmax global id, exact marginal) from the conditional enumerated
     within EXACT_MARGINAL_CAP facets, or None."""
     law = _law_within(slc, EXACT_MARGINAL_CAP)
-    return None if law is None else _argmax_marginal(slc, map(slc.to_ids, law[0]), law[2])
+    return None if law is None else _argmax_marginal(_free_ids(slc, law[0]), law[2])
 
 
-def _argmax_marginal(slc: Slice, facet_ids, probs):
+def _argmax_marginal(free: np.ndarray, probs: np.ndarray):
     """(argmax free global id, marginal) under the law ``probs`` of the
-    facets whose ids are ``facet_ids``, summed facet by facet."""
-    marg = np.zeros(len(slc.graph.global_adj))
-    pinned = slc.pinned_ids
-    for ids, p in zip(facet_ids, probs):
-        for v in ids:
-            if v not in pinned:
-                marg[v] += p
+    facets whose free ids are the rows of ``free``, summed facet by facet."""
+    marg = np.bincount(free.ravel(), np.repeat(probs, free.shape[1]))
     # Marginals that are equal in exact arithmetic can differ in their last
     # bits; comparing them on a 2**-40 grid lets such ties go to the lowest id.
     v = int(np.argmax(np.floor(marg * 2 ** 40)))
@@ -487,8 +490,14 @@ def _trace_label(slc: Slice, v: int):
 
 
 def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
-                   rep: int):
-    """One telescoping pipeline: returns (log of prod 1/p_hat, trace, samples, final slice)."""
+                   rep: int, table: FacetTable | None):
+    """One telescoping pipeline: returns (log of prod 1/p_hat, trace, samples, final slice).
+
+    ``table`` is the top level's facet table (``_level_table``), or None.
+    The first lower level that takes one compiles it, and every level below
+    a table pins it (``FacetTable.pin``), so a table level is decided from
+    its table's facet count and law with no further enumeration.
+    """
     levels = slc.free_size
     log_value = 0.0
     trace: list[LevelTrace] = []
@@ -496,15 +505,19 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
     lo, hi, _ = slc.parts[0]
     n = hi - lo  # the side size, or the vertex count of a regular graph
     for level in range(levels):
-        method, table, burn = "exact", None, 0
-        exact = _exact_marginal(slc)
-        if exact is None:
-            table = facet_table(slc)
-            if table is not None and table.classes() > 1:
-                # chains started in different classes never meet, so samples
-                # would weigh each class by where its replicas started
-                method, exact = "reducible", _argmax_marginal(slc, table.free_ids,
-                                                              table.probs)
+        if table is None and level:
+            table = _level_table(slc)
+        method, burn = "exact", 0
+        if table is None:  # above the cap, or no facet (SliceError)
+            exact = _exact_marginal(slc)
+        elif len(table.free) <= EXACT_MARGINAL_CAP:
+            exact = _argmax_marginal(table.free, table.probs)
+        elif table.classes() > 1:
+            # chains started in different classes never meet, so samples
+            # would weigh each class by where its replicas started
+            method, exact = "reducible", _argmax_marginal(table.free, table.probs)
+        else:
+            exact = None
         if exact is not None:
             v, p_hat = exact
             got = 0
@@ -537,7 +550,17 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
         log_value -= math.log(p_hat)
         trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method, burn))
         slc = slc.with_face(slc.from_ids((v,)))
+        if table is not None:
+            table = table.pin(v)
     return log_value, trace, total, slc
+
+
+def _level_table(slc: Slice) -> FacetTable | None:
+    """``facet_table(slc)``, or None for a level that an exact facet bound
+    of at most EXACT_MARGINAL_CAP shows to be exact: its own enumeration is
+    that small, and so is every level below it."""
+    bound, exact = _facet_bound(slc)
+    return None if exact and bound <= EXACT_MARGINAL_CAP else facet_table(slc)
 
 
 def _repetitions(delta: float) -> int:
@@ -555,8 +578,9 @@ def _estimate(slc: Slice, epsilon: float, delta: float, seed: int) -> CountEstim
     reps = _repetitions(delta)
     z2 = _z_quantile(delta) ** 2 if reps == 1 else _z_quantile(0.25) ** 2
     runs = []
+    table = _level_table(slc)  # one compile, which every repetition reads
     for rep in range(reps):
-        log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep)
+        log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep, table)
         runs.append((log_v + final.log_weight(final.from_ids(final.pinned_ids)), trace, total))
     runs.sort(key=lambda r: r[0])
     mid = runs[len(runs) // 2]

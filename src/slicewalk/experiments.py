@@ -415,7 +415,7 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     if table is None:
         return [_escape_time(slc, facet, m, half, budget, rng_stream(seed, 1000 + run))
                 for run in range(runs)]
-    inside = table.incidence[:, :m].sum(1)
+    inside = (table.free < m).sum(1)
     times: list[int | None] = [None] * runs
     active = np.arange(runs)
     gens = [rng_stream(seed, 1000 + run) for run in range(runs)]

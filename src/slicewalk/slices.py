@@ -311,24 +311,35 @@ def _facet_weights(slc: Slice, cap: int):
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
     logw = np.array([slc.log_weight(f) for f in facets])
+    return facets, logw, _normalized(logw)
+
+
+def _normalized(logw: np.ndarray) -> np.ndarray:
+    """The law of facets with log weights ``logw``: exp(logw - max logw),
+    normalized."""
     weights = np.exp(logw - logw.max())
-    return facets, logw, weights / weights.sum()
+    return weights / weights.sum()
+
+
+def _open_ids(slc: Slice) -> list[tuple[list[int], int]]:
+    """Each part's candidate ids, those neither pinned nor next to a pinned
+    id, ascending, with the number of them a facet holds."""
+    adj = slc.graph.global_adj
+    pinned = slc.pinned_ids
+    blocked = set(pinned).union(*(adj[v] for v in pinned))
+    return [([v for v in range(lo, hi) if v not in blocked],
+             quota - sum(1 for v in pinned if lo <= v < hi)) for lo, hi, quota in slc.parts]
 
 
 def _facet_bound(slc: Slice) -> tuple[int, bool]:
     """(bound, exact): an upper bound on the facet count, the ways to fill
-    each part's quota from its candidate ids (those neither pinned nor next
-    to a pinned id), and whether it is the count itself, which it is when no
-    two candidates are adjacent, as on a one-sided slice."""
+    each part's quota from its candidate ids (``_open_ids``), and whether it
+    is the count itself, which it is when no two candidates are adjacent, as
+    on a one-sided slice."""
     adj = slc.graph.global_adj
-    pinned = slc.pinned_ids
-    blocked = set(pinned).union(*(adj[v] for v in pinned))
-    cands: set[int] = set()
-    bound = 1
-    for lo, hi, quota in slc.parts:
-        left = [v for v in range(lo, hi) if v not in blocked]
-        cands.update(left)
-        bound *= math.comb(len(left), quota - sum(1 for v in pinned if lo <= v < hi))
+    opens = _open_ids(slc)
+    cands = set().union(*(ids for ids, _ in opens))
+    bound = math.prod(math.comb(len(ids), need) for ids, need in opens)
     return bound, not any(u in cands for v in cands for u in adj[v])
 
 

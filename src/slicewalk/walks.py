@@ -18,15 +18,19 @@ pool builder, ``_pools``, makes pools from counters; kernels update them.
 Slices whose facet count times free size stays within ``TABLE_ROW_CAP`` rows
 (checked first against a binomial bound, so large slices never enumerate)
 can be compiled into a ``FacetTable``: for every facet and free element, the
-pool builder makes the pools of the face left without it, stored in flat
-arrays with the class sums and each candidate's successor facet.  A table
-step is a row lookup and the same uniform draws, replaying the kernel bit
-for bit, and ``FacetTable.advance`` takes it for many chains at once, one
-array row each, in a few NumPy calls.  The table carries its facets' law,
-from the same enumeration, and draws exact starts from it
-(``FacetTable.draw``), so a chain started there needs no burn-in.  The
-estimator's replicas and the lockstep escape-time experiment both step
-through ``advance``.
+candidate pools of the face left without it, stored in flat arrays with the
+class sums and each candidate's successor facet.  ``facet_table`` builds
+them with array operations over all facets at once, and finds a successor
+by the colex rank of its free ids.  A table step is a row lookup and the
+same uniform draws, replaying the kernel bit for bit, and
+``FacetTable.advance`` takes it for many chains at once, one array row
+each, in a few NumPy calls.  The table keeps its facets' free ids as one
+array and their law, from the same enumeration, as log weights, and draws
+exact starts from it (``FacetTable.draw``), so a chain started there needs
+no burn-in.  ``FacetTable.pin`` gives the table of a link, the slice with
+one more id pinned, by restriction, with no enumeration.  The estimator's
+replicas and the lockstep escape-time experiment both step through
+``advance``.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -35,10 +39,11 @@ query (``slices._law_within``) feeds both oracles of ``run_chain``.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, dropwhile
+from itertools import accumulate
 from operator import mul, not_
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +51,7 @@ import numpy as np
 
 from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
-                     _facet_weights, _law_within, greedy_facet)
+                     _facet_weights, _law_within, _normalized, _open_ids, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -282,24 +287,26 @@ class FacetTable:
     """The down-up chain of an enumerated slice, one row per (facet, free id),
     compiled into flat arrays.
 
-    ``free_ids[f]`` lists facet f's free ids in increasing order and
-    ``index`` maps the bitmask of a facet's free ids to f.  Facet f's row
-    base is ``f * width``, and free id v has row ``row_at[f * width + v]``,
-    the candidate pools of the face left when v is removed; facet f's rows
-    are its free ids' rows in order.  A row holds ``class_count`` weight
-    classes: one on a uniform table; on a ``weighted`` (one-sided) table
-    every uncovered count from the smallest occupied one up, then empty
-    padding.  Class c of row r is entry ``r * class_count + c`` of ``first``
-    and ``size``, which give its run of ``cands`` (the candidates in pool
-    order) and of ``succ`` (the row base of the facet each one leads to).
-    ``sums[r]`` holds the kernel's sequential class sums, padded with
-    infinities; the last real one is ``total[r]``.  ``probs[f]`` is facet f's
-    probability under the slice's law and ``acc`` their running sums.
+    ``free[f]`` holds facet f's free ids in increasing order, one row of a
+    (facets, free size) array.  Facet f's row base is ``f * width``, and
+    free id v has row ``row_at[f * width + v]``, the candidate pools of the
+    face left when v is removed; facet f's rows are its free ids' rows in
+    order.  A row holds ``class_count`` weight classes: one on a uniform
+    table; on a ``weighted`` (one-sided) table every uncovered count from the
+    smallest occupied one up, then empty padding.  Class c of row r is entry
+    ``r * class_count + c`` of ``first`` and ``size``, which give its run of
+    ``cands`` (the candidates in pool order) and of ``succ`` (the row base of
+    the facet each one leads to).  ``sums[r]`` holds the kernel's sequential
+    class sums, padded with infinities; the last real one is ``total[r]``.
+
+    The law is kept as the facets' log weights ``logw``; ``probs[f]`` is
+    facet f's probability, exp(logw - max) normalized as the enumeration's
+    law (``slices._facet_weights``) is, and ``acc`` their running sums.
+    ``pin(v)`` restricts the table to the slice with v pinned.
     """
 
     width: int
-    free_ids: list[tuple[int, ...]]
-    index: dict[int, int]
+    free: np.ndarray
     weighted: bool
     class_count: int
     row_at: np.ndarray
@@ -309,12 +316,20 @@ class FacetTable:
     size: np.ndarray
     cands: np.ndarray
     succ: np.ndarray
-    probs: np.ndarray
-    acc: np.ndarray
+    logw: np.ndarray
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return _normalized(self.logw)
+
+    @cached_property
+    def acc(self) -> np.ndarray:
+        return np.cumsum(self.probs)
 
     def start(self, free: Sequence[int]) -> int:
-        """Row base of the facet whose free ids are ``free``."""
-        return self.index[_id_mask(free)] * self.width
+        """Row base of the facet whose free ids are ``free``, in any order."""
+        f, = np.flatnonzero((self.free == np.sort(free)).all(1))
+        return int(f) * self.width
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Indices of ``count`` facets drawn from the slice's law, one
@@ -359,46 +374,77 @@ class FacetTable:
             base = out[s] = succ.take(pick)
         return out
 
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """(facets, width) 0/1 integer matrix of free membership, built once."""
-        out = np.zeros((len(self.free_ids), self.width), dtype=np.int64)
-        for f, ids in enumerate(self.free_ids):
-            out[f, list(ids)] = 1
-        return out
+    def pin(self, v: int) -> "FacetTable":
+        """The table of the slice with free id ``v`` also pinned, restricted
+        from this one with no enumeration.
+
+        Its facets are this table's facets that hold v, in the same order,
+        each without v.  The row of (facet, w) is this table's: the face
+        left without w is the same, so are its candidates and class sums,
+        and each successor, a facet that holds v, is renumbered.  The law is
+        this one's log weights restricted and normalized again.
+        """
+        k = self.free.shape[1]
+        keep = (self.free == v).any(1)
+        stay = self.free[keep] != v
+        free = self.free[keep][stay].reshape(len(stay), k - 1)
+        rows = (np.flatnonzero(keep)[:, None] * k + np.arange(k))[stay]
+        per_row = self.class_count
+        size = self.size.reshape(-1, per_row)[rows]
+        count = size.sum(1)  # each row's candidates, one run of cands
+        run = np.arange(count.sum()) + np.repeat(self.first[rows * per_row] - _offsets(count),
+                                                 count)
+        renumber = np.cumsum(keep) - 1
+        return FacetTable(self.width, free, self.weighted, per_row, _row_at(free, self.width),
+                          self.sums[rows], self.total[rows], _offsets(size.ravel()),
+                          size.ravel(), self.cands[run],
+                          renumber[self.succ[run] // self.width] * self.width, self.logw[keep])
 
     def classes(self) -> int:
         """Number of communicating classes.  The chain is reversible, so
-        they are the connected components of the successor lists."""
-        facets = len(self.free_ids)
-        per_facet = self.class_count * len(self.free_ids[0])
-        if not per_facet:
+        every facet is a successor of its successors, and the classes are
+        the connected components of the successor lists: every facet takes
+        the least label among itself and its successors, then its label's
+        label, until no label moves; a class ends labelled by its least
+        facet.  (NumPy alone: ``scipy.sparse`` would add about 20 MB and
+        0.2 s of imports to an estimate, which otherwise loads no SciPy.)"""
+        facets, k = self.free.shape
+        if not k:
             return facets
-        # facet f's candidates run from ends[f] to ends[f + 1]
-        ends = self.first[::per_facet].tolist() + [len(self.cands)]
-        succ = (self.succ // self.width).tolist()
-        seen = [False] * facets
-        count = 0
-        for root in range(facets):
-            if seen[root]:
-                continue
-            count += 1
-            seen[root] = True
-            stack = [root]
-            while stack:
-                f = stack.pop()
-                for g in set(succ[ends[f]:ends[f + 1]]):
-                    if not seen[g]:
-                        seen[g] = True
-                        stack.append(g)
-        return count
+        ends = self.first[::self.class_count * k]  # where each facet's successors start
+        succ = self.succ // self.width
+        label = np.arange(facets)
+        while True:
+            low = np.minimum(label, np.minimum.reduceat(label[succ], ends))
+            low = low[low]
+            if (low == label).all():
+                return int(np.count_nonzero(label == np.arange(facets)))
+            label = low
 
 
-def _id_mask(ids: Iterable[int]) -> int:
-    mask = 0
-    for v in ids:
-        mask |= 1 << v
-    return mask
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Where each run starts when runs of ``sizes`` are laid end to end."""
+    out = np.zeros(len(sizes), np.intp)
+    np.cumsum(sizes[:-1], out=out[1:])
+    return out
+
+
+def _row_at(free: np.ndarray, width: int) -> np.ndarray:
+    """``FacetTable.row_at`` of the facets whose free ids are the rows of
+    ``free``: facet f's rows follow its free ids' order."""
+    facets, k = free.shape
+    out = np.zeros(facets * width, np.intp)
+    out[(np.arange(facets) * width)[:, None] + free] = np.arange(facets * k).reshape(facets, k)
+    return out
+
+
+def _free_ids(slc: Slice, facets: list) -> np.ndarray:
+    """(facets, free size) array of each facet's free ids, in increasing
+    order."""
+    ids = np.array([slc.to_ids(f) for f in facets], np.intp)
+    pinned = np.zeros(len(slc.graph.global_adj), bool)
+    pinned[list(slc.pinned_ids)] = True
+    return ids[~pinned[ids]].reshape(len(facets), slc.free_size)
 
 
 def facet_table(slc: Slice) -> FacetTable | None:
@@ -406,68 +452,142 @@ def facet_table(slc: Slice) -> FacetTable | None:
     times the free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
     enumeration) or the slice has no facet.
 
-    The facets and their probabilities come from one enumeration.  The
-    counts of each facet are made once.  For each free id v only those
-    that change when v leaves are adjusted, and the chain state's pool
-    builder turns them into the pools of the face: v's part on a uniform row,
-    every class on a weighted one.
+    The facets and their log weights come from one enumeration, and the rows
+    from array operations over all of them at once.  Every free id and every
+    candidate is an open id of its part (``slices._open_ids``), so a row
+    holds one entry per position among the open ids of its part.  The
+    candidates of row (facet, v) are the open ids of v's part that the face
+    left without v does not hold and, on a uniform table, does not cover;
+    on a weighted one they fall into classes by their uncovered neighbours.
     """
-    if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
+    bound = _facet_bound(slc)[0]
+    if bound * max(1, slc.free_size) > TABLE_ROW_CAP:
         return None
     try:
-        facets, _, probs = _facet_weights(slc, TABLE_ROW_CAP)
+        facets, logw, _ = _facet_weights(slc, TABLE_ROW_CAP)
     except SliceError:  # no facet
         return None
-    adj = slc.graph.global_adj
-    width = len(adj)
-    pinned = slc.pinned_ids
-    free_ids = [tuple(v for v in slc.to_ids(f) if v not in pinned) for f in facets]
-    index = {_id_mask(ids): f for f, ids in enumerate(free_ids)}
-    base_of = {mask: f * width for mask, f in index.items()}
+    free = _free_ids(slc, facets)
+    width = len(slc.graph.global_adj)
     weighted = slc.coverage_weighted
     per_row = slc.graph.degree + 1 if weighted else 1
-    row_at = np.zeros(len(facets) * width, np.intp)
-    sums: list[float] = []
-    total: list[float] = []
-    size: list[int] = []
-    cands: list[int] = []
-    succ: list[int] = []
-    part_of = slc.part_of
-    for f, facet in enumerate(facets):
-        member, cover, unc = _counts(slc, slc.to_ids(facet))
-        mask = _id_mask(free_ids[f])
-        for v in free_ids[f]:
-            face_member, face_cover, face_unc = member.copy(), cover.copy(), unc.copy()
-            face_member[v] = False
-            for u in adj[v]:
-                face_cover[u] -= 1
-                if weighted and not face_cover[u]:
-                    for x in adj[u]:
-                        face_unc[x] += 1
-            row_at[f * width + v] = len(total)
-            if weighted:  # the classes from the smallest occupied one
-                pools = list(dropwhile(not_, _pools(slc, face_member, face_cover, face_unc)))
-                acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
-                sums += acc + [np.inf] * (per_row - len(acc))
-                total.append(acc[-1])
-                pools += [[]] * (per_row - len(pools))
-            else:
-                lo, hi, _ = slc.parts[part_of[v]]
-                pools = [_part_pool(face_member, face_cover, lo, hi)]
-                total.append(float(len(pools[0])))
-                sums.append(total[-1])
-            rest = mask ^ (1 << v)
-            for pool in pools:
-                size.append(len(pool))
-                cands += pool
-                succ += [base_of[rest | 1 << c] for c in pool]
-    size_arr = np.array(size, np.intp)
-    first = np.zeros(len(size), np.intp)
-    np.cumsum(size_arr[:-1], out=first[1:])
-    return FacetTable(width, free_ids, index, weighted, per_row, row_at,
-                      np.array(sums).reshape(len(total), per_row), np.array(total),
-                      first, size_arr, np.array(cands, np.intp), np.array(succ, np.intp),
-                      probs, np.cumsum(probs))
+    if not free.size:  # the pinned face is the only facet
+        empty = np.zeros(0, np.intp)
+        return FacetTable(width, free, weighted, per_row, _row_at(free, width),
+                          np.zeros((0, per_row)), np.zeros(0), empty, empty, empty, empty, logw)
+    opens = _open_ids(slc)
+    span = max(len(ids) for ids, _ in opens)
+    open_ids = np.zeros((len(opens), span), np.intp)  # each part's open ids, padded
+    slot = np.full(width, -1, np.intp)  # part * span + position among the part's open ids
+    for p, (ids, _) in enumerate(opens):
+        open_ids[p, :len(ids)] = ids
+        slot[ids] = p * span + np.arange(len(ids))
+    adj = np.array(slc.graph.global_adj, np.intp).reshape(width, -1)
+    cover = np.bincount((np.arange(len(free))[:, None, None] * width + adj[free]).ravel(),
+                        minlength=len(free) * width).reshape(len(free), width)
+    cover += np.bincount(adj[sorted(slc.pinned_ids)].ravel(), minlength=width)
+    # row r removes free.flat[r] from facet row_facet[r]; it is in part row_part[r]
+    rows, k = np.arange(free.size), free.shape[1]
+    row_facet = rows // k
+    col_part = np.repeat(np.arange(len(opens)), [n for _, n in opens])
+    row_part = col_part[rows % k]
+    held = np.zeros((len(free), len(opens) * span), bool)
+    held[row_facet.reshape(-1, k), slot[free]] = True
+    held = held.reshape(len(free), len(opens), span)[row_facet, row_part]
+    taken = held.copy()  # the positions the face holds, or that hold no open id
+    taken[rows, slot[free.ravel()] % span] = False
+    taken |= np.arange(span) >= np.array([len(ids) for ids, _ in opens])[row_part][:, None]
+    if weighted:
+        q, sizes, sums, total = _weighted_rows(slc, free, adj, slot, cover, taken)
+    else:
+        face = cover[row_facet[:, None], open_ids[row_part]]  # the face's cover, less v's below
+        nbr = slot[adj[free.ravel()]]
+        own = (nbr >= 0) & (nbr // span == row_part[:, None])
+        face[np.nonzero(own)[0], nbr[own] % span] -= 1
+        offered = (face == 0) & ~taken
+        q = np.nonzero(offered)[1]
+        sizes = np.count_nonzero(offered, axis=1)
+        total = sizes.astype(float)
+        sums = total[:, None]
+    r = np.repeat(rows, sizes.reshape(len(rows), per_row).sum(1))
+    cands = open_ids[row_part[r], q]
+    succ = _successors(free, slot % span, opens, col_part, bound, held, r, q)
+    return FacetTable(width, free, weighted, per_row, _row_at(free, width), sums, total,
+                      _offsets(sizes), sizes, cands, succ * width, logw)
+
+
+def _weighted_rows(slc: Slice, free: np.ndarray, adj: np.ndarray, slot: np.ndarray,
+                   cover: np.ndarray, taken: np.ndarray):
+    """(positions, sizes, sums, totals) of the weighted rows: every position
+    a row's face does not take, grouped into classes by the uncovered
+    neighbours of its id less the row's fewest, each class ascending.  A Y
+    id is uncovered when no facet member is next to it; removing v uncovers
+    the ids that v alone covered, and each of their open neighbours gains
+    one."""
+    facets, k = free.shape
+    rows, span = taken.shape
+    per_row = slc.graph.degree + 1
+    unc = (cover[:, adj[np.flatnonzero(slot >= 0)]] == 0).sum(2).repeat(k, axis=0)
+    freed = cover[(np.arange(rows) // k)[:, None], adj[free.ravel()]] == 1
+    gain = slot[adj[adj[free.ravel()]]]  # (rows, degree, degree)
+    gain = (np.arange(rows)[:, None, None] * span + gain)[freed[:, :, None] & (gain >= 0)]
+    unc += np.bincount(gain, minlength=rows * span).reshape(rows, span)
+    q = np.nonzero(~taken)[1].reshape(rows, -1)
+    e = np.take_along_axis(unc, q, 1)
+    low = e.min(1)
+    e -= low[:, None]
+    order = np.argsort(e, axis=1, kind="stable")
+    q, e = np.take_along_axis(q, order, 1), np.take_along_axis(e, order, 1)
+    sizes = np.bincount((np.arange(rows)[:, None] * per_row + e).ravel(),
+                        minlength=rows * per_row).reshape(rows, per_row)
+    sums = np.cumsum(sizes * np.array(slc.class_weights), axis=1)
+    top = per_row - 1 - low  # the last real class
+    sums[np.arange(per_row) > top[:, None]] = np.inf
+    return q.ravel(), sizes.ravel(), sums, sums[np.arange(rows), top]
+
+
+def _successors(free: np.ndarray, pos: np.ndarray, opens: list, col_part: np.ndarray,
+                bound: int, held: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Index of the facet that candidate position ``q`` of row ``r`` leads
+    to, for each pair: the row's facet with the row's free id v replaced by
+    the candidate.
+
+    A facet is known by the colex rank of its free ids' positions ``pos``
+    among their part's open ids, part by part in mixed radix: over its ids,
+    C(position, index in the part, from 1) times the part's radix, the
+    product of the facet counts of the parts before it, which stays below
+    the facet bound.  The successor differs from r's facet only in v's
+    part, where the face left without v holds the rest: when t of those lie
+    below q (``held`` marks the facet's positions), q takes index t + 1, a
+    face id below q keeps its index in the face and one above it takes the
+    next.  So each row's part term, for every t, is two running sums over
+    its face, and a successor reads one.
+    """
+    facets, k = free.shape
+    start = np.searchsorted(col_part, np.arange(len(opens)))  # each part's first column
+    index = np.arange(k) - start[col_part] + 1
+    need = max(n for _, n in opens)
+    # no term of a rank reaches the bound, so capping C there changes none
+    comb = np.array([[min(math.comb(a, i), bound) for i in range(need + 1)]
+                     for a in range(held.shape[1] + 1)], np.intp)
+    radix = np.cumprod([1] + [math.comb(len(ids), n) for ids, n in opens])[:-1]
+    terms = comb[pos[free], index] * radix[col_part]
+    at = np.zeros(bound, np.intp)
+    at[terms.sum(1)] = np.arange(facets)
+    rest = (terms.sum(1)[:, None] - terms @ (col_part[:, None] == col_part)).ravel()
+    face = np.zeros((facets, k, need), np.intp)  # by the face's ids below q
+    for (_, m), lo in zip(opens, start.tolist()):
+        if not m:
+            continue
+        others = np.array([[i for i in range(m) if i != s] for s in range(m)],
+                          np.intp).reshape(m, m - 1)
+        ids = pos[free[:, lo:lo + m]][:, others]  # (facets, m, m - 1), the face's ids
+        face[:, lo:lo + m, 1:m] += np.cumsum(comb[ids, np.arange(1, m)], axis=2)
+        face[:, lo:lo + m, :m - 1] += np.cumsum(comb[ids, np.arange(2, m + 1)][..., ::-1],
+                                                axis=2)[..., ::-1]
+    t = (np.cumsum(held, axis=1, dtype=np.int16) - held)[r, q] - (pos[free.ravel()][r] < q)
+    part = col_part[r % k]
+    return at[rest[r] + radix[part] * (face.reshape(facets * k, -1)[r, t] + comb[q, t + 1])]
 
 
 # -- chains -----------------------------------------------------------------------

@@ -310,7 +310,7 @@ class TestEstimators:
 
         def table_start(slc, rng):
             table = walks.facet_table(slc)
-            free = table.free_ids[table.draw(rng, 1)[0]]
+            free = table.free[table.draw(rng, 1)[0]].tolist()
             return _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
 
         monkeypatch.setattr(counting, "facet_table", lambda slc: None)
@@ -340,7 +340,7 @@ class TestEstimators:
             start = rng_stream(4, 0, 1, 1, 0)
             if tabled:
                 t = walks.facet_table(slc)
-                states = [_make_state(slc, slc.from_ids(set(t.free_ids[f]) | slc.pinned_ids))
+                states = [_make_state(slc, slc.from_ids(set(t.free[f].tolist()) | slc.pinned_ids))
                           for f in t.draw(start, 3)]
             else:
                 states = [walks.greedy_initial_state(slc, start) for _ in range(3)]
@@ -382,7 +382,9 @@ class TestEstimators:
 
     def test_each_table_level_enumerates_once(self, monkeypatch):
         # the table's rows and the law its replicas start from (or the
-        # marginal of a reducible level) come from one enumeration
+        # marginal of a reducible level) come from one enumeration, and the
+        # levels below it, exact ones included, read their tables by
+        # restriction: an estimate whose top level fits a table enumerates once
         enumerations, tables = [], []
         real_enumerate, real_table = slices.enumerate_facets, counting.facet_table
 
@@ -405,9 +407,71 @@ class TestEstimators:
                                      seed=5)
         estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=500), 2, 2, 0.1, 0.1,
                                  seed=9000)  # a reducible level
-        at_cap = [slc for slc, cap in enumerations if cap == walks.TABLE_ROW_CAP]
         assert len(tables) == 3  # the top level of each estimate
-        assert len(at_cap) == 3 and all(a is b for a, b in zip(at_cap, tables))
+        assert [cap for _, cap in enumerations] == [walks.TABLE_ROW_CAP] * 3
+        assert all(a is b for (a, _), b in zip(enumerations, tables))
+
+    def test_a_top_level_with_a_small_exact_bound_compiles_no_table(self, monkeypatch):
+        # C(8, 2) = 28 one-sided facets: each level enumerates its own law
+        # within EXACT_MARGINAL_CAP, and no table is compiled
+        caps, real_enumerate = [], slices.enumerate_facets
+
+        def enumerate_spy(slc, cap=slices.ENUMERATION_CAP):
+            caps.append(cap)
+            return real_enumerate(slc, cap)
+
+        def refuse(slc):
+            raise AssertionError("compiled a table for a level known to be exact")
+
+        monkeypatch.setattr(slices, "enumerate_facets", enumerate_spy)
+        monkeypatch.setattr(counting, "facet_table", refuse)
+        est = estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 2, 0.4, 0.1,
+                                           0.1, seed=5)
+        assert [t.method for t in est.trace] == ["exact", "exact"]
+        assert caps == [counting.EXACT_MARGINAL_CAP] * 2
+
+    def test_repetitions_share_one_compile(self, monkeypatch):
+        # the median-of-repetitions path runs 92 telescopes of the same top
+        # slice from one compiled table
+        calls = []
+        real_table = counting.facet_table
+
+        def table_spy(slc):
+            calls.append(slc)
+            return real_table(slc)
+
+        monkeypatch.setattr(counting, "facet_table", table_spy)
+        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2, 0.3, 5e-4,
+                                       seed=5)
+        assert counting._repetitions(5e-4) == 92 and len(calls) == 1
+        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
+
+    def test_the_first_level_that_fits_compiles_and_the_rest_pin(self, monkeypatch):
+        # under a cap of 1,000 rows the (2, 2) top level (a bound of 784
+        # facets, 4 free) steps through the kernels, the next level compiles
+        # its table, and the two below pin it; each exact level's marginal,
+        # read off a table, is the one its own enumeration gives
+        monkeypatch.setattr(walks, "TABLE_ROW_CAP", 1000)
+        calls = []
+        real_table = counting.facet_table
+
+        def table_spy(slc):
+            table = real_table(slc)
+            calls.append((slc.free_size, table is not None))
+            return table
+
+        monkeypatch.setattr(counting, "facet_table", table_spy)
+        g = gen_bipartite_regular(8, 3, seed=1)
+        est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
+        assert calls == [(4, False), (3, True)]
+        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
+        assert est.trace[0].burn_in > 0
+        slc = TwoSidedSlice(g, 2, 2)
+        for t in est.trace:
+            v = t.pinned[1] + g.n_side * t.pinned[0]
+            if t.method == "exact":
+                assert counting._exact_marginal(slc) == (v, t.marginal)
+            slc = slc.with_face(slc.from_ids((v,)))
 
     def test_a_level_above_the_exact_bound_enumerates_nothing(self, monkeypatch):
         def refuse(*args):

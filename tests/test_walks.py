@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import accumulate, dropwhile
+from operator import mul, not_
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -203,7 +206,7 @@ def _replay_histogram(slc, facet, table, rand, count, thinning):
     """Facet histogram and final state of ``_step`` on the uniforms ``rand``
     serves, sampled after every ``thinning`` steps."""
     state = _make_state(slc, facet)
-    want = [0] * len(table.free_ids)
+    want = [0] * len(table.free)
     for t in range(1, count * thinning + 1):
         _step(slc, state, rand)
         if t % thinning == 0:
@@ -239,11 +242,81 @@ def _check_rows_replay(slc, table, starts, seed, count, thinning):
         facet = slc.from_ids(set(start) | slc.pinned_ids)
         want, state = _replay_histogram(slc, facet, table, col.__next__, count, thinning)
         got = np.bincount(bases[thinning - 1::thinning, r] // table.width,
-                          minlength=len(table.free_ids))
+                          minlength=len(table.free))
         assert got.tolist() == want
         assert free[r].tolist() == state.free
         # the scalar chain drew its whole column, or nothing when nothing is free
         assert len(list(col)) == (0 if slc.free_size else unit * steps)
+
+
+def _scalar_table(slc):
+    """A scalar compile of the facet table, the reference ``facet_table``
+    is checked against: the arrays of the table of ``slc`` by name, or None
+    when ``facet_table`` gives None.  For each facet and free id v it copies the
+    facet's counts, adjusts those that change when v leaves, and hands them
+    to the chain state's pool builder; successors are looked up by the
+    bitmask of their free ids."""
+    if slices._facet_bound(slc)[0] * max(1, slc.free_size) > walks.TABLE_ROW_CAP:
+        return None
+    try:
+        facets, _, probs = slices._facet_weights(slc, walks.TABLE_ROW_CAP)
+    except slices.SliceError:
+        return None
+    adj = slc.graph.global_adj
+    width = len(adj)
+    pinned = slc.pinned_ids
+    free_ids = [tuple(v for v in slc.to_ids(f) if v not in pinned) for f in facets]
+    base_of = {sum(1 << v for v in ids): f * width for f, ids in enumerate(free_ids)}
+    weighted = slc.coverage_weighted
+    per_row = slc.graph.degree + 1 if weighted else 1
+    row_at = np.zeros(len(facets) * width, np.intp)
+    sums, total, size, cands, succ = [], [], [], [], []
+    for f, facet in enumerate(facets):
+        member, cover, unc = walks._counts(slc, slc.to_ids(facet))
+        mask = sum(1 << v for v in free_ids[f])
+        for v in free_ids[f]:
+            face_member, face_cover, face_unc = member.copy(), cover.copy(), unc.copy()
+            face_member[v] = False
+            for u in adj[v]:
+                face_cover[u] -= 1
+                if weighted and not face_cover[u]:
+                    for x in adj[u]:
+                        face_unc[x] += 1
+            row_at[f * width + v] = len(total)
+            if weighted:  # the classes from the smallest occupied one
+                pools = list(dropwhile(not_, walks._pools(slc, face_member, face_cover,
+                                                          face_unc)))
+                acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
+                sums += acc + [np.inf] * (per_row - len(acc))
+                total.append(acc[-1])
+                pools += [[]] * (per_row - len(pools))
+            else:
+                lo, hi, _ = slc.parts[slc.part_of[v]]
+                pools = [walks._part_pool(face_member, face_cover, lo, hi)]
+                total.append(float(len(pools[0])))
+                sums.append(total[-1])
+            rest = mask ^ (1 << v)
+            for pool in pools:
+                size.append(len(pool))
+                cands += pool
+                succ += [base_of[rest | 1 << c] for c in pool]
+    size_arr = np.array(size, np.intp)
+    first = np.zeros(len(size), np.intp)
+    np.cumsum(size_arr[:-1], out=first[1:])
+    return {"free": np.array(free_ids, np.intp).reshape(len(facets), slc.free_size),
+            "row_at": row_at, "sums": np.array(sums).reshape(len(total), per_row),
+            "total": np.array(total), "first": first, "size": size_arr,
+            "cands": np.array(cands, np.intp), "succ": np.array(succ, np.intp),
+            "probs": probs, "acc": np.cumsum(probs)}
+
+
+def _assert_same_table(table, want):
+    """Every array of ``table`` equals ``want``'s bit for bit, dtype and
+    shape included."""
+    for name, array in want.items():
+        got = getattr(table, name)
+        assert (got.dtype, got.shape) == (array.dtype, array.shape), name
+        assert got.tobytes() == array.tobytes(), name
 
 
 class TestFacetTable:
@@ -261,10 +334,11 @@ class TestFacetTable:
         slc, facet = made
         table = facet_table(slc)
         assert table is not None
+        _assert_same_table(table, _scalar_table(slc))
         # three chains in lockstep: one at the greedy facet, two at draws
         # from the law; each row replays the scalar kernel on its column
         drawn = table.draw(rng_stream(seed, 0), 2).tolist()
-        starts = [_make_state(slc, facet).free] + [list(table.free_ids[f]) for f in drawn]
+        starts = [_make_state(slc, facet).free] + [table.free[f].tolist() for f in drawn]
         _check_rows_replay(slc, table, starts, seed, count, thinning)
         # every row follows from enumerate_facets alone: the candidates of
         # (facet, v) are the ids c, v among them, that complete the face
@@ -277,7 +351,7 @@ class TestFacetTable:
         per_row = table.class_count
         assert per_row == (slc.graph.degree + 1 if table.weighted else 1)
         facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
-        for f, ids in enumerate(table.free_ids):
+        for f, ids in enumerate(table.free.tolist()):
             for j, v in enumerate(ids):
                 face = (set(ids) - {v}) | pinned
                 cands = [c for c in range(width)
@@ -305,11 +379,11 @@ class TestFacetTable:
                     at = row * per_row + c
                     lo, hi = table.first[at], table.first[at] + table.size[at]
                     assert table.cands[lo:hi].tolist() == want
-                    assert [table.free_ids[b // width] for b in table.succ[lo:hi]] == [
-                        tuple(sorted(set(ids) - {v} | {c})) for c in want]
+                    assert [table.free[b // width].tolist() for b in table.succ[lo:hi]] == [
+                        sorted(set(ids) - {v} | {c}) for c in want]
         # communicating classes against the exact chain's support
         facets, p, _ = exact_transition_matrix(slc)
-        assert len(facets) == len(table.free_ids)
+        assert len(facets) == len(table.free)
         bound, exact = slices._facet_bound(slc)
         assert bound == len(facets) if exact else bound >= len(facets)
         assert exact or family != "one"
@@ -328,7 +402,7 @@ class TestFacetTable:
                     RegularSlice(gen_regular(10, 3, seed=2), 3)):
             table = facet_table(slc)
             starts = [_make_state(slc, greedy_facet(slc, rng_stream(4))).free]
-            starts += [list(table.free_ids[f]) for f in table.draw(rng_stream(5), 2)]
+            starts += [table.free[f].tolist() for f in table.draw(rng_stream(5), 2)]
             _check_rows_replay(slc, table, starts, 9, 13, 3)
 
     def test_face_with_nothing_free(self):
@@ -338,7 +412,7 @@ class TestFacetTable:
             facet = greedy_facet(slc, rng_stream(4))
             slc = slc.with_face(facet)
             table = facet_table(slc)
-            assert slc.free_size == 0 and len(table.free_ids) == 1
+            assert slc.free_size == 0 and len(table.free) == 1
             _check_rows_replay(slc, table, [[], []], 3, 5, 1)
 
     def test_slices_above_the_cap_get_no_table(self):
@@ -352,6 +426,81 @@ class TestFacetTable:
         # criterion 4's graph seed 500 at (2, 2) holds a frozen facet
         table = facet_table(TwoSidedSlice(gen_bipartite_regular(8, 3, seed=500), 2, 2))
         assert table.classes() > 1
+
+class TestTableCompile:
+    """``facet_table`` against the scalar compile it replaced, and
+    ``FacetTable.pin`` against a fresh compile."""
+
+    def test_criterion_4_kinds_match_the_scalar_compile(self):
+        # every kind criterion 4 estimates, on five of its graphs, and a
+        # regular slice of each size
+        for s in range(5):
+            g = gen_bipartite_regular(8, 3, seed=500 + s)
+            kinds = [TwoSidedSlice(g, kx, ky) for kx in range(5) for ky in range(5)
+                     if 1 <= kx + ky <= 4]
+            kinds += [OneSidedSlice(g, k, 0.4) for k in (1, 2, 3, 4)]
+            kinds += [RegularSlice(gen_regular(10, 3, seed=s), k) for k in range(5)]
+            for slc in kinds:
+                want = _scalar_table(slc)
+                if want is None:
+                    assert facet_table(slc) is None
+                else:
+                    _assert_same_table(facet_table(slc), want)
+
+    def test_pinned_faces_match_the_scalar_compile(self):
+        g = gen_bipartite_regular(12, 3, seed=1)
+        for slc in (TwoSidedSlice(g, 3, 2), OneSidedSlice(g, 4, 2.0),
+                    RegularSlice(gen_regular(12, 3, seed=4), 4)):
+            ids = slc.to_ids(greedy_facet(slc, rng_stream(2)))
+            for pins in (ids[:1], ids[1:3], ids[::2]):
+                face = slc.with_face(slc.from_ids(pins))
+                _assert_same_table(facet_table(face), _scalar_table(face))
+
+    def test_a_face_with_nothing_free_and_an_empty_slice(self):
+        g = gen_bipartite_regular(8, 3, seed=12)
+        for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4)):
+            face = slc.with_face(greedy_facet(slc, rng_stream(4)))
+            _assert_same_table(facet_table(face), _scalar_table(face))
+        # no independent set holds 7 ids on each side of a 3-regular side-8 graph
+        empty = TwoSidedSlice(g, 7, 7)
+        assert facet_table(empty) is None and _scalar_table(empty) is None
+
+    def test_side_100_late_levels_match_the_scalar_compile(self):
+        # the README graph: a one-sided k = 18 level with 16 ids pinned
+        # (C(84, 2) facets, 6,972 rows) and a two-sided (2, 4) level with both
+        # X ids and two Y ids pinned (C(92, 2) facets, 8,372 rows)
+        g = gen_bipartite_regular(100, 3, seed=7)
+        one = OneSidedSlice(g, 18, 0.05)
+        two = TwoSidedSlice(g, 2, 4)
+        xs, ys = greedy_facet(two, rng_stream(1))
+        for slc, rows in ((one.with_face(greedy_facet(one, rng_stream(1))[:16]), 6972),
+                          (two.with_face((xs, ys[:2])), 8372)):
+            table = facet_table(slc)
+            assert table.free.size == rows
+            _assert_same_table(table, _scalar_table(slc))
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted", "reducible"])
+    def test_pin_matches_a_fresh_compile(self, kind):
+        # every free id at the first level, then every free id of each
+        # pinned table at the second
+        g = gen_bipartite_regular(8, 3, seed=500 if kind == "reducible" else 1)
+        slc = OneSidedSlice(g, 3, 0.4) if kind == "weighted" else TwoSidedSlice(g, 2, 2)
+        table = facet_table(slc)
+        assert (table.classes() > 1) == (kind == "reducible")
+        for v in np.unique(table.free).tolist():
+            child = slc.with_face(slc.from_ids((v,)))
+            pinned = table.pin(v)
+            _assert_same_table(pinned, _table_arrays(facet_table(child)))
+            assert pinned.classes() == facet_table(child).classes()
+            for w in np.unique(pinned.free).tolist():
+                grandchild = child.with_face(child.from_ids((w,)))
+                _assert_same_table(pinned.pin(w), _table_arrays(facet_table(grandchild)))
+
+
+def _table_arrays(table):
+    """The arrays ``_scalar_table`` gives, read off a compiled table."""
+    return {name: getattr(table, name) for name in ("free", "row_at", "sums", "total", "first",
+                                                    "size", "cands", "succ", "probs", "acc")}
 
 
 class TestStationaryStart:
@@ -375,7 +524,7 @@ class TestStationaryStart:
         counts = np.bincount(drawn, minlength=len(facets))
         # a draw's free ids are a facet in a chain state's stepping order
         for f in drawn[:20].tolist():
-            free = list(table.free_ids[f])
+            free = table.free[f].tolist()
             assert table.start(free) == f * table.width
             state = _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
             assert state.free == free and state.recount_ok()
@@ -393,7 +542,7 @@ class TestStationaryStart:
         _, probs = exact_distribution(slc)
         table = facet_table(slc)
         reps, per, thin = 400, 10, 2 * slc.free_size
-        starts = [list(table.free_ids[f]) for f in table.draw(rng_stream(8, 0), reps)]
+        starts = [table.free[f].tolist() for f in table.draw(rng_stream(8, 0), reps)]
         bases, _ = _lockstep(table, starts, rng_stream(8, 1), per * thin, 3 if weighted else 2)
         hist = np.bincount(bases[thin - 1::thin].ravel() // table.width,
                            minlength=len(probs))
