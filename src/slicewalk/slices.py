@@ -121,6 +121,10 @@ class _SliceCore:
         """Log of the facet's unnormalized weight: 0 for the uniform families."""
         return 0.0
 
+    def log_weights(self, facets: Sequence) -> np.ndarray:
+        """``log_weight`` of each facet, as one array."""
+        return np.zeros(len(facets))
+
     def greedy_order(self, rng: np.random.Generator, count: int):
         """Order in which greedy completion tries the ``count`` free ids."""
         return rng.permutation(count)
@@ -188,8 +192,8 @@ class OneSidedSlice(_SliceCore):
     def __post_init__(self) -> None:
         if not 0 <= self.k <= self.graph.n_side:
             raise SliceError("k out of range")
-        if self.fugacity <= 0:
-            raise SliceError("fugacity must be positive")
+        if not (math.isfinite(self.fugacity) and self.fugacity > 0):
+            raise SliceError(f"fugacity must be a positive finite number, got {self.fugacity}")
         if len(self.pinned) > self.k:
             raise SliceError("pinned face larger than k")
         _check_pins(self.pinned, self.graph.n_side)
@@ -205,6 +209,21 @@ class OneSidedSlice(_SliceCore):
         base = 1.0 + self.fugacity
         return tuple(base ** (-e) for e in range(self.graph.degree + 1))
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """(1+fugacity)^e for e = -degree..degree, at index degree + e: every
+        power the closed-form link walk and the weight exponential take.
+
+        SliceError when (1+fugacity)^degree overflows float64, where the walk
+        would hold inf and nan entries."""
+        d = self.graph.degree
+        with np.errstate(over="ignore"):
+            table = np.power(1.0 + self.fugacity, np.arange(-d, d + 1, dtype=float))
+        if not np.isfinite(table[-1]):
+            raise SliceError(f"fugacity {self.fugacity} is too large for the closed-form link "
+                             f"walk: (1 + fugacity)^{d} overflows float64")
+        return table
+
     def log_weight(self, s: Iterable[int]) -> float:
         """log of fugacity^k * (1+fugacity)^{|Y \\ N[S]|} for a k-subset S of X.
 
@@ -214,7 +233,17 @@ class OneSidedSlice(_SliceCore):
         s_set = frozenset(s)
         if len(s_set) != self.k:
             raise SliceError(f"|S| = {len(s_set)} but the slice has k = {self.k}")
-        uncovered = self.graph.n_side - len(self.graph.neighbor_set(X, s_set))
+        return float(self.log_weights([sorted(s_set)])[0])
+
+    def log_weights(self, facets: Sequence[Sequence[int]]) -> np.ndarray:
+        """``log_weight`` of each facet, from one array of their uncovered counts."""
+        n = self.graph.n_side
+        ids = np.array(facets, dtype=np.intp).reshape(len(facets), self.k)
+        biadjacency = self.adjacency[:n, n:] > 0
+        covered = np.zeros((len(facets), n), dtype=bool)
+        for column in ids.T:
+            covered |= biadjacency[column]
+        uncovered = n - covered.sum(axis=1)
         return self.k * math.log(self.fugacity) + uncovered * math.log1p(self.fugacity)
 
     def greedy_order(self, rng: np.random.Generator, count: int):
@@ -310,7 +339,7 @@ def _facet_weights(slc: Slice, cap: int):
     facets = enumerate_facets(slc, cap)
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
-    logw = np.array([slc.log_weight(f) for f in facets])
+    logw = slc.log_weights(facets)
     return facets, logw, _normalized(logw)
 
 
@@ -644,11 +673,18 @@ class NeighborGraph:
     counts: np.ndarray  # integer entries, zero diagonal
     survivor_degrees: np.ndarray  # |N_tau(u)| per ground vertex
 
-    def weight_exponential(self, fugacity: float) -> np.ndarray:
-        """(1+fugacity) raised entrywise to the counts, with a zero diagonal."""
-        e = np.power(1.0 + fugacity, self.counts.astype(float))
+    def weight_exponential(self, powers: np.ndarray) -> np.ndarray:
+        """(1+fugacity) raised entrywise to the counts, with a zero diagonal,
+        read from the slice's ``powers``."""
+        e = _power_of(powers, self.counts)
         _zero_diagonal(e)
         return e
+
+
+def _power_of(powers: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(1+fugacity)^e entrywise for integer exponents within the degree, read
+    from a slice's ``powers`` table rather than raised again."""
+    return powers[exponents + len(powers) // 2]
 
 
 def _neighbor_graphs(slc: OneSidedSlice, taus: Sequence[Sequence[int]]) -> NeighborGraph:
@@ -686,22 +722,20 @@ def one_sided_link_walk_closed_form(slc: OneSidedSlice, tau: Iterable[int]) -> L
     t = frozenset(tau)
     if slc.k < 2 or len(t) != slc.k - 2:
         raise SliceError("face must have k - 2 vertices and k must be at least 2")
-    return _one_sided_walk(neighbor_graph(slc, t), slc.fugacity)
+    return _one_sided_walk(neighbor_graph(slc, t), slc.powers)
 
 
-def _one_sided_walk(nbr: NeighborGraph, fugacity: float) -> LinkOperator:
+def _one_sided_walk(nbr: NeighborGraph, powers: np.ndarray) -> LinkOperator:
     """The one-sided closed form, read off the link's neighbor graph (or a
-    stack of them, giving stacked arrays)."""
+    stack of them, giving stacked arrays) and the slice's ``powers``."""
     if nbr.counts.shape[-1] < 2:
         raise SliceError("link has fewer than two vertices")
-    c = 1.0 + fugacity
     # Row u holds c^(-n_v + common(u, v)); exponents are bounded by the degree.
-    expo = nbr.counts - nbr.survivor_degrees[..., None, :]
-    w = np.power(c, expo.astype(float))
+    w = _power_of(powers, nbr.counts - nbr.survivor_degrees[..., None, :])
     _zero_diagonal(w)
     z_vertex = w.sum(axis=-1)
     p = w / z_vertex[..., None]
-    weights = np.power(c, -nbr.survivor_degrees.astype(float)) * z_vertex
+    weights = _power_of(powers, -nbr.survivor_degrees) * z_vertex
     z_total = weights.sum(axis=-1)
     pi = weights / np.asarray(z_total)[..., None]
     return LinkOperator(nbr.ground, p, pi, z_total=z_total, z_vertex=z_vertex)

@@ -30,10 +30,21 @@ These inequalities hold for every face, with no randomness assumption, so a
 sweep failure beyond tolerance is a defect, not noise.  Bounds with a
 nonpositive denominator are recorded as vacuous rather than failed.
 
+A one-sided link gets its walk only when it meets the bound's
+common-neighbor hypotheses; the others are recorded without one.  Every
+power of 1 + lam the one-sided walks take is read from the slice's table of
+(1 + lam)^e for e = -degree..degree, and a fugacity at which
+(1 + lam)^degree overflows float64 is a SliceError, not a sweep of nan
+entries.
+
 The one-sided slice additionally satisfies two exact matrix statements that
 are verified entrywise and in the PSD order: the walk factorizes through the
 common-neighbor weight matrix, and that weight matrix is dominated by an
-affine function of the squared adjacency restricted to the link.
+affine function of the squared adjacency restricted to the link.  Each stack
+builds one walk and one weight matrix, which both statements read.  The PSD
+order is certified by a Cholesky factorization of each stack
+(``spectra.psd_dominance``); eigenvalues are computed only for a stack the
+factorization rejects, to name its failing links.
 """
 from __future__ import annotations
 
@@ -45,9 +56,9 @@ import numpy as np
 
 from .graphs import BipartiteRegularGraph, RegularGraph, X, Y
 from .rng import rng_stream
-from .slices import (EMPTY_LINK, NeighborGraph, OneSidedSlice, RegularSlice, Slice, SliceError,
-                     TwoSidedSlice, _groups, _link_survivors, _members, _neighbor_graphs,
-                     _one_sided_walk, _skeleton_blocks, _uniform_link_walks,
+from .slices import (EMPTY_LINK, LinkOperator, NeighborGraph, OneSidedSlice, RegularSlice, Slice,
+                     SliceError, TwoSidedSlice, _groups, _link_survivors, _members,
+                     _neighbor_graphs, _one_sided_walk, _skeleton_blocks, _uniform_link_walks,
                      independent_sets)
 from .spectra import adjacency_matrix, eigen_summary, psd_dominance
 from .walks import ChainConfig, run_chain, spectral_gap
@@ -63,8 +74,7 @@ SAMPLED_FACES = 10_000
 STACK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+class LinkRecord(NamedTuple):
     face: tuple
     lambda2: float | None
     bound: float | None
@@ -305,7 +315,8 @@ def one_sided_hypotheses_met(nbr: NeighborGraph):
 
 def one_sided_bound(g: BipartiteRegularGraph, lam2_adj: float, fugacity: float,
                     tau_size: int, avg_link_degree: float) -> float | None:
-    """Stated bound, or None when the denominator is nonpositive.
+    """Stated bound, or None when the denominator is nonpositive or, at a
+    huge fugacity, the bound saturates float64.
 
     For a nonpositive spectral numerator (lam * lambda2^2 + lam^2 - 1 <= 0)
     the bound is not derivable: the derivation divides the numerator by a
@@ -315,12 +326,24 @@ def one_sided_bound(g: BipartiteRegularGraph, lam2_adj: float, fugacity: float,
     statement lambda2 <= 0 is provable); in every intended regime the
     numerator is about 4 * fugacity * degree > 0.
     """
-    c_pow = (1.0 + fugacity) ** avg_link_degree
+    try:
+        c_pow = (1.0 + fugacity) ** avg_link_degree
+    except OverflowError:  # c^D past float64 exceeds every denominator
+        return None
     denom = g.n_side - tau_size - c_pow
-    num = fugacity * lam2_adj ** 2 + fugacity ** 2 - 1.0
     if denom <= 0:
         return None
-    return num * c_pow / denom
+    bound = _numerator(fugacity, lam2_adj) * c_pow / denom
+    return bound if math.isfinite(bound) else None  # saturated: vacuous as well
+
+
+def _numerator(fugacity: float, lam2_adj: float) -> float:
+    """lam * lambda2(A_G)^2 + lam^2 - 1, saturating to inf where lam^2
+    overflows float64."""
+    try:
+        return fugacity * lam2_adj ** 2 + fugacity ** 2 - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def verify_top_link_one_sided(g: BipartiteRegularGraph, k: int, fugacity: float,
@@ -334,19 +357,21 @@ def verify_top_link_one_sided(g: BipartiteRegularGraph, k: int, fugacity: float,
     """
     report = VerificationReport(f"one-sided k={k} fugacity={fugacity}")
     lam2_adj = eigen_summary(adjacency_matrix(g)).lambda2
-    sign_only = fugacity * lam2_adj ** 2 + fugacity ** 2 - 1.0 <= 0
+    sign_only = _numerator(fugacity, lam2_adj) <= 0
     slc = OneSidedSlice(g, k, fugacity)
+    powers = slc.powers
 
     def links(chunk):
         nbr = _neighbor_graphs(slc, chunk)
-        try:
-            op = _one_sided_walk(nbr, fugacity)
+        met = one_sided_hypotheses_met(nbr)
+        try:  # only the links under the hypotheses get a walk
+            op = _one_sided_walk(NeighborGraph(nbr.ground[met], nbr.counts[met],
+                                               nbr.survivor_degrees[met]), powers)
         except SliceError as e:
             return [e] * len(chunk)
-        met = one_sided_hypotheses_met(nbr)
         out: list = [None] * len(chunk)
         if met.any():
-            lam2, _, _ = spectral_gap(op.matrix[met], op.pi[met])
+            lam2, _, _ = spectral_gap(op.matrix, op.pi)
             avg_deg = nbr.survivor_degrees[met].mean(axis=-1)
             for row, l2, deg in zip(np.flatnonzero(met).tolist(), lam2.tolist(), avg_deg.tolist()):
                 bound = one_sided_bound(g, lam2_adj, fugacity, len(chunk[row]), deg)
@@ -393,10 +418,10 @@ def verify_top_link_regular(g: RegularGraph, k: int,
 # -- one-sided matrix identities -------------------------------------------------------
 
 
-def _walk_factorization(nbr: NeighborGraph, fugacity: float):
-    """(ok, max deviation) per link of a stack of neighbor graphs, for the
-    entrywise identity between the stationary-weighted walk and the
-    common-neighbor weight matrix.
+def _walk_factorization(op: LinkOperator, weight: np.ndarray):
+    """(ok, max deviation) per link of a stack of one-sided link walks, for
+    the entrywise identity between the stationary-weighted walk and the
+    common-neighbor weight matrix ``weight``.
 
     With Pi half the stationary diagonal, Gamma(u,u) = Z_u / (2Z) and
     Pi~ = Gamma^{-1} Pi, the product Pi P must equal
@@ -404,8 +429,6 @@ def _walk_factorization(nbr: NeighborGraph, fugacity: float):
     the exponential is entrywise off the diagonal.  The diagonal products are
     taken entrywise, in the order of the matrix products they stand for.
     """
-    op = _one_sided_walk(nbr, fugacity)
-    weight = nbr.weight_exponential(fugacity)
     z = op.z_total[:, None]
     pi_half = op.pi / 2.0
     pi_tilde = ((2.0 * z) / op.z_vertex) * pi_half
@@ -415,14 +438,14 @@ def _walk_factorization(nbr: NeighborGraph, fugacity: float):
     return deviation <= IDENTITY_TOL, deviation
 
 
-def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph):
+def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph, weight: np.ndarray):
     """(hypotheses met, H <= G2, E <= J + lam H + (lam^2 - 1) I,
     E <= J + lam G2 + (lam^2 - 1) I) per link of a stack of neighbor graphs.
 
-    H is the neighbor graph, E its entrywise (1+lam) exponential, J the
-    all-ones matrix and G2 the squared-adjacency principal submatrix on the
-    link.  The last two dominations need the common-neighbor hypotheses and
-    are checked only where they hold, False elsewhere."""
+    H is the neighbor graph, E = ``weight`` its entrywise (1+lam)
+    exponential, J the all-ones matrix and G2 the squared-adjacency principal
+    submatrix on the link.  The last two dominations need the common-neighbor
+    hypotheses and are checked only where they hold, False elsewhere."""
     n = slc.graph.n_side
     lam = slc.fugacity
     h = nbr.counts.astype(float)
@@ -433,7 +456,7 @@ def _psd_chain(slc: OneSidedSlice, nbr: NeighborGraph):
     affine_ok, squared_ok = np.zeros_like(met), np.zeros_like(met)
     if met.any():
         m = h.shape[-1]
-        e = nbr.weight_exponential(lam)[met]
+        e = weight[met]
         j = np.ones((m, m))
         eye = np.eye(m)
         affine_ok[met] = psd_dominance(e, j + lam * h[met] + (lam * lam - 1.0) * eye)
@@ -454,10 +477,12 @@ def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: floa
     report = VerificationReport(f"one-sided identities k={k} fugacity={fugacity}")
     slc = OneSidedSlice(g, k, fugacity)
     faces = _FaceSource(slc, face_cap, sample_count, seed).faces((2,))
+    powers = slc.powers
     for chunk in _chunks(slc, faces):
         nbr = _neighbor_graphs(slc, chunk)
-        ok, dev = _walk_factorization(nbr, fugacity)
-        met, neighbor_ok, affine_ok, squared_ok = _psd_chain(slc, nbr)
+        weight = nbr.weight_exponential(powers)
+        ok, dev = _walk_factorization(_one_sided_walk(nbr, powers), weight)
+        met, neighbor_ok, affine_ok, squared_ok = _psd_chain(slc, nbr, weight)
         for i, tau in enumerate(chunk):
             report.add(tau, float(dev[i]), IDENTITY_TOL, "pass" if ok[i] else "fail",
                        "factorization")

@@ -78,7 +78,25 @@ def graph_file(tmp_path, capsys):
     return str(path)
 
 
+@pytest.fixture
+def graph12_file(tmp_path, capsys):
+    path = tmp_path / "g12.txt"
+    assert main(["gen-graph", "--bipartite", "--n", "12", "--delta", "3",
+                 "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
 class TestSample:
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_fugacity_exit_2(self, graph12_file, capsys, lam):
+        # nan crashed in the step kernel with an IndexError; inf exited 2
+        # with "Eigenvalues did not converge"
+        code, out, err = run_cli(capsys, "sample", "--in", graph12_file, "--family",
+                                 "one-sided", "--k", "3", "--lambda", lam, "--steps", "200")
+        assert code == 2 and out == ""
+        assert err == f"error: fugacity must be a positive finite number, got {lam}\n"
+
     def test_stream_format(self, graph_file, tmp_path, capsys):
         stream = tmp_path / "s.txt"
         code, out, _ = run_cli(capsys, "sample", "--in", graph_file, "--family",
@@ -247,6 +265,21 @@ class TestVerifySpectral:
         assert code == 0
         names = [s["name"] for s in json.loads(out)["sweeps"]]
         assert any("identities" in n for n in names)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_fugacity_exit_2(self, graph12_file, capsys, lam):
+        code, out, err = run_cli(capsys, "verify-spectral", "--one-sided", "--k", "3",
+                                 "--lambda", lam, "--in", graph12_file)
+        assert code == 2 and out == ""
+        assert err == f"error: fugacity must be a positive finite number, got {lam}\n"
+
+    def test_overflowing_fugacity_exit_2(self, graph12_file, capsys):
+        # fugacity ** 2 raised OverflowError, a traceback with exit 1
+        code, out, err = run_cli(capsys, "verify-spectral", "--one-sided", "--k", "3",
+                                 "--lambda", "1e200", "--in", graph12_file)
+        assert code == 2 and out == ""
+        assert err == ("error: fugacity 1e+200 is too large for the closed-form link walk: "
+                       "(1 + fugacity)^3 overflows float64\n")
 
     def test_csv_format(self, graph_file, capsys):
         code, out, _ = run_cli(capsys, "verify-spectral", "--regular", "--k", "3",

@@ -227,3 +227,18 @@ def test_verify_report_digest(run, tmp_path, capsys):
     del report["reproducibility"]
     text = json.dumps(report, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGESTS[run]
+
+
+def test_verify_report_digest_at_a_huge_fugacity(tmp_path, capsys):
+    # (1 + 1e100)^3 still fits float64, so both one-sided sweeps run; at
+    # 1e200 the command exits 2 instead (see test_cli)
+    g = gen_bipartite_regular(12, 3, seed=1)
+    path = tmp_path / "g.txt"
+    save_graph(g, path)
+    assert main(["verify-spectral", "--one-sided", "--k", "3", "--lambda", "1e100",
+                 "--in", str(path), "--full-records"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    del report["reproducibility"]
+    text = json.dumps(report, sort_keys=True, indent=2)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "94f0c892963b80c0d20cd577608248bf32fec806cc2e8491ea2e361cc8eb281c")

@@ -71,6 +71,22 @@ class TestOneSidedWeight:
                 expected = brute_one_sided_weight(g, s, lam)
                 assert math.exp(slc.log_weight(s)) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("seed,lam", [(0, 0.5), (1, 0.25), (2, 1e-3), (3, 4.0)])
+    def test_log_weights_are_the_per_facet_formula_bit_for_bit(self, seed, lam):
+        g = gen_bipartite_regular(9, 3, seed=seed)
+        for k in (0, 1, 3, 9):
+            slc = OneSidedSlice(g, k, lam)
+            facets = list(combinations(range(9), k))
+            want = [k * math.log(lam)
+                    + (9 - len(g.neighbor_set("x", frozenset(s)))) * math.log1p(lam)
+                    for s in facets]
+            assert slc.log_weights(facets).tolist() == want
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_fugacity_must_be_positive_and_finite(self, bipartite_c6, lam):
+        with pytest.raises(SliceError, match="fugacity must be a positive finite number"):
+            OneSidedSlice(bipartite_c6, 2, lam)
+
     def test_log_space_no_overflow(self):
         g = gen_bipartite_regular(60, 3, seed=4)
         slc = OneSidedSlice(g, 5, 0.5)
@@ -337,9 +353,28 @@ class TestNeighborGraph:
         nbr = neighbor_graph(OneSidedSlice(g, 2, 0.5), ())
         assert nbr.counts.max() <= 3
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.25, 1 / math.sqrt(3), 4.0])
+    def test_powers_by_lookup_equal_np_power(self, lam):
+        g = gen_bipartite_regular(12, 3, seed=2)
+        slc = OneSidedSlice(g, 4, lam)
+        assert np.array_equal(slc.powers, np.power(1.0 + lam, np.arange(-3, 4, dtype=float)))
+        nbr = slices._neighbor_graphs(slc, list(combinations(range(12), 2)))
+        walk = nbr.counts - nbr.survivor_degrees[:, None, :]
+        for expo in (walk, nbr.counts, -nbr.survivor_degrees):
+            assert set(np.unique(expo).tolist()) <= set(range(-3, 4))
+            assert np.array_equal(slices._power_of(slc.powers, expo),
+                                  np.power(1.0 + lam, expo.astype(float)))
+
+    def test_powers_that_overflow_name_the_fugacity(self, bipartite_c6):
+        slc = OneSidedSlice(bipartite_c6, 2, 1e200)
+        with pytest.raises(SliceError, match=r"fugacity 1e\+200 .* overflows float64"):
+            one_sided_link_walk_closed_form(slc, ())
+        # (1 + 1e100)^2 fits
+        assert np.isfinite(OneSidedSlice(bipartite_c6, 2, 1e100).powers).all()
+
     def test_weight_exponential(self, bipartite_c6):
-        nbr = neighbor_graph(OneSidedSlice(bipartite_c6, 2, 0.5), ())
-        e = nbr.weight_exponential(0.5)
+        slc = OneSidedSlice(bipartite_c6, 2, 0.5)
+        e = neighbor_graph(slc, ()).weight_exponential(slc.powers)
         assert e[0, 1] == pytest.approx(1.5)
         assert np.all(np.diag(e) == 0.0)
 

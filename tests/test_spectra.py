@@ -87,6 +87,42 @@ def test_psd_dominance_basics():
     assert stacked.tolist() == [True, False]
 
 
+def _with_smallest_eigenvalues(lows, m=6, seed=0):
+    """Symmetric matrices with the given smallest eigenvalues, the others in [0.1, 3]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for low in lows:
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        vals = np.concatenate([[low], rng.uniform(0.1, 3.0, m - 1)])
+        d = (q * vals) @ q.T
+        out.append((d + d.T) / 2)
+    return np.stack(out)
+
+
+def test_psd_dominance_matches_the_eigenvalue_rule():
+    tol = spectra.ORDER_TOL
+    lows = [0.5, -tol / 2, 0.0, -2 * tol, 1e-3, -0.4, tol / 2, -2 * tol, 2.0]
+    diff = _with_smallest_eigenvalues(lows)
+    a = _with_smallest_eigenvalues([1.0] * len(lows), seed=1)
+    b = a + diff
+    want = np.linalg.eigvalsh(b - a)[:, 0] >= -tol
+    assert want.tolist() == [low >= -tol for low in lows]
+    assert psd_dominance(a, b).tolist() == want.tolist()
+    passing = want.nonzero()[0]
+    assert psd_dominance(a[passing], b[passing]).tolist() == [True] * len(passing)
+    for i, w in enumerate(want.tolist()):
+        assert psd_dominance(a[i], b[i]) is w
+
+
+def test_psd_dominance_certifies_a_passing_stack_without_eigenvalues(monkeypatch):
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    diff = _with_smallest_eigenvalues([0.0, -spectra.ORDER_TOL / 2, 1.0])
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    assert psd_dominance(np.zeros_like(diff), diff).tolist() == [True] * 3
+
+
 def test_cauchy_interlacing_on_random_matrices():
     rng = np.random.default_rng(0)
     for _ in range(100):

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from slicewalk import verify
 from slicewalk.graphs import (BipartiteRegularGraph, gen_bipartite_regular,
                               gen_regular)
-from slicewalk.verify import (_psd_chain, _walk_factorization, one_sided_hypotheses_met,
+from slicewalk.verify import (_psd_chain, _walk_factorization, one_sided_bound,
+                              one_sided_hypotheses_met,
                               verify_one_sided_identities, verify_top_link_one_sided,
                               verify_top_link_regular, verify_top_link_two_sided)
-from slicewalk.slices import (OneSidedSlice, RegularSlice, SliceError, TwoSidedSlice,
-                              _neighbor_graphs, neighbor_graph, one_sided_link_walk_closed_form,
+from slicewalk.slices import (NeighborGraph, OneSidedSlice, RegularSlice, SliceError, TwoSidedSlice,
+                              _neighbor_graphs, _one_sided_walk, neighbor_graph,
+                              one_sided_link_walk_closed_form,
                               regular_link_walk_closed_form, two_sided_link_walk_closed_form)
 from slicewalk.walks import spectral_gap
 
@@ -86,6 +91,29 @@ class TestOneSidedSweep:
         assert statuses <= {"pass", "vacuous", "hypothesis_not_met"}
 
 
+    def test_walks_are_built_only_where_the_bound_applies(self, monkeypatch):
+        walked = []
+
+        def spy(nbr, powers):
+            walked.append(len(nbr.counts))
+            return _one_sided_walk(nbr, powers)
+
+        monkeypatch.setattr(verify, "_one_sided_walk", spy)
+        g = gen_bipartite_regular(8, 3, seed=0)
+        r = verify_top_link_one_sided(g, 3, 0.25)
+        statuses = [rec.status for rec in r.records]
+        assert 0 < statuses.count("hypothesis_not_met") < len(statuses)
+        assert sum(walked) == len(statuses) - statuses.count("hypothesis_not_met")
+
+    def test_huge_fugacity_saturates_the_bound(self):
+        g = gen_bipartite_regular(12, 3, seed=1)
+        assert verify._numerator(1e200, 2.0) == math.inf
+        assert one_sided_bound(g, 2.0, 1e200, 1, 2.5) is None
+        assert one_sided_bound(g, 2.0, 1e200, 1, 0.0) is None
+        with pytest.raises(SliceError, match=r"fugacity 1e\+200"):
+            verify_top_link_one_sided(g, 3, 1e200)
+
+
 class TestRegularSweep:
     def test_six_cycle_tight(self, six_cycle):
         r = verify_top_link_regular(six_cycle, 2)
@@ -104,7 +132,9 @@ class TestRegularSweep:
 
 def _factorization(g, k, fugacity, tau):
     slc = OneSidedSlice(g, k, fugacity)
-    ok, dev = _walk_factorization(_neighbor_graphs(slc, [sorted(tau)]), fugacity)
+    nbr = _neighbor_graphs(slc, [sorted(tau)])
+    ok, dev = _walk_factorization(_one_sided_walk(nbr, slc.powers),
+                                  nbr.weight_exponential(slc.powers))
     return bool(ok[0]), float(dev[0])
 
 
@@ -112,7 +142,8 @@ def _psd(g, k, fugacity, tau):
     """(hypotheses met, H <= G2, E <= J + lam H + ..., E <= J + lam G2 + ...)
     for one face."""
     slc = OneSidedSlice(g, k, fugacity)
-    return tuple(bool(x[0]) for x in _psd_chain(slc, _neighbor_graphs(slc, [sorted(tau)])))
+    nbr = _neighbor_graphs(slc, [sorted(tau)])
+    return tuple(bool(x[0]) for x in _psd_chain(slc, nbr, nbr.weight_exponential(slc.powers)))
 
 
 class TestWalkFactorization:
@@ -169,6 +200,25 @@ class TestPsdChain:
         for sweep in (verify_top_link_one_sided, verify_one_sided_identities):
             r = sweep(g, 3, 0.3, face_cap=5)
             assert list(dict.fromkeys(rec.face for rec in r.records)) == [(v,) for v in range(10)]
+
+    def test_identity_sweep_shares_one_weight_matrix_per_chunk(self, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        built = []
+        exponential = NeighborGraph.weight_exponential
+
+        def spy(nbr, powers):
+            built.append(len(nbr.counts))
+            return exponential(nbr, powers)
+
+        monkeypatch.setattr(NeighborGraph, "weight_exponential", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        # the golden one-sided graph's 12 faces in chunks of 5, 5 and 2
+        monkeypatch.setattr(verify, "STACK_ELEMENTS", 5 * 24 ** 2)
+        r = verify_one_sided_identities(gen_bipartite_regular(12, 3, seed=2), 3, 0.25)
+        assert r.all_pass() and r.checked > 0
+        assert built == [5, 5, 2]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identity_sweep_random_instances(self, seed):
