@@ -43,9 +43,8 @@ import numpy as np
 from .graphs import BipartiteRegularGraph
 from .rng import rng_stream, uniform_blocks
 from .slices import (OneSidedSlice, Slice, SliceError, TwoSidedSlice, _facet_bound,
-                     _law_within)
-from .walks import (FacetTable, InitialStateError, _free_ids, facet_table,
-                    greedy_initial_state)
+                     _free_ids, _law_within)
+from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
 
 LOG_ZERO = float("-inf")
 
@@ -549,7 +548,7 @@ def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
             log_value -= math.log1p((1.0 - p_hat) / hits)
         log_value -= math.log(p_hat)
         trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method, burn))
-        slc = slc.with_face(slc.from_ids((v,)))
+        slc = slc.pin((v,))
         if table is not None:
             table = table.pin(v)
     return log_value, trace, total, slc
@@ -581,7 +580,8 @@ def _estimate(slc: Slice, epsilon: float, delta: float, seed: int) -> CountEstim
     table = _level_table(slc)  # one compile, which every repetition reads
     for rep in range(reps):
         log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep, table)
-        runs.append((log_v + final.log_weight(final.from_ids(final.pinned_ids)), trace, total))
+        close = float(final.log_weights([sorted(final.pinned_ids)])[0])
+        runs.append((log_v + close, trace, total))
     runs.sort(key=lambda r: r[0])
     mid = runs[len(runs) // 2]
     samples = sum(r[2] for r in runs)

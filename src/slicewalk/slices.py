@@ -16,11 +16,14 @@ Weights are handled in log space with the (1+fugacity) exponent kept as an
 integer, so nothing overflows at side sizes in the thousands.
 
 All three share one core over the graph's global vertex ids (X, then Y
-offset by the side size): a list of parts (lo, hi, quota), the pinned ids,
-and the conversion between ids and the family's public facet format.  The
-chains and estimators work on that core only; two-sided and regular slices
-are both independent sets with per-part quotas, and the one-sided slice is a
-single part with the coverage weight.
+offset by the side size): a list of parts (lo, hi, quota) and the pinned
+ids.  Inside the package a facet or face is an ascending tuple of global
+ids, enumerated by ``_facet_ids`` and pinned by ``pin``; the family's public
+format (``(xs, ys)`` for the two-sided slice) is made only by the public
+functions that take or hand out one: ``enumerate_facets``,
+``exact_distribution``, ``greedy_facet``, ``with_face`` and ``link``.  Two-sided
+and regular slices are both independent sets with per-part quotas, and the
+one-sided slice is a single part with the coverage weight.
 
 Local walk operators on codimension-2 links are built two independent ways:
 by exhaustive enumeration (the oracle) and by closed forms.  One
@@ -72,10 +75,10 @@ class _SliceCore:
 
     Vertex ids are those of ``graph.global_adj``.  ``parts`` lists each part
     as (lo, hi, quota): a facet holds exactly ``quota`` ids in ``range(lo,
-    hi)``.  ``pinned_ids`` is the pinned face, and ``to_ids``/``from_ids``
-    convert between a facet (or face) in the family's public format and
-    global ids.  The defaults serve the single-set families, whose public
-    format already is a tuple of ids.
+    hi)``.  ``pinned_ids`` is the pinned face, ``pin`` adds ids to it, and
+    ``to_ids``/``from_ids`` convert between a facet (or face) in the
+    family's public format and global ids.  The defaults serve the
+    single-set families, whose public format already is a tuple of ids.
     """
 
     coverage_weighted = False  # the chain kernel: uniform under part quotas
@@ -113,16 +116,16 @@ class _SliceCore:
         """Public name of global id ``v``, as used by link operators."""
         return v
 
+    def pin(self, ids: Iterable[int]):
+        """Same slice with the global ids ``ids`` added to the pins."""
+        return replace(self, pinned=self.pinned | frozenset(ids))
+
     def with_face(self, face):
         """Same slice with ``face``, in the public format, added to the pins."""
-        return replace(self, pinned=self.pinned | frozenset(face))
+        return self.pin(self.to_ids(face))
 
-    def log_weight(self, facet) -> float:
-        """Log of the facet's unnormalized weight: 0 for the uniform families."""
-        return 0.0
-
-    def log_weights(self, facets: Sequence) -> np.ndarray:
-        """``log_weight`` of each facet, as one array."""
+    def log_weights(self, facets: Sequence[Sequence[int]]) -> np.ndarray:
+        """Log weight of each facet (global ids), as one array: 0 for uniform families."""
         return np.zeros(len(facets))
 
     def greedy_order(self, rng: np.random.Generator, count: int):
@@ -156,7 +159,8 @@ class TwoSidedSlice(_SliceCore):
 
     @cached_property
     def pinned_ids(self) -> frozenset[int]:
-        return frozenset(self.to_ids((self.pinned_x, self.pinned_y)))
+        n = self.graph.n_side
+        return self.pinned_x.union(n + j for j in self.pinned_y)
 
     def to_ids(self, facet) -> tuple[int, ...]:
         xs, ys = facet
@@ -173,10 +177,11 @@ class TwoSidedSlice(_SliceCore):
         n = self.graph.n_side
         return (X, v) if v < n else (Y, v - n)
 
-    def with_face(self, face) -> "TwoSidedSlice":
-        fx, fy = face
-        return replace(self, pinned_x=self.pinned_x | frozenset(fx),
-                       pinned_y=self.pinned_y | frozenset(fy))
+    def pin(self, ids: Iterable[int]) -> "TwoSidedSlice":
+        n = self.graph.n_side
+        ids = frozenset(ids)
+        return replace(self, pinned_x=self.pinned_x | {v for v in ids if v < n},
+                       pinned_y=self.pinned_y | {v - n for v in ids if v >= n})
 
 
 @dataclass(eq=False)
@@ -281,7 +286,13 @@ Slice = TwoSidedSlice | OneSidedSlice | RegularSlice
 
 
 def enumerate_facets(slc: Slice, cap: int = ENUMERATION_CAP) -> list:
-    """Exhaustive, duplicate-free, lexicographically ordered facet list.
+    """Every facet in the family's public format, in ``_facet_ids`` order."""
+    return [slc.from_ids(ids) for ids in _facet_ids(slc, cap)]
+
+
+def _facet_ids(slc: Slice, cap: int) -> list[tuple[int, ...]]:
+    """Every facet as a tuple of global ids in ascending order, the parts
+    filled in order, each lexicographically; EnumerationCapError past ``cap``.
 
     The one-sided slice is its single X part: X has no internal edges, so
     every k-subset of it is independent.
@@ -289,8 +300,8 @@ def enumerate_facets(slc: Slice, cap: int = ENUMERATION_CAP) -> list:
     pins = slc.pinned_ids
     parts = [(lo, hi, quota - sum(1 for v in pins if lo <= v < hi))
              for lo, hi, quota in slc.parts]
-    return [slc.from_ids(pins.union(ids))
-            for ids in independent_sets(slc.graph.global_adj, parts, pins, cap)]
+    sets = independent_sets(slc.graph.global_adj, parts, pins, cap)
+    return [tuple(sorted(pins.union(ids))) for ids in sets] if pins else sets
 
 
 def independent_sets(adj: Sequence[Sequence[int]], parts: Sequence[tuple[int, int, int]],
@@ -329,18 +340,27 @@ def independent_sets(adj: Sequence[Sequence[int]], parts: Sequence[tuple[int, in
 def exact_distribution(slc: Slice):
     """(facets, probabilities) with probabilities normalized in log space."""
     facets, _, probs = _facet_weights(slc, ENUMERATION_CAP)
-    return facets, probs
+    return [slc.from_ids(f) for f in facets], probs
 
 
 def _facet_weights(slc: Slice, cap: int):
-    """(facets, log weights, probabilities): the enumerated facets, their log
-    weights, and the weights relative to the heaviest, exp(log weight - max
-    log weight), normalized."""
-    facets = enumerate_facets(slc, cap)
+    """(facets, log weights, probabilities): the facets of ``_facet_ids``,
+    their log weights, and the weights relative to the heaviest, exp(log
+    weight - max log weight), normalized."""
+    facets = _facet_ids(slc, cap)
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
     logw = slc.log_weights(facets)
     return facets, logw, _normalized(logw)
+
+
+def _free_ids(slc: Slice, facets: list[tuple[int, ...]]) -> np.ndarray:
+    """(facets, free size) array of the free ids of each facet, given as
+    ascending global ids."""
+    ids = np.array(facets, np.intp)
+    pinned = np.zeros(len(slc.graph.global_adj), bool)
+    pinned[list(slc.pinned_ids)] = True
+    return ids[~pinned[ids]].reshape(len(facets), slc.free_size)
 
 
 def _normalized(logw: np.ndarray) -> np.ndarray:
@@ -482,37 +502,15 @@ def local_walk_exact(slc: Slice, face=None) -> LinkOperator:
     slc2 = slc.with_face(face) if face is not None else slc
     if slc2.free_size != 2:
         raise SliceError("local walk operators are defined for codimension 2 only")
-    facets = enumerate_facets(slc2, ENUMERATION_CAP)
-    if not facets:
-        raise SliceError("empty link")
-    pairs: dict[int, dict[int, float]] = {}
-    logw = [slc2.log_weight(f) for f in facets]
-    shift = max(logw)
-    for f, lw in zip(facets, logw):
-        u, v = _free_pair(slc2, f)
-        w = math.exp(lw - shift)
-        pairs.setdefault(u, {})[v] = w
-        pairs.setdefault(v, {})[u] = w
-    ids = sorted(pairs)
-    if len(ids) < 2:
-        raise SliceError("singleton link")
-    index = {u: i for i, u in enumerate(ids)}
+    facets, _, probs = _facet_weights(slc2, ENUMERATION_CAP)
+    ids, at = np.unique(_free_ids(slc2, facets), return_inverse=True)
+    u, v = at.reshape(-1, 2).T  # each facet's two free ids, as indices into ids
     mat = np.zeros((len(ids), len(ids)))
-    for u, row in pairs.items():
-        for v, w in row.items():
-            mat[index[u], index[v]] = w
+    mat[u, v] = mat[v, u] = probs
     pi = mat.sum(axis=1)
     pi /= pi.sum()
     p = mat / mat.sum(axis=1, keepdims=True)
-    return LinkOperator(tuple(slc2.label(u) for u in ids), p, pi)
-
-
-def _free_pair(slc: Slice, facet) -> tuple[int, int]:
-    """Global ids of the two non-pinned members of a codimension-2 facet."""
-    free = [v for v in slc.to_ids(facet) if v not in slc.pinned_ids]
-    if len(free) != 2:
-        raise SliceError("facet does not have exactly two free elements")
-    return free[0], free[1]
+    return LinkOperator(tuple(slc2.label(x) for x in ids.tolist()), p, pi)
 
 
 # -- closed forms, built for many faces at once --------------------------------------
@@ -722,14 +720,16 @@ def one_sided_link_walk_closed_form(slc: OneSidedSlice, tau: Iterable[int]) -> L
     t = frozenset(tau)
     if slc.k < 2 or len(t) != slc.k - 2:
         raise SliceError("face must have k - 2 vertices and k must be at least 2")
-    return _one_sided_walk(neighbor_graph(slc, t), slc.powers)
+    return _one_sided_walk(slc, neighbor_graph(slc, t))
 
 
-def _one_sided_walk(nbr: NeighborGraph, powers: np.ndarray) -> LinkOperator:
+def _one_sided_walk(slc: OneSidedSlice, nbr: NeighborGraph) -> LinkOperator:
     """The one-sided closed form, read off the link's neighbor graph (or a
-    stack of them, giving stacked arrays) and the slice's ``powers``."""
-    if nbr.counts.shape[-1] < 2:
-        raise SliceError("link has fewer than two vertices")
+    stack of them, giving stacked arrays) and the slice's ``powers``.
+
+    SliceError when every stationary weight c^(-|N_tau(u)|) Z_u of a link
+    underflows float64, where pi would be 0/0."""
+    powers = slc.powers
     # Row u holds c^(-n_v + common(u, v)); exponents are bounded by the degree.
     w = _power_of(powers, nbr.counts - nbr.survivor_degrees[..., None, :])
     _zero_diagonal(w)
@@ -737,5 +737,8 @@ def _one_sided_walk(nbr: NeighborGraph, powers: np.ndarray) -> LinkOperator:
     p = w / z_vertex[..., None]
     weights = _power_of(powers, -nbr.survivor_degrees) * z_vertex
     z_total = weights.sum(axis=-1)
+    if not np.all(z_total > 0):
+        raise SliceError(f"fugacity {slc.fugacity} is too large for the closed-form link "
+                         "walk: its stationary weights underflow float64")
     pi = weights / np.asarray(z_total)[..., None]
     return LinkOperator(nbr.ground, p, pi, z_total=z_total, z_vertex=z_vertex)

@@ -8,8 +8,9 @@ faces of a kind when their count bound is at most ``face_cap`` or
 ``sample_count``, and otherwise samples ``sample_count`` faces by truncating
 the facets of one seeded down-up chain.  The loop takes the faces a chunk at
 a time; the family builds the chunk's links as stacks of equal-sized
-matrices and solves each stack with one LAPACK call.  Each link's second
-eigenvalue is compared against the matching deterministic bound:
+matrices and solves each stack with one LAPACK call.  Faces are id tuples
+until a record is written.  Each link's second eigenvalue is compared
+against the matching deterministic bound:
 
 * two-sided cross links: lambda2(P) <= lambda2(A_G) / (min survivor side - d),
   with lambda2(P) the second singular value of the normalized half-size
@@ -33,9 +34,9 @@ nonpositive denominator are recorded as vacuous rather than failed.
 A one-sided link gets its walk only when it meets the bound's
 common-neighbor hypotheses; the others are recorded without one.  Every
 power of 1 + lam the one-sided walks take is read from the slice's table of
-(1 + lam)^e for e = -degree..degree, and a fugacity at which
-(1 + lam)^degree overflows float64 is a SliceError, not a sweep of nan
-entries.
+(1 + lam)^e for e = -degree..degree.  A fugacity at which
+(1 + lam)^degree overflows float64, or at which a link's stationary weights
+underflow, is a SliceError, not a sweep of nan entries.
 
 The one-sided slice additionally satisfies two exact matrix statements that
 are verified entrywise and in the PSD order: the walk factorizes through the
@@ -139,13 +140,14 @@ def _chunks(slc: Slice, faces: list) -> list:
 def _sweep(report: VerificationReport, slc: Slice, faces: list, links) -> VerificationReport:
     """The one sweep loop: each face becomes one record.
 
-    ``links(chunk)`` builds and solves the links of a chunk of faces as
+    ``links(chunk)`` builds and solves the links of a chunk of id faces as
     stacks.  It returns, per face, the link's second eigenvalue with the
     family's bound, None when the face fails the hypotheses of the bound, or
     the SliceError of an empty link.
     """
     for chunk in _chunks(slc, faces):
-        for face, got in zip(chunk, links(chunk)):
+        for ids, got in zip(chunk, links(chunk)):
+            face = slc.from_ids(ids)
             if isinstance(got, SliceError):
                 report.add(face, None, None, "empty", str(got))
                 continue
@@ -166,7 +168,7 @@ def _sweep(report: VerificationReport, slc: Slice, faces: list, links) -> Verifi
 
 
 class _FaceSource:
-    """Codimension-2 faces of an unpinned slice, one face kind at a time.
+    """Codimension-2 faces of an unpinned slice as id tuples, one kind at a time.
 
     A face kind says how many elements each part misses, two in all.  A kind
     whose count bound (the product over parts of the ways to choose its face
@@ -195,7 +197,7 @@ class _FaceSource:
             order = sorted(range(len(parts)), key=lambda p: -missing[p])
             sets = independent_sets(self.slc.graph.global_adj,
                                     [(*parts[p][:2], sizes[p]) for p in order], (), bound)
-            return [self.slc.from_ids(ids) for ids in sets]
+            return sets if order == sorted(order) else [tuple(sorted(ids)) for ids in sets]
         return self._sampled(missing)
 
     def _sampled(self, missing: tuple[int, ...]) -> list:
@@ -212,7 +214,7 @@ class _FaceSource:
                 members = [v for v in ids if lo <= v < hi]
                 drop = self._rng.choice(len(members), size=c, replace=False).tolist() if c else []
                 kept += [v for i, v in enumerate(members) if i not in drop]
-            faces[self.slc.from_ids(kept)] = None
+            faces[tuple(kept)] = None
             if len(faces) >= self.sample_count:
                 break
         return list(faces)
@@ -274,7 +276,7 @@ def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
     n = g.n_side
 
     def cross(chunk):
-        survivors, lefts, errors = _link_survivors(slc, [slc.to_ids(f) for f in chunk])
+        survivors, lefts, errors = _link_survivors(slc, chunk)
         out: list = [errors.get(row) for row in range(len(chunk))]
         sides = np.stack([survivors[:, :n].sum(axis=1), survivors[:, n:].sum(axis=1)], axis=1)
         for (mx, my), rows in _groups(sides):
@@ -291,7 +293,7 @@ def verify_top_link_two_sided(g: BipartiteRegularGraph, k_x: int, k_y: int,
         same = _Bound(0.0, f"same-side {side}")
 
         def complete(chunk):
-            survivors, _, errors = _link_survivors(slc, [slc.to_ids(f) for f in chunk])
+            survivors, _, errors = _link_survivors(slc, chunk)
             return [errors.get(row) or (SliceError(EMPTY_LINK) if m < 2 else (-1.0 / (m - 1), same))
                     for row, m in enumerate(survivors.sum(axis=1).tolist())]
 
@@ -359,16 +361,14 @@ def verify_top_link_one_sided(g: BipartiteRegularGraph, k: int, fugacity: float,
     lam2_adj = eigen_summary(adjacency_matrix(g)).lambda2
     sign_only = _numerator(fugacity, lam2_adj) <= 0
     slc = OneSidedSlice(g, k, fugacity)
-    powers = slc.powers
+    slc.powers  # a fugacity whose powers overflow is refused before any face
 
     def links(chunk):
         nbr = _neighbor_graphs(slc, chunk)
         met = one_sided_hypotheses_met(nbr)
-        try:  # only the links under the hypotheses get a walk
-            op = _one_sided_walk(NeighborGraph(nbr.ground[met], nbr.counts[met],
-                                               nbr.survivor_degrees[met]), powers)
-        except SliceError as e:
-            return [e] * len(chunk)
+        # only the links under the hypotheses get a walk
+        op = _one_sided_walk(slc, NeighborGraph(nbr.ground[met], nbr.counts[met],
+                                                nbr.survivor_degrees[met]))
         out: list = [None] * len(chunk)
         if met.any():
             lam2, _, _ = spectral_gap(op.matrix, op.pi)
@@ -481,9 +481,10 @@ def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: floa
     for chunk in _chunks(slc, faces):
         nbr = _neighbor_graphs(slc, chunk)
         weight = nbr.weight_exponential(powers)
-        ok, dev = _walk_factorization(_one_sided_walk(nbr, powers), weight)
+        ok, dev = _walk_factorization(_one_sided_walk(slc, nbr), weight)
         met, neighbor_ok, affine_ok, squared_ok = _psd_chain(slc, nbr, weight)
-        for i, tau in enumerate(chunk):
+        for i, ids in enumerate(chunk):
+            tau = slc.from_ids(ids)
             report.add(tau, float(dev[i]), IDENTITY_TOL, "pass" if ok[i] else "fail",
                        "factorization")
             report.add(tau, None, None, "pass" if neighbor_ok[i] else "fail",

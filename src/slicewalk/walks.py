@@ -36,11 +36,17 @@ Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
 stepping code, so the two implementations check each other.  One exact-law
 query (``slices._law_within``) feeds both oracles of ``run_chain``.
+
+Inside the package a facet is an ascending tuple of global ids; only
+``ChainState.facet`` (hence ``run_chain``'s samples),
+``exact_transition_matrix``, ``greedy_initial_state`` and ``format_facet``
+use the family's format.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -51,7 +57,8 @@ import numpy as np
 
 from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
-                     _facet_weights, _law_within, _normalized, _open_ids, greedy_facet)
+                     _facet_weights, _free_ids, _law_within, _normalized, _open_ids,
+                     greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -92,19 +99,20 @@ class ChainState:
     steps: int = 0
 
     def facet(self):
+        """The current facet in the family's public format."""
         return self.slc.from_ids(set(self.free) | self.slc.pinned_ids)
 
     def recount_ok(self) -> bool:
         """Recompute every counter and pool from scratch and compare with the
         running ones."""
-        fresh = _make_state(self.slc, self.facet())
+        fresh = _make_state(self.slc, [*self.free, *self.slc.pinned_ids])
         return (fresh.cover == self.cover and fresh.member == self.member
                 and sorted(fresh.free) == sorted(self.free)
                 and fresh.pools == self.pools and fresh.unc == self.unc)
 
 
-def _make_state(slc: Slice, facet) -> ChainState:
-    ids = slc.to_ids(facet)
+def _make_state(slc: Slice, ids: Sequence[int]) -> ChainState:
+    """State at the facet of global ids ``ids``; its free ids step in that order."""
     member, cover, unc = _counts(slc, ids)
     if any(cover[v] for v in ids):
         raise SliceError("facet is not an independent set")
@@ -162,7 +170,7 @@ def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
         raise InitialStateError(
             f"no facet found in {INITIAL_RESTARTS} greedy restarts; "
             "slice parameters may be infeasible")
-    return _make_state(slc, facet)
+    return _make_state(slc, slc.to_ids(facet))
 
 
 # -- kernels ----------------------------------------------------------------------
@@ -438,15 +446,6 @@ def _row_at(free: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _free_ids(slc: Slice, facets: list) -> np.ndarray:
-    """(facets, free size) array of each facet's free ids, in increasing
-    order."""
-    ids = np.array([slc.to_ids(f) for f in facets], np.intp)
-    pinned = np.zeros(len(slc.graph.global_adj), bool)
-    pinned[list(slc.pinned_ids)] = True
-    return ids[~pinned[ids]].reshape(len(facets), slc.free_size)
-
-
 def facet_table(slc: Slice) -> FacetTable | None:
     """Compile the chain and the law of ``slc``, or None when the facet bound
     times the free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
@@ -658,7 +657,7 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     if law is not None:
         facets, logw, probs = law
         if len(facets) <= config.oracle_cap:
-            tv = _oracle_tv(samples, facets, probs)
+            tv = _oracle_tv(slc, samples, facets, probs)
         if len(facets) <= config.gap_cap:
             p = _transition_matrix(slc, facets, logw)
             gap = spectral_gap(0.5 * (np.eye(len(p)) + p) if lazy else p, probs)[2]
@@ -666,11 +665,9 @@ def run_chain(slc: Slice, config: ChainConfig, initial: ChainState | None = None
     return samples, MixingReport(tv, gap, auto, len(samples), config.steps)
 
 
-def _oracle_tv(samples: Sequence, facets: list, probs: np.ndarray) -> float:
-    counts: dict = {}
-    for f in samples:
-        counts[f] = counts.get(f, 0) + 1
-    hist = np.array([counts.get(f, 0) for f in facets], dtype=float)
+def _oracle_tv(slc: Slice, samples: Sequence, facets: list, probs: np.ndarray) -> float:
+    counts = Counter(samples)
+    hist = np.array([counts[slc.from_ids(f)] for f in facets], dtype=float)
     if hist.sum() != len(samples):
         raise SliceError("chain visited a facet outside the enumerated slice")
     return tv_distance(hist, probs)
@@ -693,11 +690,11 @@ def _lag1_autocorr(series: Sequence[int]) -> float | None:
 def exact_transition_matrix(slc: Slice):
     """(facets, P, stationary) for the exact non-lazy down-up chain."""
     facets, logw, probs = _facet_weights(slc, ENUMERATION_CAP)
-    return facets, _transition_matrix(slc, facets, logw), probs
+    return [slc.from_ids(f) for f in facets], _transition_matrix(slc, facets, logw), probs
 
 
 def _transition_matrix(slc: Slice, facets: list, logw: np.ndarray) -> np.ndarray:
-    """P of the exact non-lazy down-up chain on the enumerated ``facets``.
+    """P of the exact non-lazy down-up chain on the enumerated id ``facets``.
 
     Built purely from the facet enumeration: facets are grouped by each
     codimension-1 face obtained by deleting a free element, and within a group
@@ -721,9 +718,8 @@ def _transition_matrix(slc: Slice, facets: list, logw: np.ndarray) -> np.ndarray
     return p
 
 
-def _codim1_faces(slc: Slice, facet):
-    """Each face left by deleting one free element, as a tuple of global ids."""
-    ids = slc.to_ids(facet)
+def _codim1_faces(slc: Slice, ids: tuple[int, ...]):
+    """Each face left by deleting one free element of the facet ``ids``."""
     pinned = slc.pinned_ids
     for v in ids:
         if v not in pinned:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,22 @@ class TestVerifySpectral:
         assert code == 2 and out == ""
         assert err == ("error: fugacity 1e+200 is too large for the closed-form link walk: "
                        "(1 + fugacity)^3 overflows float64\n")
+
+    def test_underflowing_stationary_weights_exit_2(self, tmp_path, capsys):
+        # at degree 1, (1 + 1e200)^1 fits float64 but every stationary weight
+        # of a link underflows; this printed a RuntimeWarning, then
+        # "Eigenvalues did not converge"
+        path = str(tmp_path / "g6.txt")
+        assert main(["gen-graph", "--bipartite", "--n", "6", "--delta", "1", "--seed", "1",
+                     "--out", path]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify-spectral", "--one-sided", "--k", "3",
+                                     "--lambda", "1e200", "--in", path)
+        assert code == 2 and out == ""
+        assert err == ("error: fugacity 1e+200 is too large for the closed-form link walk: "
+                       "its stationary weights underflow float64\n")
 
     def test_csv_format(self, graph_file, capsys):
         code, out, _ = run_cli(capsys, "verify-spectral", "--regular", "--k", "3",

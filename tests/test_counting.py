@@ -311,7 +311,7 @@ class TestEstimators:
         def table_start(slc, rng):
             table = walks.facet_table(slc)
             free = table.free[table.draw(rng, 1)[0]].tolist()
-            return _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
+            return _make_state(slc, sorted(set(free) | slc.pinned_ids))
 
         monkeypatch.setattr(counting, "facet_table", lambda slc: None)
         monkeypatch.setattr(counting, "_burn_in", lambda slc, epsilon: 0)
@@ -340,7 +340,7 @@ class TestEstimators:
             start = rng_stream(4, 0, 1, 1, 0)
             if tabled:
                 t = walks.facet_table(slc)
-                states = [_make_state(slc, slc.from_ids(set(t.free[f].tolist()) | slc.pinned_ids))
+                states = [_make_state(slc, sorted(set(t.free[f].tolist()) | slc.pinned_ids))
                           for f in t.draw(start, 3)]
             else:
                 states = [walks.greedy_initial_state(slc, start) for _ in range(3)]
@@ -386,9 +386,9 @@ class TestEstimators:
         # levels below it, exact ones included, read their tables by
         # restriction: an estimate whose top level fits a table enumerates once
         enumerations, tables = [], []
-        real_enumerate, real_table = slices.enumerate_facets, counting.facet_table
+        real_enumerate, real_table = slices._facet_ids, counting.facet_table
 
-        def enumerate_spy(slc, cap=slices.ENUMERATION_CAP):
+        def enumerate_spy(slc, cap):
             enumerations.append((slc, cap))
             return real_enumerate(slc, cap)
 
@@ -399,8 +399,8 @@ class TestEstimators:
             return table
 
         for module in (slicewalk, slices, walks, counting):
-            if getattr(module, "enumerate_facets", None) is real_enumerate:
-                monkeypatch.setattr(module, "enumerate_facets", enumerate_spy)
+            if getattr(module, "_facet_ids", None) is real_enumerate:
+                monkeypatch.setattr(module, "_facet_ids", enumerate_spy)
         monkeypatch.setattr(counting, "facet_table", table_spy)
         estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2, 0.3, 0.1, seed=5)
         estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 3, 0.3, 0.3, 0.1,
@@ -414,16 +414,16 @@ class TestEstimators:
     def test_a_top_level_with_a_small_exact_bound_compiles_no_table(self, monkeypatch):
         # C(8, 2) = 28 one-sided facets: each level enumerates its own law
         # within EXACT_MARGINAL_CAP, and no table is compiled
-        caps, real_enumerate = [], slices.enumerate_facets
+        caps, real_enumerate = [], slices._facet_ids
 
-        def enumerate_spy(slc, cap=slices.ENUMERATION_CAP):
+        def enumerate_spy(slc, cap):
             caps.append(cap)
             return real_enumerate(slc, cap)
 
         def refuse(slc):
             raise AssertionError("compiled a table for a level known to be exact")
 
-        monkeypatch.setattr(slices, "enumerate_facets", enumerate_spy)
+        monkeypatch.setattr(slices, "_facet_ids", enumerate_spy)
         monkeypatch.setattr(counting, "facet_table", refuse)
         est = estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 2, 0.4, 0.1,
                                            0.1, seed=5)
@@ -471,13 +471,13 @@ class TestEstimators:
             v = t.pinned[1] + g.n_side * t.pinned[0]
             if t.method == "exact":
                 assert counting._exact_marginal(slc) == (v, t.marginal)
-            slc = slc.with_face(slc.from_ids((v,)))
+            slc = slc.pin((v,))
 
     def test_a_level_above_the_exact_bound_enumerates_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("enumerated a level whose exact bound exceeds the cap")
 
-        monkeypatch.setattr(slices, "enumerate_facets", refuse)
+        monkeypatch.setattr(slices, "_facet_ids", refuse)
         # C(8, 3) = 56 facets, above EXACT_MARGINAL_CAP = 32
         slc = OneSidedSlice(gen_bipartite_regular(8, 3, seed=1), 3, 0.4)
         assert slices._facet_bound(slc) == (56, True)
@@ -628,3 +628,40 @@ class TestAccuracyArguments:
         for run in runs:
             with pytest.raises(ValueError, match=r"epsilon and delta must lie in \(0, 1\)"):
                 run()
+
+
+def test_internals_work_on_global_ids(monkeypatch):
+    """Facet tables, exact laws, the link-walk oracle and the estimator take
+    and hand out global ids: with the two-sided format conversions broken
+    they give the same results."""
+    g = gen_bipartite_regular(8, 3, seed=1)
+    y = min(set(range(8)) - set(g.adj_x[0]))
+    codim2 = TwoSidedSlice(g, 2, 2, pinned_x=frozenset({0}), pinned_y=frozenset({y}))
+    kinds = [TwoSidedSlice(g, 2, 2), TwoSidedSlice(g, 2, 1, pinned_y=frozenset({y})), codim2]
+
+    def run():
+        tables = [vars(walks.facet_table(slc)) for slc in kinds]
+        laws = [slices._law_within(slc, walks.TABLE_ROW_CAP) for slc in kinds]
+        op = slices.local_walk_exact(codim2)
+        est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
+        return tables, laws, (op.ground, op.matrix, op.pi), est
+
+    def refuse(*args):
+        raise AssertionError("converted a facet inside the package")
+
+    want = run()
+    monkeypatch.setattr(TwoSidedSlice, "to_ids", refuse)
+    monkeypatch.setattr(TwoSidedSlice, "from_ids", refuse)
+    got = run()
+    for table, ref in zip(got[0], want[0]):
+        assert table.keys() == ref.keys()
+        for name, value in ref.items():
+            assert np.array_equal(table[name], value), name
+    for (facets, logw, probs), (ref_facets, ref_logw, ref_probs) in zip(got[1], want[1]):
+        assert facets == ref_facets
+        assert logw.tobytes() == ref_logw.tobytes() and probs.tobytes() == ref_probs.tobytes()
+    (ground, matrix, pi), (ref_ground, ref_matrix, ref_pi) = got[2], want[2]
+    assert ground == ref_ground
+    assert matrix.tobytes() == ref_matrix.tobytes() and pi.tobytes() == ref_pi.tobytes()
+    assert got[3] == want[3]
+    assert any(t.method == "sampled" for t in got[3].trace)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import math
+import warnings
 from pathlib import Path
 from itertools import combinations
 
@@ -372,6 +373,17 @@ class TestNeighborGraph:
         # (1 + 1e100)^2 fits
         assert np.isfinite(OneSidedSlice(bipartite_c6, 2, 1e100).powers).all()
 
+    def test_stationary_weights_that_underflow_name_the_fugacity(self):
+        # at degree 1 the powers fit, but with tau = (0,) each of the five
+        # link vertices has one survivor neighbour and none in common, so its
+        # stationary weight c^-1 Z_u is 4 c^-2, which underflows: pi was 0/0
+        slc = OneSidedSlice(gen_bipartite_regular(6, 1, seed=1), 3, 1e200)
+        assert np.isfinite(slc.powers).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SliceError, match=r"fugacity 1e\+200 .* underflow float64"):
+                one_sided_link_walk_closed_form(slc, (0,))
+
     def test_weight_exponential(self, bipartite_c6):
         slc = OneSidedSlice(bipartite_c6, 2, 0.5)
         e = neighbor_graph(slc, ()).weight_exponential(slc.powers)
@@ -467,12 +479,14 @@ def test_every_public_name_has_a_consumer():
 MAX_DEFAULTED_PARAMETERS = 26
 MAX_ADD_ARGUMENT_CALLS = 52
 THRESHOLD_FIELDS = 2
+MAX_CONFIG_DEFAULTS = 17  # ChainConfig 5, ExperimentConfig 12
 
 
 def test_settable_values_do_not_grow():
     """Function parameters with a default across the package, ``add_argument``
-    calls and ``ThresholdParams`` fields, counted on the AST."""
-    defaulted = arguments = 0
+    calls, ``ThresholdParams`` fields and the defaulted fields of the
+    ``*Config`` dataclasses, counted on the AST."""
+    defaulted = arguments = config_defaults = 0
     threshold_fields = None
     for path in sorted(Path(slices.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -483,6 +497,10 @@ def test_settable_values_do_not_grow():
                 arguments += 1
             elif isinstance(node, ast.ClassDef) and node.name == "ThresholdParams":
                 threshold_fields = sum(isinstance(b, ast.AnnAssign) for b in node.body)
+            elif isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+                config_defaults += sum(isinstance(b, ast.AnnAssign) and b.value is not None
+                                       for b in node.body)
     assert defaulted <= MAX_DEFAULTED_PARAMETERS
     assert arguments <= MAX_ADD_ARGUMENT_CALLS
     assert threshold_fields == THRESHOLD_FIELDS
+    assert config_defaults <= MAX_CONFIG_DEFAULTS

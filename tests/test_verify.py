@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,9 +95,9 @@ class TestOneSidedSweep:
     def test_walks_are_built_only_where_the_bound_applies(self, monkeypatch):
         walked = []
 
-        def spy(nbr, powers):
+        def spy(slc, nbr):
             walked.append(len(nbr.counts))
-            return _one_sided_walk(nbr, powers)
+            return _one_sided_walk(slc, nbr)
 
         monkeypatch.setattr(verify, "_one_sided_walk", spy)
         g = gen_bipartite_regular(8, 3, seed=0)
@@ -112,6 +113,16 @@ class TestOneSidedSweep:
         assert one_sided_bound(g, 2.0, 1e200, 1, 0.0) is None
         with pytest.raises(SliceError, match=r"fugacity 1e\+200"):
             verify_top_link_one_sided(g, 3, 1e200)
+
+    def test_underflowing_stationary_weights_stop_both_sweeps(self):
+        # an underflow is the fugacity's fault, not an empty link: neither
+        # sweep records it, and no nan reaches a record or an eigensolver
+        g = gen_bipartite_regular(6, 1, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep in (verify_top_link_one_sided, verify_one_sided_identities):
+                with pytest.raises(SliceError, match=r"fugacity 1e\+200 .* underflow float64"):
+                    sweep(g, 3, 1e200)
 
 
 class TestRegularSweep:
@@ -133,7 +144,7 @@ class TestRegularSweep:
 def _factorization(g, k, fugacity, tau):
     slc = OneSidedSlice(g, k, fugacity)
     nbr = _neighbor_graphs(slc, [sorted(tau)])
-    ok, dev = _walk_factorization(_one_sided_walk(nbr, slc.powers),
+    ok, dev = _walk_factorization(_one_sided_walk(slc, nbr),
                                   nbr.weight_exponential(slc.powers))
     return bool(ok[0]), float(dev[0])
 

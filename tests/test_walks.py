@@ -184,7 +184,7 @@ class TestDownUpStep:
 
 def _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask):
     """A small random slice of ``family`` pinned at part of a greedy facet,
-    with that facet, or None when greedy search finds none."""
+    with that facet's global ids, or None when greedy search finds none."""
     degree = min(degree, n - (family == "reg"))
     if degree < 1:
         return None
@@ -199,13 +199,14 @@ def _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask):
     if facet is None:
         return None
     ids = slc.to_ids(facet)
-    return slc.with_face(slc.from_ids(v for i, v in enumerate(ids) if pin_mask >> i & 1)), facet
+    return slc.pin(v for i, v in enumerate(ids) if pin_mask >> i & 1), ids
 
 
-def _replay_histogram(slc, facet, table, rand, count, thinning):
-    """Facet histogram and final state of ``_step`` on the uniforms ``rand``
-    serves, sampled after every ``thinning`` steps."""
-    state = _make_state(slc, facet)
+def _replay_histogram(slc, ids, table, rand, count, thinning):
+    """Facet histogram and final state of ``_step`` from the facet of global
+    ids ``ids`` on the uniforms ``rand`` serves, sampled after every
+    ``thinning`` steps."""
+    state = _make_state(slc, ids)
     want = [0] * len(table.free)
     for t in range(1, count * thinning + 1):
         _step(slc, state, rand)
@@ -239,8 +240,8 @@ def _check_rows_replay(slc, table, starts, seed, count, thinning):
     columns = rng_stream(seed, 1).random((steps, len(starts), unit))
     for r, start in enumerate(starts):
         col = iter(columns[:, r].ravel().tolist())
-        facet = slc.from_ids(set(start) | slc.pinned_ids)
-        want, state = _replay_histogram(slc, facet, table, col.__next__, count, thinning)
+        ids = sorted(set(start) | slc.pinned_ids)
+        want, state = _replay_histogram(slc, ids, table, col.__next__, count, thinning)
         got = np.bincount(bases[thinning - 1::thinning, r] // table.width,
                           minlength=len(table.free))
         assert got.tolist() == want
@@ -265,14 +266,14 @@ def _scalar_table(slc):
     adj = slc.graph.global_adj
     width = len(adj)
     pinned = slc.pinned_ids
-    free_ids = [tuple(v for v in slc.to_ids(f) if v not in pinned) for f in facets]
+    free_ids = [tuple(v for v in f if v not in pinned) for f in facets]
     base_of = {sum(1 << v for v in ids): f * width for f, ids in enumerate(free_ids)}
     weighted = slc.coverage_weighted
     per_row = slc.graph.degree + 1 if weighted else 1
     row_at = np.zeros(len(facets) * width, np.intp)
     sums, total, size, cands, succ = [], [], [], [], []
     for f, facet in enumerate(facets):
-        member, cover, unc = walks._counts(slc, slc.to_ids(facet))
+        member, cover, unc = walks._counts(slc, facet)
         mask = sum(1 << v for v in free_ids[f])
         for v in free_ids[f]:
             face_member, face_cover, face_unc = member.copy(), cover.copy(), unc.copy()
@@ -401,7 +402,7 @@ class TestFacetTable:
         for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4),
                     RegularSlice(gen_regular(10, 3, seed=2), 3)):
             table = facet_table(slc)
-            starts = [_make_state(slc, greedy_facet(slc, rng_stream(4))).free]
+            starts = [_make_state(slc, slc.to_ids(greedy_facet(slc, rng_stream(4)))).free]
             starts += [table.free[f].tolist() for f in table.draw(rng_stream(5), 2)]
             _check_rows_replay(slc, table, starts, 9, 13, 3)
 
@@ -453,7 +454,7 @@ class TestTableCompile:
                     RegularSlice(gen_regular(12, 3, seed=4), 4)):
             ids = slc.to_ids(greedy_facet(slc, rng_stream(2)))
             for pins in (ids[:1], ids[1:3], ids[::2]):
-                face = slc.with_face(slc.from_ids(pins))
+                face = slc.pin(pins)
                 _assert_same_table(facet_table(face), _scalar_table(face))
 
     def test_a_face_with_nothing_free_and_an_empty_slice(self):
@@ -488,12 +489,12 @@ class TestTableCompile:
         table = facet_table(slc)
         assert (table.classes() > 1) == (kind == "reducible")
         for v in np.unique(table.free).tolist():
-            child = slc.with_face(slc.from_ids((v,)))
+            child = slc.pin((v,))
             pinned = table.pin(v)
             _assert_same_table(pinned, _table_arrays(facet_table(child)))
             assert pinned.classes() == facet_table(child).classes()
             for w in np.unique(pinned.free).tolist():
-                grandchild = child.with_face(child.from_ids((w,)))
+                grandchild = child.pin((w,))
                 _assert_same_table(pinned.pin(w), _table_arrays(facet_table(grandchild)))
 
 
@@ -526,7 +527,7 @@ class TestStationaryStart:
         for f in drawn[:20].tolist():
             free = table.free[f].tolist()
             assert table.start(free) == f * table.width
-            state = _make_state(slc, slc.from_ids(set(free) | slc.pinned_ids))
+            state = _make_state(slc, sorted(set(free) | slc.pinned_ids))
             assert state.free == free and state.recount_ok()
         assert len(facets) == (56 if weighted else 82)
         assert np.all(np.abs(counts / draws - probs) <= 4.5 * np.sqrt(probs * (1 - probs) / draws))
@@ -642,7 +643,7 @@ class TestRunChain:
         def refuse(*args):
             raise AssertionError("enumerated a slice with zero oracle caps")
 
-        monkeypatch.setattr(slices, "enumerate_facets", refuse)
+        monkeypatch.setattr(slices, "_facet_ids", refuse)
         g = gen_bipartite_regular(8, 3, seed=9)
         for slc in (OneSidedSlice(g, 3, 0.4), TwoSidedSlice(g, 2, 2)):
             _, report = run_chain(slc, ChainConfig(steps=50, seed=1, oracle_cap=0, gap_cap=0))
@@ -652,20 +653,20 @@ class TestRunChain:
         def refuse(*args):
             raise AssertionError("enumerated a slice known to exceed the cap")
 
-        monkeypatch.setattr(slices, "enumerate_facets", refuse)
+        monkeypatch.setattr(slices, "_facet_ids", refuse)
         # the README sample slice: C(100, 8) facets, far above both caps
         slc = OneSidedSlice(gen_bipartite_regular(100, 3, seed=7), 8, 0.2)
         _, report = run_chain(slc, ChainConfig(steps=200, seed=1))
         assert report.empirical_tv is None and report.exact_gap is None
 
     def test_one_enumeration_feeds_both_oracles(self, monkeypatch):
-        caps = []
+        caps, real_facet_ids = [], slices._facet_ids
 
         def spy(slc, cap):
             caps.append(cap)
-            return enumerate_facets(slc, cap)
+            return real_facet_ids(slc, cap)
 
-        monkeypatch.setattr(slices, "enumerate_facets", spy)
+        monkeypatch.setattr(slices, "_facet_ids", spy)
         slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=1), 2, 2)
         _, report = run_chain(slc, ChainConfig(steps=1000, seed=1))
         assert caps == [20_000]
