@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .counting import ThresholdParams, estimate_partition_hat, threshold_pair
+from .counting import GAMMA, ThresholdParams, estimate_partition_hat, threshold_pair
 from .experiments import (ExperimentConfig, experiment_independent_set_size,
                           experiment_large_set_expansion,
                           experiment_neighborhood_concentration,
@@ -132,7 +132,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="fugacity")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--gamma", type=float, default=GAMMA)
     p.add_argument("--alpha", type=float, default=None,
                    help="override the occupancy threshold")
     p.add_argument("--beta", type=float, default=None,
@@ -158,16 +158,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--name", required=True, choices=tuple(EXPERIMENTS))
     p.add_argument("--n", type=int, required=True, help="side size")
     p.add_argument("--delta", type=int, required=True, help="degree")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="fugacity")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--ell", type=float, default=2.0)
-    p.add_argument("--a", type=float, default=0.4)
-    p.add_argument("--b", type=float, default=0.4)
-    p.add_argument("--c", type=float, default=0.6)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--steps", type=int, default=1_000_000)
-    p.add_argument("--runs", type=int, default=100)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    p.add_argument("--k", type=int, default=defaults["k"])
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults["fugacity"],
+                   help="fugacity")
+    p.add_argument("--gamma", type=float, default=defaults["gamma"])
+    p.add_argument("--ell", type=float, default=defaults["ell"])
+    p.add_argument("--a", type=float, default=defaults["a"])
+    p.add_argument("--b", type=float, default=defaults["b"])
+    p.add_argument("--c", type=float, default=defaults["c"])
+    p.add_argument("--samples", type=int, default=defaults["samples"])
+    p.add_argument("--steps", type=int, default=defaults["steps"])
+    p.add_argument("--runs", type=int, default=defaults["runs"])
     p.add_argument("--control", action="store_true")
     common(p)
     return parser, sub.choices

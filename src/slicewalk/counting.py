@@ -47,6 +47,9 @@ from .slices import (OneSidedSlice, Slice, SliceError, TwoSidedSlice, _facet_bou
 from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
 
 LOG_ZERO = float("-inf")
+# The slack gamma of the occupancy threshold log(degree)/((2+gamma) degree)
+# when the caller gives none.
+GAMMA = 0.1
 
 
 class DegenerateBandError(ValueError):
@@ -90,7 +93,7 @@ def threshold_pair(degree: int, fugacity: float, gamma: float) -> tuple[float, f
     return alpha, min(4.0 * fugacity, 1.0)
 
 
-def thresholds(degree: int, fugacity: float, gamma: float = 0.1) -> ThresholdParams:
+def thresholds(degree: int, fugacity: float, gamma: float = GAMMA) -> ThresholdParams:
     """The validated default thresholds of a degree-``degree`` graph."""
     return ThresholdParams(*threshold_pair(degree, fugacity, gamma))
 

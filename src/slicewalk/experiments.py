@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import alpha_threshold
+from .counting import GAMMA, alpha_threshold
 from .graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice
@@ -51,7 +51,7 @@ class ExperimentConfig:
     seed: int = 0
     k: int = 4
     fugacity: float = 0.5
-    gamma: float = 0.1
+    gamma: float = GAMMA
     ell: float = 2.0
     a: float = 0.4
     b: float = 0.4
@@ -320,10 +320,7 @@ def exact_conductance(p: np.ndarray, pi: np.ndarray, mask: np.ndarray) -> float:
     return flow / min(float(pi[mask].sum()), float(pi[~mask].sum()))
 
 
-def experiment_slow_mixing(config: ExperimentConfig,
-                           control: bool = False,
-                           components: tuple[BipartiteRegularGraph,
-                                             BipartiteRegularGraph] | None = None) -> dict:
+def experiment_slow_mixing(config: ExperimentConfig, control: bool = False) -> dict:
     """Bottleneck diagnostics for the one-sided chain on a two-component graph.
 
     Exact mode (state space within ``SLOW_MIXING_EXACT_CAP``): conductance of
@@ -334,20 +331,14 @@ def experiment_slow_mixing(config: ExperimentConfig,
     fraction that never leave S within the step budget and escape-time stats.
     With ``control=True`` the same diagnostics run on a single connected-ish
     random graph of the same total size, where no bottleneck should appear.
-    Explicit ``components`` override the random ones (rejection sampling rules
-    out random components of degree above ~5, where the bottleneck regime
-    actually lives).
+    At degree ``n_side`` both components are K_{n,n}, where the bottleneck
+    regime lives.
     """
     m, d, k, lam = config.n_side, config.degree, config.k, config.fugacity
     if k % 2 != 0:
         raise ValueError("k must be even so the boundary splits evenly")
     if control:
         g = gen_bipartite_regular(2 * m, d, seed=config.seed + 51)
-    elif components is not None:
-        g1, g2 = components
-        if g1.n_side != m or g1.degree != d:
-            raise ValueError("components must match the configured size and degree")
-        g = disjoint_union(g1, g2)
     else:
         g1 = gen_bipartite_regular(m, d, seed=config.seed)
         g2 = gen_bipartite_regular(m, d, seed=config.seed + 1)

@@ -182,6 +182,7 @@ def gen_bipartite_regular(n_side: int, degree: int, seed: int,
                           *, max_retries: int = 10_000) -> BipartiteRegularGraph:
     """Uniform simple degree-regular bipartite graph via pairing + rejection.
 
+    K_{n,n} is the only one of degree n_side, and is returned directly.
     Raises RejectionBudgetError when no simple outcome appears within
     ``max_retries`` attempts, which signals pathological parameters (degree
     close to n_side, or degree large enough that exp(-(d-1)^2/2) is
@@ -191,6 +192,9 @@ def gen_bipartite_regular(n_side: int, degree: int, seed: int,
         raise ValueError("n_side must be positive")
     if not 1 <= degree <= n_side:
         raise ValueError("degree must lie in [1, n_side]")
+    if degree == n_side:
+        row = tuple(range(n_side))
+        return BipartiteRegularGraph(n_side, degree, (row,) * n_side, (row,) * n_side)
     rng = rng_stream(seed)
     for _ in range(max_retries):
         rows = pairing_bipartite_rows(n_side, degree, rng)

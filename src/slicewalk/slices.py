@@ -242,14 +242,17 @@ class OneSidedSlice(_SliceCore):
 
     def log_weights(self, facets: Sequence[Sequence[int]]) -> np.ndarray:
         """``log_weight`` of each facet, from one array of their uncovered counts."""
-        n = self.graph.n_side
         ids = np.array(facets, dtype=np.intp).reshape(len(facets), self.k)
+        return self.k * math.log(self.fugacity) + self.uncovered(ids) * math.log1p(self.fugacity)
+
+    def uncovered(self, sets: np.ndarray) -> np.ndarray:
+        """|Y \\ N(S)| of each set S of X ids, one per row of ``sets``."""
+        n = self.graph.n_side
         biadjacency = self.adjacency[:n, n:] > 0
-        covered = np.zeros((len(facets), n), dtype=bool)
-        for column in ids.T:
+        covered = np.zeros((len(sets), n), dtype=bool)
+        for column in sets.T:
             covered |= biadjacency[column]
-        uncovered = n - covered.sum(axis=1)
-        return self.k * math.log(self.fugacity) + uncovered * math.log1p(self.fugacity)
+        return n - covered.sum(axis=1)
 
     def greedy_order(self, rng: np.random.Generator, count: int):
         """No two X ids conflict, so one uniform draw of the free size completes

@@ -472,7 +472,9 @@ def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: floa
 
     The faces are those of ``verify_top_link_one_sided`` with the same
     arguments: every face when their count fits ``face_cap``, otherwise
-    ``sample_count`` sampled ones.
+    ``sample_count`` sampled ones.  A link whose stationary law underflows
+    to 0 somewhere makes both sides of the factorization 0 there, so its
+    factorization check is recorded vacuous.
     """
     report = VerificationReport(f"one-sided identities k={k} fugacity={fugacity}")
     slc = OneSidedSlice(g, k, fugacity)
@@ -481,12 +483,18 @@ def verify_one_sided_identities(g: BipartiteRegularGraph, k: int, fugacity: floa
     for chunk in _chunks(slc, faces):
         nbr = _neighbor_graphs(slc, chunk)
         weight = nbr.weight_exponential(powers)
-        ok, dev = _walk_factorization(_one_sided_walk(slc, nbr), weight)
+        walk = _one_sided_walk(slc, nbr)
+        ok, dev = _walk_factorization(walk, weight)
+        underflow = (walk.pi == 0).any(1)
         met, neighbor_ok, affine_ok, squared_ok = _psd_chain(slc, nbr, weight)
         for i, ids in enumerate(chunk):
             tau = slc.from_ids(ids)
-            report.add(tau, float(dev[i]), IDENTITY_TOL, "pass" if ok[i] else "fail",
-                       "factorization")
+            if underflow[i]:
+                report.add(tau, float(dev[i]), IDENTITY_TOL, "vacuous",
+                           "factorization: stationary law underflows to 0")
+            else:
+                report.add(tau, float(dev[i]), IDENTITY_TOL, "pass" if ok[i] else "fail",
+                           "factorization")
             report.add(tau, None, None, "pass" if neighbor_ok[i] else "fail",
                        "neighbor domination")
             if not met[i]:

@@ -20,9 +20,11 @@ Slices whose facet count times free size stays within ``TABLE_ROW_CAP`` rows
 can be compiled into a ``FacetTable``: for every facet and free element, the
 candidate pools of the face left without it, stored in flat arrays with the
 class sums and each candidate's successor facet.  ``facet_table`` builds
-them with array operations over all facets at once, and finds a successor
-by the colex rank of its free ids.  A table step is a row lookup and the
-same uniform draws, replaying the kernel bit for bit, and
+them from the enumeration alone, calling neither the pool builders nor the
+exact oracles: the candidates of a face are the facets that hold it, so one
+sort groups the rows by the face they leave, and each candidate is the id
+its row removes and leads to its row's facet.  A table step is a row lookup
+and the same uniform draws, replaying the kernel bit for bit, and
 ``FacetTable.advance`` takes it for many chains at once, one array row
 each, in a few NumPy calls.  The table keeps its facets' free ids as one
 array and their law, from the same enumeration, as log weights, and draws
@@ -44,7 +46,6 @@ use the family's format.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -57,8 +58,7 @@ import numpy as np
 
 from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
-                     _facet_weights, _free_ids, _law_within, _normalized, _open_ids,
-                     greedy_facet)
+                     _facet_weights, _free_ids, _law_within, _normalized, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -452,15 +452,17 @@ def facet_table(slc: Slice) -> FacetTable | None:
     enumeration) or the slice has no facet.
 
     The facets and their log weights come from one enumeration, and the rows
-    from array operations over all of them at once.  Every free id and every
-    candidate is an open id of its part (``slices._open_ids``), so a row
-    holds one entry per position among the open ids of its part.  The
-    candidates of row (facet, v) are the open ids of v's part that the face
-    left without v does not hold and, on a uniform table, does not cover;
-    on a weighted one they fall into classes by their uncovered neighbours.
+    follow from it alone.  Row r = f * k + j removes ``free[f, j]`` and
+    leaves the face of facet f without it; the candidates of the row are the
+    facets that hold that face, which are the rows that leave the same face,
+    each candidate the id its row removes and leading to its row's facet.
+    One sort of the rows by face, then on a weighted table by class, then by
+    removed id lays every face's candidates out in pool order.  A
+    candidate's class is the face's uncovered count less its facet's
+    (``OneSidedSlice.uncovered``), so within a face the class ascends as the
+    facet's uncovered count descends.
     """
-    bound = _facet_bound(slc)[0]
-    if bound * max(1, slc.free_size) > TABLE_ROW_CAP:
+    if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
         return None
     try:
         facets, logw, _ = _facet_weights(slc, TABLE_ROW_CAP)
@@ -474,119 +476,45 @@ def facet_table(slc: Slice) -> FacetTable | None:
         empty = np.zeros(0, np.intp)
         return FacetTable(width, free, weighted, per_row, _row_at(free, width),
                           np.zeros((0, per_row)), np.zeros(0), empty, empty, empty, empty, logw)
-    opens = _open_ids(slc)
-    span = max(len(ids) for ids, _ in opens)
-    open_ids = np.zeros((len(opens), span), np.intp)  # each part's open ids, padded
-    slot = np.full(width, -1, np.intp)  # part * span + position among the part's open ids
-    for p, (ids, _) in enumerate(opens):
-        open_ids[p, :len(ids)] = ids
-        slot[ids] = p * span + np.arange(len(ids))
-    adj = np.array(slc.graph.global_adj, np.intp).reshape(width, -1)
-    cover = np.bincount((np.arange(len(free))[:, None, None] * width + adj[free]).ravel(),
-                        minlength=len(free) * width).reshape(len(free), width)
-    cover += np.bincount(adj[sorted(slc.pinned_ids)].ravel(), minlength=width)
-    # row r removes free.flat[r] from facet row_facet[r]; it is in part row_part[r]
-    rows, k = np.arange(free.size), free.shape[1]
-    row_facet = rows // k
-    col_part = np.repeat(np.arange(len(opens)), [n for _, n in opens])
-    row_part = col_part[rows % k]
-    held = np.zeros((len(free), len(opens) * span), bool)
-    held[row_facet.reshape(-1, k), slot[free]] = True
-    held = held.reshape(len(free), len(opens), span)[row_facet, row_part]
-    taken = held.copy()  # the positions the face holds, or that hold no open id
-    taken[rows, slot[free.ravel()] % span] = False
-    taken |= np.arange(span) >= np.array([len(ids) for ids, _ in opens])[row_part][:, None]
+    k = free.shape[1]
+    removed = free.ravel()
+    row_facet = np.arange(free.size) // k
+    others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])  # columns but j
+    face = free[:, others].reshape(free.size, k - 1)
     if weighted:
-        q, sizes, sums, total = _weighted_rows(slc, free, adj, slot, cover, taken)
+        ids = np.array(facets, np.intp)
+        unc = slc.uncovered(ids)[row_facet]
+        order = np.lexsort((removed, -unc, *face.T))
     else:
-        face = cover[row_facet[:, None], open_ids[row_part]]  # the face's cover, less v's below
-        nbr = slot[adj[free.ravel()]]
-        own = (nbr >= 0) & (nbr // span == row_part[:, None])
-        face[np.nonzero(own)[0], nbr[own] % span] -= 1
-        offered = (face == 0) & ~taken
-        q = np.nonzero(offered)[1]
-        sizes = np.count_nonzero(offered, axis=1)
-        total = sizes.astype(float)
+        order = np.lexsort((removed, *face.T))
+    face = face[order]
+    new = np.ones(len(order), bool)  # where a face's group starts
+    new[1:] = (face[1:] != face[:-1]).any(1)
+    group = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    of_row = np.empty_like(group)
+    of_row[order] = group
+    count = np.diff(start, append=len(order))[of_row]  # each row's candidates
+    run = order[np.arange(count.sum()) + np.repeat(start[of_row] - _offsets(count), count)]
+    if weighted:
+        unc = unc[order]
+        most = unc[start]  # the facet uncovered count of each group's lowest class
+        lead = order[start]
+        faces = ids[row_facet[lead]]
+        low = slc.uncovered(faces[faces != removed[lead, None]].reshape(len(start), -1)) - most
+        size = np.bincount(group * per_row + most[group] - unc,
+                           minlength=len(start) * per_row).reshape(len(start), per_row)
+        sums = np.cumsum(size * np.array(slc.class_weights), axis=1)
+        top = per_row - 1 - low  # the last real class
+        sums[np.arange(per_row) > top[:, None]] = np.inf
+        total = sums[np.arange(len(start)), top][of_row]
+        size, sums = size[of_row].ravel(), sums[of_row]
+    else:
+        size = count
+        total = count.astype(float)
         sums = total[:, None]
-    r = np.repeat(rows, sizes.reshape(len(rows), per_row).sum(1))
-    cands = open_ids[row_part[r], q]
-    succ = _successors(free, slot % span, opens, col_part, bound, held, r, q)
     return FacetTable(width, free, weighted, per_row, _row_at(free, width), sums, total,
-                      _offsets(sizes), sizes, cands, succ * width, logw)
-
-
-def _weighted_rows(slc: Slice, free: np.ndarray, adj: np.ndarray, slot: np.ndarray,
-                   cover: np.ndarray, taken: np.ndarray):
-    """(positions, sizes, sums, totals) of the weighted rows: every position
-    a row's face does not take, grouped into classes by the uncovered
-    neighbours of its id less the row's fewest, each class ascending.  A Y
-    id is uncovered when no facet member is next to it; removing v uncovers
-    the ids that v alone covered, and each of their open neighbours gains
-    one."""
-    facets, k = free.shape
-    rows, span = taken.shape
-    per_row = slc.graph.degree + 1
-    unc = (cover[:, adj[np.flatnonzero(slot >= 0)]] == 0).sum(2).repeat(k, axis=0)
-    freed = cover[(np.arange(rows) // k)[:, None], adj[free.ravel()]] == 1
-    gain = slot[adj[adj[free.ravel()]]]  # (rows, degree, degree)
-    gain = (np.arange(rows)[:, None, None] * span + gain)[freed[:, :, None] & (gain >= 0)]
-    unc += np.bincount(gain, minlength=rows * span).reshape(rows, span)
-    q = np.nonzero(~taken)[1].reshape(rows, -1)
-    e = np.take_along_axis(unc, q, 1)
-    low = e.min(1)
-    e -= low[:, None]
-    order = np.argsort(e, axis=1, kind="stable")
-    q, e = np.take_along_axis(q, order, 1), np.take_along_axis(e, order, 1)
-    sizes = np.bincount((np.arange(rows)[:, None] * per_row + e).ravel(),
-                        minlength=rows * per_row).reshape(rows, per_row)
-    sums = np.cumsum(sizes * np.array(slc.class_weights), axis=1)
-    top = per_row - 1 - low  # the last real class
-    sums[np.arange(per_row) > top[:, None]] = np.inf
-    return q.ravel(), sizes.ravel(), sums, sums[np.arange(rows), top]
-
-
-def _successors(free: np.ndarray, pos: np.ndarray, opens: list, col_part: np.ndarray,
-                bound: int, held: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Index of the facet that candidate position ``q`` of row ``r`` leads
-    to, for each pair: the row's facet with the row's free id v replaced by
-    the candidate.
-
-    A facet is known by the colex rank of its free ids' positions ``pos``
-    among their part's open ids, part by part in mixed radix: over its ids,
-    C(position, index in the part, from 1) times the part's radix, the
-    product of the facet counts of the parts before it, which stays below
-    the facet bound.  The successor differs from r's facet only in v's
-    part, where the face left without v holds the rest: when t of those lie
-    below q (``held`` marks the facet's positions), q takes index t + 1, a
-    face id below q keeps its index in the face and one above it takes the
-    next.  So each row's part term, for every t, is two running sums over
-    its face, and a successor reads one.
-    """
-    facets, k = free.shape
-    start = np.searchsorted(col_part, np.arange(len(opens)))  # each part's first column
-    index = np.arange(k) - start[col_part] + 1
-    need = max(n for _, n in opens)
-    # no term of a rank reaches the bound, so capping C there changes none
-    comb = np.array([[min(math.comb(a, i), bound) for i in range(need + 1)]
-                     for a in range(held.shape[1] + 1)], np.intp)
-    radix = np.cumprod([1] + [math.comb(len(ids), n) for ids, n in opens])[:-1]
-    terms = comb[pos[free], index] * radix[col_part]
-    at = np.zeros(bound, np.intp)
-    at[terms.sum(1)] = np.arange(facets)
-    rest = (terms.sum(1)[:, None] - terms @ (col_part[:, None] == col_part)).ravel()
-    face = np.zeros((facets, k, need), np.intp)  # by the face's ids below q
-    for (_, m), lo in zip(opens, start.tolist()):
-        if not m:
-            continue
-        others = np.array([[i for i in range(m) if i != s] for s in range(m)],
-                          np.intp).reshape(m, m - 1)
-        ids = pos[free[:, lo:lo + m]][:, others]  # (facets, m, m - 1), the face's ids
-        face[:, lo:lo + m, 1:m] += np.cumsum(comb[ids, np.arange(1, m)], axis=2)
-        face[:, lo:lo + m, :m - 1] += np.cumsum(comb[ids, np.arange(2, m + 1)][..., ::-1],
-                                                axis=2)[..., ::-1]
-    t = (np.cumsum(held, axis=1, dtype=np.int16) - held)[r, q] - (pos[free.ravel()][r] < q)
-    part = col_part[r % k]
-    return at[rest[r] + radix[part] * (face.reshape(facets * k, -1)[r, t] + comb[q, t + 1])]
+                      _offsets(size), size, removed[run], row_facet[run] * width, logw)
 
 
 # -- chains -----------------------------------------------------------------------

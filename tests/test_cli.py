@@ -315,6 +315,18 @@ class TestExperimentCommand:
         assert report["experiment"] == "neighborhood-concentration"
         assert "notes" in report
 
+    def test_slow_mixing_on_complete_components(self, tmp_path, capsys):
+        # degree n gives K_{n,n}, which the pairing model's rejection
+        # sampling did not reach at n = 8 (exit 3)
+        code, _, _ = run_cli(capsys, "gen-graph", "--bipartite", "--n", "8", "--delta", "8",
+                             "--out", str(tmp_path / "k88.txt"))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "experiment", "--name", "slow-mixing", "--n", "8",
+                               "--delta", "8", "--k", "4", "--lambda", "31",
+                               "--steps", "200", "--runs", "2")
+        assert code == 0
+        assert json.loads(out)["exact"]["phi_bottleneck"] < 1e-3
+
     def test_negative_steps_exit_2(self, capsys):
         # matrix_power(P_S, -1) inverted the matrix and reported a negative
         # stay probability

@@ -20,11 +20,6 @@ from slicewalk.slices import OneSidedSlice
 from slicewalk.walks import _make_state, _step, tv_distance
 
 
-def complete_bipartite(m: int) -> BipartiteRegularGraph:
-    row = tuple(range(m))
-    return BipartiteRegularGraph(m, m, (row,) * m, (row,) * m)
-
-
 def _escape_time(slc, members, m, k, budget, seed, run):
     """Scalar reference for ``_escape_times``: one chain stepped by ``_step``."""
     state = _make_state(slc, tuple(sorted(members)))
@@ -190,8 +185,7 @@ class TestSlowMixing:
         # and the majority cut's conductance collapses
         cfg = ExperimentConfig("sm", n_side=8, degree=8, seed=2, k=4,
                                fugacity=3.0, runs=8, steps=50_000)
-        rep = experiment_slow_mixing(
-            cfg, components=(complete_bipartite(8), complete_bipartite(8)))
+        rep = experiment_slow_mixing(cfg)  # two K_{8,8} components
         exact = rep["exact"]
         assert exact["phi_bottleneck"] < 1e-3
         assert exact["separation_factor"] >= 5.0
@@ -202,8 +196,7 @@ class TestSlowMixing:
     def test_deep_valley_never_escapes(self):
         cfg = ExperimentConfig("sm", n_side=16, degree=16, seed=2, k=4,
                                fugacity=3.0, runs=6, steps=100_000)
-        rep = experiment_slow_mixing(
-            cfg, components=(complete_bipartite(16), complete_bipartite(16)))
+        rep = experiment_slow_mixing(cfg)  # two K_{16,16} components
         assert rep["empirical"]["never_escaped_fraction"] == 1.0
 
     def test_lockstep_escape_times_match_single_chains(self, monkeypatch):
@@ -213,7 +206,8 @@ class TestSlowMixing:
         # to zero
         g = disjoint_union(gen_bipartite_regular(8, 2, seed=88),
                            gen_bipartite_regular(8, 2, seed=89))
-        k88 = disjoint_union(complete_bipartite(8), complete_bipartite(8))
+        k88 = disjoint_union(gen_bipartite_regular(8, 8, seed=0),
+                             gen_bipartite_regular(8, 8, seed=1))
         cases = [(OneSidedSlice(g, 4, 0.5), (0, 1, 2, 3), 3),
                  (OneSidedSlice(g, 4, 0.5, pinned=frozenset({9})), (0, 1, 2, 9), 7),
                  (OneSidedSlice(k88, 4, 1.0), (0, 1, 2, 3), 64),

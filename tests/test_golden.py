@@ -241,4 +241,4 @@ def test_verify_report_digest_at_a_huge_fugacity(tmp_path, capsys):
     del report["reproducibility"]
     text = json.dumps(report, sort_keys=True, indent=2)
     assert (hashlib.sha256(text.encode()).hexdigest()
-            == "94f0c892963b80c0d20cd577608248bf32fec806cc2e8491ea2e361cc8eb281c")
+            == "418d5e1c75ff9e04e9064a65e8ec6abce4156c47cf3d33837600f260909a2add")

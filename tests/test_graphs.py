@@ -62,6 +62,17 @@ def test_rejection_budget_error():
         gen_bipartite_regular(8, 7, seed=0, max_retries=1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_full_degree_is_the_complete_bipartite_graph(n):
+    # K_{n,n} is the only simple n-regular bipartite graph on sides of n, so
+    # every seed gives it, with no rejection budget to exhaust
+    row = tuple(range(n))
+    for seed in range(3):
+        g = gen_bipartite_regular(n, n, seed=seed, max_retries=1)
+        g.validate()
+        assert g.adj_x == g.adj_y == (row,) * n
+
+
 def test_neighborhoods(bipartite_c6):
     assert bipartite_c6.neighbor_set(X, ()) == frozenset()
     assert bipartite_c6.neighbor_set(X, (0,)) == {0, 1}

@@ -476,7 +476,7 @@ def test_every_public_name_has_a_consumer():
 
 # Settable values of the package, tracked in CHANGES.md: a new one has to
 # replace an old one.
-MAX_DEFAULTED_PARAMETERS = 26
+MAX_DEFAULTED_PARAMETERS = 25
 MAX_ADD_ARGUMENT_CALLS = 52
 THRESHOLD_FIELDS = 2
 MAX_CONFIG_DEFAULTS = 17  # ChainConfig 5, ExperimentConfig 12

@@ -237,6 +237,24 @@ class TestPsdChain:
         r = verify_one_sided_identities(g, 3, 0.3)
         assert r.all_pass(), r.summary()
 
+    def test_identity_sweep_calls_an_underflowing_factorization_vacuous(self):
+        # at lambda = 1e100 every link's stationary law underflows to 0 at
+        # some vertex, where both sides of the factorization are 0
+        g = gen_bipartite_regular(12, 3, seed=1)
+        with pytest.raises(ValueError, match="positive probability"):
+            one_sided_link_walk_closed_form(OneSidedSlice(g, 3, 1e100), (0,)).validate()
+        r = verify_one_sided_identities(g, 3, 1e100)
+        faces = [(v,) for v in range(12)]
+        by_detail = {}
+        for rec in r.records:
+            by_detail.setdefault(rec.detail, []).append((rec.face, rec.status))
+        assert by_detail["factorization: stationary law underflows to 0"] == [
+            (face, "vacuous") for face in faces]
+        assert "factorization" not in by_detail
+        # the dominations do not read pi and are still checked
+        assert by_detail["neighbor domination"] == [(face, "pass") for face in faces]
+        assert r.all_pass()
+
 
 class TestClosedFormsAgainstTheDenseSpectrum:
     """Sweep records against ``spectral_gap`` on each face's dense operator.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 from itertools import accumulate, dropwhile
 from operator import mul, not_
 
@@ -479,6 +481,13 @@ class TestTableCompile:
             table = facet_table(slc)
             assert table.free.size == rows
             _assert_same_table(table, _scalar_table(slc))
+
+    def test_the_compile_names_no_oracle_and_no_pool_builder(self):
+        # the tables and the exact oracles check each other, and
+        # _scalar_table reads the pool builders, so the compile uses neither
+        tree = ast.parse(inspect.getsource(walks.facet_table))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & {"_transition_matrix", "_codim1_faces", "_counts", "_pools"}
 
     @pytest.mark.parametrize("kind", ["uniform", "weighted", "reducible"])
     def test_pin_matches_a_fresh_compile(self, kind):
