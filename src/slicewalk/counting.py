@@ -10,13 +10,14 @@ constant-factor accuracy.  A term's table is compiled once, at the first
 level small enough for one (the top level's is shared by every repetition),
 and each level below reads its own table from the one above by restriction
 (``FacetTable.pin``); a level that an exact facet bound shows to hold at
-most EXACT_MARGINAL_CAP facets needs none.  Table levels step TABLE_REPLICAS replicas through it
+most EXACT_MARGINAL_CAP facets needs none.  A phase splits its samples evenly
+over up to TABLE_REPLICAS replicas on a table level, which step through it
 in lockstep (``FacetTable.advance``), each started at an exact draw from the
 law the table carries (``FacetTable.draw``), so every sample is stationary
 and no replica burns in.  A table level of at most EXACT_MARGINAL_CAP
 facets, or whose table splits into several communicating classes, takes
 the exact marginal from that law instead: replicas never cross between
-classes, so they cannot weigh the classes.  Larger levels run REPLICAS
+classes, so they cannot weigh the classes.  Larger levels run up to REPLICAS
 replicas from greedy facets, burn in, and are sampled unchecked.  Either
 way a phase draws its starts from one stream and its steps from another,
 read time-major, replica r reading column r, so the two paths count the
@@ -164,15 +165,15 @@ class CountEstimate:
 # Telescoping budget.  A level above the table cap burns in for CHAIN_SCALE *
 # (free size) * (vertex count) * log(1/epsilon) steps.
 CHAIN_SCALE = 20.0
-# Independent chains pooled per level.  Above the table cap REPLICAS chains
-# start from greedy facets, and pooling lets the pilot see more than one
-# greedy basin.  On a table level TABLE_REPLICAS chains start at their own
-# draws from the level's law and step in lockstep, one NumPy call a step for
-# all of them: every sample is stationary and the down-up operator is
-# positive semidefinite, so spreading a phase's samples over more chains,
-# each as thinned, can only lower the estimate's variance.
+# Most independent chains pooled per phase.  Above the table cap REPLICAS
+# chains start from greedy facets, and pooling lets the pilot see more than
+# one greedy basin.  On a table level up to TABLE_REPLICAS chains start at
+# their own draws from the level's law and step in lockstep, one NumPy call
+# a step for all of them: every sample is stationary and the down-up
+# operator is positive semidefinite, so spreading a phase's samples over
+# more chains, each as thinned, can only lower the estimate's variance.
 REPLICAS = 4
-TABLE_REPLICAS = 128
+TABLE_REPLICAS = 512
 PILOT_FLOOR = 200
 SAFETY = 3.0
 THIN_SCALE = 2
@@ -406,16 +407,19 @@ def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, .
     The replicas take their starts from the one stream (seed, *path, 0), in
     replica order, and their steps from the one stream (seed, *path, 1),
     drawn time-major in ``rng.uniform_blocks``: step t of replica r reads
-    the uniforms at (t, r).  With the slice's facet ``table``,
-    TABLE_REPLICAS replicas start at ``FacetTable.draw`` and step in
-    lockstep through ``FacetTable.advance``, and the samples are counted per
-    facet.  Without one, REPLICAS replicas start at greedy facets and each
-    runs the kernel on its own column, ``burn`` unsampled steps first.  Both
-    replay the same kernel on the same uniforms, so at equal replica counts
-    and equal starts they count the same samples.
+    the uniforms at (t, r).  With at most ``most`` replicas, ceil(n_samples
+    / per) replicas take per = ceil(n_samples / most) samples each.  With
+    the slice's facet ``table``, most is TABLE_REPLICAS: they start at
+    ``FacetTable.draw`` and step in lockstep through ``FacetTable.advance``,
+    and the samples are counted per facet.  Without one, most is REPLICAS:
+    they start at greedy facets and each runs the kernel on its own column,
+    ``burn`` unsampled steps first.  Both replay the same kernel on the same
+    uniforms, so at equal replica counts and equal starts they count the
+    same samples.
     """
-    reps = REPLICAS if table is None else TABLE_REPLICAS
-    per = (n_samples + reps - 1) // reps
+    most = REPLICAS if table is None else TABLE_REPLICAS
+    per = (n_samples + most - 1) // most
+    reps = (n_samples + per - 1) // per  # so reps * per overshoots by less than per
     k = slc.free_size
     thin = max(1, THIN_SCALE * k)
     unit = 3 if slc.coverage_weighted else 2

@@ -36,8 +36,12 @@ class RejectionBudgetError(RuntimeError):
     """Pairing-model rejection failed to produce a simple graph in budget."""
 
 
-def _as_sorted_tuples(adj: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(row)) for row in adj)
+def _adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """n sorted rows, row u holding v for every pair (u, v)."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        rows[u].append(v)
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def _indicator(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
@@ -182,33 +186,34 @@ def gen_bipartite_regular(n_side: int, degree: int, seed: int,
                           *, max_retries: int = 10_000) -> BipartiteRegularGraph:
     """Uniform simple degree-regular bipartite graph via pairing + rejection.
 
-    K_{n,n} is the only one of degree n_side, and is returned directly.
-    Raises RejectionBudgetError when no simple outcome appears within
-    ``max_retries`` attempts, which signals pathological parameters (degree
-    close to n_side, or degree large enough that exp(-(d-1)^2/2) is
-    negligible).
+    K_{n,n} (degree n_side) and K_{n,n} less a uniform perfect matching
+    (degree n_side - 1) are drawn directly.  Raises RejectionBudgetError
+    when no simple outcome appears within ``max_retries`` attempts, which
+    signals pathological parameters (degree close to n_side, or degree large
+    enough that exp(-(d-1)^2/2) is negligible).
     """
     if n_side < 1:
         raise ValueError("n_side must be positive")
     if not 1 <= degree <= n_side:
         raise ValueError("degree must lie in [1, n_side]")
-    if degree == n_side:
-        row = tuple(range(n_side))
-        return BipartiteRegularGraph(n_side, degree, (row,) * n_side, (row,) * n_side)
     rng = rng_stream(seed)
-    for _ in range(max_retries):
-        rows = pairing_bipartite_rows(n_side, degree, rng)
-        if not rows_are_simple(rows):
-            continue
-        adj_x = tuple(map(tuple, rows.tolist()))
-        adj_y_sets: list[list[int]] = [[] for _ in range(n_side)]
-        for i, row in enumerate(adj_x):
-            for j in row:
-                adj_y_sets[j].append(i)
-        return BipartiteRegularGraph(n_side, degree, adj_x, _as_sorted_tuples(adj_y_sets))
-    raise RejectionBudgetError(
-        f"no simple bipartite graph in {max_retries} pairing attempts "
-        f"(n_side={n_side}, degree={degree})")
+    if degree >= n_side - 1:
+        # x_i misses y_p(i), and nothing at degree n_side
+        missing = rng.permutation(n_side) if degree < n_side else np.full(n_side, n_side)
+        ids = np.arange(n_side)
+        rows = np.broadcast_to(ids, (n_side, n_side))[ids != missing[:, None]]
+    else:
+        for _ in range(max_retries):
+            if rows_are_simple(rows := pairing_bipartite_rows(n_side, degree, rng)):
+                break
+        else:
+            raise RejectionBudgetError(
+                f"no simple bipartite graph in {max_retries} pairing attempts "
+                f"(n_side={n_side}, degree={degree})")
+    # a stable sort of the endpoints lists each y's neighbours in order
+    cols = np.argsort(rows, axis=None, kind="stable") // degree
+    adj_x, adj_y = (tuple(map(tuple, a.reshape(n_side, degree).tolist())) for a in (rows, cols))
+    return BipartiteRegularGraph(n_side, degree, adj_x, adj_y)
 
 
 def gen_regular(n: int, degree: int, seed: int,
@@ -231,11 +236,9 @@ def gen_regular(n: int, degree: int, seed: int,
         keys = lo * n + hi
         if np.unique(keys).size != keys.size:
             continue  # multiedge
-        adj_sets: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(lo.tolist(), hi.tolist()):
-            adj_sets[u].append(v)
-            adj_sets[v].append(u)
-        return RegularGraph(n, degree, _as_sorted_tuples(adj_sets))
+        ends, others = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        adj = others[np.lexsort((others, ends))].reshape(n, degree)
+        return RegularGraph(n, degree, tuple(map(tuple, adj.tolist())))
     raise RejectionBudgetError(
         f"no simple regular graph in {max_retries} pairing attempts (n={n}, degree={degree})")
 
@@ -292,24 +295,13 @@ def load_graph(path: str | Path):
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'u v'")
         edges.append((int(parts[0]), int(parts[1])))
-    if kind == "bipartite":
-        adj_x: list[list[int]] = [[] for _ in range(n)]
-        adj_y: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"{path}: edge ({u}, {v}) out of range")
-            adj_x[u].append(v)
-            adj_y[v].append(u)
-        g = BipartiteRegularGraph(n, degree, _as_sorted_tuples(adj_x),
-                                  _as_sorted_tuples(adj_y))
-        g.validate()
-        return g
-    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"{path}: edge ({u}, {v}) out of range")
-        adj[u].append(v)
-        adj[v].append(u)
-    g = RegularGraph(n, degree, _as_sorted_tuples(adj))
+    back = [(v, u) for u, v in edges]
+    if kind == "bipartite":
+        g = BipartiteRegularGraph(n, degree, _adjacency(n, edges), _adjacency(n, back))
+    else:
+        g = RegularGraph(n, degree, _adjacency(n, edges + back))
     g.validate()
     return g

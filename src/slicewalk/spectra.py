@@ -46,9 +46,12 @@ def check_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
     along leading axes."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    if m.size and np.max(np.abs(m - m.swapaxes(-1, -2))) > tol:
+    # m − mᵀ is antisymmetric (max = max |entry|); inf or nan in m stays in its slot
+    with np.errstate(invalid="ignore"):
+        gap = np.max(m - m.swapaxes(-1, -2)) if m.size else 0.0
+    if not gap <= tol:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -139,11 +142,12 @@ def psd_dominance(a: np.ndarray, b: np.ndarray):
         raise ValueError("shape mismatch")
     diff = b - a
     check_symmetric(diff, tol=1e-10)
+    np.einsum("...ii->...i", diff)[...] += ORDER_TOL  # b − a + ORDER_TOL·I, in place
     try:
-        np.linalg.cholesky(diff + ORDER_TOL * np.eye(diff.shape[-1]))
+        np.linalg.cholesky(diff)
         ok = np.ones(diff.shape[:-2], dtype=bool)
     except np.linalg.LinAlgError:
-        ok = np.linalg.eigvalsh(diff)[..., 0] >= -ORDER_TOL
+        ok = np.linalg.eigvalsh(b - a)[..., 0] >= -ORDER_TOL
     return bool(ok) if diff.ndim == 2 else ok
 
 

@@ -64,10 +64,19 @@ class TestGenGraph:
     def test_infeasible_parameters_exit_3(self, tmp_path, capsys):
         # an exhausted rejection budget is a runtime failure, not a usage error
         code, _, err = run_cli(capsys, "gen-graph", "--bipartite", "--n", "8",
-                               "--delta", "7", "--seed", "0",
+                               "--delta", "6", "--seed", "0",
                                "--max-retries", "2", "--out", str(tmp_path / "x"))
         assert code == 3
         assert err.startswith("error: runtime failure:") and "pairing" in err
+
+    def test_degree_one_below_the_side(self, tmp_path, capsys):
+        # K_{8,8} less a perfect matching, which the pairing model's
+        # rejection sampling did not reach at n = 8 (exit 3)
+        path = tmp_path / "g.txt"
+        code, _, _ = run_cli(capsys, "gen-graph", "--bipartite", "--n", "8", "--delta", "7",
+                             "--out", str(path))
+        assert code == 0
+        assert path.read_text().startswith("bipartite 8 7")
 
 
 @pytest.fixture

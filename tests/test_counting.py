@@ -485,7 +485,7 @@ class TestEstimators:
 
     def test_samples_count_what_the_chains_collected(self, monkeypatch):
         # at side 12 the top level fits a facet table: the pilot asks for 299
-        # samples and its 128 lockstep replicas collect 384
+        # samples and its 299 lockstep replicas collect one each
         collected = []
         membership_counts = counting._membership_counts
 
@@ -498,6 +498,26 @@ class TestEstimators:
         est = estimate_two_sided_count(gen_bipartite_regular(12, 3, seed=1), 2, 2,
                                        0.3, 0.1, seed=0)
         assert collected and est.samples == sum(collected)
+
+    @pytest.mark.parametrize("need", [1, 200, 513, 2910, 8513])
+    def test_a_table_phase_overshoots_by_less_than_one_replica_share(self, need):
+        # per = ceil(need / TABLE_REPLICAS) samples each on ceil(need / per)
+        # replicas, so the last replica's share is the most a phase overshoots
+        slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=1), 2, 2)
+        counts, got = counting._membership_counts(slc, need, 4, (0, 0, 1),
+                                                  walks.facet_table(slc), 0)
+        assert 0 <= got - need < math.ceil(need / counting.TABLE_REPLICAS)
+        assert counts.sum() == got * slc.free_size
+
+    def test_above_the_cap_a_phase_runs_every_replica(self):
+        # from 13 samples on, the rule gives REPLICAS replicas of
+        # ceil(need / REPLICAS) samples, the split every pilot (200 or more)
+        # and main phase (64 or more) had before it: their chains are unchanged
+        slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=1), 1, 1)
+        for need in range(13, 300):
+            counts, got = counting._membership_counts(slc, need, 4, (0, 0, 1), None, 0)
+            assert got == counting.REPLICAS * math.ceil(need / counting.REPLICAS)
+            assert counts.sum() == got * slc.free_size
 
     def test_z_quantile_upper_tail(self):
         assert _z_quantile(0.01) == pytest.approx(2.5758293035489, rel=1e-12)

@@ -59,6 +59,15 @@ estimate was checked within its epsilon of the exact oracle before it was
 pinned: the two-sided count 15.8% above it, the one-sided partition 5.8%
 below, the banded estimate 0.18% above and the median of repetitions 0.47%
 below.
+
+They were recomputed once more when a phase began to split its samples
+evenly over at most 512 table replicas (ceil(n / ceil(n / 512)) of them,
+each taking ceil(n / 512) samples) instead of rounding each of 128 replicas'
+share up: a table level runs a different set of replica columns, so its
+chains and sample counts moved.  Each estimate was checked within its
+epsilon of the exact oracle before it was pinned: the two-sided count 2.0%
+above it, the one-sided partition 10.7% below, the banded estimate 2.7%
+below and the median of repetitions 1.5% below.
 """
 from __future__ import annotations
 
@@ -136,18 +145,18 @@ def test_long_chain_digest(run):
 def test_two_sided_estimate_bits():
     g = gen_bipartite_regular(8, 3, seed=1)
     est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
-    assert est.log_value.hex() == "0x1.2367f73011e96p+2"
-    assert [t.pinned for t in est.trace] == [(0, 1), (1, 1), (0, 0), (1, 2)]
-    assert est.samples == 1024
+    assert est.log_value.hex() == "0x1.1b52a08a20fb3p+2"
+    assert [t.pinned for t in est.trace] == [(1, 1), (0, 0), (0, 1), (1, 2)]
+    assert est.samples == 968
     assert abs(est.value / exact_slice_count(g, 2, 2) - 1) <= 0.3
 
 
 def test_one_sided_estimate_bits():
     g = gen_bipartite_regular(8, 3, seed=1)
     est = estimate_one_sided_partition(g, 3, 0.3, 0.3, 0.1, seed=5)
-    assert est.log_value.hex() == "0x1.809d1c1eaf99cp-1"
-    assert [t.pinned for t in est.trace] == [4, 7, 0]
-    assert est.samples == 640
+    assert est.log_value.hex() == "0x1.656a12dcdcd94p-1"
+    assert [t.pinned for t in est.trace] == [2, 3, 5]
+    assert est.samples == 559
     assert abs(est.value / exact_one_sided_partition(g, 3, 0.3) - 1) <= 0.3
 
 
@@ -157,12 +166,12 @@ def test_partition_hat_bits():
     g = gen_bipartite_regular(8, 3, seed=1)
     thr = thresholds(3, 0.25)
     est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=thr)
-    assert est.log_value.hex() == "0x1.6e024bf8e8a8ep+1"
-    assert est.samples == 12288
+    assert est.log_value.hex() == "0x1.6a394cdb929dap+1"
+    assert est.samples == 10370
     assert [(b.kind, b.k_range, b.value_log.hex(), b.samples) for b in est.bands] == [
-        ("two-sided", (0, 1), "0x1.024393babaaccp+1", 2304),
-        ("one-sided-x", (2, 8), "0x1.9caffcc45ff90p+0", 4992),
-        ("one-sided-y", (2, 8), "0x1.97c5c02b8d4dcp+0", 4992),
+        ("two-sided", (0, 1), "0x1.f6cf9fcc68821p+0", 2004),
+        ("one-sided-x", (2, 8), "0x1.9a20cf07d9a8cp+0", 4234),
+        ("one-sided-y", (2, 8), "0x1.944c8ba1f9527p+0", 4132),
     ]
     exact = exact_partition_hat(g, 0.25, thr)
     assert [v.hex() for v in exact] == ["0x1.16baa00000000p+4", "0x1.95d0000000000p-2"]
@@ -173,10 +182,10 @@ def test_median_of_repetitions_bits():
     # delta < 1e-3 takes the median over ceil(12 ln(1/delta)) = 92 telescopes
     g = gen_bipartite_regular(8, 3, seed=1)
     est = estimate_two_sided_count(g, 2, 2, 0.3, 5e-4, seed=5)
-    assert est.log_value.hex() == "0x1.19ba20c2ad8bcp+2"
-    assert est.samples == 66304
+    assert est.log_value.hex() == "0x1.1915d80ba1dd9p+2"
+    assert est.samples == 55497
     assert [(t.pinned, t.method) for t in est.trace] == [
-        ((1, 4), "sampled"), ((0, 1), "exact"), ((0, 0), "exact"), ((1, 1), "exact")]
+        ((0, 6), "sampled"), ((1, 3), "exact"), ((0, 0), "exact"), ((1, 1), "exact")]
     assert abs(est.value / exact_slice_count(g, 2, 2) - 1) <= 0.3
 
 

@@ -56,10 +56,10 @@ def test_generators_deterministic(seed):
 
 
 def test_rejection_budget_error():
-    # degree equal to n_side forces the complete bipartite graph, but tiny
+    # degrees n_side and n_side - 1 are drawn without rejection, but tiny
     # budgets can still be exhausted at degree close to n_side
     with pytest.raises(RejectionBudgetError):
-        gen_bipartite_regular(8, 7, seed=0, max_retries=1)
+        gen_bipartite_regular(8, 6, seed=0, max_retries=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
@@ -71,6 +71,20 @@ def test_full_degree_is_the_complete_bipartite_graph(n):
         g = gen_bipartite_regular(n, n, seed=seed, max_retries=1)
         g.validate()
         assert g.adj_x == g.adj_y == (row,) * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8, 16])
+def test_degree_one_below_the_side_misses_one_distinct_y_per_x(n):
+    # K_{n,n} less a perfect matching, drawn as the complement of a uniform
+    # permutation, with no rejection budget to exhaust
+    for seed in range(20):
+        g = gen_bipartite_regular(n, n - 1, seed=seed, max_retries=1)
+        g.validate()
+        missing = [set(range(n)) - set(row) for row in g.adj_x]
+        assert all(len(m) == 1 for m in missing)
+        assert set().union(*missing) == set(range(n))
+        assert g.adj_y == tuple(tuple(i for i in range(n) if j in g.adj_x[i])
+                                for j in range(n))
 
 
 def test_neighborhoods(bipartite_c6):

@@ -39,8 +39,24 @@ def test_eigen_summary_trivial_cases(complete_bipartite_33):
 
 
 def test_eigen_summary_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         eigen_summary(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): np.inf, (1, 0): np.inf},
+    {(0, 1): -np.inf, (1, 0): -np.inf},
+    {(2, 2): np.nan},
+    {(1, 1): np.inf},
+])
+def test_check_symmetric_rejects_symmetric_non_finite_entries(entries):
+    # each leaves inf - inf or nan on its own slot of m - m^T
+    m = np.eye(3)
+    for at, value in entries.items():
+        m[at] = value
+    for stack in (m, np.stack([np.eye(3), m])):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectra.check_symmetric(stack)
 
 
 @pytest.mark.parametrize("seed", range(4))
