@@ -325,8 +325,9 @@ def _cmd_estimate_z(args):
         "bands": [{"kind": b.kind, "k_range": list(b.k_range),
                    "value_log": b.value_log, "samples": b.samples}
                   for b in est.bands],
-        # one record per term: band, k, value_log, samples and its levels
+        # one record per term (band, k, value_log), and one per particle system
         "trace": [asdict(t) for b in est.bands for t in b.terms],
+        "systems": [asdict(r) for r in est.trace],
         "seed": est.seed,
         "thresholds": {"alpha": thr.alpha, "beta": thr.beta, "gamma": args.gamma},
         "note": "sets heavy on both sides inside (alpha, beta] are counted in "

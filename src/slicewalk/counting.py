@@ -1,51 +1,43 @@
 """Counting: exact brute-force oracles and sampling-based estimators.
 
-The estimators reduce counting to sampling through links: at each level a
-down-up chain on the current pinned slice estimates the marginal of a heavy
-vertex, the vertex is pinned (passing to its link), and the telescoping
-product of inverse marginals gives the count.  The heavy vertex is the argmax
-of pilot-estimated marginals; an averaging argument guarantees the true max
-marginal is at least (level size)/(side size), so the pilot only needs
-constant-factor accuracy.  A term's table is compiled once, at the first
-level small enough for one (the top level's is shared by every repetition),
-and each level below reads its own table from the one above by restriction
-(``FacetTable.pin``); a level that an exact facet bound shows to hold at
-most EXACT_MARGINAL_CAP facets needs none.  A phase splits its samples evenly
-over up to TABLE_REPLICAS replicas on a table level, which step through it
-in lockstep (``FacetTable.advance``), each started at an exact draw from the
-law the table carries (``FacetTable.draw``), so every sample is stationary
-and no replica burns in.  A table level of at most EXACT_MARGINAL_CAP
-facets, or whose table splits into several communicating classes, takes
-the exact marginal from that law instead: replicas never cross between
-classes, so they cannot weigh the classes.  Larger levels run up to REPLICAS
-replicas from greedy facets, burn in, and are sampled unchecked.  Either
-way a phase draws its starts from one stream and its steps from another,
-read time-major, replica r reading column r, so the two paths count the
-same samples from the same starts.
+The estimators count by sequential Monte Carlo over X-sets, with Y
+integrated out (Del Moral, Doucet & Jasra 2006).  With u(S) = |Y \\ N(S)|
+the Y vertices an X-set S leaves uncovered, N(k_x, k_y) = C(n, k_x)
+E[C(u(S), k_y)] and Z_k = fugacity^k C(n, k) E[(1+fugacity)^u(S)], both over
+uniform k-subsets S of X.  A particle is an X-set.  One particle system runs
+along a two-sided row, from exact uniform k_x-subsets at k_y = 0 up, each
+step reweighting the particles; another runs up a one-sided band, from the
+empty set at k = 0, each step adding a uniform vertex outside S.  The
+product of a run's mean weights is an unbiased estimate of every cell it
+passes.  When the weights' effective sample size falls below ESS_FRACTION
+of the particles, the run resamples them and rejuvenates each with a few
+steps of the slice's own down-up kernel, which leaves the cell's law
+invariant, so the estimate stays unbiased however well the kernel mixes.  A
+pilot run measures the weights' summed relative variance, which sets the
+particle count of the main run.
 
 Exact oracles are kept deliberately independent of the estimators: the
 partition function uses exact rational branch-and-bound, slice counts use
 binomial convolution over one side, so estimator bugs cannot cancel.
 
 All estimates are carried in log space; sums of positive terms use stable
-log-sum-exp, and a positive linear combination of (1 +- eps)-accurate terms is
-itself (1 +- eps)-accurate, so band terms are estimated at the full epsilon
-with the confidence budget split across terms.
+log-sum-exp.  The relative sd of a sum of positive terms is at most the
+largest relative sd of a term, so every system of the banded sum runs at the
+full epsilon and delta.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 
-from .graphs import BipartiteRegularGraph
-from .rng import rng_stream, uniform_blocks
-from .slices import (OneSidedSlice, Slice, SliceError, TwoSidedSlice, _facet_bound,
-                     _free_ids, _law_within)
-from .walks import FacetTable, InitialStateError, facet_table, greedy_initial_state
+from .graphs import X, BipartiteRegularGraph
+from .rng import UniformBuffer, rng_stream
+from .slices import OneSidedSlice, TwoSidedSlice
+from .walks import _make_state
 
 LOG_ZERO = float("-inf")
 # The slack gamma of the occupancy threshold log(degree)/((2+gamma) degree)
@@ -58,7 +50,8 @@ class DegenerateBandError(ValueError):
 
 
 class InsufficientSamplesError(RuntimeError):
-    """A level marginal came out nonpositive; increase the budget."""
+    """Every particle of the cell an estimate reads carries weight 0: the
+    particles met none of its sets."""
 
 
 @dataclass(frozen=True)
@@ -100,34 +93,34 @@ def thresholds(degree: int, fugacity: float, gamma: float = GAMMA) -> ThresholdP
 
 
 @dataclass(frozen=True)
-class LevelTrace:
-    """One telescoping level: the pinned vertex, its marginal, the chain
-    samples behind it, and how it was decided: ``exact`` (the slice
-    enumerates within EXACT_MARGINAL_CAP), ``reducible`` (its chain has more
-    than one communicating class, so the marginal is enumerated instead of
-    sampled) or ``sampled``.  ``burn_in`` is each replica's unsampled steps:
-    0 on a sampled level whose replicas start from its law, and on exact
-    and reducible levels, which run no chain."""
+class SystemRecord:
+    """One particle system: a two-sided row, whose cells are k_y = 0..``top``
+    at its ``k_x``, or a one-sided band, whose cells are k = 0..``top`` (its
+    k_x is None).  ``particles`` is the main run's count, sized from
+    ``relvar``, the pilot's largest summed per-epoch relative variance of the
+    weights over the cells.  ``resamplings`` and ``steps`` count both runs'
+    rejuvenations and their kernel steps, and ``samples`` the X-sets both
+    drew: their particles, and each particle a rejuvenation moved."""
 
-    pinned: tuple | int
-    marginal: float
+    band: str
+    k_x: int | None
+    top: int
+    particles: int
+    relvar: float
+    resamplings: int
+    steps: int
     samples: int
-    method: str
-    burn_in: int
 
 
 @dataclass(frozen=True)
 class TermRecord:
     """One term of the banded sum: its band, its k (one-sided) or (k_x, k_y)
-    (two-sided), its log value with the term's scale, and the samples and
-    levels of its estimate.  An infeasible two-sided term has log value -inf
-    and no levels."""
+    (two-sided), and its log value with the term's scale.  A term whose
+    every particle carries weight 0 has log value -inf."""
 
     band: str
     k: tuple[int, int] | int
     value_log: float
-    samples: int
-    levels: tuple[LevelTrace, ...]
 
 
 @dataclass(frozen=True)
@@ -141,47 +134,33 @@ class BandRecord:
 
 @dataclass(frozen=True)
 class CountEstimate:
-    """Point estimate in log space with its accuracy contract and audit trail."""
+    """Point estimate in log space with its accuracy contract and audit trail:
+    one record per particle system in ``trace``."""
 
     log_value: float
     epsilon: float
     delta: float
     samples: int
-    trace: tuple[LevelTrace, ...] = ()
+    trace: tuple[SystemRecord, ...] = ()
     bands: tuple[BandRecord, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
         _check_accuracy(self.epsilon, self.delta)
-        for t in self.trace:
-            if not (0.0 < t.marginal <= 1.0):
-                raise ValueError("traced marginals must lie in (0, 1]")
 
     @property
     def value(self) -> float:
         return math.exp(self.log_value)
 
 
-# Telescoping budget.  A level above the table cap burns in for CHAIN_SCALE *
-# (free size) * (vertex count) * log(1/epsilon) steps.
-CHAIN_SCALE = 20.0
-# Most independent chains pooled per phase.  Above the table cap REPLICAS
-# chains start from greedy facets, and pooling lets the pilot see more than
-# one greedy basin.  On a table level up to TABLE_REPLICAS chains start at
-# their own draws from the level's law and step in lockstep, one NumPy call
-# a step for all of them: every sample is stationary and the down-up
-# operator is positive semidefinite, so spreading a phase's samples over
-# more chains, each as thinned, can only lower the estimate's variance.
-REPLICAS = 4
-TABLE_REPLICAS = 512
-PILOT_FLOOR = 200
-SAFETY = 3.0
-THIN_SCALE = 2
-# Levels whose pinned slice enumerates within this many facets use the exact
-# conditional marginal instead of chain samples: this keeps tiny and possibly
-# disconnected late links exact while leaving real state spaces to the sampler.
-EXACT_MARGINAL_CAP = 32
-
+# A particle system resamples and rejuvenates its particles when their
+# effective sample size falls below ESS_FRACTION of their count; each
+# rejuvenation runs MOVE_SCALE * (free size) kernel steps on every particle.
+# The pilot that sizes a system runs PARTICLE_FLOOR particles, and so does
+# at least its main run.
+ESS_FRACTION = 0.5
+MOVE_SCALE = 2
+PARTICLE_FLOOR = 512
 
 def _check_accuracy(epsilon: float, delta: float) -> None:
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
@@ -390,235 +369,219 @@ def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
     return (hists @ binom) * np.outer(powers, powers)
 
 
-# -- chain-based marginal estimation --------------------------------------------------
+# -- particle systems ---------------------------------------------------------------
 
 
-def _burn_in(slc: Slice, epsilon: float) -> int:
-    verts = len(slc.graph.global_adj)
-    return int(CHAIN_SCALE * max(1, slc.free_size) * verts
-               * max(1.0, math.log(1.0 / epsilon)))
+def _uncovered(g: BipartiteRegularGraph, sets: np.ndarray) -> np.ndarray:
+    """|Y \\ N(S)| of each set S of X ids, one per row of ``sets``."""
+    count = len(sets)
+    covered = np.zeros((count, g.n_side), bool)
+    covered[np.arange(count)[:, None], np.array(g.adj_x, np.intp)[sets].reshape(count, -1)] = True
+    return g.n_side - covered.sum(1)
 
 
-def _membership_counts(slc: Slice, n_samples: int, seed: int, path: tuple[int, ...],
-                       table: FacetTable | None, burn: int):
-    """Pool thinned membership indicators from independent replicas.
+class _RowParticles:
+    """The particles of a two-sided row: k_x-subsets S of X, each with u =
+    |Y \\ N(S)|.  Cell k_y weighs S by C(u, k_y), since N(k_x, k_y) =
+    C(n, k_x) E[C(u(S), k_y)] over uniform S: cell 0 is exact, and the step
+    to k_y + 1 multiplies a weight by (u - k_y) / (k_y + 1).  The row's last
+    cell is the slice's k_y."""
 
-    Returns (counts, n_collected); counts index free vertices by global id.
-    The replicas take their starts from the one stream (seed, *path, 0), in
-    replica order, and their steps from the one stream (seed, *path, 1),
-    drawn time-major in ``rng.uniform_blocks``: step t of replica r reads
-    the uniforms at (t, r).  With at most ``most`` replicas, ceil(n_samples
-    / per) replicas take per = ceil(n_samples / most) samples each.  With
-    the slice's facet ``table``, most is TABLE_REPLICAS: they start at
-    ``FacetTable.draw`` and step in lockstep through ``FacetTable.advance``,
-    and the samples are counted per facet.  Without one, most is REPLICAS:
-    they start at greedy facets and each runs the kernel on its own column,
-    ``burn`` unsampled steps first.  Both replay the same kernel on the same
-    uniforms, so at equal replica counts and equal starts they count the
-    same samples.
-    """
-    most = REPLICAS if table is None else TABLE_REPLICAS
-    per = (n_samples + most - 1) // most
-    reps = (n_samples + per - 1) // per  # so reps * per overshoots by less than per
-    k = slc.free_size
-    thin = max(1, THIN_SCALE * k)
-    unit = 3 if slc.coverage_weighted else 2
-    start, rng = rng_stream(seed, *path, 0), rng_stream(seed, *path, 1)
-    # a state with nothing free draws nothing, and its samples count no member
-    blocks = uniform_blocks(rng, unit * reps * (burn + per * thin) if k else 0, unit * reps)
-    counts = np.zeros(len(slc.graph.global_adj), dtype=np.int64)
-    done = 0
-    if table is not None:
-        facets = table.draw(start, reps)
-        free = table.free[facets]
-        base = facets * table.width
-        sampled = []
-        for u in blocks:
-            bases = table.advance(free, base, u.reshape(-1, reps, unit))
-            sampled.append(bases[_first_sample(done, burn, thin)::thin])
-            base = bases[-1]
-            done += len(bases)
-        if sampled:
-            hist = np.bincount(np.concatenate(sampled).ravel() // table.width,
-                               minlength=len(table.free))
-            counts += np.bincount(table.free.ravel(), np.repeat(hist, k),
-                                  len(counts)).astype(np.int64)
-        return counts, per * reps
-    states = [greedy_initial_state(slc, start) for _ in range(reps)]
-    for u in blocks:
-        u = u.reshape(-1, reps, unit)
-        samples = range(_first_sample(done, burn, thin), len(u), thin)
-        for r, state in enumerate(states):
-            rand = iter(u[:, r].ravel().tolist()).__next__
-            at = 0
-            for t in samples:
-                state.kernel(slc, state, rand, t + 1 - at, False)
-                at = t + 1
-                counts[state.free] += 1
-            state.kernel(slc, state, rand, len(u) - at, False)
-        done += len(u)
-    return counts, per * reps
+    def __init__(self, slc: TwoSidedSlice):
+        self.slc, self.top = slc, slc.k_y
+        n = slc.graph.n_side
+        self.base = math.log(math.comb(n, slc.k_x))
+        self.log_of = np.log(np.arange(n + 1), where=np.arange(n + 1) > 0,
+                             out=np.full(n + 1, LOG_ZERO))  # log of 0..n, log 0 = -inf
+
+    def start(self, count: int, rng: np.random.Generator) -> None:
+        n = self.slc.graph.n_side
+        self.sets = np.argsort(rng.random((count, n)), axis=1)[:, :self.slc.k_x]
+        self.u = _uncovered(self.slc.graph, self.sets)
+
+    def weigh(self, k_y: int) -> np.ndarray:
+        return self.log_of[np.maximum(self.u - k_y, 0)] - math.log(k_y + 1)
+
+    def select(self, rows: np.ndarray) -> None:
+        self.sets, self.u = self.sets[rows], self.u[rows]
+
+    def move(self, k_y: int, rng: np.random.Generator, rand) -> int:
+        """Rejuvenate every particle at cell k_y: draw T uniformly from the
+        k_y-subsets of Y \\ N(S), run the kernel of the (k_x, k_y) slice from
+        S and T, and read S back.  Returns the kernel steps."""
+        slc = replace(self.slc, k_y=k_y)
+        g, n = slc.graph, slc.graph.n_side
+        steps = MOVE_SCALE * slc.free_size
+        for i, s in enumerate(self.sets.tolist()):
+            covered = g.neighbor_set(X, s)
+            ys = rng.choice([n + j for j in range(n) if j not in covered], k_y, replace=False)
+            state = _make_state(slc, [*s, *ys.tolist()])
+            state.kernel(slc, state, rand, steps, False)
+            self.sets[i] = [v for v in state.free if v < n]
+        self.u = _uncovered(g, self.sets)
+        return steps * len(self.sets)
 
 
-def _first_sample(done: int, burn: int, thin: int) -> int:
-    """Offset, in a block of steps after ``done`` earlier ones, of the first
-    step a sample follows: the samples follow steps burn + thin, burn + 2
-    thin, ... (counted from 1)."""
-    at = max(done, burn + thin - 1)
-    return at + (burn + thin - 1 - at) % thin - done
+class _BandParticles:
+    """The particles of a one-sided band: k-subsets S of X, each held as an
+    order of X that lists S first and then the rest in uniform order, with
+    the cover count of every Y vertex (one flat array, n entries a particle).  Cell k weighs S by fugacity^k
+    (1+fugacity)^u(S): cell 0 is exact, and the step to k + 1 adds the next
+    x of the order, uniform outside S, with weight fugacity (n - k)/(k + 1)
+    (1+fugacity)^-e, where e counts the uncovered Y neighbours of x.  The
+    band's last cell is the slice's k."""
+
+    def __init__(self, slc: OneSidedSlice):
+        self.slc, self.top = slc, slc.k
+        self.base = slc.graph.n_side * math.log1p(slc.fugacity)
+        self.adj = np.array(slc.graph.adj_x, np.intp)
+
+    def start(self, count: int, rng: np.random.Generator) -> None:
+        n = self.slc.graph.n_side
+        self.order = np.argsort(rng.random((count, n)), axis=1)
+        self.cover = np.zeros(count * n, np.intp)
+        self.offsets = np.arange(0, count * n, n)[:, None]
+
+    def weigh(self, k: int) -> np.ndarray:
+        at = self.adj[self.order[:, k]] + self.offsets  # x's Y neighbours, flat
+        seen = self.cover.take(at)
+        gain = (seen == 0).sum(1)
+        self.cover.put(at, seen + 1)
+        lam, n = self.slc.fugacity, self.slc.graph.n_side
+        return math.log(lam) + math.log((n - k) / (k + 1)) - gain * math.log1p(lam)
+
+    def select(self, rows: np.ndarray) -> None:
+        n = self.slc.graph.n_side
+        self.order, self.cover = self.order[rows], self.cover.reshape(-1, n)[rows].ravel()
+
+    def move(self, k: int, rng: np.random.Generator, rand) -> int:
+        """Rejuvenate every particle at cell k: run the kernel of the k-slice
+        from S, read S back, and order the rest of X afresh.  Returns the
+        kernel steps."""
+        slc = replace(self.slc, k=k)
+        steps = MOVE_SCALE * k
+        sets = self.order[:, :k].copy()
+        for i, s in enumerate(sets.tolist()):
+            state = _make_state(slc, s)
+            state.kernel(slc, state, rand, steps, False)
+            sets[i] = state.free
+        member = np.zeros(self.order.shape)
+        member[np.arange(len(sets))[:, None], sets] = 1.0
+        self.order = np.argsort(rng.random(member.shape) - member, axis=1)  # S first
+        at = self.adj[sets].reshape(len(sets), -1) + self.offsets
+        self.cover = np.bincount(at.ravel(), minlength=len(self.cover))
+        return steps * len(sets)
 
 
-def _exact_marginal(slc: Slice):
-    """(argmax global id, exact marginal) from the conditional enumerated
-    within EXACT_MARGINAL_CAP facets, or None."""
-    law = _law_within(slc, EXACT_MARGINAL_CAP)
-    return None if law is None else _argmax_marginal(_free_ids(slc, law[0]), law[2])
+_Particles = _RowParticles | _BandParticles
 
 
-def _argmax_marginal(free: np.ndarray, probs: np.ndarray):
-    """(argmax free global id, marginal) under the law ``probs`` of the
-    facets whose free ids are the rows of ``free``, summed facet by facet."""
-    marg = np.bincount(free.ravel(), np.repeat(probs, free.shape[1]))
-    # Marginals that are equal in exact arithmetic can differ in their last
-    # bits; comparing them on a 2**-40 grid lets such ties go to the lowest id.
-    v = int(np.argmax(np.floor(marg * 2 ** 40)))
-    return v, float(marg[v])
+def _systematic(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Systematic resampling: the particle of each of len(weights) evenly
+    spaced marks, one uniform offset for all, on the running sums of the
+    normalized ``weights``; a particle of weight 0 is never drawn."""
+    count = len(weights)
+    marks = (rng.random() + np.arange(count)) / count
+    return np.searchsorted(np.cumsum(weights)[:-1], marks, side="right")
 
 
-def _trace_label(slc: Slice, v: int):
-    """Traced name of global id ``v``: (part index, offset in the part) on a
-    slice of several parts, such as (0, i) for X and (1, j) for Y on a
-    two-sided slice; the id itself on a slice of one part."""
-    if len(slc.parts) == 1:
-        return v
-    p = slc.part_of[v]
-    return p, v - slc.parts[p][0]
+def _smc(particles: _Particles, count: int, rng: np.random.Generator, rand):
+    """One run of ``count`` particles from cell 0 to ``particles.top``:
+    (log value of every cell, the largest summed relvar over the cells,
+    resamplings, kernel steps).  The run draws its particles and
+    resamplings from ``rng`` and its kernel steps from ``rand``.
+
+    Each particle carries its log weight since the last resampling, and a
+    cell's estimate is the value where that epoch began times the mean
+    weight.  The relvar of an epoch's weights is count * sum(W^2) - 1 for
+    the normalized weights W; a cell's summed relvar adds those of the
+    epochs closed before it.  When the relvar exceeds 1 / ESS_FRACTION - 1,
+    the effective sample size is below ESS_FRACTION * count, and the run
+    resamples and rejuvenates before the next cell.  From a cell where
+    every weight is 0 on, every cell is -inf."""
+    particles.start(count, rng)
+    logs = [particles.base]
+    epoch = particles.base
+    logw = np.zeros(count)
+    closed = most = 0.0
+    resamplings = steps = 0
+    for t in range(particles.top):
+        logw = logw + particles.weigh(t)
+        peak = logw.max()
+        if peak == LOG_ZERO:
+            logs += [LOG_ZERO] * (particles.top - t)
+            break
+        w = np.exp(logw - peak)
+        total = w.sum()
+        logs.append(epoch + peak + math.log(total / count))
+        relvar = count * float(w @ w / (total * total)) - 1.0
+        most = max(most, closed + relvar)
+        if relvar > 1.0 / ESS_FRACTION - 1.0 and t + 1 < particles.top:
+            closed, epoch = closed + relvar, logs[-1]
+            particles.select(_systematic(w / total, rng))
+            steps += particles.move(t + 1, rng, rand)
+            logw = np.zeros(count)
+            resamplings += 1
+    return logs, most, resamplings, steps
 
 
-def _telescope_log(slc: Slice, epsilon: float, per_level_z2: float, seed: int,
-                   rep: int, table: FacetTable | None):
-    """One telescoping pipeline: returns (log of prod 1/p_hat, trace, samples, final slice).
+def _particle_system(particles: _Particles, band: str, k_x: int | None, epsilon: float,
+                     delta: float, seed: int) -> tuple[list[float], SystemRecord]:
+    """(log value of every cell 0..particles.top, the system's record).
 
-    ``table`` is the top level's facet table (``_level_table``), or None.
-    The first lower level that takes one compiles it, and every level below
-    a table pins it (``FacetTable.pin``), so a table level is decided from
-    its table's facet count and law with no further enumeration.
-    """
-    levels = slc.free_size
-    log_value = 0.0
-    trace: list[LevelTrace] = []
-    total = 0
-    lo, hi, _ = slc.parts[0]
-    n = hi - lo  # the side size, or the vertex count of a regular graph
-    for level in range(levels):
-        if table is None and level:
-            table = _level_table(slc)
-        method, burn = "exact", 0
-        if table is None:  # above the cap, or no facet (SliceError)
-            exact = _exact_marginal(slc)
-        elif len(table.free) <= EXACT_MARGINAL_CAP:
-            exact = _argmax_marginal(table.free, table.probs)
-        elif table.classes() > 1:
-            # chains started in different classes never meet, so samples
-            # would weigh each class by where its replicas started
-            method, exact = "reducible", _argmax_marginal(table.free, table.probs)
-        else:
-            exact = None
-        if exact is not None:
-            v, p_hat = exact
-            got = 0
-        else:
-            method = "sampled"
-            # a level that enumerates starts each replica at a draw from its
-            # law, so it needs no burn-in; a larger one burns in from a greedy facet
-            burn = _burn_in(slc, epsilon) if table is None else 0
-            pilot_n = max(PILOT_FLOOR, math.ceil(10 * n * math.log(max(2, n))))
-            counts, pilot_got = _membership_counts(slc, pilot_n, seed, (rep, level, 0),
-                                                   table, burn)
-            # argmax takes the first maximum, so ties go to the lowest id
-            v = int(np.argmax(counts))
-            if counts[v] <= 0:
-                raise InsufficientSamplesError("pilot saw no facet members")
-            p_pilot = min(1.0 - 1e-12, max(int(counts[v]) / pilot_got, 1.0 / (4.0 * n)))
-            need = math.ceil(SAFETY * per_level_z2 * levels
-                             * (1.0 / p_pilot - 1.0) / (epsilon * epsilon))
-            need = max(need, 64)
-            counts, got = _membership_counts(slc, need, seed, (rep, level, 1), table,
-                                             burn)
-            hits = int(counts[v])
-            if hits <= 0:
-                raise InsufficientSamplesError(
-                    f"marginal estimate for vertex {_trace_label(slc, v)} came out zero")
-            p_hat = hits / got
-            total += got + pilot_got
-            # second-order bias correction for E[1/p_hat] = (1/p)(1 + (1-p)/(pN))
-            log_value -= math.log1p((1.0 - p_hat) / hits)
-        log_value -= math.log(p_hat)
-        trace.append(LevelTrace(_trace_label(slc, v), p_hat, got, method, burn))
-        slc = slc.pin((v,))
-        if table is not None:
-            table = table.pin(v)
-    return log_value, trace, total, slc
+    A pilot run of PARTICLE_FLOOR particles measures relvar, and the main
+    run takes max(PARTICLE_FLOOR, ceil(z(delta)^2 relvar / epsilon^2)), so
+    that every cell's relative sd is at most about epsilon / z(delta).  Both
+    runs, the pilot first, draw from the one stream of ``seed``, and their
+    kernel steps from a ``UniformBuffer`` of it, which draws its blocks
+    only when a rejuvenation reads them.  The cells are the main run's."""
+    rng = rng_stream(seed)
+    rand = UniformBuffer(rng).next
+    _, relvar, pilot_resamplings, pilot_steps = _smc(particles, PARTICLE_FLOOR, rng, rand)
+    count = max(PARTICLE_FLOOR, math.ceil(_z_quantile(delta) ** 2 * relvar / epsilon ** 2))
+    logs, _, resamplings, steps = _smc(particles, count, rng, rand)
+    samples = (1 + pilot_resamplings) * PARTICLE_FLOOR + (1 + resamplings) * count
+    return logs, SystemRecord(band, k_x, particles.top, count, relvar,
+                              pilot_resamplings + resamplings, pilot_steps + steps, samples)
 
 
-def _level_table(slc: Slice) -> FacetTable | None:
-    """``facet_table(slc)``, or None for a level that an exact facet bound
-    of at most EXACT_MARGINAL_CAP shows to be exact: its own enumeration is
-    that small, and so is every level below it."""
-    bound, exact = _facet_bound(slc)
-    return None if exact and bound <= EXACT_MARGINAL_CAP else facet_table(slc)
-
-
-def _repetitions(delta: float) -> int:
-    # z-budgeted single pipelines already scale like log(1/delta) through
-    # z(delta)^2; the median-of-means fallback is for extreme confidence only
-    if delta >= 1e-3:
-        return 1
-    return math.ceil(12.0 * math.log(1.0 / delta))
-
-
-def _estimate(slc: Slice, epsilon: float, delta: float, seed: int) -> CountEstimate:
-    """Median over repetitions of the telescoped log value, each closed by the
-    log weight of its fully pinned final slice."""
-    _check_accuracy(epsilon, delta)
-    reps = _repetitions(delta)
-    z2 = _z_quantile(delta) ** 2 if reps == 1 else _z_quantile(0.25) ** 2
-    runs = []
-    table = _level_table(slc)  # one compile, which every repetition reads
-    for rep in range(reps):
-        log_v, trace, total, final = _telescope_log(slc, epsilon, z2, seed, rep, table)
-        close = float(final.log_weights([sorted(final.pinned_ids)])[0])
-        runs.append((log_v + close, trace, total))
-    runs.sort(key=lambda r: r[0])
-    mid = runs[len(runs) // 2]
-    samples = sum(r[2] for r in runs)
-    return CountEstimate(mid[0], epsilon, delta, samples, tuple(mid[1]), seed=seed)
+def _cell_value(particles: _Particles, band: str, k_x: int | None, cell,
+                   epsilon: float, delta: float, seed: int) -> CountEstimate:
+    """The estimate of the system's last cell, named ``cell`` in the error
+    raised when every particle of it carries weight 0."""
+    logs, record = _particle_system(particles, band, k_x, epsilon, delta, seed)
+    if logs[-1] == LOG_ZERO:
+        raise InsufficientSamplesError(
+            f"every particle of the {band} cell {cell} carries weight 0")
+    return CountEstimate(logs[-1], epsilon, delta, record.samples, (record,), seed=seed)
 
 
 def estimate_two_sided_count(g: BipartiteRegularGraph, k_x: int, k_y: int,
                              epsilon: float, delta: float, seed: int) -> CountEstimate:
     """Estimate the number of independent sets with the given side sizes.
 
-    Telescopes over links: pin the pilot-argmax vertex, estimate its marginal
-    by pooled down-up chains, multiply the inverse marginals; the empty base
-    face contributes one.  Meets the (epsilon, delta) contract via z-budgeted
-    per-level sampling (median over repetitions when delta < 1e-3).
+    One particle system over the row k_x, from the exact C(n, k_x) at k_y =
+    0 up to k_y, which it reads alone when k_y is 0.
     """
-    return _estimate(TwoSidedSlice(g, k_x, k_y), epsilon, delta, seed)
+    _check_accuracy(epsilon, delta)
+    row = _RowParticles(TwoSidedSlice(g, k_x, k_y))
+    if not k_y:
+        return CountEstimate(row.base, epsilon, delta, 0, seed=seed)
+    return _cell_value(row, "two-sided", k_x, (k_x, k_y), epsilon, delta, seed)
 
 
 def estimate_one_sided_partition(g: BipartiteRegularGraph, k: int, fugacity: float,
                                  epsilon: float, delta: float, seed: int) -> CountEstimate:
     """Estimate Z_k = sum over k-subsets S of X of fugacity^k (1+fugacity)^{|Y\\N[S]|}.
 
-    Same telescoping as the two-sided count; the fully pinned base case is
-    evaluated exactly by the closed-form weight.
+    One particle system over the band from k = 0 up to k; at k = 0 and k = n
+    the one k-subset's closed-form weight is the value.
     """
+    _check_accuracy(epsilon, delta)
     slc = OneSidedSlice(g, k, fugacity)
-    if k == g.n_side:
-        return CountEstimate(slc.log_weight(range(g.n_side)),
-                             epsilon, delta, 0, seed=seed)
-    return _estimate(slc, epsilon, delta, seed)
+    if k in (0, g.n_side):
+        return CountEstimate(slc.log_weight(range(k)), epsilon, delta, 0, seed=seed)
+    return _cell_value(_BandParticles(slc), "one-sided", None, k, epsilon, delta, seed)
 
 
 def _mirror(g: BipartiteRegularGraph) -> BipartiteRegularGraph:
@@ -639,28 +602,11 @@ def _band_caps(n: int, thr: ThresholdParams) -> tuple[int, int]:
     return math.floor(thr.alpha * n), math.floor(thr.beta * n)
 
 
-def _banded_terms(g: BipartiteRegularGraph, fugacity: float, thr: ThresholdParams,
-                  seed: int) -> list[tuple[str, tuple[int, int] | int, Slice, float, int]]:
-    """The terms of the banded sum as (band, k, slice, log scale, seed), in
-    estimation order: the two-sided grid row by row, with k = (k_x, k_y) and
-    scaled by fugacity^{k_x+k_y}, then the X band and the Y band (on the
-    mirrored graph), whose slices carry their own weights."""
-    a_cap, b_cap = _band_caps(g.n_side, thr)
-    log_lam = math.log(fugacity)
-    grid = [(kx, ky) for kx in range(a_cap + 1) for ky in range(a_cap + 1)]
-    terms = [("two-sided", (kx, ky), TwoSidedSlice(g, kx, ky), (kx + ky) * log_lam,
-              seed + 1000003 * (t + 1)) for t, (kx, ky) in enumerate(grid)]
-    for side, (band, graph) in enumerate((("one-sided-x", g), ("one-sided-y", _mirror(g)))):
-        terms += [(band, k, OneSidedSlice(graph, k, fugacity), 0.0,
-                   seed + 2000003 * (t + 1) + side)
-                  for t, k in enumerate(range(a_cap + 1, b_cap + 1))]
-    return terms
-
-
 def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
                            epsilon: float, delta: float, seed: int,
                            thr: ThresholdParams) -> CountEstimate:
-    """Banded approximation to the partition function, estimated term by term.
+    """Banded approximation to the partition function, one particle system
+    per two-sided row and per one-sided band.
 
     Three bands: the two-sided grid k_x, k_y <= floor(alpha n); the X-side
     one-sided band floor(alpha n) < k <= floor(beta n); the mirrored Y-side
@@ -668,32 +614,48 @@ def estimate_partition_hat(g: BipartiteRegularGraph, fugacity: float,
     construction; that discrepancy is part of the approximation, not corrected
     here, and is the second value of ``exact_partition_hat``.
 
-    Each term is estimated at the full epsilon (positive sums preserve
-    relative error) with the confidence budget split evenly across terms.
-    An infeasible two-sided slice contributes zero.  Each band record holds
-    its terms' records, in estimation order.
+    Row k_x gives the terms (k_x, k_y), scaled by fugacity^{k_x+k_y}, and a
+    band's system, run from k = 0, gives its terms but k = n, which is the
+    closed form.  Every system meets the full epsilon at the full delta: the
+    relative sd of a sum of positive terms is at most the largest relative
+    sd of a term.  A term whose every particle carries weight 0 is zero.
+    Each band record holds its terms' records in order, and the trace one
+    record per system.
     """
     _check_accuracy(epsilon, delta)
     if not fugacity > 0:
         raise ValueError("fugacity must be positive")
-    terms = _banded_terms(g, fugacity, thr, seed)
-    a_cap, b_cap = _band_caps(g.n_side, thr)
-    k_ranges = {"two-sided": (0, a_cap), "one-sided-x": (a_cap + 1, b_cap),
-                "one-sided-y": (a_cap + 1, b_cap)}
-    results: dict[str, list[TermRecord]] = {band: [] for band in k_ranges}
-    for band, k, slc, log_scale, term_seed in terms:
-        try:
-            est = _estimate(slc, epsilon, delta / len(terms), term_seed)
-            term = TermRecord(band, k, est.log_value + log_scale, est.samples, est.trace)
-        except (InitialStateError, SliceError):  # an infeasible two-sided slice
-            term = TermRecord(band, k, LOG_ZERO, 0, ())
-        results[band].append(term)
-    bands = tuple(BandRecord(band, k_ranges[band], _logsumexp(t.value_log for t in r),
-                             sum(t.samples for t in r), tuple(r))
-                  for band, r in results.items())
-    return CountEstimate(_logsumexp([b.value_log for b in bands]), epsilon, delta,
-                         sum(b.samples for b in bands), bands=bands, seed=seed)
+    n = g.n_side
+    a_cap, b_cap = _band_caps(n, thr)
+    log_lam = math.log(fugacity)
+    records: list[SystemRecord] = []
 
+    def cells(particles: _Particles, band: str, k_x: int | None, system_seed: int):
+        if not particles.top:
+            return [particles.base]
+        logs, record = _particle_system(particles, band, k_x, epsilon, delta, system_seed)
+        records.append(record)
+        return logs
+
+    two = [TermRecord("two-sided", (k_x, k_y), v + (k_x + k_y) * log_lam)
+           for k_x in range(a_cap + 1)
+           for k_y, v in enumerate(cells(_RowParticles(TwoSidedSlice(g, k_x, a_cap)),
+                                         "two-sided", k_x, seed + 1000003 * (k_x + 1)))]
+    results = {"two-sided": ((0, a_cap), two)}
+    for side, (band, graph) in enumerate((("one-sided-x", g), ("one-sided-y", _mirror(g)))):
+        top = min(b_cap, n - 1)
+        logs = (cells(_BandParticles(OneSidedSlice(graph, top, fugacity)), band, None,
+                      seed + 2000003 * (side + 1)) if top > a_cap else [])
+        values = logs[a_cap + 1:]
+        if b_cap == n:
+            values.append(OneSidedSlice(graph, n, fugacity).log_weight(range(n)))
+        results[band] = ((a_cap + 1, b_cap), [TermRecord(band, k, v) for k, v in
+                                               zip(range(a_cap + 1, b_cap + 1), values)])
+    bands = tuple(BandRecord(band, k_range, _logsumexp(t.value_log for t in terms),
+                             sum(r.samples for r in records if r.band == band), tuple(terms))
+                  for band, (k_range, terms) in results.items())
+    return CountEstimate(_logsumexp([b.value_log for b in bands]), epsilon, delta,
+                         sum(r.samples for r in records), tuple(records), bands, seed)
 
 def exact_partition_hat(g: BipartiteRegularGraph, fugacity: float,
                         thr: ThresholdParams) -> tuple[float, float]:

@@ -27,22 +27,8 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-# Uniforms drawn per vectorized Generator call, and in a UniformBuffer's first block.
+# The largest and the first block a UniformBuffer draws in one Generator call.
 BLOCK, FIRST_BLOCK = 8192, 64
-
-
-def uniform_blocks(rng: np.random.Generator, total: int, unit: int):
-    """Yield ``total`` uniforms of ``rng`` as arrays of whole units of ``unit``
-    floats, BLOCK // unit units an array (one unit when BLOCK is smaller).
-
-    The arrays hold the stream's uniforms in order and exactly ``total`` of
-    them, so the generator is left where a scalar draw of each would leave it.
-    """
-    size = max(1, BLOCK // unit) * unit
-    while total > 0:
-        block = rng.random(min(size, total))
-        total -= len(block)
-        yield block
 
 
 class UniformBuffer:

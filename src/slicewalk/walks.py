@@ -29,10 +29,7 @@ and the same uniform draws, replaying the kernel bit for bit, and
 each, in a few NumPy calls.  The table keeps its facets' free ids as one
 array and their law, from the same enumeration, as log weights, and draws
 exact starts from it (``FacetTable.draw``), so a chain started there needs
-no burn-in.  ``FacetTable.pin`` gives the table of a link, the slice with
-one more id pinned, by restriction, with no enumeration.  The estimator's
-replicas and the lockstep escape-time experiment both step through
-``advance``.
+no burn-in.  The lockstep escape-time experiment steps through ``advance``.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -310,7 +307,6 @@ class FacetTable:
     The law is kept as the facets' log weights ``logw``; ``probs[f]`` is
     facet f's probability, exp(logw - max) normalized as the enumeration's
     law (``slices._facet_weights``) is, and ``acc`` their running sums.
-    ``pin(v)`` restricts the table to the slice with v pinned.
     """
 
     width: int
@@ -381,53 +377,6 @@ class FacetTable:
             flat.put(slot, cands.take(pick))
             base = out[s] = succ.take(pick)
         return out
-
-    def pin(self, v: int) -> "FacetTable":
-        """The table of the slice with free id ``v`` also pinned, restricted
-        from this one with no enumeration.
-
-        Its facets are this table's facets that hold v, in the same order,
-        each without v.  The row of (facet, w) is this table's: the face
-        left without w is the same, so are its candidates and class sums,
-        and each successor, a facet that holds v, is renumbered.  The law is
-        this one's log weights restricted and normalized again.
-        """
-        k = self.free.shape[1]
-        keep = (self.free == v).any(1)
-        stay = self.free[keep] != v
-        free = self.free[keep][stay].reshape(len(stay), k - 1)
-        rows = (np.flatnonzero(keep)[:, None] * k + np.arange(k))[stay]
-        per_row = self.class_count
-        size = self.size.reshape(-1, per_row)[rows]
-        count = size.sum(1)  # each row's candidates, one run of cands
-        run = np.arange(count.sum()) + np.repeat(self.first[rows * per_row] - _offsets(count),
-                                                 count)
-        renumber = np.cumsum(keep) - 1
-        return FacetTable(self.width, free, self.weighted, per_row, _row_at(free, self.width),
-                          self.sums[rows], self.total[rows], _offsets(size.ravel()),
-                          size.ravel(), self.cands[run],
-                          renumber[self.succ[run] // self.width] * self.width, self.logw[keep])
-
-    def classes(self) -> int:
-        """Number of communicating classes.  The chain is reversible, so
-        every facet is a successor of its successors, and the classes are
-        the connected components of the successor lists: every facet takes
-        the least label among itself and its successors, then its label's
-        label, until no label moves; a class ends labelled by its least
-        facet.  (NumPy alone: ``scipy.sparse`` would add about 20 MB and
-        0.2 s of imports to an estimate, which otherwise loads no SciPy.)"""
-        facets, k = self.free.shape
-        if not k:
-            return facets
-        ends = self.first[::self.class_count * k]  # where each facet's successors start
-        succ = self.succ // self.width
-        label = np.arange(facets)
-        while True:
-            low = np.minimum(label, np.minimum.reduceat(label[succ], ends))
-            low = low[low]
-            if (low == label).all():
-                return int(np.count_nonzero(label == np.arange(facets)))
-            label = low
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:

@@ -175,14 +175,14 @@ class TestEstimateZ:
                                "--seed", "2")
         assert code == 0
         report = json.loads(out)
-        for key in ("estimate_log", "epsilon", "delta", "bands", "trace", "seed"):
+        for key in ("estimate_log", "epsilon", "delta", "bands", "trace", "systems", "seed"):
             assert key in report
         kinds = [b["kind"] for b in report["bands"]]
         assert kinds == ["two-sided", "one-sided-x", "one-sided-y"]
         assert "wall_time" not in report
 
     def test_trace_holds_one_record_per_term(self, graph_file, capsys):
-        from slicewalk.counting import ThresholdParams, _banded_terms
+        from slicewalk.counting import ThresholdParams, _band_caps
         from slicewalk.graphs import load_graph
         code, out, _ = run_cli(capsys, "estimate-z", "--in", graph_file,
                                "--lambda", "0.25", "--eps", "0.2", "--delta", "0.3",
@@ -190,14 +190,20 @@ class TestEstimateZ:
         assert code == 0
         report = json.loads(out)
         thr = ThresholdParams(report["thresholds"]["alpha"], report["thresholds"]["beta"])
-        terms = _banded_terms(load_graph(graph_file), 0.25, thr, seed=2)
+        n = load_graph(graph_file).n_side
+        a_cap, b_cap = _band_caps(n, thr)
         trace = report["trace"]
-        assert [(t["band"], t["k"]) for t in trace] == [
-            (band, list(k) if band == "two-sided" else k) for band, k, *_ in terms]
-        assert sum(t["samples"] for t in trace) == sum(b["samples"] for b in report["bands"])
-        levels = [level for t in trace for level in t["levels"]]
-        assert levels and all(set(level) == {"pinned", "marginal", "samples", "method",
-                                             "burn_in"} for level in levels)
+        assert [(t["band"], t["k"]) for t in trace] == (
+            [("two-sided", [kx, ky]) for kx in range(a_cap + 1) for ky in range(a_cap + 1)]
+            + [(band, k) for band in ("one-sided-x", "one-sided-y")
+               for k in range(a_cap + 1, b_cap + 1)])
+        assert all(set(t) == {"band", "k", "value_log"} for t in trace)
+        # one record per particle system: a row of the grid or a band
+        systems = report["systems"]
+        assert systems and all(
+            set(r) == {"band", "k_x", "top", "particles", "relvar", "resamplings", "steps",
+                       "samples"} for r in systems)
+        assert sum(r["samples"] for r in systems) == sum(b["samples"] for b in report["bands"])
 
     def test_wall_time_only_with_timing(self, graph_file, capsys):
         code, out, _ = run_cli(capsys, "estimate-z", "--in", graph_file,

@@ -8,17 +8,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import slicewalk
 from slicewalk import counting, slices, walks
 from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdParams,
-                                _banded_terms, _uncovered_histogram, _z_quantile, estimate_one_sided_partition, estimate_partition_hat,
+                                LOG_ZERO, SystemRecord, _uncovered_histogram, _z_quantile,
+                                estimate_one_sided_partition, estimate_partition_hat,
                                 estimate_two_sided_count, exact_one_sided_partition,
                                 exact_partition, exact_partition_hat, exact_slice_count,
                                 occupancy_profile, thresholds)
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
-from slicewalk.slices import OneSidedSlice, TwoSidedSlice
-from slicewalk.rng import rng_stream
-from slicewalk.walks import _make_state
+from slicewalk.slices import TwoSidedSlice
 
 
 class TestExactPartition:
@@ -193,7 +191,8 @@ class TestOracleCaps:
 
 # Estimator internals that no exact oracle may reach, directly or through a
 # helper of the counting module: the oracles are the specification.
-ESTIMATOR_NAMES = {"run_chain", "facet_table", "_telescope_log", "_banded_terms"}
+ESTIMATOR_NAMES = {"run_chain", "facet_table", "_particle_system", "_smc", "_RowParticles",
+                   "_BandParticles"}
 EXACT_ORACLES = ("exact_partition", "exact_slice_count", "exact_one_sided_partition",
                  "occupancy_profile", "exact_partition_hat")
 
@@ -241,7 +240,8 @@ class TestEstimators:
         assert est.value == pytest.approx(1.0)
 
     def test_two_sided_c6_disconnected_slice(self, bipartite_c6):
-        # 3-facet slice with a frozen chain: handled by the exact-marginal path
+        # 3 facets and a frozen chain: every X vertex leaves one Y vertex
+        # uncovered, so every particle carries the same weight
         est = estimate_two_sided_count(bipartite_c6, 1, 1, 0.1, 0.1, seed=1)
         assert est.value == pytest.approx(3.0, rel=1e-9)
 
@@ -261,274 +261,118 @@ class TestEstimators:
         a = estimate_two_sided_count(g, 2, 2, 0.1, 0.1, seed=5)
         b = estimate_two_sided_count(g, 2, 2, 0.1, 0.1, seed=5)
         assert a.log_value == b.log_value and a.trace == b.trace
-        assert len(a.trace) == 4
-        assert all(0 < t.marginal <= 1 for t in a.trace)
+        record, = a.trace  # the row k_x = 2, run up to k_y = 2
+        assert (record.band, record.k_x, record.top) == ("two-sided", 2, 2)
+        assert record.particles >= counting.PARTICLE_FLOOR and record.samples == a.samples
 
-    def test_levels_record_how_they_were_decided(self):
-        # the golden estimate's path: an 82-facet top slice with one
-        # communicating class is sampled, the smaller links are enumerated
-        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2,
-                                       0.3, 0.1, seed=5)
-        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
-        assert [t.samples > 0 for t in est.trace] == [True, False, False, False]
-        # the sampled level fits a facet table, so its replicas start from its law
-        assert [t.burn_in for t in est.trace] == [0, 0, 0, 0]
-
-    def test_levels_above_the_table_cap_burn_in_from_a_greedy_facet(self, monkeypatch):
-        # with no level under the cap, the sampled level starts its replicas at
-        # greedy facets and traces the burn-in each ran
-        monkeypatch.setattr(walks, "TABLE_ROW_CAP", 0)
+    def test_particle_count_follows_the_pilot(self):
+        # the main run takes max(PARTICLE_FLOOR, ceil(z(delta)^2 relvar / eps^2))
         g = gen_bipartite_regular(8, 3, seed=1)
-        est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
-        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
-        burn = counting._burn_in(TwoSidedSlice(g, 2, 2), 0.3)
-        assert burn > 0 and [t.burn_in for t in est.trace] == [burn, 0, 0, 0]
+        for eps in (0.3, 0.05, 0.02):
+            record, = estimate_two_sided_count(g, 2, 2, eps, 0.1, seed=5).trace
+            want = math.ceil(_z_quantile(0.1) ** 2 * record.relvar / eps ** 2)
+            assert record.particles == max(counting.PARTICLE_FLOOR, want)
+        assert record.particles > counting.PARTICLE_FLOOR
 
-    def test_reducible_level_takes_the_exact_marginal(self):
-        # At (2, 2) on this graph the down-up chain has more than one
-        # communicating class (one facet is frozen: every move from it is a
-        # self-loop), so pooled replicas weigh each class by where they
-        # started; from chain samples this estimate came out at 0.566 x exact.
-        g = gen_bipartite_regular(8, 3, seed=500)
-        exact = exact_slice_count(g, 2, 2)
-        est = estimate_two_sided_count(g, 2, 2, 0.1, 0.1, seed=9000)
-        assert est.value == pytest.approx(exact, rel=0.1)
-        assert est.trace[0].method == "reducible" and est.trace[0].samples == 0
-        assert est.trace[0].burn_in == 0
-
-    def test_pool_kernels_give_the_facet_table_estimates(self, monkeypatch):
-        # slices above the table cap step through the pool kernels, which
-        # read the same time-major uniforms: with as many replicas, started
-        # where the table's draws start and run without burn-in, they give
-        # the same estimates
-        monkeypatch.setattr(counting, "TABLE_REPLICAS", counting.REPLICAS)
-        g = gen_bipartite_regular(8, 3, seed=1)
-        runs = [lambda: estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5),
-                lambda: estimate_one_sided_partition(g, 3, 0.3, 0.3, 0.1, seed=5)]
-        tabled = [run() for run in runs]
-        assert any(t.method == "sampled" for est in tabled for t in est.trace)
-
-        def table_start(slc, rng):
-            table = walks.facet_table(slc)
-            free = table.free[table.draw(rng, 1)[0]].tolist()
-            return _make_state(slc, sorted(set(free) | slc.pinned_ids))
-
-        monkeypatch.setattr(counting, "facet_table", lambda slc: None)
-        monkeypatch.setattr(counting, "_burn_in", lambda slc, epsilon: 0)
-        monkeypatch.setattr(counting, "greedy_initial_state", table_start)
-        for est, run in zip(tabled, runs):
-            assert run() == est
-
-    @pytest.mark.parametrize("block", [1, 40, 8192])
-    @pytest.mark.parametrize("tabled", [True, False])
-    def test_membership_counts_replay_the_scalar_kernel(self, monkeypatch, tabled, block):
-        # each replica is _step on its column of the phase's time-major step
-        # stream, from its start in replica order, sampled after burn + thin,
-        # burn + 2 thin, ... steps; the table path starts at the law's draws,
-        # the kernel path at greedy facets after 13 unsampled steps, more than
-        # the thinning; blocks of one step, of a few, and of the whole phase
-        monkeypatch.setattr("slicewalk.rng.BLOCK", block)
-        monkeypatch.setattr(counting, "TABLE_REPLICAS", 3)
-        monkeypatch.setattr(counting, "REPLICAS", 3)
-        g = gen_bipartite_regular(8, 3, seed=1)
-        for slc in (TwoSidedSlice(g, 2, 2), OneSidedSlice(g, 3, 0.4)):
-            table = walks.facet_table(slc) if tabled else None
-            burn = 0 if tabled else 13
-            counts, got = counting._membership_counts(slc, 7, 4, (0, 1, 1), table, burn)
-            per, thin, unit = 3, 2 * slc.free_size, 3 if slc.coverage_weighted else 2
-            assert got == 3 * per
-            start = rng_stream(4, 0, 1, 1, 0)
-            if tabled:
-                t = walks.facet_table(slc)
-                states = [_make_state(slc, sorted(set(t.free[f].tolist()) | slc.pinned_ids))
-                          for f in t.draw(start, 3)]
-            else:
-                states = [walks.greedy_initial_state(slc, start) for _ in range(3)]
-            steps = burn + per * thin
-            columns = rng_stream(4, 0, 1, 1, 1).random((steps, 3, unit))
-            want = np.zeros_like(counts)
-            for r, state in enumerate(states):
-                rand = iter(columns[:, r].ravel().tolist()).__next__
-                for t in range(1, steps + 1):
-                    walks._step(slc, state, rand)
-                    if t > burn and (t - burn) % thin == 0:
-                        want[state.free] += 1
-            assert counts.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("tabled", [True, False])
-    def test_a_phase_builds_at_most_two_generators(self, monkeypatch, tabled):
-        # one stream for the starts and one for the steps, whatever the
-        # replica count, on the table path and on the kernel path alike
-        if not tabled:
-            monkeypatch.setattr(walks, "TABLE_ROW_CAP", 0)
+    @pytest.mark.parametrize("rejuvenating", [True, False])
+    def test_a_phase_builds_at_most_two_generators(self, monkeypatch, rejuvenating):
+        # a system builds one generator: both runs, the pilot and the main
+        # one, draw their particles and resamplings from it, and their kernel
+        # steps, whether or not they rejuvenate, from a buffer of it
+        if rejuvenating:
+            monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)
         paths = []
         real_stream = counting.rng_stream
 
         def stream_spy(seed, *path):
-            paths.append(path)
+            paths.append((seed, *path))
             return real_stream(seed, *path)
 
         monkeypatch.setattr(counting, "rng_stream", stream_spy)
-        for replicas in (4, 64):
-            monkeypatch.setattr(counting, "TABLE_REPLICAS", replicas)
-            monkeypatch.setattr(counting, "REPLICAS", replicas)
-            paths.clear()
-            est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2,
-                                           0.3, 0.1, seed=5)
-            phases = {path[:-1] for path in paths}
-            sampled = sum(t.method == "sampled" for t in est.trace)
-            assert sampled and len(phases) == 2 * sampled  # a pilot and a main phase each
-            assert all(sum(p[:-1] == phase for p in paths) <= 2 for phase in phases)
-
-    def test_each_table_level_enumerates_once(self, monkeypatch):
-        # the table's rows and the law its replicas start from (or the
-        # marginal of a reducible level) come from one enumeration, and the
-        # levels below it, exact ones included, read their tables by
-        # restriction: an estimate whose top level fits a table enumerates once
-        enumerations, tables = [], []
-        real_enumerate, real_table = slices._facet_ids, counting.facet_table
-
-        def enumerate_spy(slc, cap):
-            enumerations.append((slc, cap))
-            return real_enumerate(slc, cap)
-
-        def table_spy(slc):
-            table = real_table(slc)
-            if table is not None:
-                tables.append(slc)
-            return table
-
-        for module in (slicewalk, slices, walks, counting):
-            if getattr(module, "_facet_ids", None) is real_enumerate:
-                monkeypatch.setattr(module, "_facet_ids", enumerate_spy)
-        monkeypatch.setattr(counting, "facet_table", table_spy)
-        estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2, 0.3, 0.1, seed=5)
-        estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 3, 0.3, 0.3, 0.1,
-                                     seed=5)
-        estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=500), 2, 2, 0.1, 0.1,
-                                 seed=9000)  # a reducible level
-        assert len(tables) == 3  # the top level of each estimate
-        assert [cap for _, cap in enumerations] == [walks.TABLE_ROW_CAP] * 3
-        assert all(a is b for (a, _), b in zip(enumerations, tables))
-
-    def test_a_top_level_with_a_small_exact_bound_compiles_no_table(self, monkeypatch):
-        # C(8, 2) = 28 one-sided facets: each level enumerates its own law
-        # within EXACT_MARGINAL_CAP, and no table is compiled
-        caps, real_enumerate = [], slices._facet_ids
-
-        def enumerate_spy(slc, cap):
-            caps.append(cap)
-            return real_enumerate(slc, cap)
-
-        def refuse(slc):
-            raise AssertionError("compiled a table for a level known to be exact")
-
-        monkeypatch.setattr(slices, "_facet_ids", enumerate_spy)
-        monkeypatch.setattr(counting, "facet_table", refuse)
-        est = estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 2, 0.4, 0.1,
-                                           0.1, seed=5)
-        assert [t.method for t in est.trace] == ["exact", "exact"]
-        assert caps == [counting.EXACT_MARGINAL_CAP] * 2
-
-    def test_repetitions_share_one_compile(self, monkeypatch):
-        # the median-of-repetitions path runs 92 telescopes of the same top
-        # slice from one compiled table
-        calls = []
-        real_table = counting.facet_table
-
-        def table_spy(slc):
-            calls.append(slc)
-            return real_table(slc)
-
-        monkeypatch.setattr(counting, "facet_table", table_spy)
-        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2, 0.3, 5e-4,
-                                       seed=5)
-        assert counting._repetitions(5e-4) == 92 and len(calls) == 1
-        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
-
-    def test_the_first_level_that_fits_compiles_and_the_rest_pin(self, monkeypatch):
-        # under a cap of 1,000 rows the (2, 2) top level (a bound of 784
-        # facets, 4 free) steps through the kernels, the next level compiles
-        # its table, and the two below pin it; each exact level's marginal,
-        # read off a table, is the one its own enumeration gives
-        monkeypatch.setattr(walks, "TABLE_ROW_CAP", 1000)
-        calls = []
-        real_table = counting.facet_table
-
-        def table_spy(slc):
-            table = real_table(slc)
-            calls.append((slc.free_size, table is not None))
-            return table
-
-        monkeypatch.setattr(counting, "facet_table", table_spy)
-        g = gen_bipartite_regular(8, 3, seed=1)
-        est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
-        assert calls == [(4, False), (3, True)]
-        assert [t.method for t in est.trace] == ["sampled", "exact", "exact", "exact"]
-        assert est.trace[0].burn_in > 0
-        slc = TwoSidedSlice(g, 2, 2)
-        for t in est.trace:
-            v = t.pinned[1] + g.n_side * t.pinned[0]
-            if t.method == "exact":
-                assert counting._exact_marginal(slc) == (v, t.marginal)
-            slc = slc.pin((v,))
-
-    def test_a_level_above_the_exact_bound_enumerates_nothing(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("enumerated a level whose exact bound exceeds the cap")
-
-        monkeypatch.setattr(slices, "_facet_ids", refuse)
-        # C(8, 3) = 56 facets, above EXACT_MARGINAL_CAP = 32
-        slc = OneSidedSlice(gen_bipartite_regular(8, 3, seed=1), 3, 0.4)
-        assert slices._facet_bound(slc) == (56, True)
-        assert counting._exact_marginal(slc) is None
+        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2,
+                                       0.3, 0.1, seed=5)
+        assert paths == [(5,)]
+        assert (est.trace[0].resamplings > 0) == rejuvenating
 
     def test_samples_count_what_the_chains_collected(self, monkeypatch):
-        # at side 12 the top level fits a facet table: the pilot asks for 299
-        # samples and its 299 lockstep replicas collect one each
-        collected = []
-        membership_counts = counting._membership_counts
+        # the X-sets drawn: both runs' particles, and each particle a
+        # rejuvenation moved; a reweighting draws none
+        monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)
+        runs = []
+        smc = counting._smc
 
-        def spy(*args):
-            counts, got = membership_counts(*args)
-            collected.append(got)
-            return counts, got
+        def spy(particles, count, rng, rand):
+            got = smc(particles, count, rng, rand)
+            runs.append((count, got[2]))
+            return got
 
-        monkeypatch.setattr(counting, "_membership_counts", spy)
-        est = estimate_two_sided_count(gen_bipartite_regular(12, 3, seed=1), 2, 2,
+        monkeypatch.setattr(counting, "_smc", spy)
+        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 1, 3,
                                        0.3, 0.1, seed=0)
-        assert collected and est.samples == sum(collected)
+        record, = est.trace
+        assert [r for _, r in runs] == [2, 2]  # after cells 1 and 2, not the last
+        assert est.samples == record.samples == sum(c * (1 + r) for c, r in runs)
+        assert record.resamplings == 4
+        # each run moves its particles at free sizes 1 + 1 and 1 + 2
+        assert record.steps == counting.MOVE_SCALE * sum(c * (2 + 3) for c, _ in runs)
 
-    @pytest.mark.parametrize("need", [1, 200, 513, 2910, 8513])
-    def test_a_table_phase_overshoots_by_less_than_one_replica_share(self, need):
-        # per = ceil(need / TABLE_REPLICAS) samples each on ceil(need / per)
-        # replicas, so the last replica's share is the most a phase overshoots
-        slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=1), 2, 2)
-        counts, got = counting._membership_counts(slc, need, 4, (0, 0, 1),
-                                                  walks.facet_table(slc), 0)
-        assert 0 <= got - need < math.ceil(need / counting.TABLE_REPLICAS)
-        assert counts.sum() == got * slc.free_size
+    def test_estimators_enumerate_nothing(self, monkeypatch):
+        # the estimators read no count off an enumerated law and compile no
+        # facet table, so criterion 4 tests the sampler
+        def refuse(*args):
+            raise AssertionError("an estimator enumerated a slice")
 
-    def test_above_the_cap_a_phase_runs_every_replica(self):
-        # from 13 samples on, the rule gives REPLICAS replicas of
-        # ceil(need / REPLICAS) samples, the split every pilot (200 or more)
-        # and main phase (64 or more) had before it: their chains are unchanged
-        slc = TwoSidedSlice(gen_bipartite_regular(8, 3, seed=1), 1, 1)
-        for need in range(13, 300):
-            counts, got = counting._membership_counts(slc, need, 4, (0, 0, 1), None, 0)
-            assert got == counting.REPLICAS * math.ceil(need / counting.REPLICAS)
-            assert counts.sum() == got * slc.free_size
+        for name in ("_facet_ids", "_law_within", "facet_table"):
+            for module in (slices, walks, counting):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)  # rejuvenate too
+        for seed in (1, 500):
+            g = gen_bipartite_regular(8, 3, seed=seed)
+            assert estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5).samples > 0
+            assert estimate_one_sided_partition(g, 3, 0.4, 0.3, 0.1, seed=5).samples > 0
+            est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=thresholds(3, 0.25))
+            assert est.samples > 0 and math.isfinite(est.log_value)
+
+    def test_rejuvenation_keeps_the_estimates_unbiased(self, monkeypatch):
+        # an infinite ESS_FRACTION resamples and rejuvenates after every cell
+        # but the last, so every estimate runs the chains; the particle
+        # estimate is unbiased for any kernel that leaves the cell's law
+        # invariant, so over 120 cells the mean relative error lies within 3
+        # standard errors of 0.  The first cell is reducible: its chain holds
+        # a frozen facet, which pooled chains once weighed by where they started.
+        monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)
+        monkeypatch.setattr(counting, "PARTICLE_FLOOR", 64)
+        cells = [(gen_bipartite_regular(8, 3, seed=500), (2, 2))]
+        for s in range(40):
+            g = gen_bipartite_regular(8, 3, seed=600 + s)
+            cells += [(g, (2, 2)), (g, (1, 3)), (g, 3)]
+        errors = []
+        for i, (g, k) in enumerate(cells):
+            if isinstance(k, tuple):
+                exact = exact_slice_count(g, *k)
+                if not exact:
+                    continue
+                est = estimate_two_sided_count(g, *k, 0.3, 0.3, seed=i)
+            else:
+                exact = exact_one_sided_partition(g, k, 0.4)
+                est = estimate_one_sided_partition(g, k, 0.4, 0.3, 0.3, seed=i)
+            record, = est.trace
+            assert record.resamplings > 0 and record.steps > 0
+            errors.append(est.value / exact - 1.0)
+        assert len(errors) >= 100
+        assert abs(np.mean(errors)) <= 3 * np.std(errors, ddof=1) / math.sqrt(len(errors))
+
+    def test_a_cell_whose_particles_all_weigh_zero(self):
+        # no 3-regular side-8 graph holds an independent set with 7 ids on
+        # each side: the single-cell estimate raises and names the cell
+        g = gen_bipartite_regular(8, 3, seed=1)
+        assert exact_slice_count(g, 7, 7) == 0
+        with pytest.raises(counting.InsufficientSamplesError, match=r"cell \(7, 7\)"):
+            estimate_two_sided_count(g, 7, 7, 0.3, 0.1, seed=0)
 
     def test_z_quantile_upper_tail(self):
         assert _z_quantile(0.01) == pytest.approx(2.5758293035489, rel=1e-12)
-
-    def test_trace_marginals_exceed_half_side_floor(self):
-        # the argmax pilot rule keeps every pinned marginal above 1/(2 * side)
-        floor = 1.0 / (2 * 8)
-        for seed in range(8):
-            g = gen_bipartite_regular(8, 3, seed=40 + seed)
-            est = estimate_two_sided_count(g, 2, 2, 0.1, 0.1, seed=300 + seed)
-            assert all(t.marginal > floor for t in est.trace)
 
     @pytest.mark.slow
     def test_two_sided_mcmc_accuracy_sweep(self):
@@ -583,18 +427,31 @@ class TestPartitionHat:
         g = gen_bipartite_regular(8, 3, seed=1)
         lam, thr = 0.25, thresholds(3, 0.25)
         est = estimate_partition_hat(g, lam, 0.3, 0.3, seed=1, thr=thr)
+        a_cap, b_cap = counting._band_caps(8, thr)
+        assert (a_cap, b_cap) == (1, 8)
         terms = [t for b in est.bands for t in b.terms]
-        assert [(t.band, t.k) for t in terms] == [
-            (band, k) for band, k, *_ in _banded_terms(g, lam, thr, seed=1)]
-        assert sum(t.samples for t in terms) == est.samples
+        assert [(t.band, t.k) for t in terms] == (
+            [("two-sided", (kx, ky)) for kx in range(2) for ky in range(2)]
+            + [(band, k) for band in ("one-sided-x", "one-sided-y") for k in range(2, 9)])
+        # one system per row and per band; the bands stop short of k = n, the
+        # closed form
+        assert [(r.band, r.k_x, r.top) for r in est.trace] == [
+            ("two-sided", 0, 1), ("two-sided", 1, 1), ("one-sided-x", None, 7),
+            ("one-sided-y", None, 7)]
+        assert sum(r.samples for r in est.trace) == est.samples
         for b in est.bands:
-            assert b.samples == sum(t.samples for t in b.terms)
+            assert b.samples == sum(r.samples for r in est.trace if r.band == b.kind)
             assert b.value_log == counting._logsumexp(t.value_log for t in b.terms)
-        for t in terms:
-            # the levels' main-phase samples; the term also counts its pilots
-            assert sum(level.samples for level in t.levels) <= t.samples
-            assert all(level.method in ("exact", "reducible", "sampled") for level in t.levels)
-        assert any(t.levels for t in terms)
+
+    def test_a_term_whose_particles_all_weigh_zero_is_zero(self):
+        # a grid up to a_cap = 7 holds infeasible cells, such as (7, 7); each
+        # comes out as a zero term, and the estimate stays finite
+        g = gen_bipartite_regular(8, 3, seed=1)
+        est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=ThresholdParams(0.9, 1.0))
+        grid = est.bands[0].terms
+        assert len(grid) == 64 and math.isfinite(est.log_value)
+        infeasible = [t for t in grid if exact_slice_count(g, *t.k) == 0]
+        assert infeasible and all(t.value_log == LOG_ZERO for t in infeasible)
 
     def test_monotone_in_beta(self):
         # with exact inner terms, widening beta only adds nonnegative mass
@@ -612,23 +469,37 @@ class TestPartitionHat:
         (10, 3, 0.3, ThresholdParams(0.15, 1.0)),
         (14, 4, 0.1, thresholds(4, 0.1)),
     ])
-    def test_terms_sum_to_the_exact_banded_value(self, n, degree, lam, thr):
-        # each term's exact weight on its own graph, scaled by its log scale
+    def test_terms_sum_to_the_exact_banded_value(self, monkeypatch, n, degree, lam, thr):
+        # with every particle system replaced by its cells' exact values, each
+        # term is its exact weight on its own graph times its scale, and the
+        # terms sum to the exact banded value
         g = gen_bipartite_regular(n, degree, seed=1)
-        terms = _banded_terms(g, lam, thr, seed=0)
-        assert len({seed for *_, seed in terms}) == len(terms)
-        weights = []
-        for band, k, slc, log_scale, _ in terms:
+        seeds = []
+
+        def exact_cells(particles, band, k_x, epsilon, delta, seed):
+            seeds.append(seed)
+            slc = particles.slc
             if band == "two-sided":
-                assert k == (slc.k_x, slc.k_y)
-                assert log_scale == (slc.k_x + slc.k_y) * math.log(lam)
-                weight = exact_slice_count(slc.graph, slc.k_x, slc.k_y)
+                assert k_x == slc.k_x
+                counts = [exact_slice_count(g, k_x, ky) for ky in range(slc.k_y + 1)]
+                logs = [math.log(c) if c else LOG_ZERO for c in counts]
             else:
-                assert k == slc.k and log_scale == 0.0 and slc.fugacity == lam
-                weight = exact_one_sided_partition(slc.graph, slc.k, lam)
-            weights.append(weight * math.exp(log_scale))
-        assert math.fsum(weights) == pytest.approx(exact_partition_hat(g, lam, thr)[0],
-                                                   rel=1e-12)
+                assert k_x is None and slc.fugacity == lam and slc.k < n
+                logs = [math.log(exact_one_sided_partition(slc.graph, k, lam))
+                        for k in range(slc.k + 1)]
+            return logs, SystemRecord(band, k_x, particles.top, 0, 0.0, 0, 0, 0)
+
+        monkeypatch.setattr(counting, "_particle_system", exact_cells)
+        est = estimate_partition_hat(g, lam, 0.1, 0.1, seed=0, thr=thr)
+        assert len(set(seeds)) == len(seeds)
+        graphs = {"one-sided-x": g, "one-sided-y": counting._mirror(g)}
+        for t in (t for b in est.bands for t in b.terms):
+            if t.band == "two-sided":
+                want = exact_slice_count(g, *t.k) * lam ** sum(t.k)
+            else:
+                want = exact_one_sided_partition(graphs[t.band], t.k, lam)
+            assert math.exp(t.value_log) == pytest.approx(want, rel=1e-12)
+        assert est.value == pytest.approx(exact_partition_hat(g, lam, thr)[0], rel=1e-12)
 
 
 class TestAccuracyArguments:
@@ -637,9 +508,9 @@ class TestAccuracyArguments:
     def test_rejected_before_any_chain_runs(self, monkeypatch, epsilon, delta):
         # delta = 2 split over the terms would pass each term's own check
         def no_chain(*args):
-            raise AssertionError("a chain ran")
+            raise AssertionError("a particle was drawn")
 
-        monkeypatch.setattr(counting, "_telescope_log", no_chain)
+        monkeypatch.setattr(counting, "_smc", no_chain)
         g = gen_bipartite_regular(8, 3, seed=1)
         runs = [lambda: estimate_two_sided_count(g, 2, 2, epsilon, delta, seed=0),
                 lambda: estimate_one_sided_partition(g, 3, 0.3, epsilon, delta, seed=0),
@@ -669,6 +540,7 @@ def test_internals_work_on_global_ids(monkeypatch):
     def refuse(*args):
         raise AssertionError("converted a facet inside the package")
 
+    monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)  # the estimate rejuvenates
     want = run()
     monkeypatch.setattr(TwoSidedSlice, "to_ids", refuse)
     monkeypatch.setattr(TwoSidedSlice, "from_ids", refuse)
@@ -684,4 +556,4 @@ def test_internals_work_on_global_ids(monkeypatch):
     assert ground == ref_ground
     assert matrix.tobytes() == ref_matrix.tobytes() and pi.tobytes() == ref_pi.tobytes()
     assert got[3] == want[3]
-    assert any(t.method == "sampled" for t in got[3].trace)
+    assert got[3].trace[0].resamplings > 0
