@@ -16,7 +16,7 @@ from slicewalk.counting import (EXACT_COUNT_CAP, DegenerateBandError, ThresholdP
                                 exact_partition, exact_partition_hat, exact_slice_count,
                                 occupancy_profile, thresholds)
 from slicewalk.graphs import BipartiteRegularGraph, gen_bipartite_regular
-from slicewalk.slices import TwoSidedSlice
+from slicewalk.slices import OneSidedSlice, TwoSidedSlice
 
 
 class TestExactPartition:
@@ -234,6 +234,27 @@ class TestThresholds:
             thresholds(8, -1.0)
 
 
+def _count_enumerations(monkeypatch):
+    """Record each enumeration and each compiled facet table from here on."""
+    enumerations, tables = [], []
+    real_enumerate, real_table = slices._facet_ids, walks.facet_table
+
+    def enumerate_spy(slc, cap):
+        enumerations.append((slc, cap))
+        return real_enumerate(slc, cap)
+
+    def table_spy(slc):
+        tables.append(slc)
+        return real_table(slc)
+
+    for module in (slices, walks, counting):
+        if getattr(module, "_facet_ids", None) is real_enumerate:
+            monkeypatch.setattr(module, "_facet_ids", enumerate_spy)
+        if getattr(module, "facet_table", None) is real_table:
+            monkeypatch.setattr(module, "facet_table", table_spy)
+    return enumerations, tables
+
+
 class TestEstimators:
     def test_two_sided_zero_sizes(self, bipartite_c6):
         est = estimate_two_sided_count(bipartite_c6, 0, 0, 0.1, 0.1, seed=0)
@@ -316,9 +337,33 @@ class TestEstimators:
         # each run moves its particles at free sizes 1 + 1 and 1 + 2
         assert record.steps == counting.MOVE_SCALE * sum(c * (2 + 3) for c, _ in runs)
 
-    def test_estimators_enumerate_nothing(self, monkeypatch):
-        # the estimators read no count off an enumerated law and compile no
-        # facet table, so criterion 4 tests the sampler
+    def test_each_table_level_enumerates_once(self, monkeypatch):
+        # a slice whose facets once fit a facet table, a reducible one
+        # included, was enumerated once for it; a particle system reads no law
+        # off its slice, so these estimates enumerate nothing and compile no table
+        enumerations, tables = _count_enumerations(monkeypatch)
+        monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)  # rejuvenate too
+        estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=1), 2, 2, 0.3, 0.1, seed=5)
+        estimate_one_sided_partition(gen_bipartite_regular(8, 3, seed=1), 3, 0.3, 0.3, 0.1,
+                                     seed=5)
+        est = estimate_two_sided_count(gen_bipartite_regular(8, 3, seed=500), 2, 2, 0.1, 0.1,
+                                       seed=9000)  # its first cell is reducible
+        assert est.samples > 0 and est.trace[0].resamplings > 0
+        assert enumerations == [] and tables == []
+
+    def test_a_top_level_with_a_small_exact_bound_compiles_no_table(self, monkeypatch):
+        # C(8, 2) = 28 one-sided facets, and the low terms of the banded sum
+        # are smaller still: the estimates run their particles all the same
+        enumerations, tables = _count_enumerations(monkeypatch)
+        g = gen_bipartite_regular(8, 3, seed=1)
+        assert slices._facet_bound(OneSidedSlice(g, 2, 0.4)) == (28, True)
+        record, = estimate_one_sided_partition(g, 2, 0.4, 0.1, 0.1, seed=5).trace
+        assert record.particles >= counting.PARTICLE_FLOOR and record.samples > 0
+        est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=thresholds(3, 0.25))
+        assert est.samples > 0 and math.isfinite(est.log_value)
+        assert enumerations == [] and tables == []
+
+    def test_a_level_above_the_exact_bound_enumerates_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("an estimator enumerated a slice")
 
@@ -326,13 +371,12 @@ class TestEstimators:
             for module in (slices, walks, counting):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(counting, "ESS_FRACTION", math.inf)  # rejuvenate too
         for seed in (1, 500):
+            # C(8, 3) = 56 facets, and (2, 2) two-sided a bound of 784
             g = gen_bipartite_regular(8, 3, seed=seed)
-            assert estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5).samples > 0
+            assert slices._facet_bound(OneSidedSlice(g, 3, 0.4)) == (56, True)
             assert estimate_one_sided_partition(g, 3, 0.4, 0.3, 0.1, seed=5).samples > 0
-            est = estimate_partition_hat(g, 0.25, 0.3, 0.3, seed=1, thr=thresholds(3, 0.25))
-            assert est.samples > 0 and math.isfinite(est.log_value)
+            assert estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5).samples > 0
 
     def test_rejuvenation_keeps_the_estimates_unbiased(self, monkeypatch):
         # an infinite ESS_FRACTION resamples and rejuvenates after every cell
