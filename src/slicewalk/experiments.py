@@ -37,6 +37,8 @@ from .walks import _make_state, _step, exact_transition_matrix, facet_table, spe
 SLOW_MIXING_EXACT_CAP = 20_000
 # Steps the lockstep escape-time chains take between escape checks.
 ESCAPE_BLOCK = 4096
+# Largest event frequency the independent-set size experiment passes.
+EVENT_CEILING = 0.01
 SAMPLED_TAU_NOTE = ("sampled-tau frequencies only; the for-all-tau statement "
                     "is not verified")
 
@@ -59,7 +61,6 @@ class ExperimentConfig:
     samples: int = 200
     steps: int = 1_000_000
     runs: int = 100
-    event_ceiling: float = 0.01
 
     def __post_init__(self) -> None:
         if self.n_side < 1 or self.degree < 1:
@@ -251,8 +252,8 @@ def experiment_independent_set_size(config: ExperimentConfig) -> dict:
     """Frequencies of atypically large hardcore samples.
 
     Events: |I| >= 4 * fugacity * |V|, and both side occupancies above
-    alpha * side.  Both should occur with frequency at most the configured
-    ceiling in the sampled regime.
+    alpha * side.  Both should occur with frequency at most ``EVENT_CEILING``
+    in the sampled regime.
     """
     n, d, lam = config.n_side, config.degree, config.fugacity
     rows = pairing_bipartite_rows(n, d, rng_stream(config.seed, 0))
@@ -283,9 +284,9 @@ def experiment_independent_set_size(config: ExperimentConfig) -> dict:
         "config": asdict(config),
         "size_event_fraction": big / m,
         "both_sides_event_fraction": both / m,
-        "event_ceiling": config.event_ceiling,
-        "size_event_pass": big / m <= config.event_ceiling,
-        "both_sides_event_pass": both / m <= config.event_ceiling,
+        "event_ceiling": EVENT_CEILING,
+        "size_event_pass": big / m <= EVENT_CEILING,
+        "both_sides_event_pass": both / m <= EVENT_CEILING,
         "mean_x_occupancy": float(x_sizes.mean()) / n,
         "marginal_cap": lam / (1.0 + lam),
         "notes": "sampled frequencies; exponential tail bounds are echoed "
@@ -337,6 +338,9 @@ def experiment_slow_mixing(config: ExperimentConfig, control: bool = False) -> d
     m, d, k, lam = config.n_side, config.degree, config.k, config.fugacity
     if k % 2 != 0:
         raise ValueError("k must be even so the boundary splits evenly")
+    if not 2 <= k <= 2 * m - 2:
+        raise ValueError(f"k = {k} lies outside [2, 2n - 2] = [2, {2 * m - 2}], where the "
+                         "majority set is proper and nonempty")
     if control:
         g = gen_bipartite_regular(2 * m, d, seed=config.seed + 51)
     else:
@@ -394,11 +398,12 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
 
     Run ``run`` is the scalar chain started at ``members`` and stepped by
     ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  When the slice
-    compiles into a facet table, the runs step in lockstep through
-    ``FacetTable.advance``, one array row each, which replays each run's
-    stream exactly.  Rows that escape inside a block of ESCAPE_BLOCK steps
-    are dropped after it.  Above the table's cap each run steps alone
-    through the slice's kernel.
+    compiles into a facet table (it is the table's one consumer), the runs
+    step in lockstep through ``FacetTable.advance``, one array row each,
+    reading each run's stream three uniforms a step, as the one-sided
+    kernel does, so every run replays exactly.  Rows that escape inside a
+    block of ESCAPE_BLOCK steps are dropped after it.  Above the table's
+    ``TABLE_ROW_CAP`` each run steps alone through the slice's kernel.
     """
     facet = tuple(sorted(members))
     half = k / 2.0

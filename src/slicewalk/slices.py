@@ -288,9 +288,10 @@ Slice = TwoSidedSlice | OneSidedSlice | RegularSlice
 # -- enumeration -------------------------------------------------------------------
 
 
-def enumerate_facets(slc: Slice, cap: int = ENUMERATION_CAP) -> list:
-    """Every facet in the family's public format, in ``_facet_ids`` order."""
-    return [slc.from_ids(ids) for ids in _facet_ids(slc, cap)]
+def enumerate_facets(slc: Slice) -> list:
+    """Every facet in the family's public format, in ``_facet_ids`` order;
+    EnumerationCapError past ``ENUMERATION_CAP`` facets."""
+    return [slc.from_ids(ids) for ids in _facet_ids(slc, ENUMERATION_CAP)]
 
 
 def _facet_ids(slc: Slice, cap: int) -> list[tuple[int, ...]]:
@@ -354,7 +355,8 @@ def _facet_weights(slc: Slice, cap: int):
     if not facets:
         raise SliceError("slice has no facets (disconnected or infeasible parameters)")
     logw = slc.log_weights(facets)
-    return facets, logw, _normalized(logw)
+    weights = np.exp(logw - logw.max())
+    return facets, logw, weights / weights.sum()
 
 
 def _free_ids(slc: Slice, facets: list[tuple[int, ...]]) -> np.ndarray:
@@ -364,13 +366,6 @@ def _free_ids(slc: Slice, facets: list[tuple[int, ...]]) -> np.ndarray:
     pinned = np.zeros(len(slc.graph.global_adj), bool)
     pinned[list(slc.pinned_ids)] = True
     return ids[~pinned[ids]].reshape(len(facets), slc.free_size)
-
-
-def _normalized(logw: np.ndarray) -> np.ndarray:
-    """The law of facets with log weights ``logw``: exp(logw - max logw),
-    normalized."""
-    weights = np.exp(logw - logw.max())
-    return weights / weights.sum()
 
 
 def _open_ids(slc: Slice) -> list[tuple[list[int], int]]:
@@ -424,7 +419,7 @@ def link(slc: Slice, face) -> Slice:
     out = slc.with_face(face)
     if greedy_facet(out, np.random.Generator(np.random.PCG64(0))) is None:
         try:
-            facets = enumerate_facets(out, ENUMERATION_CAP)
+            facets = enumerate_facets(out)
         except EnumerationCapError:
             raise EnumerationCapError(
                 "greedy search found no facet and the link exceeds the enumeration "

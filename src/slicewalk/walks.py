@@ -15,21 +15,20 @@ class and then a uniform member of it.  A kernel is one loop over a given
 number of (optionally lazy) steps, called once per sample interval.  One
 pool builder, ``_pools``, makes pools from counters; kernels update them.
 
-Slices whose facet count times free size stays within ``TABLE_ROW_CAP`` rows
-(checked first against a binomial bound, so large slices never enumerate)
-can be compiled into a ``FacetTable``: for every facet and free element, the
-candidate pools of the face left without it, stored in flat arrays with the
-class sums and each candidate's successor facet.  ``facet_table`` builds
-them from the enumeration alone, calling neither the pool builders nor the
-exact oracles: the candidates of a face are the facets that hold it, so one
-sort groups the rows by the face they leave, and each candidate is the id
-its row removes and leads to its row's facet.  A table step is a row lookup
-and the same uniform draws, replaying the kernel bit for bit, and
-``FacetTable.advance`` takes it for many chains at once, one array row
-each, in a few NumPy calls.  The table keeps its facets' free ids as one
-array and their law, from the same enumeration, as log weights, and draws
-exact starts from it (``FacetTable.draw``), so a chain started there needs
-no burn-in.  The lockstep escape-time experiment steps through ``advance``.
+A one-sided slice whose facet count times free size stays within
+``TABLE_ROW_CAP`` rows (checked first against its binomial facet count, so
+large slices never enumerate) can be compiled into a ``FacetTable``: for
+every facet and free element, the weight classes of the face left without
+it, stored in flat arrays with the class sums and each candidate's successor
+facet.  ``facet_table`` builds them from the enumeration alone, calling
+neither the pool builders nor the exact oracles: the candidates of a face
+are the facets that hold it, so one sort groups the rows by the face they
+leave, and each candidate is the id its row removes and leads to its row's
+facet.  A table step is a row lookup and the kernel's three uniform draws,
+replaying it bit for bit, and ``FacetTable.advance`` takes it for many
+chains at once, one array row each, in a few NumPy calls.  The table holds
+no law.  Its one consumer is the slow-mixing experiment, whose lockstep
+escape-time chains step through ``advance``.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -46,7 +45,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from operator import mul, not_
 from typing import Callable, Iterable, Sequence
@@ -55,7 +53,7 @@ import numpy as np
 
 from .rng import UniformBuffer, rng_stream
 from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
-                     _facet_weights, _free_ids, _law_within, _normalized, greedy_facet)
+                     _facet_ids, _facet_weights, _free_ids, _law_within, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -282,36 +280,31 @@ def _kernel_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand, steps: 
 
 # -- facet tables -------------------------------------------------------------------
 
-# Slices whose facets times free elements may exceed this many rows step
-# through the kernels instead of a compiled table.
+# One-sided slices whose facets times free elements may exceed this many rows
+# step through the kernel instead of a compiled table.
 TABLE_ROW_CAP = 20_000
 
 
 @dataclass(eq=False)
 class FacetTable:
-    """The down-up chain of an enumerated slice, one row per (facet, free id),
-    compiled into flat arrays.
+    """The down-up chain of an enumerated one-sided slice, one row per
+    (facet, free id), compiled into flat arrays.
 
     ``free[f]`` holds facet f's free ids in increasing order, one row of a
     (facets, free size) array.  Facet f's row base is ``f * width``, and
     free id v has row ``row_at[f * width + v]``, the candidate pools of the
     face left when v is removed; facet f's rows are its free ids' rows in
-    order.  A row holds ``class_count`` weight classes: one on a uniform
-    table; on a ``weighted`` (one-sided) table every uncovered count from the
-    smallest occupied one up, then empty padding.  Class c of row r is entry
-    ``r * class_count + c`` of ``first`` and ``size``, which give its run of
-    ``cands`` (the candidates in pool order) and of ``succ`` (the row base of
-    the facet each one leads to).  ``sums[r]`` holds the kernel's sequential
-    class sums, padded with infinities; the last real one is ``total[r]``.
-
-    The law is kept as the facets' log weights ``logw``; ``probs[f]`` is
-    facet f's probability, exp(logw - max) normalized as the enumeration's
-    law (``slices._facet_weights``) is, and ``acc`` their running sums.
+    order.  A row holds ``class_count`` weight classes, every uncovered
+    count from the smallest occupied one up, then empty padding.  Class c of
+    row r is entry ``r * class_count + c`` of ``first`` and ``size``, which
+    give its run of ``cands`` (the candidates in pool order) and of ``succ``
+    (the row base of the facet each one leads to).  ``sums[r]`` holds the
+    kernel's sequential class sums, padded with infinities; the last real
+    one is ``total[r]``.
     """
 
     width: int
     free: np.ndarray
-    weighted: bool
     class_count: int
     row_at: np.ndarray
     sums: np.ndarray
@@ -320,27 +313,11 @@ class FacetTable:
     size: np.ndarray
     cands: np.ndarray
     succ: np.ndarray
-    logw: np.ndarray
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        return _normalized(self.logw)
-
-    @cached_property
-    def acc(self) -> np.ndarray:
-        return np.cumsum(self.probs)
 
     def start(self, free: Sequence[int]) -> int:
         """Row base of the facet whose free ids are ``free``, in any order."""
         f, = np.flatnonzero((self.free == np.sort(free)).all(1))
         return int(f) * self.width
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Indices of ``count`` facets drawn from the slice's law, one
-        uniform u of ``rng`` each: the first facet whose running sum exceeds
-        u times the total.  A chain started there is stationary from its
-        first step."""
-        return np.searchsorted(self.acc, rng.random(count) * self.acc[-1], side="right")
 
     def advance(self, free: np.ndarray, base: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Step chains in lockstep, one per row of ``free``, and return the
@@ -348,12 +325,12 @@ class FacetTable:
 
         Chain i is at the facet with row base ``base[i]``, whose free ids
         ``free[i]`` (a C-contiguous array, updated in place) are in its
-        stepping order.  Step s reads ``u[s, i]``: the removal slot, on a
-        weighted table the weight class, and the index within the class,
-        the uniforms ``_step`` draws, so every chain replays the pool kernel
-        on them bit for bit.  ``(u * k).astype(np.intp)`` is ``int(u * k)``
-        and the class is the first whose sum exceeds u * total (u * total <
-        total in floating point), which is ``bisect_right`` over the sums.
+        stepping order.  Step s reads ``u[s, i]``: the removal slot, the
+        weight class and the index within the class, the uniforms ``_step``
+        draws, so every chain replays the pool kernel on them bit for bit.
+        ``(u * k).astype(np.intp)`` is ``int(u * k)`` and the class is the
+        first whose sum exceeds u * total (u * total < total in floating
+        point), which is ``bisect_right`` over the sums.
         """
         steps, chains = u.shape[:2]
         k = free.shape[1]
@@ -370,10 +347,9 @@ class FacetTable:
         for s in range(steps):
             slot = slots[s]
             at = row_at.take(base + flat.take(slot))
-            if self.weighted:
-                below = sums.take(at, axis=0) <= (u[1, s] * total.take(at))[:, None]
-                at = at * per_row + below.argmin(1)
-            pick = first.take(at) + (u[-1, s] * size.take(at)).astype(np.intp)
+            below = sums.take(at, axis=0) <= (u[1, s] * total.take(at))[:, None]
+            at = at * per_row + below.argmin(1)
+            pick = first.take(at) + (u[2, s] * size.take(at)).astype(np.intp)
             flat.put(slot, cands.take(pick))
             base = out[s] = succ.take(pick)
         return out
@@ -395,17 +371,16 @@ def _row_at(free: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def facet_table(slc: Slice) -> FacetTable | None:
-    """Compile the chain and the law of ``slc``, or None when the facet bound
-    times the free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
-    enumeration) or the slice has no facet.
+def facet_table(slc: OneSidedSlice) -> FacetTable | None:
+    """Compile the chain of ``slc``, or None when its facet count times its
+    free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
+    enumeration).
 
-    The facets and their log weights come from one enumeration, and the rows
-    follow from it alone.  Row r = f * k + j removes ``free[f, j]`` and
-    leaves the face of facet f without it; the candidates of the row are the
-    facets that hold that face, which are the rows that leave the same face,
-    each candidate the id its row removes and leading to its row's facet.
-    One sort of the rows by face, then on a weighted table by class, then by
+    The rows follow from the enumeration alone.  Row r = f * k + j removes
+    ``free[f, j]`` and leaves the face of facet f without it; the candidates
+    of the row are the facets that hold that face, which are the rows that
+    leave the same face, each candidate the id its row removes and leading
+    to its row's facet.  One sort of the rows by face, then by class, then by
     removed id lays every face's candidates out in pool order.  A
     candidate's class is the face's uncovered count less its facet's
     (``OneSidedSlice.uncovered``), so within a face the class ascends as the
@@ -413,29 +388,22 @@ def facet_table(slc: Slice) -> FacetTable | None:
     """
     if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
         return None
-    try:
-        facets, logw, _ = _facet_weights(slc, TABLE_ROW_CAP)
-    except SliceError:  # no facet
-        return None
+    facets = _facet_ids(slc, TABLE_ROW_CAP)
     free = _free_ids(slc, facets)
     width = len(slc.graph.global_adj)
-    weighted = slc.coverage_weighted
-    per_row = slc.graph.degree + 1 if weighted else 1
+    per_row = slc.graph.degree + 1
     if not free.size:  # the pinned face is the only facet
         empty = np.zeros(0, np.intp)
-        return FacetTable(width, free, weighted, per_row, _row_at(free, width),
-                          np.zeros((0, per_row)), np.zeros(0), empty, empty, empty, empty, logw)
+        return FacetTable(width, free, per_row, _row_at(free, width), np.zeros((0, per_row)),
+                          np.zeros(0), empty, empty, empty, empty)
     k = free.shape[1]
     removed = free.ravel()
     row_facet = np.arange(free.size) // k
     others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])  # columns but j
     face = free[:, others].reshape(free.size, k - 1)
-    if weighted:
-        ids = np.array(facets, np.intp)
-        unc = slc.uncovered(ids)[row_facet]
-        order = np.lexsort((removed, -unc, *face.T))
-    else:
-        order = np.lexsort((removed, *face.T))
+    ids = np.array(facets, np.intp)
+    unc = slc.uncovered(ids)[row_facet]
+    order = np.lexsort((removed, -unc, *face.T))
     face = face[order]
     new = np.ones(len(order), bool)  # where a face's group starts
     new[1:] = (face[1:] != face[:-1]).any(1)
@@ -445,25 +413,20 @@ def facet_table(slc: Slice) -> FacetTable | None:
     of_row[order] = group
     count = np.diff(start, append=len(order))[of_row]  # each row's candidates
     run = order[np.arange(count.sum()) + np.repeat(start[of_row] - _offsets(count), count)]
-    if weighted:
-        unc = unc[order]
-        most = unc[start]  # the facet uncovered count of each group's lowest class
-        lead = order[start]
-        faces = ids[row_facet[lead]]
-        low = slc.uncovered(faces[faces != removed[lead, None]].reshape(len(start), -1)) - most
-        size = np.bincount(group * per_row + most[group] - unc,
-                           minlength=len(start) * per_row).reshape(len(start), per_row)
-        sums = np.cumsum(size * np.array(slc.class_weights), axis=1)
-        top = per_row - 1 - low  # the last real class
-        sums[np.arange(per_row) > top[:, None]] = np.inf
-        total = sums[np.arange(len(start)), top][of_row]
-        size, sums = size[of_row].ravel(), sums[of_row]
-    else:
-        size = count
-        total = count.astype(float)
-        sums = total[:, None]
-    return FacetTable(width, free, weighted, per_row, _row_at(free, width), sums, total,
-                      _offsets(size), size, removed[run], row_facet[run] * width, logw)
+    unc = unc[order]
+    most = unc[start]  # the facet uncovered count of each group's lowest class
+    lead = order[start]
+    faces = ids[row_facet[lead]]
+    low = slc.uncovered(faces[faces != removed[lead, None]].reshape(len(start), -1)) - most
+    size = np.bincount(group * per_row + most[group] - unc,
+                       minlength=len(start) * per_row).reshape(len(start), per_row)
+    sums = np.cumsum(size * np.array(slc.class_weights), axis=1)
+    top = per_row - 1 - low  # the last real class
+    sums[np.arange(per_row) > top[:, None]] = np.inf
+    total = sums[np.arange(len(start)), top][of_row]
+    size, sums = size[of_row].ravel(), sums[of_row]
+    return FacetTable(width, free, per_row, _row_at(free, width), sums, total,
+                      _offsets(size), size, removed[run], row_facet[run] * width)
 
 
 # -- chains -----------------------------------------------------------------------

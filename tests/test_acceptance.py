@@ -33,8 +33,8 @@ from slicewalk.experiments import (ExperimentConfig,
                                    experiment_slow_mixing)
 from slicewalk.graphs import gen_bipartite_regular, gen_regular, pairing_bipartite_rows
 from slicewalk.rng import rng_stream
-from slicewalk.slices import (OneSidedSlice, RegularSlice, SliceError, TwoSidedSlice,
-                              enumerate_facets, local_walk_exact,
+from slicewalk.slices import (EnumerationCapError, OneSidedSlice, RegularSlice, SliceError,
+                              TwoSidedSlice, _facet_ids, local_walk_exact,
                               one_sided_link_walk_closed_form,
                               regular_link_walk_closed_form,
                               two_sided_link_walk_closed_form)
@@ -69,8 +69,8 @@ def _feasible_slices(bipartite, regular, cap=2000):
         for kx in range(n + 1):
             for ky in range(n + 1):
                 try:
-                    facets = enumerate_facets(TwoSidedSlice(g, kx, ky), cap=cap)
-                except Exception:
+                    facets = _facet_ids(TwoSidedSlice(g, kx, ky), cap)
+                except EnumerationCapError:
                     continue
                 if facets:
                     yield TwoSidedSlice(g, kx, ky), len(facets)
@@ -80,8 +80,8 @@ def _feasible_slices(bipartite, regular, cap=2000):
     for g in regular:
         for k in range(g.n + 1):
             try:
-                facets = enumerate_facets(RegularSlice(g, k), cap=cap)
-            except Exception:
+                facets = _facet_ids(RegularSlice(g, k), cap)
+            except EnumerationCapError:
                 continue
             if facets:
                 yield RegularSlice(g, k), len(facets)

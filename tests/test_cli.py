@@ -350,6 +350,16 @@ class TestExperimentCommand:
         assert code == 2 and out == ""
         assert err == "error: samples and runs must be positive, steps nonnegative\n"
 
+    @pytest.mark.parametrize("k", ["0", "16"])
+    def test_slow_mixing_k_without_a_majority_set_exits_2(self, capsys, k):
+        # both used to reach the exact conductance, which named neither k
+        # nor its range
+        code, out, err = run_cli(capsys, "experiment", "--name", "slow-mixing", "--n", "8",
+                                 "--delta", "2", "--k", k)
+        assert code == 2 and out == ""
+        assert err == (f"error: k = {k} lies outside [2, 2n - 2] = [2, 14], where the "
+                       "majority set is proper and nonempty\n")
+
     @pytest.mark.parametrize("lam", ["-1", "-0.5", "0"])
     def test_nonpositive_fugacity_exits_2(self, capsys, lam):
         # -1 divided by zero, -0.5 reached NumPy's binomial, and 0 reported

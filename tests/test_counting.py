@@ -566,20 +566,19 @@ class TestAccuracyArguments:
 
 
 def test_internals_work_on_global_ids(monkeypatch):
-    """Facet tables, exact laws, the link-walk oracle and the estimator take
-    and hand out global ids: with the two-sided format conversions broken
-    they give the same results."""
+    """Exact laws, the link-walk oracle and the estimator take and hand out
+    global ids: with the two-sided format conversions broken they give the
+    same results."""
     g = gen_bipartite_regular(8, 3, seed=1)
     y = min(set(range(8)) - set(g.adj_x[0]))
     codim2 = TwoSidedSlice(g, 2, 2, pinned_x=frozenset({0}), pinned_y=frozenset({y}))
     kinds = [TwoSidedSlice(g, 2, 2), TwoSidedSlice(g, 2, 1, pinned_y=frozenset({y})), codim2]
 
     def run():
-        tables = [vars(walks.facet_table(slc)) for slc in kinds]
         laws = [slices._law_within(slc, walks.TABLE_ROW_CAP) for slc in kinds]
         op = slices.local_walk_exact(codim2)
         est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
-        return tables, laws, (op.ground, op.matrix, op.pi), est
+        return laws, (op.ground, op.matrix, op.pi), est
 
     def refuse(*args):
         raise AssertionError("converted a facet inside the package")
@@ -589,15 +588,11 @@ def test_internals_work_on_global_ids(monkeypatch):
     monkeypatch.setattr(TwoSidedSlice, "to_ids", refuse)
     monkeypatch.setattr(TwoSidedSlice, "from_ids", refuse)
     got = run()
-    for table, ref in zip(got[0], want[0]):
-        assert table.keys() == ref.keys()
-        for name, value in ref.items():
-            assert np.array_equal(table[name], value), name
-    for (facets, logw, probs), (ref_facets, ref_logw, ref_probs) in zip(got[1], want[1]):
+    for (facets, logw, probs), (ref_facets, ref_logw, ref_probs) in zip(got[0], want[0]):
         assert facets == ref_facets
         assert logw.tobytes() == ref_logw.tobytes() and probs.tobytes() == ref_probs.tobytes()
-    (ground, matrix, pi), (ref_ground, ref_matrix, ref_pi) = got[2], want[2]
+    (ground, matrix, pi), (ref_ground, ref_matrix, ref_pi) = got[1], want[1]
     assert ground == ref_ground
     assert matrix.tobytes() == ref_matrix.tobytes() and pi.tobytes() == ref_pi.tobytes()
-    assert got[3] == want[3]
-    assert got[3].trace[0].resamplings > 0
+    assert got[2] == want[2]
+    assert got[2].trace[0].resamplings > 0

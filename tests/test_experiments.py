@@ -226,6 +226,21 @@ class TestSlowMixing:
         with pytest.raises(ValueError):
             experiment_slow_mixing(cfg)
 
+    @pytest.mark.parametrize("n, k", [(8, 0), (8, 16), (8, 18), (20, 0), (20, 40)])
+    def test_k_without_a_proper_majority_set_rejected(self, monkeypatch, n, k):
+        # k = 0 puts every facet outside the majority set, k = 2n every facet
+        # inside it, and a larger k has no facet at all; side 20 lies above SLOW_MIXING_EXACT_CAP, so the
+        # check comes before the exact chain and before any graph is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(experiments, "gen_bipartite_regular", refuse)
+        cfg = ExperimentConfig("sm", n_side=n, degree=2, seed=1, k=k,
+                               fugacity=0.5, runs=2, steps=100)
+        with pytest.raises(ValueError, match=rf"^k = {k} lies outside "
+                                             rf"\[2, 2n - 2\] = \[2, {2 * n - 2}\]"):
+            experiment_slow_mixing(cfg)
+
 
 def test_alpha_and_coupled_ell_values():
     assert alpha_threshold(64, 0.1) == pytest.approx(math.log(64) / (2.1 * 64))

@@ -74,6 +74,17 @@ per two-sided row and one-sided band replaced the telescope, and the median
 of repetitions went with it.  Each was checked within its epsilon of the
 exact oracle before it was pinned: the two-sided count 1.7% below it, the
 one-sided partition 1.1% above and the banded estimate 0.66% below.
+
+``SLOW_MIXING_DIGESTS`` pin the ``slow-mixing`` experiment's report: the
+SHA-256 of the canonical JSON (sorted keys, no spaces) of its ``exact`` and
+``empirical`` sections, without ``config``, which echoes the driver's
+settable values rather than its results.  One run compiles a facet table
+(two K_{8,8} components, whose 1,820 facets the chains step through in
+lockstep); the other lies above the table's row cap (two K_{16,16}), where
+each chain steps alone through the pool kernel.  In each, some chains
+escape and some do not.  They were computed before the facet table was cut
+down to one-sided slices without a law, which had to reproduce them
+exactly.
 """
 from __future__ import annotations
 
@@ -249,3 +260,29 @@ def test_verify_report_digest_at_a_huge_fugacity(tmp_path, capsys):
     text = json.dumps(report, sort_keys=True, indent=2)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "418d5e1c75ff9e04e9064a65e8ec6abce4156c47cf3d33837600f260909a2add")
+
+
+SLOW_MIXING_DIGESTS = {
+    "table": "9880d1ceec799e492e146b99a86f511e239f980177dd5ff1c22dfce1536327e1",
+    "scalar": "891906b594f755b039849865b8b1223bd311456a286a961622e59a3f8948c850",
+}
+
+SLOW_MIXING_RUNS = {
+    # C(16, 4) = 1,820 facets times 4 free ids fit TABLE_ROW_CAP
+    "table": ["--n", "8", "--delta", "8", "--lambda", "3", "--runs", "8",
+              "--steps", "20000"],
+    # C(32, 4) = 35,960 facets exceed it, and the exact chain's cap too
+    "scalar": ["--n", "16", "--delta", "16", "--lambda", "0.65", "--runs", "4",
+               "--steps", "2000"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(SLOW_MIXING_RUNS))
+def test_slow_mixing_report_digest(run, capsys):
+    assert main(["experiment", "--name", "slow-mixing", "--k", "4", "--seed", "2",
+                 *SLOW_MIXING_RUNS[run]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = {key: report[key] for key in ("exact", "empirical") if key in report}
+    assert ("exact" in results) == (run == "table")
+    text = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SLOW_MIXING_DIGESTS[run]

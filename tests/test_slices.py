@@ -8,12 +8,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicewalk import slices
 from slicewalk.graphs import RegularGraph, gen_bipartite_regular, gen_regular
+from slicewalk.rng import rng_stream
 from slicewalk.slices import (EnumerationCapError, OneSidedSlice, RegularSlice,
                               SliceError, TwoSidedSlice, enumerate_facets,
-                              exact_distribution, link, local_walk_exact,
+                              exact_distribution, greedy_facet, link, local_walk_exact,
                               neighbor_graph, one_sided_link_walk_closed_form,
                               regular_link_walk_closed_form,
                               two_sided_link_walk_closed_form)
@@ -107,10 +110,11 @@ class TestEnumeration:
         slc = OneSidedSlice(bipartite_c6, 3, 0.5)
         assert enumerate_facets(slc) == [(0, 1, 2)]
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         g = gen_bipartite_regular(16, 3, seed=0)
+        monkeypatch.setattr(slices, "ENUMERATION_CAP", 100)  # read at call time
         with pytest.raises(EnumerationCapError):
-            enumerate_facets(OneSidedSlice(g, 8, 0.5), cap=100)
+            enumerate_facets(OneSidedSlice(g, 8, 0.5))
 
     def test_pinned_enumeration_consistent(self, bipartite_c6):
         slc = TwoSidedSlice(bipartite_c6, 1, 1, pinned_x=frozenset({0}))
@@ -151,6 +155,33 @@ class TestEnumeration:
             slc = OneSidedSlice(g, k, 0.3, frozenset(pins))
             brute = [t for t in combinations(range(8), k) if set(pins) <= set(t)]
             assert enumerate_facets(slc) == brute
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(["two", "one", "reg"]), n=st.integers(2, 8),
+           degree=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           sizes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           pin_mask=st.integers(0, 2 ** 8 - 1))
+    def test_facet_bound_holds_and_is_exact_when_it_says_so(self, family, n, degree, seed,
+                                                            sizes, pin_mask):
+        # _law_within enumerates nothing when an exact bound exceeds its cap,
+        # so the bound must hold, and be the count when it says it is, on
+        # small random slices of every family pinned at part of a greedy facet
+        degree = min(degree, n - (family == "reg"))
+        if family == "reg":
+            n += (n * degree) % 2
+            slc = RegularSlice(gen_regular(n, degree, seed=seed), min(sizes[0], n))
+        else:
+            g = gen_bipartite_regular(n, degree, seed=seed)
+            slc = (TwoSidedSlice(g, min(sizes[0], n), min(sizes[1], n)) if family == "two"
+                   else OneSidedSlice(g, min(sizes[0], n), 0.5))
+        facet = greedy_facet(slc, rng_stream(seed), restarts=16)
+        if facet is not None:
+            ids = slc.to_ids(facet)
+            slc = slc.pin(v for i, v in enumerate(ids) if pin_mask >> i & 1)
+        count = len(enumerate_facets(slc))
+        bound, exact = slices._facet_bound(slc)
+        assert bound == count if exact else bound >= count
+        assert exact or family != "one"
 
 
 class TestExactDistribution:
@@ -476,10 +507,10 @@ def test_every_public_name_has_a_consumer():
 
 # Settable values of the package, tracked in CHANGES.md: a new one has to
 # replace an old one.
-MAX_DEFAULTED_PARAMETERS = 25
+MAX_DEFAULTED_PARAMETERS = 24
 MAX_ADD_ARGUMENT_CALLS = 52
 THRESHOLD_FIELDS = 2
-MAX_CONFIG_DEFAULTS = 17  # ChainConfig 5, ExperimentConfig 12
+MAX_CONFIG_DEFAULTS = 16  # ChainConfig 5, ExperimentConfig 11
 
 
 def test_settable_values_do_not_grow():

@@ -14,7 +14,7 @@ from slicewalk import slices, walks
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
 from slicewalk.rng import rng_stream
 from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumerate_facets,
-                              exact_distribution, greedy_facet)
+                              greedy_facet)
 from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _step, down_up_step,
                              exact_transition_matrix, facet_table, format_facet,
                              greedy_initial_state, run_chain, spectral_gap, tv_distance)
@@ -216,19 +216,19 @@ def _replay_histogram(slc, ids, table, rand, count, thinning):
     return want, state
 
 
-def _lockstep(table, starts, rng, steps, unit, block=8192):
+def _lockstep(table, starts, rng, steps, block=8192):
     """Row bases after every step (shape (steps, chains)) and final free ids
     of ``FacetTable.advance`` on one chain per entry of ``starts`` (free ids
-    in stepping order), reading ``unit`` uniforms a step from time-major
-    draws of ``rng``, in calls of as many whole steps of every chain as
-    ``block`` uniforms hold, or of one step when a step takes more."""
+    in stepping order), reading three uniforms a step from time-major draws
+    of ``rng``, in calls of as many whole steps of every chain as ``block``
+    uniforms hold, or of one step when a step takes more."""
     chains = len(starts)
     free = np.array(starts, np.intp).reshape(chains, -1)
     base = np.array([table.start(f) for f in starts], np.intp)
     out = [np.empty((0, chains), np.intp)]
-    per = max(1, block // (unit * chains))
+    per = max(1, block // (3 * chains))
     for done in range(0, steps, per):
-        u = rng.random((min(per, steps - done), chains, unit))
+        u = rng.random((min(per, steps - done), chains, 3))
         out.append(table.advance(free, base, u))
         base = out[-1][-1]
     return np.concatenate(out), free
@@ -237,11 +237,10 @@ def _lockstep(table, starts, rng, steps, unit, block=8192):
 def _check_rows_replay(slc, table, starts, seed, count, thinning, block=8192):
     """Each lockstep chain r against ``_step`` on column r of the same
     time-major uniforms: the same samples, free order and uniform count."""
-    unit = 3 if table.weighted else 2
     steps = count * thinning
-    bases, free = _lockstep(table, starts, rng_stream(seed, 1), steps, unit, block)
+    bases, free = _lockstep(table, starts, rng_stream(seed, 1), steps, block)
     assert bases.shape == (steps, len(starts))
-    columns = rng_stream(seed, 1).random((steps, len(starts), unit))
+    columns = rng_stream(seed, 1).random((steps, len(starts), 3))
     for r, start in enumerate(starts):
         col = iter(columns[:, r].ravel().tolist())
         ids = sorted(set(start) | slc.pinned_ids)
@@ -251,29 +250,33 @@ def _check_rows_replay(slc, table, starts, seed, count, thinning, block=8192):
         assert got.tolist() == want
         assert free[r].tolist() == state.free
         # the scalar chain drew its whole column, or nothing when nothing is free
-        assert len(list(col)) == (0 if slc.free_size else unit * steps)
+        assert len(list(col)) == (0 if slc.free_size else 3 * steps)
+
+
+def _table_starts(slc, table, seed):
+    """Free ids of three chain starts: the greedy facet of ``seed`` and two
+    table facets picked by a seeded ``integers`` draw."""
+    facet = slc.to_ids(greedy_facet(slc, rng_stream(seed)))
+    picks = rng_stream(seed, 0).integers(len(table.free), size=2).tolist()
+    return [_make_state(slc, facet).free] + [table.free[f].tolist() for f in picks]
 
 
 def _scalar_table(slc):
     """A scalar compile of the facet table, the reference ``facet_table``
-    is checked against: the arrays of the table of ``slc`` by name, or None
-    when ``facet_table`` gives None.  For each facet and free id v it copies the
-    facet's counts, adjusts those that change when v leaves, and hands them
-    to the chain state's pool builder; successors are looked up by the
-    bitmask of their free ids."""
+    is checked against: the arrays of the table of the one-sided slice
+    ``slc`` by name, or None when ``facet_table`` gives None.  For each facet
+    and free id v it copies the facet's counts, adjusts those that change
+    when v leaves, and hands them to the chain state's pool builder;
+    successors are looked up by the bitmask of their free ids."""
     if slices._facet_bound(slc)[0] * max(1, slc.free_size) > walks.TABLE_ROW_CAP:
         return None
-    try:
-        facets, _, probs = slices._facet_weights(slc, walks.TABLE_ROW_CAP)
-    except slices.SliceError:
-        return None
+    facets = slices._facet_ids(slc, walks.TABLE_ROW_CAP)
     adj = slc.graph.global_adj
     width = len(adj)
     pinned = slc.pinned_ids
     free_ids = [tuple(v for v in f if v not in pinned) for f in facets]
     base_of = {sum(1 << v for v in ids): f * width for f, ids in enumerate(free_ids)}
-    weighted = slc.coverage_weighted
-    per_row = slc.graph.degree + 1 if weighted else 1
+    per_row = slc.graph.degree + 1
     row_at = np.zeros(len(facets) * width, np.intp)
     sums, total, size, cands, succ = [], [], [], [], []
     for f, facet in enumerate(facets):
@@ -284,22 +287,16 @@ def _scalar_table(slc):
             face_member[v] = False
             for u in adj[v]:
                 face_cover[u] -= 1
-                if weighted and not face_cover[u]:
+                if not face_cover[u]:
                     for x in adj[u]:
                         face_unc[x] += 1
             row_at[f * width + v] = len(total)
-            if weighted:  # the classes from the smallest occupied one
-                pools = list(dropwhile(not_, walks._pools(slc, face_member, face_cover,
-                                                          face_unc)))
-                acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
-                sums += acc + [np.inf] * (per_row - len(acc))
-                total.append(acc[-1])
-                pools += [[]] * (per_row - len(pools))
-            else:
-                lo, hi, _ = slc.parts[slc.part_of[v]]
-                pools = [walks._part_pool(face_member, face_cover, lo, hi)]
-                total.append(float(len(pools[0])))
-                sums.append(total[-1])
+            # the classes from the smallest occupied one
+            pools = list(dropwhile(not_, walks._pools(slc, face_member, face_cover, face_unc)))
+            acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
+            sums += acc + [np.inf] * (per_row - len(acc))
+            total.append(acc[-1])
+            pools += [[]] * (per_row - len(pools))
             rest = mask ^ (1 << v)
             for pool in pools:
                 size.append(len(pool))
@@ -311,8 +308,7 @@ def _scalar_table(slc):
     return {"free": np.array(free_ids, np.intp).reshape(len(facets), slc.free_size),
             "row_at": row_at, "sums": np.array(sums).reshape(len(total), per_row),
             "total": np.array(total), "first": first, "size": size_arr,
-            "cands": np.array(cands, np.intp), "succ": np.array(succ, np.intp),
-            "probs": probs, "acc": np.cumsum(probs)}
+            "cands": np.array(cands, np.intp), "succ": np.array(succ, np.intp)}
 
 
 def _assert_same_table(table, want):
@@ -326,35 +322,29 @@ def _assert_same_table(table, want):
 
 class TestFacetTable:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(family=st.sampled_from(["two", "one", "reg"]), n=st.integers(2, 8),
-           degree=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
-           sizes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-           fugacity=st.sampled_from([0.3, 2.0, 1e300]),
+    @given(n=st.integers(2, 8), degree=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           k=st.integers(0, 4), fugacity=st.sampled_from([0.3, 2.0, 1e300]),
            pin_mask=st.integers(0, 2 ** 8 - 1), count=st.integers(0, 20),
            thinning=st.integers(1, 5))
-    def test_table_replays_the_kernel(self, family, n, degree, seed, sizes, fugacity,
-                                      pin_mask, count, thinning):
-        made = _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask)
-        assume(made is not None)
-        slc, facet = made
+    def test_table_replays_the_kernel(self, n, degree, seed, k, fugacity, pin_mask, count,
+                                      thinning):
+        slc, _ = _small_slice("one", n, degree, seed, (k, 0), fugacity, pin_mask)
         table = facet_table(slc)
         assert table is not None
         _assert_same_table(table, _scalar_table(slc))
-        # three chains in lockstep: one at the greedy facet, two at draws
-        # from the law; each row replays the scalar kernel on its column
-        drawn = table.draw(rng_stream(seed, 0), 2).tolist()
-        starts = [_make_state(slc, facet).free] + [table.free[f].tolist() for f in drawn]
-        _check_rows_replay(slc, table, starts, seed, count, thinning)
+        # three chains in lockstep: one at the greedy facet, two at table
+        # facets; each row replays the scalar kernel on its column
+        _check_rows_replay(slc, table, _table_starts(slc, table, seed), seed, count, thinning)
         # every row follows from enumerate_facets alone: the candidates of
         # (facet, v) are the ids c, v among them, that complete the face
-        # without v to a facet, ascending; a weighted row groups them by their
-        # uncovered neighbours under the face from the smallest count up, with
-        # (sums, total) the sequential sums of the class weights
+        # without v to a facet, ascending, grouped by their uncovered
+        # neighbours under the face from the smallest count up, with (sums,
+        # total) the sequential sums of the class weights
         adj = slc.graph.global_adj
         pinned = slc.pinned_ids
         width = table.width
         per_row = table.class_count
-        assert per_row == (slc.graph.degree + 1 if table.weighted else 1)
+        assert per_row == slc.graph.degree + 1
         facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
         for f, ids in enumerate(table.free.tolist()):
             for j, v in enumerate(ids):
@@ -364,115 +354,87 @@ class TestFacetTable:
                 assert v in cands
                 row = int(table.row_at[f * width + v])
                 assert row == f * len(ids) + j  # a facet's rows in its free ids' order
-                if table.weighted:
-                    covered = {j for u in face for j in adj[u]}
-                    unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
-                    classes = [[c for c in cands if unc[c] == e]
-                               for e in range(min(unc.values()), slc.graph.degree + 1)]
-                    acc, total = [], 0.0
-                    for members, w in zip(classes, slc.class_weights):
-                        total += len(members) * w
-                        acc.append(total)
-                    pad = per_row - len(classes)
-                    assert table.sums[row].tolist() == acc + [np.inf] * pad
-                    assert table.total[row] == total
-                    classes += [[]] * pad
-                else:
-                    classes = [cands]
-                    assert table.sums[row].tolist() == [table.total[row]] == [len(cands)]
+                covered = {j for u in face for j in adj[u]}
+                unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
+                classes = [[c for c in cands if unc[c] == e]
+                           for e in range(min(unc.values()), slc.graph.degree + 1)]
+                acc, total = [], 0.0
+                for members, w in zip(classes, slc.class_weights):
+                    total += len(members) * w
+                    acc.append(total)
+                pad = per_row - len(classes)
+                assert table.sums[row].tolist() == acc + [np.inf] * pad
+                assert table.total[row] == total
+                classes += [[]] * pad
                 for c, want in enumerate(classes):
                     at = row * per_row + c
                     lo, hi = table.first[at], table.first[at] + table.size[at]
                     assert table.cands[lo:hi].tolist() == want
                     assert [table.free[b // width].tolist() for b in table.succ[lo:hi]] == [
                         sorted(set(ids) - {v} | {c}) for c in want]
-        # the facet count against the exact chain's and the facet bound
+        # the facet count against the exact chain's
         facets, _, _ = exact_transition_matrix(slc)
         assert len(facets) == len(table.free)
-        bound, exact = slices._facet_bound(slc)
-        assert bound == len(facets) if exact else bound >= len(facets)
-        assert exact or family != "one"
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7, 20, 50])
     def test_histogram_across_block_boundaries(self, block):
         # advance calls of whole steps of every chain, one step when a step
         # of all three takes more than the block's uniforms
         g = gen_bipartite_regular(8, 3, seed=12)
-        for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4),
-                    RegularSlice(gen_regular(10, 3, seed=2), 3)):
+        for slc in (OneSidedSlice(g, 3, 0.4), OneSidedSlice(g, 4, 2.0, frozenset({2}))):
             table = facet_table(slc)
-            starts = [_make_state(slc, slc.to_ids(greedy_facet(slc, rng_stream(4)))).free]
-            starts += [table.free[f].tolist() for f in table.draw(rng_stream(5), 2)]
-            _check_rows_replay(slc, table, starts, 9, 13, 3, block)
+            _check_rows_replay(slc, table, _table_starts(slc, table, 4), 9, 13, 3, block)
 
     def test_face_with_nothing_free(self):
-        # the pinned face is the only facet: every chain stays, drawing nothing
+        # the pinned face is the only facet, and so is the empty set at
+        # k = 0: every chain stays, drawing nothing
         g = gen_bipartite_regular(8, 3, seed=12)
-        for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4)):
-            facet = greedy_facet(slc, rng_stream(4))
-            slc = slc.with_face(facet)
-            table = facet_table(slc)
-            assert slc.free_size == 0 and len(table.free) == 1
-            _check_rows_replay(slc, table, [[], []], 3, 5, 1)
+        slc = OneSidedSlice(g, 3, 0.4)
+        for face in (slc.with_face(greedy_facet(slc, rng_stream(4))), OneSidedSlice(g, 0, 0.4)):
+            table = facet_table(face)
+            assert face.free_size == 0 and len(table.free) == 1
+            _check_rows_replay(face, table, [[], []], 3, 5, 1)
 
     def test_slices_above_the_cap_get_no_table(self):
-        # decided by the binomial bound before any enumeration
+        # decided by the binomial facet count before any enumeration
         g = gen_bipartite_regular(100, 3, seed=1)
-        assert facet_table(TwoSidedSlice(g, 2, 2)) is None
         assert facet_table(OneSidedSlice(g, 3, 0.4)) is None
-        assert facet_table(RegularSlice(gen_regular(100, 3, seed=1), 3)) is None
 
 
 class TestTableCompile:
     """``facet_table`` against the scalar compile it replaced."""
 
     def test_criterion_4_kinds_match_the_scalar_compile(self):
-        # every kind criterion 4 estimates, on five of its graphs, and a
-        # regular slice of each size
+        # every one-sided kind criterion 4 estimates, on five of its graphs
         for s in range(5):
             g = gen_bipartite_regular(8, 3, seed=500 + s)
-            kinds = [TwoSidedSlice(g, kx, ky) for kx in range(5) for ky in range(5)
-                     if 1 <= kx + ky <= 4]
-            kinds += [OneSidedSlice(g, k, 0.4) for k in (1, 2, 3, 4)]
-            kinds += [RegularSlice(gen_regular(10, 3, seed=s), k) for k in range(5)]
-            for slc in kinds:
-                want = _scalar_table(slc)
-                if want is None:
-                    assert facet_table(slc) is None
-                else:
-                    _assert_same_table(facet_table(slc), want)
+            for slc in (OneSidedSlice(g, k, 0.4) for k in (1, 2, 3, 4)):
+                _assert_same_table(facet_table(slc), _scalar_table(slc))
 
     def test_pinned_faces_match_the_scalar_compile(self):
-        g = gen_bipartite_regular(12, 3, seed=1)
-        for slc in (TwoSidedSlice(g, 3, 2), OneSidedSlice(g, 4, 2.0),
-                    RegularSlice(gen_regular(12, 3, seed=4), 4)):
-            ids = slc.to_ids(greedy_facet(slc, rng_stream(2)))
-            for pins in (ids[:1], ids[1:3], ids[::2]):
-                face = slc.pin(pins)
-                _assert_same_table(facet_table(face), _scalar_table(face))
+        slc = OneSidedSlice(gen_bipartite_regular(12, 3, seed=1), 4, 2.0)
+        ids = slc.to_ids(greedy_facet(slc, rng_stream(2)))
+        for pins in (ids[:1], ids[1:3], ids[::2]):
+            face = slc.pin(pins)
+            _assert_same_table(facet_table(face), _scalar_table(face))
 
     def test_a_face_with_nothing_free_and_an_empty_slice(self):
+        # a pinned face with nothing free, and the empty slice k = 0, whose
+        # one facet is the empty set; a one-sided slice always has a facet
         g = gen_bipartite_regular(8, 3, seed=12)
-        for slc in (TwoSidedSlice(g, 2, 1), OneSidedSlice(g, 3, 0.4)):
-            face = slc.with_face(greedy_facet(slc, rng_stream(4)))
+        slc = OneSidedSlice(g, 3, 0.4)
+        for face in (slc.with_face(greedy_facet(slc, rng_stream(4))), OneSidedSlice(g, 0, 0.4)):
             _assert_same_table(facet_table(face), _scalar_table(face))
-        # no independent set holds 7 ids on each side of a 3-regular side-8 graph
-        empty = TwoSidedSlice(g, 7, 7)
-        assert facet_table(empty) is None and _scalar_table(empty) is None
 
     def test_side_100_late_levels_match_the_scalar_compile(self):
         # the README graph: a one-sided k = 18 level with 16 ids pinned
-        # (C(84, 2) facets, 6,972 rows) and a two-sided (2, 4) level with both
-        # X ids and two Y ids pinned (C(92, 2) facets, 8,372 rows)
+        # (C(84, 2) facets, 6,972 rows)
         g = gen_bipartite_regular(100, 3, seed=7)
         one = OneSidedSlice(g, 18, 0.05)
-        two = TwoSidedSlice(g, 2, 4)
-        xs, ys = greedy_facet(two, rng_stream(1))
-        for slc, rows in ((one.with_face(greedy_facet(one, rng_stream(1))[:16]), 6972),
-                          (two.with_face((xs, ys[:2])), 8372)):
-            table = facet_table(slc)
-            assert table.free.size == rows
-            _assert_same_table(table, _scalar_table(slc))
+        slc = one.with_face(greedy_facet(one, rng_stream(1))[:16])
+        table = facet_table(slc)
+        assert table.free.size == 6972
+        _assert_same_table(table, _scalar_table(slc))
 
     def test_the_compile_names_no_oracle_and_no_pool_builder(self):
         # the tables and the exact oracles check each other, and
@@ -480,54 +442,6 @@ class TestTableCompile:
         tree = ast.parse(inspect.getsource(walks.facet_table))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not names & {"_transition_matrix", "_codim1_faces", "_counts", "_pools"}
-
-
-class TestStationaryStart:
-    """``FacetTable.draw``: chain starts drawn from the law the table carries."""
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_start_draws_follow_the_exact_law(self, weighted):
-        # 20,000 draws: every facet's frequency lies within 4.5 binomial
-        # standard deviations of its exact probability; a correct sampler
-        # breaks this on one of the 82 (or 56) facets with chance below 1e-3
-        g = gen_bipartite_regular(8, 3, seed=1)
-        slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
-        facets, probs = exact_distribution(slc)
-        table = facet_table(slc)
-        assert table.probs.tolist() == probs.tolist()  # in the enumeration's order
-        draws = 20_000
-        drawn = table.draw(rng_stream(3), draws)
-        # one draw at a time reads the same uniforms and picks the same facets
-        rng = rng_stream(3)
-        assert [int(table.draw(rng, 1)[0]) for _ in range(50)] == drawn[:50].tolist()
-        counts = np.bincount(drawn, minlength=len(facets))
-        # a draw's free ids are a facet in a chain state's stepping order
-        for f in drawn[:20].tolist():
-            free = table.free[f].tolist()
-            assert table.start(free) == f * table.width
-            state = _make_state(slc, sorted(set(free) | slc.pinned_ids))
-            assert state.free == free and state.recount_ok()
-        assert len(facets) == (56 if weighted else 82)
-        assert np.all(np.abs(counts / draws - probs) <= 4.5 * np.sqrt(probs * (1 - probs) / draws))
-
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_table_chain_from_a_start_needs_no_burn_in(self, weighted):
-        # 400 chains in lockstep, 10 samples each, thinned at twice the free
-        # size, started from the law with no burn-in: the pooled TV stays
-        # within 1.5 x 0.5 sum sqrt(p (1 - p) / N), the bound on the expected
-        # TV of N independent draws
-        g = gen_bipartite_regular(8, 3, seed=1)
-        slc = OneSidedSlice(g, 3, 0.4) if weighted else TwoSidedSlice(g, 2, 2)
-        _, probs = exact_distribution(slc)
-        table = facet_table(slc)
-        reps, per, thin = 400, 10, 2 * slc.free_size
-        starts = [table.free[f].tolist() for f in table.draw(rng_stream(8, 0), reps)]
-        bases, _ = _lockstep(table, starts, rng_stream(8, 1), per * thin, 3 if weighted else 2)
-        hist = np.bincount(bases[thin - 1::thin].ravel() // table.width,
-                           minlength=len(probs))
-        assert hist.sum() == reps * per
-        noise = 0.5 * np.sqrt(probs * (1 - probs) / (reps * per)).sum()
-        assert tv_distance(hist, probs) <= 1.5 * noise
 
 
 class TestExactTransitionMatrix:
