@@ -34,7 +34,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .graphs import X, BipartiteRegularGraph
+from .graphs import BipartiteRegularGraph
 from .rng import UniformBuffer, rng_stream
 from .slices import OneSidedSlice, TwoSidedSlice
 from .walks import _make_state
@@ -373,11 +373,11 @@ def occupancy_profile(g: BipartiteRegularGraph, fugacity: float) -> np.ndarray:
 
 
 def _uncovered(g: BipartiteRegularGraph, sets: np.ndarray) -> np.ndarray:
-    """|Y \\ N(S)| of each set S of X ids, one per row of ``sets``."""
+    """Flags of Y \\ N(S) for each set S of X ids, one row per row of ``sets``."""
     count = len(sets)
-    covered = np.zeros((count, g.n_side), bool)
-    covered[np.arange(count)[:, None], np.array(g.adj_x, np.intp)[sets].reshape(count, -1)] = True
-    return g.n_side - covered.sum(1)
+    bare = np.ones((count, g.n_side), bool)
+    bare[np.arange(count)[:, None], np.array(g.adj_x, np.intp)[sets].reshape(count, -1)] = False
+    return bare
 
 
 class _RowParticles:
@@ -397,7 +397,7 @@ class _RowParticles:
     def start(self, count: int, rng: np.random.Generator) -> None:
         n = self.slc.graph.n_side
         self.sets = np.argsort(rng.random((count, n)), axis=1)[:, :self.slc.k_x]
-        self.u = _uncovered(self.slc.graph, self.sets)
+        self.u = _uncovered(self.slc.graph, self.sets).sum(1)
 
     def weigh(self, k_y: int) -> np.ndarray:
         return self.log_of[np.maximum(self.u - k_y, 0)] - math.log(k_y + 1)
@@ -412,13 +412,13 @@ class _RowParticles:
         slc = replace(self.slc, k_y=k_y)
         g, n = slc.graph, slc.graph.n_side
         steps = MOVE_SCALE * slc.free_size
+        bare = _uncovered(g, self.sets)
         for i, s in enumerate(self.sets.tolist()):
-            covered = g.neighbor_set(X, s)
-            ys = rng.choice([n + j for j in range(n) if j not in covered], k_y, replace=False)
+            ys = rng.choice(np.flatnonzero(bare[i]) + n, k_y, replace=False)
             state = _make_state(slc, [*s, *ys.tolist()])
             state.kernel(slc, state, rand, steps, False)
             self.sets[i] = [v for v in state.free if v < n]
-        self.u = _uncovered(g, self.sets)
+        self.u = _uncovered(g, self.sets).sum(1)
         return steps * len(self.sets)
 
 

@@ -4,16 +4,16 @@ One step of the down-up walk removes a uniformly random free element of the
 current facet and resamples its replacement from the conditional distribution
 of the slice given the remainder; the removed element always remains a
 candidate, so a step may be a self-loop.  States carry incremental coverage
-counters over the graph's global vertex ids and sorted pools of replacement
-candidates, updated only where a step changes coverage: a step does
-O(degree^2) Python work plus the C-level shifts of inserting into and
-deleting from sorted lists, and chains are a pure function of (slice, config
-seed).  There is one kernel per kind of constraint: a uniform draw within the
-removed vertex's part for the independent-set slices (two-sided, regular),
-and the coverage-weighted draw of the one-sided slice, which picks a weight
-class and then a uniform member of it.  A kernel is one loop over a given
-number of (optionally lazy) steps, called once per sample interval.  One
-pool builder, ``_pools``, makes pools from counters; kernels update them.
+counters over the graph's global vertex ids, updated only where a step
+changes coverage, and chains are a pure function of (slice, config seed).
+There is one kernel per kind of constraint.  The independent-set slices
+(two-sided, regular) propose uniform ids of the removed vertex's part until
+one is a non-member with zero cover: O(degree) Python work a step and no
+pool.  The one-sided slice keeps sorted pools of its candidates by weight
+class (``_pools`` builds them, the kernel updates them) and picks a class,
+then a uniform member: O(degree^2) Python work plus the C-level shifts of
+sorted-list inserts and deletes.  A kernel is one loop over a given number
+of (optionally lazy) steps, called once per sample interval.
 
 A one-sided slice whose facet count times free size stays within
 ``TABLE_ROW_CAP`` rows (checked first against its binomial facet count, so
@@ -76,12 +76,12 @@ class ChainState:
     a vertex of the same part.  ``member`` flags facet members, pinned ones
     included, and ``cover[u]`` counts facet members adjacent to u.
 
-    ``pools`` are sorted lists of the replacement candidates, updated only
-    where a step changes coverage.  For the uniform kernel there is one per
-    part: its non-members with zero cover.  For the one-sided kernel
+    The uniform kernel draws by rejection from these flags and counters,
+    so its ``pools`` and ``unc`` are empty.  For the one-sided kernel
     ``unc[x]`` counts the uncovered neighbours of each X vertex, and
-    ``pools[e]`` lists the non-members with ``unc = e``.  ``kernel(slc,
-    state, rand, steps, lazy)`` runs steps, or none when nothing is free.
+    ``pools[e]`` is the sorted list of the non-members with ``unc = e``,
+    updated where a step changes coverage.  ``kernel(slc, state, rand,
+    steps, lazy)`` runs steps, or none when nothing is free.
     """
 
     slc: Slice
@@ -114,8 +114,8 @@ def _make_state(slc: Slice, ids: Sequence[int]) -> ChainState:
     pinned = slc.pinned_ids
     free = [v for v in ids if v not in pinned]
     kernel = _kernel_one_sided if slc.coverage_weighted else _kernel_uniform
-    return ChainState(slc, free, member, cover, _pools(slc, member, cover, unc), unc,
-                      kernel if free else _stay)
+    pools = _pools(slc, member, unc) if slc.coverage_weighted else []
+    return ChainState(slc, free, member, cover, pools, unc, kernel if free else _stay)
 
 
 def _counts(slc: Slice, ids: Iterable[int]) -> tuple[list[bool], list[int], list[int]]:
@@ -135,22 +135,15 @@ def _counts(slc: Slice, ids: Iterable[int]) -> tuple[list[bool], list[int], list
     return member, cover, [sum(map(bare.__getitem__, adj[x])) for x in range(slc.graph.n_side)]
 
 
-def _pools(slc: Slice, member: list[bool], cover: list[int], unc: list[int]):
-    """The sorted candidate pools of the facet or face flagged by ``member``:
-    per part, the non-members with zero cover (``_part_pool``); on a
-    coverage-weighted slice, per uncovered count e = 0..degree, the
-    non-members with ``unc = e``."""
-    if not slc.coverage_weighted:
-        return [_part_pool(member, cover, lo, hi) for lo, hi, _ in slc.parts]
+def _pools(slc: OneSidedSlice, member: list[bool], unc: list[int]) -> list[list[int]]:
+    """The sorted candidate pools of the one-sided facet or face flagged by
+    ``member``: per uncovered count e = 0..degree, the non-members with
+    ``unc = e``."""
     pools: list[list[int]] = [[] for _ in range(slc.graph.degree + 1)]
     for x in range(slc.graph.n_side):
         if not member[x]:
             pools[unc[x]].append(x)
     return pools
-
-
-def _part_pool(member: list[bool], cover: list[int], lo: int, hi: int) -> list[int]:
-    return [v for v in range(lo, hi) if not member[v] and cover[v] == 0]
 
 
 def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
@@ -188,14 +181,19 @@ def _stay(slc: Slice, state: ChainState, rand: Rand, steps: int, lazy: bool) -> 
 
 def _kernel_uniform(slc: Slice, state: ChainState, rand: Rand, steps: int,
                     lazy: bool) -> None:
-    """``steps`` steps replacing a uniform free slot by a uniform member of
-    its part's pool (the removed vertex included): the kernel of every
-    independent-set slice with part quotas.  A step draws the lazy coin when
-    ``lazy`` (it stays below 1/2), then the removal slot and the pool index.
+    """``steps`` steps replacing a uniform free slot by a uniform candidate
+    of its part, a non-member with zero cover once the removed vertex is
+    out: the kernel of every independent-set slice with part quotas.  It
+    proposes uniform ids of the part until one is a candidate; all facets
+    weigh the same, so the accepted id is the down-up draw.  The removed
+    vertex qualifies, so the loop ends, after |part|/|candidates| proposals
+    in expectation.  A step draws the lazy coin when ``lazy`` (it stays
+    below 1/2), then the removal slot and one uniform a proposal.
     """
     adj = slc.graph.global_adj
     part_of = slc.part_of
-    free, member, cover, pools = state.free, state.member, state.cover, state.pools
+    spans = [(lo, hi - lo) for lo, hi, _ in slc.parts]
+    free, member, cover = state.free, state.member, state.cover
     k = len(free)
     for _ in range(steps):
         if lazy and rand() < 0.5:
@@ -204,20 +202,14 @@ def _kernel_uniform(slc: Slice, state: ChainState, rand: Rand, steps: int,
         v = free[pos]
         member[v] = False
         for u in adj[v]:
-            c = cover[u] - 1
-            cover[u] = c
-            if not c:
-                insort(pools[part_of[u]], u)
-        pool = pools[part_of[v]]
-        insort(pool, v)
-        v = pool.pop(int(rand() * len(pool)))
+            cover[u] -= 1
+        lo, size = spans[part_of[v]]
+        v = lo + int(rand() * size)
+        while member[v] or cover[v]:
+            v = lo + int(rand() * size)
         member[v] = True
         for u in adj[v]:
-            c = cover[u] + 1
-            cover[u] = c
-            if c == 1:
-                pool = pools[part_of[u]]
-                del pool[bisect_left(pool, u)]
+            cover[u] += 1
         free[pos] = v
 
 

@@ -10,15 +10,19 @@ of one estimate of each kind on an n=8 graph.
 A change that alters a random stream on purpose (a new step kernel, say)
 updates the digests here and says so in CHANGES.md.  The one-sided literals
 were recomputed when the one-sided kernel moved to weight-class draws (three
-uniforms a step instead of two); the two-sided and regular ones are the
-originals.
+uniforms a step instead of two).  The two-sided and regular literals were
+recomputed when the uniform kernel dropped its candidate pools and began to
+draw the replacement by rejection, one uniform per proposal, so a step reads
+a variable number of uniforms; the one-sided literal did not move.
 
 Those chains are lazy and small.  ``LONG_CHAIN_DIGESTS`` pins the non-lazy
 path at n=200 with an explicit burn-in and thinning, one slice per kernel,
 and a regular chain continued through ``initial=`` in four 175-step
 segments, the pattern of the benchmark's chain workload, whose digest also
 covers the free order after each segment.  They were computed before the
-pool kernels became one multi-step loop each.
+pool kernels became one multi-step loop each.  The ``non-lazy-two-sided``
+and ``segments`` literals were recomputed with the rejection kernel above;
+``non-lazy-one-sided`` did not move.
 
 The ``verify-spectral`` digests are the SHA-256 of the JSON report with
 ``--full-records``, without its reproducibility stanza (which holds the input
@@ -33,7 +37,13 @@ sampled run gained ``--sample-count 30`` then, because a face kind with no
 more faces than the sample count is now enumerated.  They were recomputed
 again when the dense spectrum summary moved from ``eigh`` to ``eigvalsh``,
 which moves lambda2(A_G) by a few ulps: field for field, only the bounds
-moved, by at most 7.8e-16, and every status matched.
+moved, by at most 7.8e-16, and every status matched.  The sampled digest
+was recomputed once more when the uniform kernel moved to rejection draws,
+because its sampled cross faces are the facets of a two-sided ``run_chain``:
+field for field, 29 of its 30 sampled cross records moved, in their faces
+and lambda2 values only; their bounds, the 90 same-side records, every
+status (all pass) and the sweep summary (120 records, worst margin 1/6) did
+not.
 
 ``test_empty_and_full_slice_estimate_bits`` was computed before the
 estimators lost their early returns for a slice with nothing free, which a
@@ -103,9 +113,9 @@ from slicewalk.rng import rng_stream
 from slicewalk.walks import ChainConfig, format_facet, greedy_initial_state, run_chain
 
 CHAIN_DIGESTS = {
-    "two-sided": "e99a8db39439331154f781b76a2b30cca63caea3d59a709c4f3002734a2e5a19",
+    "two-sided": "7ecb1e7bdf650b2def9d0583e27961fd0cf2f9a74fbeaef3a150c5ba0d33b31b",
     "one-sided": "95c7113aabfb46e7eef54e0fe8546c5c8643b5550faadc42a401040efc5bd677",
-    "regular": "6fe57e038043baacdc4ba185270621fd57e594b89c475c005dd8ea77f2bae50d",
+    "regular": "92df6801953bfcd77bdbaec4bc837c8f4a53c2da278e1ab3a77d69c5d4f6ab50",
 }
 
 
@@ -127,9 +137,9 @@ def test_chain_stream_digest(family):
 
 
 LONG_CHAIN_DIGESTS = {
-    "non-lazy-two-sided": "b4659bd3ed0cd08b7e18a6b76d9c530b5fe87a90066c32977228008f99fbed37",
+    "non-lazy-two-sided": "be5206d923bf651320f91e4218d8a29d99bc8309d6c1f1f2d56343fc8e8cd070",
     "non-lazy-one-sided": "b6531c43dd6e491367d6c069622375c765f898d9401d2ba2d51e332f3fcb1ba8",
-    "segments": "a67c1dd6dfce6126f8ffcdbf00b8d728609b8fad45dd85371e2a3294e7759f97",
+    "segments": "8b6486b11779aee08c12b582e2893897bd4451c0158e3fbb840608a5f7e0ba33",
 }
 
 
@@ -218,7 +228,7 @@ VERIFY_DIGESTS = {
     "two-sided": "fe3d0756babbcafac9ace55f7dca1ac65a5e7b0cf946ff20a4506e1e9933759e",
     "one-sided": "71d65b023b637b2cf17967831d3ee868e1ca41e9a231ecdff660e25c93a40d5a",
     "regular": "afcce2306635d5fd8d2bac8e03fd45782e3b8b64a050b0a09633a73e52b942f9",
-    "sampled-cross": "5c084510f4223c8f37ed35bd1b57756bf2bb5a7a440b4f548d7e6bc5e0ede4ed",
+    "sampled-cross": "7e608f8171d010a70f54c1c3223b5675f0acf4fa110441f69cc90284525bbca0",
 }
 
 VERIFY_RUNS = {
