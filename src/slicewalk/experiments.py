@@ -30,10 +30,11 @@ import numpy as np
 from .counting import GAMMA, alpha_threshold
 from .graphs import BipartiteRegularGraph, gen_bipartite_regular, pairing_bipartite_rows
 from .rng import UniformBuffer, rng_stream
-from .slices import OneSidedSlice
+from .slices import OneSidedSlice, _facet_bound
 from .walks import _make_state, _step, exact_transition_matrix, facet_table, spectral_gap
 
-# The slow-mixing experiment takes the exact chain up to this many facets.
+# The slow-mixing experiment takes the exact chain, and steps its escape chains
+# through a facet table, up to this many facets.
 SLOW_MIXING_EXACT_CAP = 20_000
 # Steps the lockstep escape-time chains take between escape checks.
 ESCAPE_BLOCK = 4096
@@ -65,6 +66,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_side < 1 or self.degree < 1:
             raise ValueError("n_side and degree must be positive")
+        if not math.isfinite(self.fugacity):
+            raise ValueError(f"fugacity must be a positive finite number, got {self.fugacity}")
         if not self.fugacity > 0:
             raise ValueError("fugacity must be positive")
         if not self.gamma >= 0:
@@ -397,20 +400,22 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     below m, or None within ``budget`` steps.
 
     Run ``run`` is the scalar chain started at ``members`` and stepped by
-    ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  When the slice
-    compiles into a facet table (it is the table's one consumer), the runs
-    step in lockstep through ``FacetTable.advance``, one array row each,
-    reading each run's stream three uniforms a step, as the one-sided
-    kernel does, so every run replays exactly.  Rows that escape inside a
-    block of ESCAPE_BLOCK steps are dropped after it.  Above the table's
-    ``TABLE_ROW_CAP`` each run steps alone through the slice's kernel.
+    ``_step`` on the stream ``rng_stream(seed, 1000 + run)``.  When the
+    slice has at most ``SLOW_MIXING_EXACT_CAP`` facets (its exact facet
+    bound, known before any enumeration), it compiles into a facet table
+    (the table's one consumer), and the runs step in lockstep through
+    ``FacetTable.advance``, one array row each, reading each run's stream
+    three uniforms a step, as the one-sided kernel does, so every run
+    replays exactly.  Rows that escape inside a block of ESCAPE_BLOCK steps
+    are dropped after it.  Above the cap each run steps alone through the
+    slice's kernel.
     """
     facet = tuple(sorted(members))
     half = k / 2.0
-    table = facet_table(slc)
-    if table is None:
+    if _facet_bound(slc)[0] > SLOW_MIXING_EXACT_CAP:
         return [_escape_time(slc, facet, m, half, budget, rng_stream(seed, 1000 + run))
                 for run in range(runs)]
+    table = facet_table(slc)
     inside = (table.free < m).sum(1)
     times: list[int | None] = [None] * runs
     active = np.arange(runs)

@@ -15,20 +15,16 @@ then a uniform member: O(degree^2) Python work plus the C-level shifts of
 sorted-list inserts and deletes.  A kernel is one loop over a given number
 of (optionally lazy) steps, called once per sample interval.
 
-A one-sided slice whose facet count times free size stays within
-``TABLE_ROW_CAP`` rows (checked first against its binomial facet count, so
-large slices never enumerate) can be compiled into a ``FacetTable``: for
-every facet and free element, the weight classes of the face left without
-it, stored in flat arrays with the class sums and each candidate's successor
-facet.  ``facet_table`` builds them from the enumeration alone, calling
-neither the pool builders nor the exact oracles: the candidates of a face
-are the facets that hold it, so one sort groups the rows by the face they
-leave, and each candidate is the id its row removes and leads to its row's
-facet.  A table step is a row lookup and the kernel's three uniform draws,
-replaying it bit for bit, and ``FacetTable.advance`` takes it for many
-chains at once, one array row each, in a few NumPy calls.  The table holds
-no law.  Its one consumer is the slow-mixing experiment, whose lockstep
-escape-time chains step through ``advance``.
+A one-sided slice small enough to enumerate can be compiled into a
+``FacetTable``: for every facet and free element, the weight classes of the
+face left without it, stored in flat arrays with the class sums and each
+candidate's successor facet.  ``facet_table`` reads each row off the chain
+state the kernel itself starts from (``_make_state`` at the face), so a
+table step is a row lookup and the kernel's three uniform draws, replaying
+it bit for bit, and ``FacetTable.advance`` takes it for many chains at once,
+one array row each, in a few NumPy calls.  The table holds no law.  Its one
+consumer is the slow-mixing experiment, whose lockstep escape-time chains
+step through ``advance``.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -45,15 +41,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, dropwhile
 from operator import mul, not_
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .rng import UniformBuffer, rng_stream
-from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_bound,
-                     _facet_ids, _facet_weights, _free_ids, _law_within, greedy_facet)
+from .slices import (ENUMERATION_CAP, OneSidedSlice, Slice, SliceError, _facet_ids,
+                     _facet_weights, _free_ids, _law_within, greedy_facet)
 
 Rand = Callable[[], float]
 
@@ -272,10 +268,6 @@ def _kernel_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand, steps: 
 
 # -- facet tables -------------------------------------------------------------------
 
-# One-sided slices whose facets times free elements may exceed this many rows
-# step through the kernel instead of a compiled table.
-TABLE_ROW_CAP = 20_000
-
 
 @dataclass(eq=False)
 class FacetTable:
@@ -285,14 +277,15 @@ class FacetTable:
     ``free[f]`` holds facet f's free ids in increasing order, one row of a
     (facets, free size) array.  Facet f's row base is ``f * width``, and
     free id v has row ``row_at[f * width + v]``, the candidate pools of the
-    face left when v is removed; facet f's rows are its free ids' rows in
-    order.  A row holds ``class_count`` weight classes, every uncovered
-    count from the smallest occupied one up, then empty padding.  Class c of
-    row r is entry ``r * class_count + c`` of ``first`` and ``size``, which
-    give its run of ``cands`` (the candidates in pool order) and of ``succ``
-    (the row base of the facet each one leads to).  ``sums[r]`` holds the
-    kernel's sequential class sums, padded with infinities; the last real
-    one is ``total[r]``.
+    face left when v is removed, as the chain state at that face holds
+    them; facet f's rows are its free ids' rows in order.  A row holds
+    ``class_count`` weight classes, every uncovered count from the smallest
+    occupied one up, then empty padding.  Class c of row r is entry
+    ``r * class_count + c`` of ``first`` and ``size``, which give its run of
+    ``cands`` (the candidates in pool order) and of ``succ`` (the row base
+    of the facet each one leads to).  ``sums[r]`` holds the kernel's
+    sequential class sums, padded with infinities; the last real one is
+    ``total[r]``.
     """
 
     width: int
@@ -347,78 +340,44 @@ class FacetTable:
         return out
 
 
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Where each run starts when runs of ``sizes`` are laid end to end."""
-    out = np.zeros(len(sizes), np.intp)
-    np.cumsum(sizes[:-1], out=out[1:])
-    return out
+def facet_table(slc: OneSidedSlice) -> FacetTable:
+    """Compile the chain of ``slc`` from its enumeration (EnumerationCapError
+    past ``ENUMERATION_CAP`` facets; the caller bounds the facet count).
 
-
-def _row_at(free: np.ndarray, width: int) -> np.ndarray:
-    """``FacetTable.row_at`` of the facets whose free ids are the rows of
-    ``free``: facet f's rows follow its free ids' order."""
-    facets, k = free.shape
-    out = np.zeros(facets * width, np.intp)
-    out[(np.arange(facets) * width)[:, None] + free] = np.arange(facets * k).reshape(facets, k)
-    return out
-
-
-def facet_table(slc: OneSidedSlice) -> FacetTable | None:
-    """Compile the chain of ``slc``, or None when its facet count times its
-    free size exceeds ``TABLE_ROW_CAP`` rows (decided before any
-    enumeration).
-
-    The rows follow from the enumeration alone.  Row r = f * k + j removes
-    ``free[f, j]`` and leaves the face of facet f without it; the candidates
-    of the row are the facets that hold that face, which are the rows that
-    leave the same face, each candidate the id its row removes and leading
-    to its row's facet.  One sort of the rows by face, then by class, then by
-    removed id lays every face's candidates out in pool order.  A
-    candidate's class is the face's uncovered count less its facet's
-    (``OneSidedSlice.uncovered``), so within a face the class ascends as the
-    facet's uncovered count descends.
+    Row r = f * k + j removes ``free[f, j]``.  Its classes are the pools of
+    the chain state at the face left, from the smallest occupied one up,
+    with the kernel's sequential sums over the class weights, so a table
+    step draws what the kernel draws.  Each candidate c leads to the facet
+    whose free ids are the face's and c.
     """
-    if _facet_bound(slc)[0] * max(1, slc.free_size) > TABLE_ROW_CAP:
-        return None
-    facets = _facet_ids(slc, TABLE_ROW_CAP)
-    free = _free_ids(slc, facets)
+    free = _free_ids(slc, _facet_ids(slc, ENUMERATION_CAP))
     width = len(slc.graph.global_adj)
     per_row = slc.graph.degree + 1
-    if not free.size:  # the pinned face is the only facet
-        empty = np.zeros(0, np.intp)
-        return FacetTable(width, free, per_row, _row_at(free, width), np.zeros((0, per_row)),
-                          np.zeros(0), empty, empty, empty, empty)
-    k = free.shape[1]
-    removed = free.ravel()
-    row_facet = np.arange(free.size) // k
-    others = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])  # columns but j
-    face = free[:, others].reshape(free.size, k - 1)
-    ids = np.array(facets, np.intp)
-    unc = slc.uncovered(ids)[row_facet]
-    order = np.lexsort((removed, -unc, *face.T))
-    face = face[order]
-    new = np.ones(len(order), bool)  # where a face's group starts
-    new[1:] = (face[1:] != face[:-1]).any(1)
-    group = np.cumsum(new) - 1
-    start = np.flatnonzero(new)
-    of_row = np.empty_like(group)
-    of_row[order] = group
-    count = np.diff(start, append=len(order))[of_row]  # each row's candidates
-    run = order[np.arange(count.sum()) + np.repeat(start[of_row] - _offsets(count), count)]
-    unc = unc[order]
-    most = unc[start]  # the facet uncovered count of each group's lowest class
-    lead = order[start]
-    faces = ids[row_facet[lead]]
-    low = slc.uncovered(faces[faces != removed[lead, None]].reshape(len(start), -1)) - most
-    size = np.bincount(group * per_row + most[group] - unc,
-                       minlength=len(start) * per_row).reshape(len(start), per_row)
-    sums = np.cumsum(size * np.array(slc.class_weights), axis=1)
-    top = per_row - 1 - low  # the last real class
-    sums[np.arange(per_row) > top[:, None]] = np.inf
-    total = sums[np.arange(len(start)), top][of_row]
-    size, sums = size[of_row].ravel(), sums[of_row]
-    return FacetTable(width, free, per_row, _row_at(free, width), sums, total,
-                      _offsets(size), size, removed[run], row_facet[run] * width)
+    pinned = [*slc.pinned_ids]
+    base_of = {frozenset(ids): f * width for f, ids in enumerate(free.tolist())}
+    row_at = np.zeros(len(free) * width, np.intp)
+    sums: list[float] = []
+    total: list[float] = []
+    first: list[int] = []
+    size: list[int] = []
+    cands: list[int] = []
+    succ: list[int] = []
+    for ids, base in base_of.items():
+        for v in sorted(ids):
+            face = ids - {v}
+            pools = [*dropwhile(not_, _make_state(slc, [*face, *pinned]).pools)]
+            acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
+            row_at[base + v] = len(total)
+            sums += acc + [np.inf] * (per_row - len(acc))
+            total.append(acc[-1])
+            for pool in pools + [[]] * (per_row - len(pools)):
+                first.append(len(cands))
+                size.append(len(pool))
+                cands += pool
+                succ += [base_of[face | {c}] for c in pool]
+    runs = (np.array(run, np.intp) for run in (first, size, cands, succ))
+    return FacetTable(width, free, per_row, row_at, np.array(sums).reshape(-1, per_row),
+                      np.array(total), *runs)
 
 
 # -- chains -----------------------------------------------------------------------

@@ -369,6 +369,14 @@ class TestExperimentCommand:
         assert code == 2 and out == ""
         assert err == "error: fugacity must be positive\n"
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_fugacity_exits_2(self, capsys, lam):
+        # inf reached NumPy's binomial, and nan was called nonpositive
+        code, out, err = run_cli(capsys, "experiment", "--name", "independent-set-size",
+                                 "--n", "50", "--delta", "3", "--lambda", lam)
+        assert code == 2 and out == ""
+        assert err == f"error: fugacity must be a positive finite number, got {lam}\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["neighborhood-concentration", "--delta", "1"], "degree must be at least 2"),
         (["neighborhood-concentration", "--delta", "3", "--gamma", "-2"],

@@ -575,7 +575,7 @@ def test_internals_work_on_global_ids(monkeypatch):
     kinds = [TwoSidedSlice(g, 2, 2), TwoSidedSlice(g, 2, 1, pinned_y=frozenset({y})), codim2]
 
     def run():
-        laws = [slices._law_within(slc, walks.TABLE_ROW_CAP) for slc in kinds]
+        laws = [slices._law_within(slc, 20_000) for slc in kinds]
         op = slices.local_walk_exact(codim2)
         est = estimate_two_sided_count(g, 2, 2, 0.3, 0.1, seed=5)
         return laws, (op.ground, op.matrix, op.pi), est

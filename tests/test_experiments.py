@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from slicewalk import experiments
+from slicewalk import experiments, slices, walks
 from slicewalk.experiments import (ExperimentConfig, MarginalHardcoreSampler,
                                    alpha_threshold, coupled_ell, disjoint_union,
                                    exact_conductance, experiment_independent_set_size,
@@ -42,9 +42,15 @@ class TestConfig:
         cfg = ExperimentConfig("x", n_side=10, degree=3)
         assert cfg.gamma == 0.1 and cfg.ell == 2.0
 
-    @pytest.mark.parametrize("fugacity", [-1.0, -0.5, 0.0, float("nan")])
-    def test_fugacity_must_be_positive(self, fugacity):
-        with pytest.raises(ValueError, match="fugacity must be positive"):
+    @pytest.mark.parametrize("fugacity, message", [
+        (-1.0, "fugacity must be positive"),
+        (-0.5, "fugacity must be positive"),
+        (0.0, "fugacity must be positive"),
+        (math.nan, "fugacity must be a positive finite number, got nan"),
+        (math.inf, "fugacity must be a positive finite number, got inf"),
+    ], ids=["-1.0", "-0.5", "0.0", "nan", "inf"])
+    def test_fugacity_must_be_positive(self, fugacity, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig("x", n_side=10, degree=3, fugacity=fugacity)
 
     @pytest.mark.parametrize("gamma", [-2.5, -2.0, -1e-9, float("nan")])
@@ -202,8 +208,8 @@ class TestSlowMixing:
     def test_lockstep_escape_times_match_single_chains(self, monkeypatch):
         # the array engine replays each run's own stream step for step: fast
         # escapes, blocks of 3, 7 and 64 steps, a pinned vertex, runs that
-        # escape next to runs that never do, and class weights that underflow
-        # to zero
+        # escape next to runs that never do, class weights that underflow to
+        # zero, and a table of C(16, 6) = 8,008 facets and 48,048 rows
         g = disjoint_union(gen_bipartite_regular(8, 2, seed=88),
                            gen_bipartite_regular(8, 2, seed=89))
         k88 = disjoint_union(gen_bipartite_regular(8, 8, seed=0),
@@ -211,14 +217,30 @@ class TestSlowMixing:
         cases = [(OneSidedSlice(g, 4, 0.5), (0, 1, 2, 3), 3),
                  (OneSidedSlice(g, 4, 0.5, pinned=frozenset({9})), (0, 1, 2, 9), 7),
                  (OneSidedSlice(k88, 4, 1.0), (0, 1, 2, 3), 64),
-                 (OneSidedSlice(k88, 4, 1e300), (0, 1, 2, 3), 64)]
+                 (OneSidedSlice(k88, 4, 1e300), (0, 1, 2, 3), 64),
+                 (OneSidedSlice(k88, 6, 1.0), (0, 1, 2, 3, 4, 5), 64)]
         singles = []
         for slc, members, block in cases:
-            single = [_escape_time(slc, members, 8, 4, 400, 5, run) for run in range(20)]
+            k = len(members)
+            single = [_escape_time(slc, members, 8, k, 400, 5, run) for run in range(20)]
             monkeypatch.setattr(experiments, "ESCAPE_BLOCK", block)
-            assert _escape_times(slc, members, 8, 4, 400, 5, 20) == single
+            assert _escape_times(slc, members, 8, k, 400, 5, 20) == single
             singles.append(single)
         assert None in singles[2] and any(t is not None for t in singles[2])
+
+    def test_escape_times_above_the_exact_cap_enumerate_nothing(self, monkeypatch):
+        # C(32, 4) = 35,960 facets: every run steps alone through the kernel
+        def refuse(*args):
+            raise AssertionError("enumerated a slice above the exact cap")
+
+        for module in (slices, walks):
+            monkeypatch.setattr(module, "_facet_ids", refuse)
+        g = disjoint_union(gen_bipartite_regular(16, 2, seed=88),
+                           gen_bipartite_regular(16, 2, seed=89))
+        slc = OneSidedSlice(g, 4, 0.5)
+        assert math.comb(32, 4) > experiments.SLOW_MIXING_EXACT_CAP
+        single = [_escape_time(slc, range(4), 16, 4, 200, 5, run) for run in range(3)]
+        assert _escape_times(slc, range(4), 16, 4, 200, 5, 3) == single
 
     def test_odd_k_rejected(self):
         cfg = ExperimentConfig("sm", n_side=8, degree=2, seed=1, k=3,

@@ -90,11 +90,13 @@ SHA-256 of the canonical JSON (sorted keys, no spaces) of its ``exact`` and
 ``empirical`` sections, without ``config``, which echoes the driver's
 settable values rather than its results.  One run compiles a facet table
 (two K_{8,8} components, whose 1,820 facets the chains step through in
-lockstep); the other lies above the table's row cap (two K_{16,16}), where
-each chain steps alone through the pool kernel.  In each, some chains
-escape and some do not.  They were computed before the facet table was cut
-down to one-sided slices without a law, which had to reproduce them
-exactly.
+lockstep); the other lies above the experiment's exact cap of 20,000
+facets (two K_{16,16}), where each chain steps alone through the pool
+kernel.  In each, some chains escape and some do not.  They were computed
+before the facet table was cut down to one-sided slices without a law,
+which had to reproduce them exactly, and did not move when the table began
+to read its rows off the chain state at each face instead of compiling
+them by array operations over the enumeration.
 """
 from __future__ import annotations
 
@@ -278,10 +280,10 @@ SLOW_MIXING_DIGESTS = {
 }
 
 SLOW_MIXING_RUNS = {
-    # C(16, 4) = 1,820 facets times 4 free ids fit TABLE_ROW_CAP
+    # C(16, 4) = 1,820 facets fit SLOW_MIXING_EXACT_CAP: the exact chain and a facet table
     "table": ["--n", "8", "--delta", "8", "--lambda", "3", "--runs", "8",
               "--steps", "20000"],
-    # C(32, 4) = 35,960 facets exceed it, and the exact chain's cap too
+    # C(32, 4) = 35,960 facets exceed it: no exact chain, and each run steps alone
     "scalar": ["--n", "16", "--delta", "16", "--lambda", "0.65", "--runs", "4",
                "--steps", "2000"],
 }

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-from itertools import accumulate, dropwhile
-from operator import mul, not_
 
 import numpy as np
 import pytest
@@ -261,63 +259,56 @@ def _table_starts(slc, table, seed):
     return [_make_state(slc, facet).free] + [table.free[f].tolist() for f in picks]
 
 
-def _scalar_table(slc):
-    """A scalar compile of the facet table, the reference ``facet_table``
-    is checked against: the arrays of the table of the one-sided slice
-    ``slc`` by name, or None when ``facet_table`` gives None.  For each facet
-    and free id v it copies the facet's counts, adjusts those that change
-    when v leaves, and hands them to the chain state's pool builder;
-    successors are looked up by the bitmask of their free ids."""
-    if slices._facet_bound(slc)[0] * max(1, slc.free_size) > walks.TABLE_ROW_CAP:
-        return None
-    facets = slices._facet_ids(slc, walks.TABLE_ROW_CAP)
+def _check_rows(slc, table):
+    """Every row of ``table`` follows from ``enumerate_facets`` alone: the
+    candidates of (facet, v) are the ids c, v among them, that complete the
+    face without v to a facet, ascending, grouped by their uncovered
+    neighbours under the face from the smallest count up, with (sums,
+    total) the sequential sums of the class weights."""
     adj = slc.graph.global_adj
-    width = len(adj)
     pinned = slc.pinned_ids
-    free_ids = [tuple(v for v in f if v not in pinned) for f in facets]
-    base_of = {sum(1 << v for v in ids): f * width for f, ids in enumerate(free_ids)}
-    per_row = slc.graph.degree + 1
-    row_at = np.zeros(len(facets) * width, np.intp)
-    sums, total, size, cands, succ = [], [], [], [], []
-    for f, facet in enumerate(facets):
-        member, cover, unc = walks._counts(slc, facet)
-        mask = sum(1 << v for v in free_ids[f])
-        for v in free_ids[f]:
-            face_member, face_cover, face_unc = member.copy(), cover.copy(), unc.copy()
-            face_member[v] = False
-            for u in adj[v]:
-                face_cover[u] -= 1
-                if not face_cover[u]:
-                    for x in adj[u]:
-                        face_unc[x] += 1
-            row_at[f * width + v] = len(total)
-            # the classes from the smallest occupied one
-            pools = list(dropwhile(not_, walks._pools(slc, face_member, face_unc)))
-            acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
-            sums += acc + [np.inf] * (per_row - len(acc))
-            total.append(acc[-1])
-            pools += [[]] * (per_row - len(pools))
-            rest = mask ^ (1 << v)
-            for pool in pools:
-                size.append(len(pool))
-                cands += pool
-                succ += [base_of[rest | 1 << c] for c in pool]
-    size_arr = np.array(size, np.intp)
-    first = np.zeros(len(size), np.intp)
-    np.cumsum(size_arr[:-1], out=first[1:])
-    return {"free": np.array(free_ids, np.intp).reshape(len(facets), slc.free_size),
-            "row_at": row_at, "sums": np.array(sums).reshape(len(total), per_row),
-            "total": np.array(total), "first": first, "size": size_arr,
-            "cands": np.array(cands, np.intp), "succ": np.array(succ, np.intp)}
+    width = table.width
+    per_row = table.class_count
+    assert per_row == slc.graph.degree + 1
+    facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
+    assert {frozenset(ids) | pinned for ids in table.free.tolist()} == facet_ids
+    assert len(table.free) == len(facet_ids)
+    for f, ids in enumerate(table.free.tolist()):
+        assert ids == sorted(ids)
+        for j, v in enumerate(ids):
+            face = (set(ids) - {v}) | pinned
+            cands = [c for c in range(width)
+                     if c not in face and frozenset(face | {c}) in facet_ids]
+            assert v in cands
+            row = int(table.row_at[f * width + v])
+            assert row == f * len(ids) + j  # a facet's rows in its free ids' order
+            covered = {j for u in face for j in adj[u]}
+            unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
+            classes = [[c for c in cands if unc[c] == e]
+                       for e in range(min(unc.values()), slc.graph.degree + 1)]
+            acc, total = [], 0.0
+            for members, w in zip(classes, slc.class_weights):
+                total += len(members) * w
+                acc.append(total)
+            pad = per_row - len(classes)
+            assert table.sums[row].tolist() == acc + [np.inf] * pad
+            assert table.total[row] == total
+            classes += [[]] * pad
+            for c, want in enumerate(classes):
+                at = row * per_row + c
+                lo, hi = table.first[at], table.first[at] + table.size[at]
+                assert table.cands[lo:hi].tolist() == want
+                assert [table.free[b // width].tolist() for b in table.succ[lo:hi]] == [
+                    sorted(set(ids) - {v} | {c}) for c in want]
 
 
-def _assert_same_table(table, want):
-    """Every array of ``table`` equals ``want``'s bit for bit, dtype and
-    shape included."""
-    for name, array in want.items():
-        got = getattr(table, name)
-        assert (got.dtype, got.shape) == (array.dtype, array.shape), name
-        assert got.tobytes() == array.tobytes(), name
+def _check_compile(slc, seed):
+    """``facet_table(slc)`` row by row against ``enumerate_facets``, and
+    three of its chains against the kernel; returns the table."""
+    table = facet_table(slc)
+    _check_rows(slc, table)
+    _check_rows_replay(slc, table, _table_starts(slc, table, seed), seed, 20, 3)
+    return table
 
 
 class TestFacetTable:
@@ -330,48 +321,10 @@ class TestFacetTable:
                                       thinning):
         slc, _ = _small_slice("one", n, degree, seed, (k, 0), fugacity, pin_mask)
         table = facet_table(slc)
-        assert table is not None
-        _assert_same_table(table, _scalar_table(slc))
         # three chains in lockstep: one at the greedy facet, two at table
         # facets; each row replays the scalar kernel on its column
         _check_rows_replay(slc, table, _table_starts(slc, table, seed), seed, count, thinning)
-        # every row follows from enumerate_facets alone: the candidates of
-        # (facet, v) are the ids c, v among them, that complete the face
-        # without v to a facet, ascending, grouped by their uncovered
-        # neighbours under the face from the smallest count up, with (sums,
-        # total) the sequential sums of the class weights
-        adj = slc.graph.global_adj
-        pinned = slc.pinned_ids
-        width = table.width
-        per_row = table.class_count
-        assert per_row == slc.graph.degree + 1
-        facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
-        for f, ids in enumerate(table.free.tolist()):
-            for j, v in enumerate(ids):
-                face = (set(ids) - {v}) | pinned
-                cands = [c for c in range(width)
-                         if c not in face and frozenset(face | {c}) in facet_ids]
-                assert v in cands
-                row = int(table.row_at[f * width + v])
-                assert row == f * len(ids) + j  # a facet's rows in its free ids' order
-                covered = {j for u in face for j in adj[u]}
-                unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
-                classes = [[c for c in cands if unc[c] == e]
-                           for e in range(min(unc.values()), slc.graph.degree + 1)]
-                acc, total = [], 0.0
-                for members, w in zip(classes, slc.class_weights):
-                    total += len(members) * w
-                    acc.append(total)
-                pad = per_row - len(classes)
-                assert table.sums[row].tolist() == acc + [np.inf] * pad
-                assert table.total[row] == total
-                classes += [[]] * pad
-                for c, want in enumerate(classes):
-                    at = row * per_row + c
-                    lo, hi = table.first[at], table.first[at] + table.size[at]
-                    assert table.cands[lo:hi].tolist() == want
-                    assert [table.free[b // width].tolist() for b in table.succ[lo:hi]] == [
-                        sorted(set(ids) - {v} | {c}) for c in want]
+        _check_rows(slc, table)
         # the facet count against the exact chain's
         facets, _, _ = exact_transition_matrix(slc)
         assert len(facets) == len(table.free)
@@ -395,28 +348,24 @@ class TestFacetTable:
             assert face.free_size == 0 and len(table.free) == 1
             _check_rows_replay(face, table, [[], []], 3, 5, 1)
 
-    def test_slices_above_the_cap_get_no_table(self):
-        # decided by the binomial facet count before any enumeration
-        g = gen_bipartite_regular(100, 3, seed=1)
-        assert facet_table(OneSidedSlice(g, 3, 0.4)) is None
-
 
 class TestTableCompile:
-    """``facet_table`` against the scalar compile it replaced."""
+    """``facet_table`` on the slices criterion 4 estimates, pinned faces and
+    a side-100 late level: every row against ``enumerate_facets`` and three
+    chains against the kernel."""
 
-    def test_criterion_4_kinds_match_the_scalar_compile(self):
+    def test_criterion_4_kinds_rows_and_replay(self):
         # every one-sided kind criterion 4 estimates, on five of its graphs
         for s in range(5):
             g = gen_bipartite_regular(8, 3, seed=500 + s)
-            for slc in (OneSidedSlice(g, k, 0.4) for k in (1, 2, 3, 4)):
-                _assert_same_table(facet_table(slc), _scalar_table(slc))
+            for k in (1, 2, 3, 4):
+                _check_compile(OneSidedSlice(g, k, 0.4), s)
 
-    def test_pinned_faces_match_the_scalar_compile(self):
+    def test_pinned_faces_rows_and_replay(self):
         slc = OneSidedSlice(gen_bipartite_regular(12, 3, seed=1), 4, 2.0)
         ids = slc.to_ids(greedy_facet(slc, rng_stream(2)))
         for pins in (ids[:1], ids[1:3], ids[::2]):
-            face = slc.pin(pins)
-            _assert_same_table(facet_table(face), _scalar_table(face))
+            _check_compile(slc.pin(pins), 2)
 
     def test_a_face_with_nothing_free_and_an_empty_slice(self):
         # a pinned face with nothing free, and the empty slice k = 0, whose
@@ -424,24 +373,23 @@ class TestTableCompile:
         g = gen_bipartite_regular(8, 3, seed=12)
         slc = OneSidedSlice(g, 3, 0.4)
         for face in (slc.with_face(greedy_facet(slc, rng_stream(4))), OneSidedSlice(g, 0, 0.4)):
-            _assert_same_table(facet_table(face), _scalar_table(face))
+            _check_compile(face, 4)
 
-    def test_side_100_late_levels_match_the_scalar_compile(self):
+    def test_side_100_late_level_rows_and_replay(self):
         # the README graph: a one-sided k = 18 level with 16 ids pinned
         # (C(84, 2) facets, 6,972 rows)
         g = gen_bipartite_regular(100, 3, seed=7)
         one = OneSidedSlice(g, 18, 0.05)
         slc = one.with_face(greedy_facet(one, rng_stream(1))[:16])
-        table = facet_table(slc)
-        assert table.free.size == 6972
-        _assert_same_table(table, _scalar_table(slc))
+        assert len(_check_compile(slc, 1).total) == 6972
 
-    def test_the_compile_names_no_oracle_and_no_pool_builder(self):
-        # the tables and the exact oracles check each other, and
-        # _scalar_table reads the pool builders, so the compile uses neither
+    def test_the_compile_names_no_oracle(self):
+        # the tables and the exact oracles check each other, so the compile
+        # reads no exact law
         tree = ast.parse(inspect.getsource(walks.facet_table))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert not names & {"_transition_matrix", "_codim1_faces", "_counts", "_pools"}
+        assert not names & {"_transition_matrix", "_codim1_faces", "_facet_weights",
+                            "_law_within"}
 
 
 class TestExactTransitionMatrix:
