@@ -72,6 +72,10 @@ class ExperimentConfig:
             raise ValueError("fugacity must be positive")
         if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be a nonnegative finite number, got {self.gamma}")
+        if not math.isfinite(self.ell):
+            raise ValueError(f"ell must be a finite number, got {self.ell}")
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError("a and b must lie in (0, 1)")
         if not (0.5 < self.c < 1.0):
@@ -404,11 +408,14 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     slice has at most ``SLOW_MIXING_EXACT_CAP`` facets (its exact facet
     bound, known before any enumeration), it compiles into a facet table
     (the table's one consumer), and the runs step in lockstep through
-    ``FacetTable.advance``, one array row each, reading each run's stream
-    three uniforms a step, as the one-sided kernel does, so every run
-    replays exactly.  Rows that escape inside a block of ESCAPE_BLOCK steps
-    are dropped after it.  Above the cap each run steps alone through the
-    slice's kernel.
+    ``FacetTable.advance``, one array row each.  Each run keeps a buffer of
+    its stream and a read position in it: a step reads the removal slot and
+    then two uniforms a proposal, as the one-sided kernel does, so every run
+    replays exactly.  Before each call the unread rest of every buffer moves
+    to its front and the stream fills the remainder; a buffer that cannot
+    hold one step doubles.  Rows that escape inside a block of at most
+    ESCAPE_BLOCK steps are dropped after it.  Above the cap each run steps
+    alone through the slice's kernel.
     """
     facet = tuple(sorted(members))
     half = k / 2.0
@@ -423,19 +430,28 @@ def _escape_times(slc: OneSidedSlice, members: Iterable[int], m: int, k: int,
     start = _make_state(slc, facet).free
     free = np.tile(np.array(start, dtype=np.intp), (runs, 1))
     base = np.full(runs, table.start(start), np.intp)
+    room = 4 * ESCAPE_BLOCK
+    u, pos = np.empty((runs, 0)), np.zeros(runs, np.intp)
+    rows = active  # the row of u and pos that holds each active run's stream
     done = 0
     while done < budget and len(active):
-        steps = min(ESCAPE_BLOCK, budget - done)
-        u = np.stack([gens[run].random(3 * ESCAPE_BLOCK) for run in active])
-        u = u.reshape(len(active), ESCAPE_BLOCK, 3)[:, :steps].swapaxes(0, 1)
-        bases = table.advance(free, base, u)
+        buffer = np.empty((len(active), room))
+        for i, (row, run) in enumerate(zip(rows.tolist(), active.tolist())):
+            rest = u[row, pos[row]:]
+            buffer[i, :len(rest)] = rest
+            gens[run].random(out=buffer[i, len(rest):])
+        u, pos, rows = buffer, np.zeros(len(active), np.intp), np.arange(len(active))
+        bases = table.advance(free, base, u, pos, min(ESCAPE_BLOCK, budget - done))
+        if not len(bases):
+            room *= 2
+            continue
         hit = inside.take(bases // table.width) <= half
         escaped = hit.any(0)
         for i, first_hit in zip(np.flatnonzero(escaped), hit.argmax(0)[escaped]):
             times[int(active[i])] = done + int(first_hit) + 1
-        keep = ~escaped
-        active, free, base = active[keep], free[keep], bases[-1][keep]
-        done += steps
+        rows = np.flatnonzero(~escaped)
+        active, free, base = active[rows], free[rows], bases[-1][rows]
+        done += len(bases)
     return times
 
 

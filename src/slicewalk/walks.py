@@ -6,25 +6,27 @@ of the slice given the remainder; the removed element always remains a
 candidate, so a step may be a self-loop.  States carry incremental coverage
 counters over the graph's global vertex ids, updated only where a step
 changes coverage, and chains are a pure function of (slice, config seed).
-There is one kernel per kind of constraint.  The independent-set slices
+There is one kernel per kind of constraint, and both draw the replacement
+by rejection, with no candidate pool.  The independent-set slices
 (two-sided, regular) propose uniform ids of the removed vertex's part until
-one is a non-member with zero cover: O(degree) Python work a step and no
-pool.  The one-sided slice keeps sorted pools of its candidates by weight
-class (``_pools`` builds them, the kernel updates them) and picks a class,
-then a uniform member: O(degree^2) Python work plus the C-level shifts of
-sorted-list inserts and deletes.  A kernel is one loop over a given number
-of (optionally lazy) steps, called once per sample interval.
+one is a non-member with zero cover: O(degree) Python work a step.  The
+one-sided slice proposes uniform ids of X, each with a coin, until one is a
+non-member whose coin falls below its weight relative to the lightest
+occupied weight class, which the state's class counts give: O(degree^2)
+Python work where coverage changes, plus the rejected proposals.  A kernel
+is one loop over a given number of (optionally lazy) steps, called once per
+sample interval.
 
 A one-sided slice small enough to enumerate can be compiled into a
-``FacetTable``: for every facet and free element, the weight classes of the
-face left without it, stored in flat arrays with the class sums and each
-candidate's successor facet.  ``facet_table`` reads each row off the chain
-state the kernel itself starts from (``_make_state`` at the face), so a
-table step is a row lookup and the kernel's three uniform draws, replaying
-it bit for bit, and ``FacetTable.advance`` takes it for many chains at once,
-one array row each, in a few NumPy calls.  The table holds no law.  Its one
-consumer is the slow-mixing experiment, whose lockstep escape-time chains
-step through ``advance``.
+``FacetTable``: for every facet and free element, the acceptance weight of
+every X id at the face left without it and the facet each id leads to.
+``facet_table`` reads each row off the chain state the kernel itself starts
+from (``_make_state`` at the face), so a table step is a row lookup plus the
+kernel's removal slot and proposals, two uniforms each, replaying it bit for
+bit, and ``FacetTable.advance`` takes it for many chains at once, one array
+row each, in a few NumPy calls over a fixed window of proposals.  The table
+holds no law.  Its one consumer is the slow-mixing experiment, whose
+lockstep escape-time chains step through ``advance``.
 
 Exact transition matrices are assembled from the facet enumeration alone
 (grouping facets by shared codimension-1 faces), deliberately not reusing the
@@ -38,11 +40,9 @@ use the family's format.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, dropwhile
-from operator import mul, not_
+from operator import not_
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -57,6 +57,8 @@ Rand = Callable[[], float]
 REVERSIBILITY_TOL = 1e-10
 # Greedy attempts greedy_initial_state makes before giving up.
 INITIAL_RESTARTS = 256
+# Proposals FacetTable.advance gathers per chain and step.
+PROPOSAL_WINDOW = 16
 
 
 class InitialStateError(RuntimeError):
@@ -72,19 +74,20 @@ class ChainState:
     a vertex of the same part.  ``member`` flags facet members, pinned ones
     included, and ``cover[u]`` counts facet members adjacent to u.
 
-    The uniform kernel draws by rejection from these flags and counters,
-    so its ``pools`` and ``unc`` are empty.  For the one-sided kernel
-    ``unc[x]`` counts the uncovered neighbours of each X vertex, and
-    ``pools[e]`` is the sorted list of the non-members with ``unc = e``,
-    updated where a step changes coverage.  ``kernel(slc, state, rand,
-    steps, lazy)`` runs steps, or none when nothing is free.
+    Both kernels draw by rejection from these flags and counters.  The
+    uniform kernel's ``counts`` and ``unc`` are empty.  For the one-sided
+    kernel ``unc[x]`` counts the uncovered neighbours of each X vertex, and
+    ``counts[e]`` the non-members with ``unc = e``, which give the smallest
+    occupied class; both are updated where a step changes coverage.
+    ``kernel(slc, state, rand, steps, lazy)`` runs steps, or none when
+    nothing is free.
     """
 
     slc: Slice
     free: list[int]
     member: list[bool]
     cover: list[int]
-    pools: list[list[int]]
+    counts: list[int]
     unc: list[int]
     kernel: Callable[[Slice, "ChainState", Rand, int, bool], None]
     steps: int = 0
@@ -94,12 +97,12 @@ class ChainState:
         return self.slc.from_ids(set(self.free) | self.slc.pinned_ids)
 
     def recount_ok(self) -> bool:
-        """Recompute every counter and pool from scratch and compare with the
-        running ones."""
+        """Recompute every counter from scratch and compare with the running
+        ones."""
         fresh = _make_state(self.slc, [*self.free, *self.slc.pinned_ids])
         return (fresh.cover == self.cover and fresh.member == self.member
                 and sorted(fresh.free) == sorted(self.free)
-                and fresh.pools == self.pools and fresh.unc == self.unc)
+                and fresh.counts == self.counts and fresh.unc == self.unc)
 
 
 def _make_state(slc: Slice, ids: Sequence[int]) -> ChainState:
@@ -110,8 +113,8 @@ def _make_state(slc: Slice, ids: Sequence[int]) -> ChainState:
     pinned = slc.pinned_ids
     free = [v for v in ids if v not in pinned]
     kernel = _kernel_one_sided if slc.coverage_weighted else _kernel_uniform
-    pools = _pools(slc, member, unc) if slc.coverage_weighted else []
-    return ChainState(slc, free, member, cover, pools, unc, kernel if free else _stay)
+    counts = _class_counts(slc, member, unc) if slc.coverage_weighted else []
+    return ChainState(slc, free, member, cover, counts, unc, kernel if free else _stay)
 
 
 def _counts(slc: Slice, ids: Iterable[int]) -> tuple[list[bool], list[int], list[int]]:
@@ -131,15 +134,14 @@ def _counts(slc: Slice, ids: Iterable[int]) -> tuple[list[bool], list[int], list
     return member, cover, [sum(map(bare.__getitem__, adj[x])) for x in range(slc.graph.n_side)]
 
 
-def _pools(slc: OneSidedSlice, member: list[bool], unc: list[int]) -> list[list[int]]:
-    """The sorted candidate pools of the one-sided facet or face flagged by
-    ``member``: per uncovered count e = 0..degree, the non-members with
-    ``unc = e``."""
-    pools: list[list[int]] = [[] for _ in range(slc.graph.degree + 1)]
+def _class_counts(slc: OneSidedSlice, member: list[bool], unc: list[int]) -> list[int]:
+    """Per uncovered count e = 0..degree, the non-members of X with
+    ``unc = e`` in the one-sided facet or face flagged by ``member``."""
+    counts = [0] * (slc.graph.degree + 1)
     for x in range(slc.graph.n_side):
         if not member[x]:
-            pools[unc[x]].append(x)
-    return pools
+            counts[unc[x]] += 1
+    return counts
 
 
 def greedy_initial_state(slc: Slice, rng: np.random.Generator) -> ChainState:
@@ -214,17 +216,19 @@ def _kernel_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand, steps: 
     """``steps`` coverage-weighted replacements: x' has weight
     (1+fugacity)^-unc[x'] once the removed vertex is out.
 
-    A step draws the lazy coin when ``lazy``, then the removal slot, the
-    weight class and the index within the class.  The class is the number of
-    sequential sums ``acc`` of |pools[e]| * (1+fugacity)^-(e - e_min), from
-    the smallest occupied class e_min up, that are at most u * total; the
-    weight 1 of class e_min keeps the total at least 1.  Only the X vertices
-    next to a Y vertex whose cover falls to 0 or rises to 1 change class.
+    A step draws the lazy coin when ``lazy``, then the removal slot, then
+    proposals of two uniforms each, a uniform id x of X and a coin, until x
+    is a non-member whose coin falls below ``class_weights[unc[x] - e_min]``.
+    The smallest occupied class e_min has weight 1, so the accepted x is the
+    exact draw, and the loop ends however large the fugacity; the removed
+    vertex is a non-member, so one exists.  Only the X vertices next to a Y
+    vertex whose cover falls to 0 or rises to 1 change class.
     """
     adj = slc.graph.global_adj
     weights = slc.class_weights
-    free, member, cover, pools, unc = (state.free, state.member, state.cover, state.pools,
-                                       state.unc)
+    side = slc.graph.n_side
+    free, member, cover, counts, unc = (state.free, state.member, state.cover, state.counts,
+                                        state.unc)
     k = len(free)
     for _ in range(steps):
         if lazy and rand() < 0.5:
@@ -240,18 +244,20 @@ def _kernel_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand, steps: 
                     e = unc[x]
                     unc[x] = e + 1
                     if not member[x]:
-                        pool = pools[e]
-                        del pool[bisect_left(pool, x)]
-                        insort(pools[e + 1], x)
+                        counts[e] -= 1
+                        counts[e + 1] += 1
         member[x_out] = False
-        insort(pools[unc[x_out]], x_out)
+        counts[unc[x_out]] += 1
         emin = 0
-        while not pools[emin]:
+        while not counts[emin]:
             emin += 1
-        acc = [*accumulate(map(mul, map(len, pools[emin:]), weights))]
-        pool = pools[emin + bisect_right(acc, rand() * acc[-1])]
-        x_new = pool.pop(int(rand() * len(pool)))
+        # the coin is drawn for members too, so every proposal reads two
+        # uniforms (a member's index may wrap, and it is rejected anyway)
+        x_new = int(rand() * side)
+        while not rand() < weights[unc[x_new] - emin] or member[x_new]:
+            x_new = int(rand() * side)
         member[x_new] = True
+        counts[unc[x_new]] -= 1
         for j in adj[x_new]:
             c = cover[j] + 1
             cover[j] = c
@@ -260,9 +266,8 @@ def _kernel_one_sided(slc: OneSidedSlice, state: ChainState, rand: Rand, steps: 
                     e = unc[x]
                     unc[x] = e - 1
                     if not member[x]:
-                        pool = pools[e]
-                        del pool[bisect_left(pool, x)]
-                        insort(pools[e - 1], x)
+                        counts[e] -= 1
+                        counts[e - 1] += 1
         free[pos] = x_new
 
 
@@ -276,27 +281,19 @@ class FacetTable:
 
     ``free[f]`` holds facet f's free ids in increasing order, one row of a
     (facets, free size) array.  Facet f's row base is ``f * width``, and
-    free id v has row ``row_at[f * width + v]``, the candidate pools of the
-    face left when v is removed, as the chain state at that face holds
-    them; facet f's rows are its free ids' rows in order.  A row holds
-    ``class_count`` weight classes, every uncovered count from the smallest
-    occupied one up, then empty padding.  Class c of row r is entry
-    ``r * class_count + c`` of ``first`` and ``size``, which give its run of
-    ``cands`` (the candidates in pool order) and of ``succ`` (the row base
-    of the facet each one leads to).  ``sums[r]`` holds the kernel's
-    sequential class sums, padded with infinities; the last real one is
-    ``total[r]``.
+    free id v starts its row at ``row_at[f * width + v]``, a multiple of
+    ``side``; facet f's rows are its free ids' rows in order.  The row holds
+    one entry per X id x, as the chain state at the face left without v
+    sees it: in ``weight``, the acceptance weight ``class_weights[unc[x] -
+    e_min]`` of a proposal of x, 0 for the face's members, and in ``succ``,
+    the row base of the facet the face and x make.
     """
 
     width: int
+    side: int
     free: np.ndarray
-    class_count: int
     row_at: np.ndarray
-    sums: np.ndarray
-    total: np.ndarray
-    first: np.ndarray
-    size: np.ndarray
-    cands: np.ndarray
+    weight: np.ndarray
     succ: np.ndarray
 
     def start(self, free: Sequence[int]) -> int:
@@ -304,39 +301,66 @@ class FacetTable:
         f, = np.flatnonzero((self.free == np.sort(free)).all(1))
         return int(f) * self.width
 
-    def advance(self, free: np.ndarray, base: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Step chains in lockstep, one per row of ``free``, and return the
-        row base of each after every step, shape (steps, chains).
+    def advance(self, free: np.ndarray, base: np.ndarray, u: np.ndarray, pos: np.ndarray,
+                steps: int) -> np.ndarray:
+        """Step chains in lockstep, one per row of ``free``, for at most
+        ``steps`` steps, and return the row base of each after every step
+        taken, shape (taken, chains).
 
         Chain i is at the facet with row base ``base[i]``, whose free ids
         ``free[i]`` (a C-contiguous array, updated in place) are in its
-        stepping order.  Step s reads ``u[s, i]``: the removal slot, the
-        weight class and the index within the class, the uniforms ``_step``
-        draws, so every chain replays the pool kernel on them bit for bit.
-        ``(u * k).astype(np.intp)`` is ``int(u * k)`` and the class is the
-        first whose sum exceeds u * total (u * total < total in floating
-        point), which is ``bisect_right`` over the sums.
+        stepping order.  It reads its uniforms from row i of the C-contiguous
+        ``u``, the next at ``pos[i]`` (updated in place): the removal slot,
+        then proposals of an X id and a coin until one is accepted, the draws
+        of ``_step``, so every chain replays the kernel bit for bit.  A step
+        gathers PROPOSAL_WINDOW proposals of every chain at once, and a
+        chain that accepts none of them reads on alone.  The call returns
+        early, before a step that some chain's unread uniforms cannot hold.
+        ``(u * k).astype(np.intp)`` is ``int(u * k)``.
         """
-        steps, chains = u.shape[:2]
+        chains, room = u.shape
         k = free.shape[1]
-        out = np.empty((steps, chains), np.intp)
-        if not k:  # the pinned face is the only facet, and a step moves nothing
-            out[:] = base
-            return out
-        u = np.ascontiguousarray(np.moveaxis(u, 2, 0))  # (uniform, step, chain)
-        slots = (u[0] * k).astype(np.intp) + np.arange(0, chains * k, k)
+        if not k:  # the pinned face is the only facet, and a step draws nothing
+            return np.tile(base, (steps, 1))
+        window = PROPOSAL_WINDOW
+        stride = 1 + 2 * window
+        flat_u = u.reshape(-1)
+        starts = np.arange(0, chains * room, room)
+        # the slot, then the window's ids, then its coins (ids and coins alternate in u)
+        span = starts[:, None] + np.r_[0, 1:stride:2, 2:stride:2]
+        picks = np.arange(0, chains * window, window)
+        slots = np.arange(0, chains * k, k)
+        reads = np.arange(3, stride + 2, 2)  # uniforms a step reads, by accepted proposal
         flat = free.reshape(-1)
-        row_at, first, size, cands, succ = (self.row_at, self.first, self.size, self.cands,
-                                             self.succ)
-        sums, total, per_row = self.sums, self.total, self.class_count
+        side, row_at, weight, succ = self.side, self.row_at, self.weight, self.succ
+        hit = np.ones((chains, window + 1), bool)  # the last column flags a straggler
+        out = np.empty((steps, chains), np.intp)
         for s in range(steps):
-            slot = slots[s]
-            at = row_at.take(base + flat.take(slot))
-            below = sums.take(at, axis=0) <= (u[1, s] * total.take(at))[:, None]
-            at = at * per_row + below.argmin(1)
-            pick = first.take(at) + (u[2, s] * size.take(at)).astype(np.intp)
-            flat.put(slot, cands.take(pick))
-            base = out[s] = succ.take(pick)
+            if pos.max() > room - stride:
+                return out[:s]
+            g = flat_u.take(span + pos[:, None])
+            slot = (g[:, 0] * k).astype(np.intp)
+            slot += slots
+            row = row_at.take(flat.take(slot) + base)
+            cell = (g[:, 1:window + 1] * side).astype(np.intp)
+            cell += row[:, None]
+            np.less(g[:, window + 1:], weight.take(cell), out=hit[:, :window])
+            used = hit.argmax(1)
+            pick = cell.take(used + picks, mode="clip")
+            step = reads.take(used, mode="clip")
+            if used.max() == window:
+                for i in np.flatnonzero(used == window):
+                    first = starts[i] + pos[i]
+                    for at in range(first + stride, starts[i] + room - 1, 2):
+                        c = row[i] + int(flat_u[at] * side)
+                        if flat_u[at + 1] < weight[c]:
+                            break
+                    else:
+                        return out[:s]
+                    pick[i], step[i] = c, at + 2 - first
+            flat.put(slot, pick - row)
+            base = succ.take(pick, out=out[s])
+            pos += step
         return out
 
 
@@ -344,40 +368,30 @@ def facet_table(slc: OneSidedSlice) -> FacetTable:
     """Compile the chain of ``slc`` from its enumeration (EnumerationCapError
     past ``ENUMERATION_CAP`` facets; the caller bounds the facet count).
 
-    Row r = f * k + j removes ``free[f, j]``.  Its classes are the pools of
-    the chain state at the face left, from the smallest occupied one up,
-    with the kernel's sequential sums over the class weights, so a table
-    step draws what the kernel draws.  Each candidate c leads to the facet
-    whose free ids are the face's and c.
+    Row r = f * k + j removes ``free[f, j]``.  It holds the acceptance
+    weights the kernel reads off the chain state at the face left, so a
+    table step accepts what the kernel accepts, and each X id x leads to the
+    facet whose free ids are the face's and x.
     """
     free = _free_ids(slc, _facet_ids(slc, ENUMERATION_CAP))
     width = len(slc.graph.global_adj)
-    per_row = slc.graph.degree + 1
+    side = slc.graph.n_side
+    weights = slc.class_weights
     pinned = [*slc.pinned_ids]
     base_of = {frozenset(ids): f * width for f, ids in enumerate(free.tolist())}
     row_at = np.zeros(len(free) * width, np.intp)
-    sums: list[float] = []
-    total: list[float] = []
-    first: list[int] = []
-    size: list[int] = []
-    cands: list[int] = []
+    weight: list[float] = []
     succ: list[int] = []
     for ids, base in base_of.items():
         for v in sorted(ids):
             face = ids - {v}
-            pools = [*dropwhile(not_, _make_state(slc, [*face, *pinned]).pools)]
-            acc = [*accumulate(map(mul, map(len, pools), slc.class_weights))]
-            row_at[base + v] = len(total)
-            sums += acc + [np.inf] * (per_row - len(acc))
-            total.append(acc[-1])
-            for pool in pools + [[]] * (per_row - len(pools)):
-                first.append(len(cands))
-                size.append(len(pool))
-                cands += pool
-                succ += [base_of[face | {c}] for c in pool]
-    runs = (np.array(run, np.intp) for run in (first, size, cands, succ))
-    return FacetTable(width, free, per_row, row_at, np.array(sums).reshape(-1, per_row),
-                      np.array(total), *runs)
+            state = _make_state(slc, [*face, *pinned])
+            member, unc = state.member, state.unc
+            emin = next(e for e, count in enumerate(state.counts) if count)
+            row_at[base + v] = len(weight)
+            weight += [0.0 if member[x] else weights[unc[x] - emin] for x in range(side)]
+            succ += [0 if member[x] else base_of[face | {x}] for x in range(side)]
+    return FacetTable(width, side, free, row_at, np.array(weight), np.array(succ, np.intp))
 
 
 # -- chains -----------------------------------------------------------------------

@@ -330,8 +330,9 @@ def test_criterion_8_slow_mixing_echo():
     {0, 1, 2, 3} stays in S for the whole budget, which the experiment
     computes from its transition matrix restricted to S, is checked first:
     the 99/100 threshold then fails a correct program with probability about
-    4e-9.  Slow: the 1e8 steps take about 28 s on a 2-core machine with the
-    chains stepped in lockstep.
+    4e-9.  Slow: the 1e8 steps take about 19 s on a 2-core machine with the
+    chains stepped in lockstep, a step gathering 16 proposals of each chain
+    (about 8 s when the kernel drew from pools, three uniforms a step).
     """
     m, steps = 8, 1_000_000
     cfg = ExperimentConfig("slow-mixing", n_side=m, degree=m, seed=88, k=4,

@@ -377,6 +377,19 @@ class TestExperimentCommand:
         assert code == 2 and out == ""
         assert err == f"error: fugacity must be a positive finite number, got {lam}\n"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--ell", "nan", "ell must be a finite number, got nan"),
+        ("--ell", "inf", "ell must be a finite number, got inf"),
+        ("--gamma", "inf", "gamma must be a nonnegative finite number, got inf"),
+    ])
+    def test_non_finite_ell_or_gamma_exits_2(self, capsys, option, value, message):
+        # nan ell reported every expansion fraction as 0.0, and inf gamma
+        # reported alpha 0.0 and a tau size of 1, both with exit 0
+        code, out, err = run_cli(capsys, "experiment", "--name", "neighborhood-concentration",
+                                 "--n", "50", "--delta", "3", "--samples", "5", option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv,message", [
         (["neighborhood-concentration", "--delta", "1"], "degree must be at least 2"),
         (["neighborhood-concentration", "--delta", "3", "--gamma", "-2"],

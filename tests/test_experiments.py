@@ -59,6 +59,19 @@ class TestConfig:
             ExperimentConfig("x", n_side=10, degree=3, gamma=gamma)
         assert ExperimentConfig("x", n_side=10, degree=3, gamma=0.0).gamma == 0.0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ell", math.nan, "ell must be a finite number, got nan"),
+        ("ell", math.inf, "ell must be a finite number, got inf"),
+        ("ell", -math.inf, "ell must be a finite number, got -inf"),
+        ("gamma", math.inf, "gamma must be a nonnegative finite number, got inf"),
+    ], ids=["ell-nan", "ell-inf", "ell--inf", "gamma-inf"])
+    def test_ell_and_gamma_must_be_finite(self, field, value, message):
+        # a nan ell failed every comparison and reported expansion fractions
+        # of 0.0; an infinite gamma reported alpha 0.0 and tau size 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig("x", n_side=10, degree=3, **{field: value})
+        assert ExperimentConfig("x", n_side=10, degree=3, ell=-1.5).ell == -1.5
+
 
 class TestNeighborhoodConcentration:
     def test_extreme_sizes(self):
@@ -209,16 +222,22 @@ class TestSlowMixing:
         # the array engine replays each run's own stream step for step: fast
         # escapes, blocks of 3, 7 and 64 steps, a pinned vertex, runs that
         # escape next to runs that never do, class weights that underflow to
-        # zero, and a table of C(16, 6) = 8,008 facets and 48,048 rows
+        # zero, a table of C(16, 6) = 8,008 facets and 48,048 rows, and
+        # criterion 8's slice in blocks of 5 steps, whose buffers of 20
+        # uniforms double before a step fits and refill before every call,
+        # where about 1 chain-step in 400 accepts none of its window
         g = disjoint_union(gen_bipartite_regular(8, 2, seed=88),
                            gen_bipartite_regular(8, 2, seed=89))
         k88 = disjoint_union(gen_bipartite_regular(8, 8, seed=0),
                              gen_bipartite_regular(8, 8, seed=1))
+        criterion_8 = disjoint_union(gen_bipartite_regular(8, 8, seed=88),
+                                     gen_bipartite_regular(8, 8, seed=89))
         cases = [(OneSidedSlice(g, 4, 0.5), (0, 1, 2, 3), 3),
                  (OneSidedSlice(g, 4, 0.5, pinned=frozenset({9})), (0, 1, 2, 9), 7),
                  (OneSidedSlice(k88, 4, 1.0), (0, 1, 2, 3), 64),
                  (OneSidedSlice(k88, 4, 1e300), (0, 1, 2, 3), 64),
-                 (OneSidedSlice(k88, 6, 1.0), (0, 1, 2, 3, 4, 5), 64)]
+                 (OneSidedSlice(k88, 6, 1.0), (0, 1, 2, 3, 4, 5), 64),
+                 (OneSidedSlice(criterion_8, 4, 31.0), (0, 1, 2, 3), 5)]
         singles = []
         for slc, members, block in cases:
             k = len(members)

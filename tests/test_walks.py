@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slicewalk import slices, walks
+from slicewalk.experiments import disjoint_union
 from slicewalk.graphs import gen_bipartite_regular, gen_regular
-from slicewalk.rng import rng_stream
+from slicewalk.rng import UniformBuffer, rng_stream
 from slicewalk.slices import (OneSidedSlice, RegularSlice, TwoSidedSlice, enumerate_facets,
                               greedy_facet)
 from slicewalk.walks import (ChainConfig, InitialStateError, _make_state, _step, down_up_step,
@@ -138,8 +139,8 @@ class TestDownUpStep:
     def test_pools_match_a_rebuild_along_walks(self, family, n, degree, seed, sizes,
                                                fugacity, pin_mask, steps):
         # small random slices of every family, with pinned faces drawn from
-        # the starting facet: after each step the running counters and pools
-        # equal a fresh rebuild and each pool is exactly its candidate set
+        # the starting facet: after each step the running counters equal a
+        # fresh rebuild and each class count is exactly its candidate count
         made = _small_slice(family, n, degree, seed, sizes, fugacity, pin_mask)
         assume(made is not None)
         slc, facet = made
@@ -167,7 +168,7 @@ class TestDownUpStep:
             for _ in range(steps):
                 ref.kernel(slc, ref, ref_rng.random, 1, lazy)
             assert state.free == ref.free and state.member == ref.member
-            assert (state.cover, state.pools, state.unc) == (ref.cover, ref.pools, ref.unc)
+            assert (state.cover, state.counts, state.unc) == (ref.cover, ref.counts, ref.unc)
             assert state.recount_ok()
         assert rng.random() == ref_rng.random()
 
@@ -214,41 +215,51 @@ def _replay_histogram(slc, ids, table, rand, count, thinning):
     return want, state
 
 
-def _lockstep(table, starts, rng, steps, block=8192):
-    """Row bases after every step (shape (steps, chains)) and final free ids
-    of ``FacetTable.advance`` on one chain per entry of ``starts`` (free ids
-    in stepping order), reading three uniforms a step from time-major draws
-    of ``rng``, in calls of as many whole steps of every chain as ``block``
-    uniforms hold, or of one step when a step takes more."""
+def _lockstep(table, starts, seed, steps, room):
+    """Row bases after every step (shape (steps, chains)), final free ids and
+    next unread uniform of ``FacetTable.advance`` on one chain per entry of
+    ``starts`` (free ids in stepping order), chain r reading the stream
+    ``rng_stream(seed, 1, r)`` through a buffer of ``room`` uniforms, whose
+    unread rest moves to its front before each call; a buffer that cannot
+    hold one step doubles."""
     chains = len(starts)
     free = np.array(starts, np.intp).reshape(chains, -1)
     base = np.array([table.start(f) for f in starts], np.intp)
+    gens = [rng_stream(seed, 1, r) for r in range(chains)]
+    u, pos = np.empty((chains, 0)), np.zeros(chains, np.intp)
     out = [np.empty((0, chains), np.intp)]
-    per = max(1, block // (3 * chains))
-    for done in range(0, steps, per):
-        u = rng.random((min(per, steps - done), chains, 3))
-        out.append(table.advance(free, base, u))
-        base = out[-1][-1]
-    return np.concatenate(out), free
+    done = 0
+    while True:
+        rests = [u[r, pos[r]:] for r in range(chains)]
+        u = np.stack([np.concatenate([rest, gen.random(room - len(rest))])
+                      for rest, gen in zip(rests, gens)])
+        pos[:] = 0
+        if done == steps:
+            return np.concatenate(out), free, u[:, 0]
+        taken = table.advance(free, base, u, pos, steps - done)
+        if len(taken):
+            out.append(taken)
+            done, base = done + len(taken), taken[-1]
+        else:
+            room *= 2
 
 
-def _check_rows_replay(slc, table, starts, seed, count, thinning, block=8192):
-    """Each lockstep chain r against ``_step`` on column r of the same
-    time-major uniforms: the same samples, free order and uniform count."""
+def _check_rows_replay(slc, table, starts, seed, count, thinning, room=8192):
+    """Each lockstep chain r against ``_step`` on the stream it reads: the
+    same samples, free order and next uniform."""
     steps = count * thinning
-    bases, free = _lockstep(table, starts, rng_stream(seed, 1), steps, block)
+    bases, free, following = _lockstep(table, starts, seed, steps, room)
     assert bases.shape == (steps, len(starts))
-    columns = rng_stream(seed, 1).random((steps, len(starts), 3))
     for r, start in enumerate(starts):
-        col = iter(columns[:, r].ravel().tolist())
+        rand = UniformBuffer(rng_stream(seed, 1, r)).next
         ids = sorted(set(start) | slc.pinned_ids)
-        want, state = _replay_histogram(slc, ids, table, col.__next__, count, thinning)
+        want, state = _replay_histogram(slc, ids, table, rand, count, thinning)
         got = np.bincount(bases[thinning - 1::thinning, r] // table.width,
                           minlength=len(table.free))
         assert got.tolist() == want
         assert free[r].tolist() == state.free
-        # the scalar chain drew its whole column, or nothing when nothing is free
-        assert len(list(col)) == (0 if slc.free_size else 3 * steps)
+        # both read the same number of uniforms, none when nothing is free
+        assert rand() == following[r]
 
 
 def _table_starts(slc, table, seed):
@@ -262,14 +273,14 @@ def _table_starts(slc, table, seed):
 def _check_rows(slc, table):
     """Every row of ``table`` follows from ``enumerate_facets`` alone: the
     candidates of (facet, v) are the ids c, v among them, that complete the
-    face without v to a facet, ascending, grouped by their uncovered
-    neighbours under the face from the smallest count up, with (sums,
-    total) the sequential sums of the class weights."""
+    face without v to a facet; each weighs class_weights[e - e_min], where e
+    counts its uncovered neighbours under the face and e_min is the smallest
+    such count, every other X id weighs 0, and each candidate leads to the
+    facet of the face and c."""
     adj = slc.graph.global_adj
     pinned = slc.pinned_ids
-    width = table.width
-    per_row = table.class_count
-    assert per_row == slc.graph.degree + 1
+    width, side = table.width, table.side
+    assert (width, side) == (len(adj), slc.graph.n_side)
     facet_ids = {frozenset(slc.to_ids(f)) for f in enumerate_facets(slc)}
     assert {frozenset(ids) | pinned for ids in table.free.tolist()} == facet_ids
     assert len(table.free) == len(facet_ids)
@@ -280,26 +291,18 @@ def _check_rows(slc, table):
             cands = [c for c in range(width)
                      if c not in face and frozenset(face | {c}) in facet_ids]
             assert v in cands
-            row = int(table.row_at[f * width + v])
-            assert row == f * len(ids) + j  # a facet's rows in its free ids' order
+            start = int(table.row_at[f * width + v])
+            assert start == (f * len(ids) + j) * side  # a facet's rows in its free ids' order
             covered = {j for u in face for j in adj[u]}
             unc = {c: sum(1 for j in adj[c] if j not in covered) for c in cands}
-            classes = [[c for c in cands if unc[c] == e]
-                       for e in range(min(unc.values()), slc.graph.degree + 1)]
-            acc, total = [], 0.0
-            for members, w in zip(classes, slc.class_weights):
-                total += len(members) * w
-                acc.append(total)
-            pad = per_row - len(classes)
-            assert table.sums[row].tolist() == acc + [np.inf] * pad
-            assert table.total[row] == total
-            classes += [[]] * pad
-            for c, want in enumerate(classes):
-                at = row * per_row + c
-                lo, hi = table.first[at], table.first[at] + table.size[at]
-                assert table.cands[lo:hi].tolist() == want
-                assert [table.free[b // width].tolist() for b in table.succ[lo:hi]] == [
-                    sorted(set(ids) - {v} | {c}) for c in want]
+            low = min(unc.values())
+            row = slice(start, start + side)
+            assert table.weight[row].tolist() == [
+                slc.class_weights[unc[x] - low] if x in unc else 0.0 for x in range(side)]
+            succ = table.succ[row][cands]
+            assert (succ % width == 0).all()
+            assert [table.free[b // width].tolist() for b in succ] == [
+                sorted(set(ids) - {v} | {c}) for c in cands]
 
 
 def _check_compile(slc, seed):
@@ -330,11 +333,16 @@ class TestFacetTable:
         assert len(facets) == len(table.free)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7, 20, 50])
-    def test_histogram_across_block_boundaries(self, block):
-        # advance calls of whole steps of every chain, one step when a step
-        # of all three takes more than the block's uniforms
+    def test_histogram_across_block_boundaries(self, monkeypatch, block):
+        # buffers of ``block`` uniforms and the largest proposal window one
+        # holds: calls that stop at a buffer's end, a straggler's included,
+        # buffers that double because a step outgrew them, and stragglers
+        # that accept none of a window of 1, 2 or 3 proposals
+        window = min(walks.PROPOSAL_WINDOW, max(1, (block - 1) // 2))
+        monkeypatch.setattr(walks, "PROPOSAL_WINDOW", window)
         g = gen_bipartite_regular(8, 3, seed=12)
-        for slc in (OneSidedSlice(g, 3, 0.4), OneSidedSlice(g, 4, 2.0, frozenset({2}))):
+        for slc in (OneSidedSlice(g, 3, 0.4), OneSidedSlice(g, 4, 2.0, frozenset({2})),
+                    OneSidedSlice(g, 3, 1e300)):
             table = facet_table(slc)
             _check_rows_replay(slc, table, _table_starts(slc, table, 4), 9, 13, 3, block)
 
@@ -381,7 +389,18 @@ class TestTableCompile:
         g = gen_bipartite_regular(100, 3, seed=7)
         one = OneSidedSlice(g, 18, 0.05)
         slc = one.with_face(greedy_facet(one, rng_stream(1))[:16])
-        assert len(_check_compile(slc, 1).total) == 6972
+        assert len(_check_compile(slc, 1).weight) == 6972 * 100
+
+    def test_criterion_8_rows_and_a_long_replay(self):
+        # criterion 8's slice (two K_{8,8}, k = 4, fugacity 31: 1,820 facets
+        # and 7,280 rows), three chains of 3,000 steps through buffers of 40
+        # uniforms; about 1 chain-step in 400 accepts none of its window
+        g = disjoint_union(gen_bipartite_regular(8, 8, seed=88),
+                           gen_bipartite_regular(8, 8, seed=89))
+        slc = OneSidedSlice(g, 4, 31.0)
+        table = facet_table(slc)
+        _check_rows(slc, table)
+        _check_rows_replay(slc, table, _table_starts(slc, table, 8), 8, 1000, 3, 40)
 
     def test_the_compile_names_no_oracle(self):
         # the tables and the exact oracles check each other, so the compile
@@ -549,6 +568,21 @@ class TestRunChain:
         g = gen_bipartite_regular(7, 2, seed=2)
         _check_transition_rows(OneSidedSlice(g, 3, 0.5), steps=1_000_000, seed=1)
 
+    @pytest.mark.parametrize("slc, steps", [
+        # few proposals accepted: 4.3 a step
+        (OneSidedSlice(gen_bipartite_regular(7, 2, seed=2), 3, 31.0), 400_000),
+        # class weights past e_min + 1 underflow to 0: a step ends only
+        # because the smallest occupied class weighs 1
+        (OneSidedSlice(gen_bipartite_regular(8, 3, seed=1), 3, 1e300), 400_000),
+        # 6 of the 8 X vertices
+        (OneSidedSlice(gen_bipartite_regular(8, 3, seed=1), 6, 4.0), 400_000),
+        (OneSidedSlice(gen_bipartite_regular(8, 3, seed=1), 4, 2.0, frozenset({2})), 400_000)],
+        ids=["lambda-31", "lambda-1e300", "dense", "pinned"])
+    def test_proposal_window_transitions_match_exact_rows(self, slc, steps):
+        # the one-sided kernel proposes two uniforms at a time until one is
+        # accepted; its rows must be the exact down-up conditional
+        _check_transition_rows(slc, steps=steps, seed=1)
+
     @pytest.mark.parametrize("slc", [
         TwoSidedSlice(gen_bipartite_regular(6, 2, seed=1), 2, 1),
         RegularSlice(gen_regular(10, 3, seed=2), 3),
@@ -567,21 +601,19 @@ class TestRunChain:
 
 
 def _assert_pools_are_candidate_sets(slc, state) -> None:
-    """On a one-sided slice each pool is exactly its weight class of
-    candidates; the uniform kernel draws by rejection and its states hold
-    no pools (``recount_ok`` checks their counters and members)."""
+    """On a one-sided slice each class count is exactly the number of
+    candidates in its weight class; the uniform kernel's states hold no
+    class counts (``recount_ok`` checks the counters against a rebuild)."""
     adj = slc.graph.global_adj
     member, cover = state.member, state.cover
-    for pool in state.pools:
-        assert pool == sorted(set(pool))
     if isinstance(slc, OneSidedSlice):
         n = slc.graph.n_side
         unc = [sum(1 for j in adj[x] if cover[j] == 0) for x in range(n)]
         assert state.unc == unc
-        assert state.pools == [[x for x in range(n) if not member[x] and unc[x] == e]
-                               for e in range(slc.graph.degree + 1)]
+        assert state.counts == [sum(1 for x in range(n) if not member[x] and unc[x] == e)
+                                for e in range(slc.graph.degree + 1)]
     else:
-        assert state.pools == [] and state.unc == []
+        assert state.counts == [] and state.unc == []
 
 
 def _check_transition_rows(slc, steps: int, seed: int) -> None:
